@@ -15,7 +15,13 @@ reported as the exact-rounded sum of raw arc costs.
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
-edge index and forward before backward.
+edge index and forward before backward. The search does not copy arc
+sequences: each node keeps its predecessor arc inside a nested tie key
+(key of the predecessor, arc), rooted at () for the source. Keys are
+compared only between labels with equal arc counts, and nested keys of
+equal depth order exactly as the flat sequences they encode, so the
+search makes the same comparisons and picks the same paths as with
+flat sequences; the sink's path is read back from its key.
 
 Augmentation assigns saturated arcs exactly (f := u or f := 0) rather
 than accumulating, so emptiness predicates f == 0 and f == u remain
@@ -28,16 +34,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import Flow, TransformedNetwork
+from .network import ORIGINAL, Flow, TransformedNetwork
 
 INF = math.inf
 
 # Reduced costs are nonnegative in exact arithmetic; allow this much
 # float rounding before declaring the potentials broken.
 REDUCED_COST_SLACK = 1e-9
+
+# Tie keys of nodes at a multiple of this many hops are stored as flat
+# arc tuples, which bounds how deep a key comparison recurses.
+KEY_FLATTEN_DEPTH = 64
 
 
 class Outcome(str, Enum):
@@ -84,96 +95,130 @@ class AugmentationTrace:
 
 
 class _Engine:
-    """Mutable solver state over one transformed instance."""
+    """Mutable solver state over one transformed instance, in flat lists.
+
+    Nodes are dense indices 0..n-1. Built once per solve:
+
+    * out_adj[u] lists (arc, head, signed cost) for every potential
+      residual arc leaving u, and in_adj[v] lists (arc, tail, signed
+      cost) for every one entering v, in the order edge index, then
+      forward before backward. Presence is re-checked at relax time.
+    * res[a] is the residual capacity of arc a: cap - f for a forward
+      arc, f for a backward one. augment refreshes it for the edges on
+      the path, so both Dijkstra loops test res[a] <= 0.0 inline.
+    * is_original[e] says whether edge e bears cost (is not auxiliary).
+
+    Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
+    the same float operations, slack check and clamp everywhere. The
+    forward search records each node's predecessor arc in its tie key
+    (see dijkstra_forward) rather than copying the arc sequence of its
+    path, and the path to the sink is read back from the sink's key.
+    """
 
     def __init__(self, instance: TransformedNetwork):
         net = instance.base
-        self.instance = instance
         self.ids = net.nodes
-        self.idx = {v: i for i, v in enumerate(net.nodes)}
+        idx = {v: i for i, v in enumerate(net.nodes)}
         self.n = len(net.nodes)
-        self.m = net.m
-        self.tail = [self.idx[e.tail] for e in net.edges]
-        self.head = [self.idx[e.head] for e in net.edges]
+        tail = [idx[e.tail] for e in net.edges]
+        head = [idx[e.head] for e in net.edges]
+        cost = [e.cost for e in net.edges]
         self.cap = [e.capacity for e in net.edges]
-        self.cost = [e.cost for e in net.edges]
-        self.s = self.idx[instance.source]
-        self.t = self.idx[instance.sink]
-        # Static adjacency over all potential residual arcs; presence is
-        # re-checked against the flow at relax time.
-        self.out_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        self.in_arcs: list[list[int]] = [[] for _ in range(self.n)]
-        for e in range(self.m):
-            self.out_arcs[self.tail[e]].append(2 * e)
-            self.in_arcs[self.head[e]].append(2 * e)
-            self.out_arcs[self.head[e]].append(2 * e + 1)
-            self.in_arcs[self.tail[e]].append(2 * e + 1)
-        self.f = [0.0] * self.m
+        self.is_original = [e.kind == ORIGINAL for e in net.edges]
+        self.s = idx[instance.source]
+        self.t = idx[instance.sink]
+        self.out_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
+        self.in_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
+        for e, (u, v, c) in enumerate(zip(tail, head, cost)):
+            self.out_adj[u].append((2 * e, v, c))
+            self.in_adj[v].append((2 * e, u, c))
+            self.out_adj[v].append((2 * e + 1, u, -c))
+            self.in_adj[u].append((2 * e + 1, v, -c))
+        # Per arc: signed cost, and the id of the node the arc enters.
+        self.signed_cost = [x for c in cost for x in (c, -c)]
+        self.arc_head_id = [
+            self.ids[x] for u, v in zip(tail, head) for x in (v, u)
+        ]
+        self.res = [r for c in self.cap for r in (c, 0.0)]
+        self.f = [0.0] * net.m
         self.value = 0.0
         self.pi = [0.0] * self.n
-
-    # -- residual primitives ------------------------------------------------
-
-    def res_cap(self, a: int) -> float:
-        e = a >> 1
-        return self.f[e] if a & 1 else self.cap[e] - self.f[e]
-
-    def arc_cost(self, a: int) -> float:
-        return -self.cost[a >> 1] if a & 1 else self.cost[a >> 1]
-
-    def _reduced(self, a: int, u: int, v: int) -> float:
-        rc = self.arc_cost(a) + self.pi[u] - self.pi[v]
-        if rc < 0.0:
-            if rc < -REDUCED_COST_SLACK:
-                raise InternalInvariantError(
-                    f"reduced cost {rc} on arc {a} below tolerance"
-                )
-            rc = 0.0
-        return rc
 
     # -- shortest paths -----------------------------------------------------
 
     def dijkstra_forward(self):
-        """Labels (reduced dist, hops, arc seq) from the source.
+        """Reduced distances and tie keys from the source.
 
-        Returns (dist, hops, seq) lists indexed by dense node index;
-        seq[v] is the arc-index sequence of the selected path, the
-        third tie-break component and the path extraction record.
+        Returns (dist, key) lists indexed by dense node index. A label
+        is (reduced dist, hops, key), compared lexicographically; the
+        heap holds (dist, hops, key, node). key[v] = (key[u], a) pairs
+        the key of the predecessor u with the predecessor arc a, and
+        key[source] = (), so following the pairs back gives the arc
+        sequence of v's path. For sequences of equal length, nested
+        pairs compare exactly as the flat sequences do (prefix first,
+        last arc to break a tie), and keys are only ever compared
+        between labels with equal hops. So heap pops, the arcs whose
+        reduced cost is checked and the chosen paths are those of flat
+        (dist, hops, arc-sequence) labels, while a relaxation builds
+        one pair instead of copying its predecessor's sequence.
+
+        A key comparison recurses one level per pair until the two keys
+        share a prefix object. To bound that depth on long exact ties, a
+        node at a multiple of KEY_FLATTEN_DEPTH hops hands its children
+        its key as a flat arc tuple; every key of a given depth has the
+        same shape, so the order is unchanged.
         """
-        dist = [INF] * self.n
-        hops = [0] * self.n
-        seq: list[tuple[int, ...] | None] = [None] * self.n
-        done = [False] * self.n
-        dist[self.s] = 0.0
-        seq[self.s] = ()
-        heap: list = [(0.0, 0, (), self.s)]
+        n = self.n
+        pi = self.pi
+        res = self.res
+        out_adj = self.out_adj
+        dist = [INF] * n
+        hops = [0] * n
+        key: list[tuple | None] = [None] * n
+        done = [False] * n
+        s = self.s
+        dist[s] = 0.0
+        key[s] = ()
+        heap: list = [(0.0, 0, (), s)]
         while heap:
-            d, h, sq, u = heappop(heap)
-            if done[u] or dist[u] < d:
+            # Labels only ever decrease, so the first entry popped for a
+            # node carries its current label; later ones are stale.
+            du, hu, ku, u = heappop(heap)
+            if done[u]:
                 continue
             done[u] = True
-            du = dist[u]
-            hu = hops[u]
-            squ = seq[u]
-            for a in self.out_arcs[u]:
-                if self.res_cap(a) <= 0.0:
+            if not hu % KEY_FLATTEN_DEPTH:
+                ku = self.path_arcs(ku)
+            hv = hu + 1
+            piu = pi[u]
+            for a, v, c in out_adj[u]:
+                if res[a] <= 0.0 or done[v]:
                     continue
-                e = a >> 1
-                v = self.tail[e] if a & 1 else self.head[e]
-                if done[v]:
+                rc = (c + piu) - pi[v]
+                if rc < 0.0:
+                    if rc < -REDUCED_COST_SLACK:
+                        raise InternalInvariantError(
+                            f"reduced cost {rc} on arc {a} below tolerance"
+                        )
+                    rc = 0.0
+                cand = du + rc
+                dv = dist[v]
+                if cand > dv:
                     continue
-                cand = du + self._reduced(a, u, v)
-                if cand > dist[v]:
+                kv = (ku, a)
+                if cand == dv and (hv, kv) >= (hops[v], key[v]):
                     continue
-                label = (cand, hu + 1, squ + (a,))
-                if dist[v] < INF and label >= (dist[v], hops[v], seq[v]):
-                    continue
-                dist[v], hops[v], seq[v] = label
-                heappush(heap, (cand, hu + 1, seq[v], v))
-        return dist, hops, seq
+                dist[v] = cand
+                hops[v] = hv
+                key[v] = kv
+                heappush(heap, (cand, hv, kv, v))
+        return dist, key
 
     def dijkstra_reverse(self):
-        """Reduced distances to the sink (reverse graph, no tie labels)."""
+        """Reduced distances to the sink (reverse graph, no tie keys)."""
+        pi = self.pi
+        res = self.res
+        in_adj = self.in_adj
         dist = [INF] * self.n
         done = [False] * self.n
         dist[self.t] = 0.0
@@ -183,14 +228,18 @@ class _Engine:
             if done[v]:
                 continue
             done[v] = True
-            for a in self.in_arcs[v]:
-                if self.res_cap(a) <= 0.0:
+            piv = pi[v]
+            for a, u, c in in_adj[v]:
+                if res[a] <= 0.0 or done[u]:
                     continue
-                e = a >> 1
-                u = self.head[e] if a & 1 else self.tail[e]
-                if done[u]:
-                    continue
-                cand = d + self._reduced(a, u, v)
+                rc = (c + pi[u]) - piv
+                if rc < 0.0:
+                    if rc < -REDUCED_COST_SLACK:
+                        raise InternalInvariantError(
+                            f"reduced cost {rc} on arc {a} below tolerance"
+                        )
+                    rc = 0.0
+                cand = d + rc
                 if cand < dist[u]:
                     dist[u] = cand
                     heappush(heap, (cand, u))
@@ -217,20 +266,32 @@ class _Engine:
         # arcs between unreachable nodes shift by equal amounts on both
         # ends. Without this, stale potentials on unreachable nodes can
         # turn negative in the reverse-direction search.
-        shift = max(d for d in dist_red if d < INF)
-        for i in range(self.n):
-            self.pi[i] += dist_red[i] if dist_red[i] < INF else shift
+        if INF in dist_red:
+            shift = max(filter(INF.__gt__, dist_red))
+            dist_red = [d if d < INF else shift for d in dist_red]
+        self.pi = list(map(add, self.pi, dist_red))
 
     # -- augmentation ---------------------------------------------------------
 
+    @staticmethod
+    def path_arcs(key: tuple) -> tuple[int, ...]:
+        """Arc sequence a tie key encodes, walked back to its flat prefix."""
+        arcs = []
+        while key and type(key[0]) is tuple:
+            key, a = key
+            arcs.append(a)
+        arcs.reverse()
+        return key + tuple(arcs)
+
     def path_length(self, arcs: Iterable[int]) -> float:
-        return math.fsum(self.arc_cost(a) for a in arcs)
+        return math.fsum(map(self.signed_cost.__getitem__, arcs))
 
     def augment(self, arcs: Sequence[int], z: float):
         """Push the bottleneck amount along arcs; returns step facts."""
+        f, cap, res = self.f, self.cap, self.res
         amount = z - self.value
         for a in arcs:
-            r = self.res_cap(a)
+            r = res[a]
             if r < amount:
                 amount = r
         saturated = []
@@ -239,25 +300,27 @@ class _Engine:
         for a in arcs:
             e = a >> 1
             if a & 1:
-                if self.f[e] == self.cap[e]:
+                if f[e] == cap[e]:
                     empty.append(a)
-                    if self.instance.base.is_original(e):
+                    if self.is_original[e]:
                         good.append(a)
-                if self.f[e] == amount:
+                if f[e] == amount:
                     saturated.append(a)
-                    self.f[e] = 0.0
+                    f[e] = 0.0
                 else:
-                    self.f[e] -= amount
+                    f[e] -= amount
             else:
-                if self.f[e] == 0.0:
+                if f[e] == 0.0:
                     empty.append(a)
-                    if self.instance.base.is_original(e):
+                    if self.is_original[e]:
                         good.append(a)
-                if self.cap[e] - self.f[e] == amount:
+                if cap[e] - f[e] == amount:
                     saturated.append(a)
-                    self.f[e] = self.cap[e]
+                    f[e] = cap[e]
                 else:
-                    self.f[e] += amount
+                    f[e] += amount
+            res[2 * e] = cap[e] - f[e]
+            res[2 * e + 1] = f[e]
         if z - self.value == amount:
             self.value = z
         else:
@@ -268,11 +331,7 @@ class _Engine:
         return Flow(tuple(self.f), self.value)
 
     def path_nodes(self, arcs: Sequence[int]) -> tuple[int, ...]:
-        nodes = [self.ids[self.s]]
-        for a in arcs:
-            e = a >> 1
-            nodes.append(self.ids[self.tail[e] if a & 1 else self.head[e]])
-        return tuple(nodes)
+        return (self.ids[self.s], *map(self.arc_head_id.__getitem__, arcs))
 
 
 def run_ssp(
@@ -301,7 +360,7 @@ def run_ssp(
     outcome = None
 
     while True:
-        dist, hops, seq = eng.dijkstra_forward()
+        dist, key = eng.dijkstra_forward()
         if record_distances:
             d_act = eng.actual_distances(dist)
             dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
@@ -316,7 +375,7 @@ def run_ssp(
         if dist[eng.t] == INF:
             outcome = Outcome.MAX_FLOW_BELOW_Z
             break
-        arcs = seq[eng.t]
+        arcs = eng.path_arcs(key[eng.t])
         length = eng.path_length(arcs)
         if stop_above_length is not None and length > stop_above_length:
             outcome = Outcome.STOPPED_ABOVE_LENGTH
@@ -331,7 +390,7 @@ def run_ssp(
             dict(
                 index=len(drafts) + 1,
                 path_nodes=nodes,
-                path_arcs=tuple(arcs),
+                path_arcs=arcs,
                 length=length,
                 amount=amount,
                 flow_value_after=eng.value,

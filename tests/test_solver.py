@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,15 +8,18 @@ from sspflow import (
     FlowNetwork,
     IterationCapExceeded,
     Outcome,
+    as_transformed,
     cost_function,
     cost_function_from_steps,
     max_flow_value,
+    reference_solve,
     run_ssp,
     solve,
     transform,
 )
 from sspflow.solver import (
     COSTFN_CSV_HEADER,
+    KEY_FLATTEN_DEPTH,
     TRACE_CSV_HEADER,
     cost_function_csv_rows,
     trace_csv_rows,
@@ -241,3 +245,133 @@ class TestCsv:
         assert rows[0] == COSTFN_CSV_HEADER
         assert rows[1] == "0.0,0.0,4.0"
         assert rows[-1] == "12.0,95.0,"  # terminal breakpoint has no slope
+
+
+def grid_instance(rows, cols, cost):
+    """rows x cols grid, edges right and down, every edge cap 1 at one cost.
+
+    Node r*cols + c; supply 2 at the top-left corner, demand 2 at the
+    bottom-right one. All monotone corner-to-corner paths tie exactly in
+    (length, hops), so only the arc-sequence tie-break picks among them.
+    """
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append(Edge(v, v + 1, 1.0, cost))
+            if r + 1 < rows:
+                edges.append(Edge(v, v + cols, 1.0, cost))
+    return transform(FlowNetwork(edges, {0: 2.0, rows * cols - 1: -2.0}))
+
+
+# path_arcs of each step: the lexicographically smallest arc sequence
+# among the tied shortest paths
+GRID_GOLDEN = {
+    (4, 4, 1.0): (
+        (48, 0, 4, 8, 12, 26, 40, 50),
+        (48, 2, 14, 18, 24, 38, 46, 50),
+    ),
+    (5, 3, 0.5): (
+        (44, 0, 4, 8, 18, 28, 38, 46),
+        (44, 2, 10, 16, 26, 36, 42, 46),
+    ),
+    (3, 6, 0.0): (
+        (54, 0, 4, 8, 12, 16, 20, 42, 56),
+        (54, 2, 22, 26, 30, 34, 40, 52, 56),
+    ),
+    (6, 6, 1.0): (
+        (120, 0, 4, 8, 12, 16, 20, 42, 64, 86, 108, 122),
+        (120, 2, 22, 26, 30, 34, 40, 62, 84, 106, 118, 122),
+    ),
+}
+
+
+def scaled_costs(inst, factor):
+    """The instance with every cost and the cost bound multiplied by factor."""
+    net = inst.base
+    edges = [Edge(e.tail, e.head, e.capacity, e.cost * factor, e.kind) for e in net.edges]
+    scaled = FlowNetwork(edges, dict(net.balance), net.nodes, net.cost_bound * factor)
+    return as_transformed(scaled, inst.source, inst.sink)
+
+
+def relabelled(inst, seed):
+    """The instance with node ids permuted (and spread out), edge order kept."""
+    net = inst.base
+    new_ids = [7 * v + 3 for v in net.nodes]
+    random.Random(seed).shuffle(new_ids)
+    ids = dict(zip(net.nodes, new_ids))
+    edges = [Edge(ids[e.tail], ids[e.head], e.capacity, e.cost, e.kind) for e in net.edges]
+    balance = {ids[v]: b for v, b in net.balance.items()}
+    moved = FlowNetwork(edges, balance, new_ids, net.cost_bound)
+    return as_transformed(moved, ids[inst.source], ids[inst.sink])
+
+
+class TestTieBreaks:
+    @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
+    def test_grid_golden(self, shape):
+        inst = grid_instance(*shape)
+        trace = solve(inst)
+        assert trace.outcome is Outcome.REACHED_Z
+        assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
+        ref = reference_solve(inst)
+        assert tuple(s.path_arcs for s in ref.steps) == GRID_GOLDEN[shape]
+
+    @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
+    def test_grid_relabelled(self, shape):
+        inst = grid_instance(*shape)
+        for seed in range(5):
+            trace = solve(relabelled(inst, seed))
+            assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
+
+    def test_tie_past_key_flatten_depth(self):
+        # 71-arc paths: the tie keys are flattened at 64 hops on the way
+        inst = grid_instance(3, 70, 1.0)
+        trace = solve(inst)
+        ref = reference_solve(inst)
+        assert len(trace.steps[0].path_arcs) > KEY_FLATTEN_DEPTH
+        assert [s.path_arcs for s in trace.steps] == [s.path_arcs for s in ref.steps]
+
+    def test_deep_tie_compares_without_recursion_error(self):
+        # two zero-cost chains of 1500 arcs tie exactly at the sink; the
+        # comparison must not recurse once per arc
+        length = 1500
+        sink = 2 * length + 1
+        edges = []
+        for first in (1, length + 1):
+            chain = [0, *range(first, first + length), sink]
+            edges += [Edge(u, v, 1.0, 0.0) for u, v in zip(chain, chain[1:])]
+        inst = transform(FlowNetwork(edges, {0: 2.0, sink: -2.0}))
+        trace = solve(inst, record_distances=False)
+        aux = 2 * len(edges)
+        assert [s.path_arcs for s in trace.steps] == [
+            (aux, *range(0, 2 * (length + 1), 2), aux + 2),
+            (aux, *range(2 * (length + 1), 4 * (length + 1), 2), aux + 2),
+        ]
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_power_of_two_cost_scaling(self, k):
+        # multiplying by 2**k is exact in binary floating point, so every
+        # comparison the solver makes comes out the same
+        factor = 2.0**k
+        for seed in range(200):
+            inst = random_instance(seed, n=8, m=20)
+            a = solve(inst, record_distances=False)
+            b = solve(scaled_costs(inst, factor), record_distances=False)
+            assert b.outcome is a.outcome, seed
+            assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
+            assert [s.amount for s in b.steps] == [s.amount for s in a.steps], seed
+            assert [s.length for s in b.steps] == [
+                factor * s.length for s in a.steps
+            ], seed
+
+    def test_node_relabelling(self):
+        # tie-breaks and adjacency order depend on edge indices only
+        for seed in range(200):
+            inst = random_instance(seed, n=8, m=20)
+            a = solve(inst, record_distances=False)
+            b = solve(relabelled(inst, seed), record_distances=False)
+            assert b.outcome is a.outcome, seed
+            assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
