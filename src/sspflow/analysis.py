@@ -29,11 +29,12 @@ from .errors import (
     NoPath,
 )
 from .network import (
-    AUXILIARY,
     Flow,
     TransformedNetwork,
     arc_is_forward,
     arc_reverse,
+    empty_arcs,
+    push,
 )
 from .solver import (
     AugmentationStep,
@@ -58,8 +59,8 @@ _CHECK_SLACK = 1e-9
 def replay_flows(trace: AugmentationTrace) -> tuple[Flow, ...]:
     """Rebuild f_0 .. f_N from the recorded paths and amounts.
 
-    Uses the same exact-saturation arithmetic as the solver, so the
-    result is bit-identical to flows retained at solve time.
+    Pushes with the solver's own exact-saturation rule (network.push),
+    so the result is bit-identical to flows retained at solve time.
     """
     if trace.intermediate_flows is not None:
         return trace.intermediate_flows
@@ -68,13 +69,7 @@ def replay_flows(trace: AugmentationTrace) -> tuple[Flow, ...]:
     f = [0.0] * net.m
     flows = [Flow(tuple(f), 0.0)]
     for step in trace.steps:
-        amount = step.amount
-        for a in step.path_arcs:
-            e = a >> 1
-            if a & 1:
-                f[e] = 0.0 if f[e] == amount else f[e] - amount
-            else:
-                f[e] = cap[e] if cap[e] - f[e] == amount else f[e] + amount
+        push(f, cap, step.path_arcs, step.amount)
         flows.append(Flow(tuple(f), step.flow_value_after))
     return tuple(flows)
 
@@ -134,7 +129,9 @@ def reference_solve(
     """Same algorithm, independent machinery: Bellman-Ford on raw costs.
 
     Produces the same step sequence as solve() (paths, lengths,
-    amounts) and serves as its oracle in tests.
+    amounts) and serves as its oracle in tests. Only the path search is
+    its own; the flow update and the good arcs come from network.push
+    and network.empty_arcs, as in the solver.
     """
     if z is None:
         z = instance.z
@@ -142,7 +139,7 @@ def reference_solve(
     cap = [e.capacity for e in net.edges]
     f = [0.0] * net.m
     value = 0.0
-    drafts = []
+    steps = []
     flows = [Flow(tuple(f), 0.0)] if retain_flows else None
 
     while True:
@@ -164,45 +161,25 @@ def reference_solve(
             r = f[e] if a & 1 else cap[e] - f[e]
             if r < amount:
                 amount = r
-        saturated, empty, good = [], [], []
         nodes_on_path = [instance.source]
         for a in seq_t:
-            e = a >> 1
-            edge = net.edges[e]
+            edge = net.edges[a >> 1]
             nodes_on_path.append(edge.tail if a & 1 else edge.head)
-            if a & 1:
-                if f[e] == cap[e]:
-                    empty.append(a)
-                    if edge.kind != AUXILIARY:
-                        good.append(a)
-                if f[e] == amount:
-                    saturated.append(a)
-                    f[e] = 0.0
-                else:
-                    f[e] -= amount
-            else:
-                if f[e] == 0.0:
-                    empty.append(a)
-                    if edge.kind != AUXILIARY:
-                        good.append(a)
-                if cap[e] - f[e] == amount:
-                    saturated.append(a)
-                    f[e] = cap[e]
-                else:
-                    f[e] += amount
+        good = tuple(
+            a for a in empty_arcs(f, cap, seq_t) if net.is_original(a >> 1)
+        )
+        saturated = push(f, cap, seq_t, amount)
         value = z if z - value == amount else value + amount
-        drafts.append(
-            dict(
-                index=len(drafts) + 1,
+        steps.append(
+            AugmentationStep(
+                index=len(steps) + 1,
                 path_nodes=tuple(nodes_on_path),
                 path_arcs=tuple(seq_t),
                 length=length,
                 amount=amount,
                 flow_value_after=value,
-                saturated_arcs=tuple(saturated),
-                empty_arcs=tuple(empty),
-                good_arcs=tuple(good),
-                contains_good_arc=bool(good),
+                saturated_arcs=saturated,
+                good_arcs=good,
             )
         )
         if retain_flows:
@@ -210,7 +187,7 @@ def reference_solve(
 
     return AugmentationTrace(
         instance=instance,
-        steps=tuple(AugmentationStep(**d) for d in drafts),
+        steps=tuple(steps),
         outcome=outcome,
         final_flow=Flow(tuple(f), value),
         intermediate_flows=tuple(flows) if retain_flows else None,
@@ -269,32 +246,24 @@ class FlowClassification:
 def classify(trace: AugmentationTrace) -> FlowClassification:
     """Recompute good/bad per step from replayed flows.
 
-    A step is good when its path contains an empty arc over a
-    non-auxiliary edge. Cross-checks the solver's own recording and
-    enforces the bad-step bound (at most one per node).
+    A step is good when its path holds an empty arc (network.empty_arcs,
+    under the flow before the step) over an original edge. Cross-checks
+    the recorded flag, bool(step.good_arcs), and enforces the bad-step
+    bound (at most one per node).
     """
     flows = replay_flows(trace)
     net = trace.instance.base
+    cap = [e.capacity for e in net.edges]
     good_flags = []
     bad = []
     for j, step in enumerate(trace.steps):
         pre = flows[j].values
-        has_good = False
-        for a in step.path_arcs:
-            e = a >> 1
-            if net.edges[e].kind == AUXILIARY:
-                continue
-            if a & 1:
-                if pre[e] == net.edges[e].capacity:
-                    has_good = True
-                    break
-            else:
-                if pre[e] == 0.0:
-                    has_good = True
-                    break
-        if has_good != step.contains_good_arc:
+        has_good = any(
+            net.is_original(a >> 1) for a in empty_arcs(pre, cap, step.path_arcs)
+        )
+        if has_good != bool(step.good_arcs):
             raise InternalInvariantError(
-                f"step {step.index}: recorded good flag {step.contains_good_arc} "
+                f"step {step.index}: recorded good flag {bool(step.good_arcs)} "
                 f"disagrees with replay {has_good}"
             )
         good_flags.append(has_good)
@@ -408,19 +377,9 @@ def _check_cost_function_shape(trace) -> LemmaCheck:
 
 def _check_empty_arc_on_path(trace, flows) -> LemmaCheck:
     cid = "empty_arc_on_path"
-    net = trace.instance.base
+    cap = [e.capacity for e in trace.instance.base.edges]
     for j, step in enumerate(trace.steps):
-        pre = flows[j].values
-        found = False
-        for a in step.path_arcs:
-            e = a >> 1
-            if a & 1:
-                found = pre[e] == net.edges[e].capacity
-            else:
-                found = pre[e] == 0.0
-            if found:
-                break
-        if not found:
+        if not empty_arcs(flows[j].values, cap, step.path_arcs):
             return LemmaCheck(cid, False, step.index, "no empty arc on path")
     return LemmaCheck(cid, True)
 
@@ -475,7 +434,7 @@ def _check_no_backward_aux(trace) -> LemmaCheck:
     net = trace.instance.base
     for step in trace.steps:
         for a in step.path_arcs:
-            if (a & 1) and net.edges[a >> 1].kind == AUXILIARY:
+            if (a & 1) and not net.is_original(a >> 1):
                 return LemmaCheck(
                     cid, False, step.index, f"backward auxiliary arc {a} on path"
                 )
@@ -514,7 +473,7 @@ def reconstruct(instance: TransformedNetwork, arc: int, threshold: float) -> Flo
     e = arc >> 1
     if not 0 <= e < instance.m:
         raise ValueError(f"arc {arc} outside instance")
-    if instance.base.edges[e].kind == AUXILIARY:
+    if not instance.base.is_original(e):
         raise AuxiliaryArc(f"arc {arc} lies on an auxiliary edge")
     new_cost = instance.base.cost_bound if arc_is_forward(arc) else 0.0
     modified = TransformedNetwork(

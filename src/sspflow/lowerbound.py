@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import _rng
 from .errors import BadParams, PredictionMismatch
+from .generators import bipartite_topology
 from .network import Edge, FlowNetwork, TransformedNetwork
 from .solver import AugmentationTrace, run_ssp
 
@@ -134,41 +135,25 @@ def _cost(seed: int, edge_index: int, lo: float, hi: float) -> float:
 
 
 def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
-    """The bipartite seed gadget; exactly `edges` augmentations."""
+    """The bipartite seed gadget; exactly `edges` augmentations.
+
+    The skeleton is generators.bipartite_topology(side, edges): the
+    `edges` slot edges come first and cost [7, 9], the fans [0, 1].
+    """
     if side < 1 or not side <= edges <= side**2:
         raise BadParams(f"need side <= edges <= side^2, got {side}, {edges}")
-    n = side
-    s, t = 0, 2 * n + 1
-    u = [1 + i for i in range(n)]
-    w = [n + 1 + j for j in range(n)]
-    pairs = [(ui, wj) for ui in u for wj in w][:edges]
-    outdeg = {v: 0 for v in u}
-    indeg = {v: 0 for v in w}
-    for a, b in pairs:
-        outdeg[a] += 1
-        indeg[b] += 1
+    topo = bipartite_topology(side, edges)
     edge_list = []
-    for a, b in pairs:
-        e = len(edge_list)
-        edge_list.append(Edge(a, b, 1.0, _cost(seed, e, 7.0, 9.0)))
-    for v in u:
-        e = len(edge_list)
-        edge_list.append(Edge(s, v, float(outdeg[v]), _cost(seed, e, 0.0, 1.0)))
-    for v in w:
-        e = len(edge_list)
-        edge_list.append(Edge(v, t, float(indeg[v]), _cost(seed, e, 0.0, 1.0)))
-    z = float(edges)
-    net = FlowNetwork(
-        edge_list,
-        {s: z, t: -z},
-        [s] + u + w + [t],
-        cost_bound=2.0**5,
-    )
+    for e, (a, b, cap) in enumerate(topo.edges):
+        lo, hi = (7.0, 9.0) if e < edges else (0.0, 1.0)
+        edge_list.append(Edge(a, b, cap, _cost(seed, e, lo, hi)))
+    net = FlowNetwork(edge_list, topo.balance, topo.nodes, cost_bound=2.0**5)
+    s, *tiers, t = topo.nodes
     roles = {s: "s1", t: "t1"}
-    roles.update({v: f"u{i + 1}" for i, v in enumerate(u)})
-    roles.update({v: f"w{j + 1}" for j, v in enumerate(w)})
+    roles.update({v: f"u{i + 1}" for i, v in enumerate(tiers[:side])})
+    roles.update({v: f"w{j + 1}" for j, v in enumerate(tiers[side:])})
     return StageInstance(
-        instance=TransformedNetwork(net, s, t, z),
+        instance=TransformedNetwork(net, s, t, float(edges)),
         stage=1,
         side=side,
         seed_edges=edges,
@@ -340,18 +325,7 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
     if bound == base.cost_bound:
         return stage
     rebased = FlowNetwork(base.edges, dict(base.balance), base.nodes, bound)
-    instance = TransformedNetwork(
-        rebased, stage.instance.source, stage.instance.sink, stage.instance.z
-    )
-    return StageInstance(
-        instance,
-        stage.stage,
-        stage.side,
-        stage.seed_edges,
-        stage.seed,
-        stage.roles,
-        stage.predicted_steps,
-    )
+    return replace(stage, instance=replace(stage.instance, base=rebased))
 
 
 # ---------------------------------------------------------------------------

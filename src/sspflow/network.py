@@ -17,7 +17,9 @@ Conventions used throughout the package:
 
 Comparisons on flow values are strict float comparisons, no epsilons:
 augmentation assigns saturated values exactly, so f == 0 and f == u
-stay meaningful predicates.
+stay meaningful predicates. push (exact saturation) and empty_arcs
+(the empty arcs of a path) are the package's one implementation of
+these two rules.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BalanceMismatch, InfeasibleFlow, InvariantError
 
@@ -292,6 +294,38 @@ def arc_reverse(arc: int) -> int:
     return arc ^ 1
 
 
+def push(
+    f: list[float], cap: Sequence[float], arcs: Iterable[int], amount: float
+) -> tuple[int, ...]:
+    """Push amount along a path, updating f in place; returns the arcs
+    it saturates, whose edges are assigned 0 or cap exactly."""
+    saturated = []
+    for a in arcs:
+        e = a >> 1
+        if a & 1:
+            if f[e] == amount:
+                saturated.append(a)
+                f[e] = 0.0
+            else:
+                f[e] -= amount
+        elif cap[e] - f[e] == amount:
+            saturated.append(a)
+            f[e] = cap[e]
+        else:
+            f[e] += amount
+    return tuple(saturated)
+
+
+def empty_arcs(
+    f: Sequence[float], cap: Sequence[float], arcs: Iterable[int]
+) -> tuple[int, ...]:
+    """Arcs of a path (so present) whose reverse is absent under f:
+    forward over an idle edge, backward over a full one."""
+    return tuple(
+        a for a in arcs if f[a >> 1] == (cap[a >> 1] if a & 1 else 0.0)
+    )
+
+
 class ResidualView:
     """Read-only residual network of a flow on a transformed instance.
 
@@ -343,11 +377,6 @@ class ResidualView:
                 yield 2 * e
             if self.has(2 * e + 1):
                 yield 2 * e + 1
-
-    def arcs_from(self, node: int) -> Iterator[int]:
-        for arc in self.arcs():
-            if self.tail(arc) == node:
-                yield arc
 
 
 def residual(instance: TransformedNetwork, flow: Flow) -> ResidualView:

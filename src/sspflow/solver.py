@@ -10,8 +10,9 @@ decrease and the value-vs-cost profile is convex piecewise linear.
 Shortest paths run Dijkstra over reduced costs with node potentials:
 after each iteration the potential of every reachable node grows by
 its distance, which keeps all residual arc costs nonnegative (asserted
-with a 1e-9 slack for float rounding, then clamped). Path length is
-reported as the exact-rounded sum of raw arc costs.
+with a 1e-9 slack, or one relative to the magnitudes involved, for
+float rounding, then clamped). Path length is reported as the
+exact-rounded sum of raw arc costs.
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
@@ -23,9 +24,10 @@ equal depth order exactly as the flat sequences they encode, so the
 search makes the same comparisons and picks the same paths as with
 flat sequences; the sink's path is read back from its key.
 
-Augmentation assigns saturated arcs exactly (f := u or f := 0) rather
-than accumulating, so emptiness predicates f == 0 and f == u remain
-exact and the reached target value equals z bit-for-bit.
+Augmentation runs network.push, which assigns saturated arcs exactly
+(f := u or f := 0), so emptiness predicates f == 0 and f == u remain
+exact; a step's good arcs are its network.empty_arcs on original edges.
+The reached target value equals z bit-for-bit.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import ORIGINAL, Flow, TransformedNetwork
+from .network import ORIGINAL, Flow, TransformedNetwork, empty_arcs, push
 
 INF = math.inf
 
 # Reduced costs are nonnegative in exact arithmetic; allow this much
 # float rounding before declaring the potentials broken.
 REDUCED_COST_SLACK = 1e-9
+# Past it, a reduced cost must also fall below this many times the
+# largest of |c|, |pi[u]|, |pi[v]|, which rounding grows with.
+_REDUCED_COST_RTOL = 1e-12
 
 # Tie keys of nodes at a multiple of this many hops are stored as flat
 # arc tuples, which bounds how deep a key comparison recurses.
@@ -65,6 +70,10 @@ class AugmentationStep:
     in the residual network *after* this augmentation (None when the
     solve ran with record_distances=False, or past an early stop).
     Unreachable nodes carry math.inf.
+
+    good_arcs are the path's empty arcs on original edges, under the
+    flow before this augmentation; the step is good when there is one,
+    and the good_arc column of the trace CSV is bool(good_arcs).
     """
 
     index: int
@@ -74,9 +83,7 @@ class AugmentationStep:
     amount: float
     flow_value_after: float
     saturated_arcs: tuple[int, ...]
-    empty_arcs: tuple[int, ...]
     good_arcs: tuple[int, ...]
-    contains_good_arc: bool
     distances_from_s: Mapping[int, float] | None = None
     distances_to_t: Mapping[int, float] | None = None
 
@@ -197,9 +204,7 @@ class _Engine:
                 rc = (c + piu) - pi[v]
                 if rc < 0.0:
                     if rc < -REDUCED_COST_SLACK:
-                        raise InternalInvariantError(
-                            f"reduced cost {rc} on arc {a} below tolerance"
-                        )
+                        _check_reduced_cost(rc, a, c, piu, pi[v])
                     rc = 0.0
                 cand = du + rc
                 dv = dist[v]
@@ -235,9 +240,7 @@ class _Engine:
                 rc = (c + pi[u]) - piv
                 if rc < 0.0:
                     if rc < -REDUCED_COST_SLACK:
-                        raise InternalInvariantError(
-                            f"reduced cost {rc} on arc {a} below tolerance"
-                        )
+                        _check_reduced_cost(rc, a, c, pi[u], piv)
                     rc = 0.0
                 cand = d + rc
                 if cand < dist[u]:
@@ -287,51 +290,37 @@ class _Engine:
         return math.fsum(map(self.signed_cost.__getitem__, arcs))
 
     def augment(self, arcs: Sequence[int], z: float):
-        """Push the bottleneck amount along arcs; returns step facts."""
+        """Push the bottleneck amount; returns (amount, saturated, good)."""
         f, cap, res = self.f, self.cap, self.res
         amount = z - self.value
         for a in arcs:
             r = res[a]
             if r < amount:
                 amount = r
-        saturated = []
-        empty = []
-        good = []
+        is_original = self.is_original
+        good = tuple(a for a in empty_arcs(f, cap, arcs) if is_original[a >> 1])
+        saturated = push(f, cap, arcs, amount)
         for a in arcs:
             e = a >> 1
-            if a & 1:
-                if f[e] == cap[e]:
-                    empty.append(a)
-                    if self.is_original[e]:
-                        good.append(a)
-                if f[e] == amount:
-                    saturated.append(a)
-                    f[e] = 0.0
-                else:
-                    f[e] -= amount
-            else:
-                if f[e] == 0.0:
-                    empty.append(a)
-                    if self.is_original[e]:
-                        good.append(a)
-                if cap[e] - f[e] == amount:
-                    saturated.append(a)
-                    f[e] = cap[e]
-                else:
-                    f[e] += amount
             res[2 * e] = cap[e] - f[e]
             res[2 * e + 1] = f[e]
-        if z - self.value == amount:
-            self.value = z
-        else:
-            self.value += amount
-        return amount, tuple(saturated), tuple(empty), tuple(good)
+        self.value = z if z - self.value == amount else self.value + amount
+        return amount, saturated, good
 
     def snapshot(self) -> Flow:
         return Flow(tuple(self.f), self.value)
 
     def path_nodes(self, arcs: Sequence[int]) -> tuple[int, ...]:
         return (self.ids[self.s], *map(self.arc_head_id.__getitem__, arcs))
+
+
+def _check_reduced_cost(rc: float, a: int, c: float, pu: float, pv: float) -> None:
+    """Raise unless rc = (c + pu) - pv, already below -REDUCED_COST_SLACK,
+    is rounding relative to its terms (potentials reach 1e6 at large phi)."""
+    if rc < -_REDUCED_COST_RTOL * max(abs(c), abs(pu), abs(pv)):
+        raise InternalInvariantError(
+            f"reduced cost {rc} on arc {a} below tolerance"
+        )
 
 
 def run_ssp(
@@ -385,7 +374,7 @@ def run_ssp(
                 f"augmentation count exceeded cap {iteration_cap}"
             )
         nodes = eng.path_nodes(arcs)
-        amount, saturated, empty, good = eng.augment(arcs, z)
+        amount, saturated, good = eng.augment(arcs, z)
         drafts.append(
             dict(
                 index=len(drafts) + 1,
@@ -395,9 +384,7 @@ def run_ssp(
                 amount=amount,
                 flow_value_after=eng.value,
                 saturated_arcs=saturated,
-                empty_arcs=empty,
                 good_arcs=good,
-                contains_good_arc=bool(good),
             )
         )
         if retain_flows:
@@ -514,7 +501,7 @@ def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
     for s in trace.steps:
         rows.append(
             f"{s.index},{s.length!r},{s.amount!r},{s.flow_value_after!r},"
-            f"{len(s.saturated_arcs)},{int(s.contains_good_arc)}"
+            f"{len(s.saturated_arcs)},{int(bool(s.good_arcs))}"
         )
     return rows
 

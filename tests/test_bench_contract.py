@@ -1,0 +1,72 @@
+"""What the benchmark's tracer relies on from the package.
+
+perfbench/tracing.py wraps package functions by (module, attribute) and
+hashes fields of the traces run_ssp returns. A rename or a dropped field
+breaks every benchmark run; these tests show it in the test suite.
+"""
+
+import ast
+import dataclasses
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from sspflow import AugmentationStep, AugmentationTrace, run_ssp
+
+from conftest import uniform_instance
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    name = "perfbench_tracing"
+    spec = importlib.util.spec_from_file_location(name, TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while building
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+def _attributes_read_off(fn, name: str) -> set[str]:
+    tree = ast.parse(inspect.getsource(fn))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == name
+    }
+
+
+def test_every_target_resolves(tracing):
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_trace_types_have_every_digested_field(tracing):
+    step_reads = _attributes_read_off(tracing.steps_digest, "s")
+    trace_reads = _attributes_read_off(tracing.steps_digest, "trace")
+    assert "path_arcs" in step_reads and "steps" in trace_reads
+    step_fields = {f.name for f in dataclasses.fields(AugmentationStep)}
+    trace_fields = {f.name for f in dataclasses.fields(AugmentationTrace)}
+    assert step_reads <= step_fields
+    assert trace_reads <= trace_fields
+
+
+def test_steps_digest_runs_on_a_trace(tracing):
+    trace = run_ssp(uniform_instance(3), retain_flows=True)
+    assert trace.steps and trace.intermediate_flows
+    span = tracing.Span("solver.run_ssp", None, payload=trace)
+    digest = tracing.steps_digest([span])
+    assert len(digest) == 16
+    assert digest == tracing.steps_digest([span])

@@ -198,6 +198,20 @@ class TestFullConstruction:
         assert hard.core_sink not in all_fans
 
 
+class TestLargePhi:
+    """Potentials reach about 2^(k+5) times the chain length here, so
+    float rounding in reduced costs exceeds the absolute slack."""
+
+    @pytest.mark.parametrize(
+        "side, edges, phi", [(8, 16, 2.0**13), (4, 4, 2.0**14)]
+    )
+    def test_verify_count(self, side, edges, phi):
+        p = LowerBoundParams(side, edges, phi)
+        report = verify_count(p, seed=0)
+        assert report.observed_steps == p.predicted_steps
+        assert report.retries == 0
+
+
 class TestWorstcaseDispatch:
     def test_full_when_phi_large(self):
         built = build_worstcase(4, 4, 64.0, seed=0)

@@ -22,6 +22,8 @@ from sspflow import (
     zero_flow,
 )
 
+from sspflow.network import empty_arcs, push
+
 from conftest import (
     lp_feasible_value,
     random_instance,
@@ -217,12 +219,6 @@ class TestFlowAndResidual:
         arcs = set(residual(inst, flow).arcs())
         assert arcs == {0, 1, 3, 5}  # aux edges saturated at cap 3
 
-    def test_arcs_from(self):
-        inst = transform(single_edge_network())
-        view = residual(inst, zero_flow(inst))
-        assert set(view.arcs_from(inst.source)) == {2}
-        assert set(view.arcs_from(0)) == {0}
-
     def test_check_feasible_bounds(self):
         inst = transform(single_edge_network())
         with pytest.raises(InfeasibleFlow, match="outside"):
@@ -236,6 +232,32 @@ class TestFlowAndResidual:
         inst = transform(single_edge_network())
         assert flow_from_values(inst, [2.0, 2.0, 2.0]).value == 2.0
         assert check_feasible(inst, (0.0, 0.0, 0.0)) == 0.0
+
+
+class TestPushAndEmptyArcs:
+    def test_push_returns_saturated_arcs(self):
+        f = [0.0, 2.0, 0.5]
+        cap = [1.0, 2.0, 3.0]
+        # forward arc 0 saturates, backward arc 3 and forward arc 4 do not
+        assert push(f, cap, (0, 3, 4), 1.0) == (0,)
+        assert f == [1.0, 1.0, 1.5]
+        assert push(f, cap, (3,), 1.0) == (3,)
+        assert f == [1.0, 0.0, 1.5]
+
+    def test_push_assigns_capacity_where_a_sum_rounds(self):
+        f = [0.2]
+        cap = [0.9]
+        amount = cap[0] - f[0]
+        assert f[0] + amount != cap[0]  # accumulating would miss cap
+        assert push(f, cap, (0,), amount) == (0,)
+        assert f[0] == cap[0]
+
+    def test_empty_arcs(self):
+        f = [0.0, 2.0, 0.5]
+        cap = [1.0, 2.0, 3.0]
+        # forward over an idle edge, backward over a full one
+        assert empty_arcs(f, cap, (0, 3, 4, 5)) == (0, 3)
+        assert empty_arcs(f, cap, ()) == ()
 
 
 class TestAgainstLP:

@@ -6,6 +6,7 @@ import pytest
 from sspflow import (
     Edge,
     FlowNetwork,
+    InternalInvariantError,
     IterationCapExceeded,
     Outcome,
     as_transformed,
@@ -21,9 +22,12 @@ from sspflow.solver import (
     COSTFN_CSV_HEADER,
     KEY_FLATTEN_DEPTH,
     TRACE_CSV_HEADER,
+    _check_reduced_cost,
     cost_function_csv_rows,
     trace_csv_rows,
 )
+
+from sspflow.network import empty_arcs
 
 from conftest import random_instance, single_edge_network, uniform_instance
 
@@ -127,8 +131,10 @@ class TestStepRecords:
         # the two route edges saturate; aux edges (cap 5) do not
         sat_edges = {a >> 1 for a in s1.saturated_arcs}
         assert sat_edges == {0, 1}
-        assert s1.contains_good_arc
-        assert set(s1.good_arcs) <= set(s1.empty_arcs)
+        assert s1.good_arcs
+        cap = [e.capacity for e in inst.base.edges]
+        empty = empty_arcs([0.0] * inst.m, cap, s1.path_arcs)
+        assert set(s1.good_arcs) <= set(empty)
 
     def test_distances_recorded(self, two_paths):
         inst = transform(two_paths)
@@ -375,3 +381,14 @@ class TestMetamorphic:
             b = solve(relabelled(inst, seed), record_distances=False)
             assert b.outcome is a.outcome, seed
             assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
+
+
+class TestReducedCostTolerance:
+    def test_rounding_at_large_potentials_tolerated(self):
+        # the reduced cost that stopped phi = 2^13 solves, next to
+        # potentials of that size
+        _check_reduced_cost(-1.0040821507573128e-09, 136, 8191.5, 2.0e6, 2.0e6)
+
+    def test_negative_reduced_cost_at_small_magnitudes_raises(self):
+        with pytest.raises(InternalInvariantError, match="arc 7"):
+            _check_reduced_cost(-1e-6, 7, 0.5, 3.0, 3.5)
