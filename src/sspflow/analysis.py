@@ -4,7 +4,8 @@ Everything here re-derives facts through an independent route and
 compares them against what the production solver reports:
 
 * reference_solve: a Bellman-Ford label-correcting variant of the same
-  algorithm, no potentials, no Dijkstra, same tie-break rule.
+  algorithm, no potentials, no Dijkstra, same tie-break rule; only its
+  path search is its own.
 * verify_optimality: negative-cycle test over the residual network.
 * check_lemmas: executable structural properties of a solver trace
   (monotone distances, nondecreasing path lengths, convex profile,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     AuxiliaryArc,
@@ -35,11 +36,13 @@ from .network import (
     arc_reverse,
     empty_arcs,
     push,
+    residual_arcs,
 )
 from .solver import (
     AugmentationStep,
     AugmentationTrace,
     Outcome,
+    _Engine,
     cost_function_from_steps,
     run_ssp,
 )
@@ -76,17 +79,6 @@ def replay_flows(trace: AugmentationTrace) -> tuple[Flow, ...]:
 
 # ---------------------------------------------------------------------------
 # Bellman-Ford reference solver
-
-def _present_arcs(net, f: Sequence[float]):
-    """(arc, tail, head, cost) for every residual arc under flow f."""
-    arcs = []
-    for e, edge in enumerate(net.edges):
-        if f[e] < edge.capacity:
-            arcs.append((2 * e, edge.tail, edge.head, edge.cost))
-        if f[e] > 0.0:
-            arcs.append((2 * e + 1, edge.head, edge.tail, -edge.cost))
-    return arcs
-
 
 def _bf_labels(n_ids, arcs, source):
     """Lexicographic (dist, hops, arc seq) fixpoint by label correction.
@@ -126,70 +118,53 @@ def reference_solve(
     z: float | None = None,
     retain_flows: bool = False,
 ) -> AugmentationTrace:
-    """Same algorithm, independent machinery: Bellman-Ford on raw costs.
+    """Same algorithm, independent search: Bellman-Ford on raw costs.
 
     Produces the same step sequence as solve() (paths, lengths,
     amounts) and serves as its oracle in tests. Only the path search is
-    its own; the flow update and the good arcs come from network.push
-    and network.empty_arcs, as in the solver.
+    its own: it runs over network.residual_arcs of the current flow,
+    while the bookkeeping (path length and nodes, bottleneck, push,
+    good arcs, flow value) is the solver engine's.
     """
     if z is None:
         z = instance.z
     net = instance.base
-    cap = [e.capacity for e in net.edges]
-    f = [0.0] * net.m
-    value = 0.0
+    eng = _Engine(instance)
     steps = []
-    flows = [Flow(tuple(f), 0.0)] if retain_flows else None
+    flows = [eng.snapshot()] if retain_flows else None
 
     while True:
-        if value == z:
+        if eng.value == z:
             outcome = Outcome.REACHED_Z
             break
-        labels = _bf_labels(net.nodes, _present_arcs(net, f), instance.source)
-        dist_t, _, seq_t = labels[instance.sink]
+        labels = _bf_labels(net.nodes, residual_arcs(net, eng.f), instance.source)
+        dist_t, _, arcs = labels[instance.sink]
         if dist_t == INF:
             outcome = Outcome.MAX_FLOW_BELOW_Z
             break
-        length = math.fsum(
-            -net.edges[a >> 1].cost if a & 1 else net.edges[a >> 1].cost
-            for a in seq_t
-        )
-        amount = z - value
-        for a in seq_t:
-            e = a >> 1
-            r = f[e] if a & 1 else cap[e] - f[e]
-            if r < amount:
-                amount = r
-        nodes_on_path = [instance.source]
-        for a in seq_t:
-            edge = net.edges[a >> 1]
-            nodes_on_path.append(edge.tail if a & 1 else edge.head)
-        good = tuple(
-            a for a in empty_arcs(f, cap, seq_t) if net.is_original(a >> 1)
-        )
-        saturated = push(f, cap, seq_t, amount)
-        value = z if z - value == amount else value + amount
+        length = eng.path_length(arcs)
+        nodes = eng.path_nodes(arcs)
+        amount, saturated, good = eng.augment(arcs, z)
         steps.append(
             AugmentationStep(
                 index=len(steps) + 1,
-                path_nodes=tuple(nodes_on_path),
-                path_arcs=tuple(seq_t),
+                path_nodes=nodes,
+                path_arcs=arcs,
                 length=length,
                 amount=amount,
-                flow_value_after=value,
+                flow_value_after=eng.value,
                 saturated_arcs=saturated,
                 good_arcs=good,
             )
         )
         if retain_flows:
-            flows.append(Flow(tuple(f), value))
+            flows.append(eng.snapshot())
 
     return AugmentationTrace(
         instance=instance,
         steps=tuple(steps),
         outcome=outcome,
-        final_flow=Flow(tuple(f), value),
+        final_flow=eng.snapshot(),
         intermediate_flows=tuple(flows) if retain_flows else None,
     )
 
@@ -197,35 +172,29 @@ def reference_solve(
 # ---------------------------------------------------------------------------
 # Optimality
 
-def verify_optimality(instance: TransformedNetwork, flow: Flow) -> bool:
-    """True iff the residual network has no negative-cost cycle."""
-    net = instance.base
-    arcs = _present_arcs(net, flow.values)
-    dist = {v: 0.0 for v in net.nodes}
-    for _ in range(net.n):
+def _relax(dist: dict, arcs, slack: float) -> bool:
+    """Bellman-Ford over (arc, tail, head, cost) arcs, updating dist in
+    place; True iff a round changes nothing within n + 1 rounds.
+
+    An arc relaxes only when it improves by more than slack; an INF
+    label never does (INF + c is INF), so dist may start at INF.
+    """
+    for _ in range(len(dist) + 1):
         changed = False
         for _, u, v, c in arcs:
-            if dist[u] + c < dist[v] - _CYCLE_SLACK:
+            if dist[u] + c < dist[v] - slack:
                 dist[v] = dist[u] + c
                 changed = True
         if not changed:
             return True
-    return not any(dist[u] + c < dist[v] - _CYCLE_SLACK for _, u, v, c in arcs)
+    return False
 
 
-def _bf_distance(n_ids, arcs, source) -> dict:
-    """Plain shortest distances (negative costs allowed, no neg cycles)."""
-    dist = {v: INF for v in n_ids}
-    dist[source] = 0.0
-    for _ in range(len(n_ids) + 1):
-        changed = False
-        for _, u, v, c in arcs:
-            if dist[u] < INF and dist[u] + c < dist[v]:
-                dist[v] = dist[u] + c
-                changed = True
-        if not changed:
-            break
-    return dist
+def verify_optimality(instance: TransformedNetwork, flow: Flow) -> bool:
+    """True iff the residual network has no negative-cost cycle."""
+    net = instance.base
+    dist = dict.fromkeys(net.nodes, 0.0)
+    return _relax(dist, residual_arcs(net, flow.values), _CYCLE_SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +383,14 @@ def _check_reverse_path(trace, flows, node_limit) -> LemmaCheck:
     net = inst.base
     for j, step in enumerate(trace.steps):
         post = flows[j + 1]
-        arcs = _present_arcs(net, post.values)
+        arcs = residual_arcs(net, post.values)
         present = {a for a, *_ in arcs}
         reversed_arcs = [arc_reverse(a) for a in reversed(step.path_arcs)]
         if any(a not in present for a in reversed_arcs):
             return LemmaCheck(cid, False, step.index, "reversed path not present")
-        dist = _bf_distance(net.nodes, arcs, inst.sink)
+        dist = dict.fromkeys(net.nodes, INF)
+        dist[inst.sink] = 0.0
+        _relax(dist, arcs, 0.0)
         best = dist[inst.source]
         if abs(best - (-step.length)) > _CHECK_SLACK * max(1.0, abs(step.length)):
             return LemmaCheck(
@@ -582,7 +553,9 @@ def gap_report(
     path_costs: list[float] = []
     cycle_costs: list[float] = []
 
-    def paths_dfs(u, target, visited, used_edges, costs):
+    def dfs(u, target, lo, visited, used_edges, costs, found):
+        """Walks from u to target over unused edges, through unvisited
+        nodes numbered at least lo; appends each walk's cost to found."""
         if state["count"] >= budget:
             state["truncated"] = True
             return
@@ -593,42 +566,22 @@ def gap_report(
                 continue
             if v == target:
                 state["count"] += 1
-                path_costs.append(math.fsum(costs + [c]))
+                found.append(math.fsum(costs + [c]))
                 continue
-            if v in visited:
+            if v in visited or v < lo:
                 continue
             visited.add(v)
             used_edges.add(a >> 1)
-            paths_dfs(v, target, visited, used_edges, costs + [c])
+            dfs(v, target, lo, visited, used_edges, costs + [c], found)
             used_edges.discard(a >> 1)
             visited.discard(v)
 
     s, t = idx[instance.source], idx[instance.sink]
-    paths_dfs(s, t, {s}, set(), [])
-
-    def cycles_dfs(u, start, visited, used_edges, costs):
-        if state["count"] >= budget:
-            state["truncated"] = True
-            return
-        if len(costs) >= max_hops:
-            return
-        for a, v, c in out[u]:
-            if a >> 1 in used_edges:
-                continue
-            if v == start and costs:
-                state["count"] += 1
-                cycle_costs.append(math.fsum(costs + [c]))
-                continue
-            if v in visited or v < start:
-                continue
-            visited.add(v)
-            used_edges.add(a >> 1)
-            cycles_dfs(v, start, visited, used_edges, costs + [c])
-            used_edges.discard(a >> 1)
-            visited.discard(v)
-
+    dfs(s, t, 0, {s}, set(), [], path_costs)
+    # A cycle is a walk back to start; its first hop cannot close it,
+    # as self-loops are rejected.
     for start in range(n):
-        cycles_dfs(start, start, {start}, set(), [])
+        dfs(start, start, start, {start}, set(), [], cycle_costs)
 
     path_costs.sort()
     min_gap = INF

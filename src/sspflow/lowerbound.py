@@ -221,9 +221,7 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
     k = params.doubling_depth
     m_count = params.chain_length
     n_k = params.stage_max_flow(k)
-    stage = build_stage1(params.side, params.edges, seed)
-    for _ in range(k - 1):
-        stage = extend_stage(stage)
+    stage = stage_sequence(params.side, params.edges, k, seed)[-1]
     core = stage.instance
     net = core.base
 

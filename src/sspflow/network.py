@@ -1,4 +1,4 @@
-"""Flow network core: networks, the single source/sink transform, residual views.
+"""Flow network core: networks, the single source/sink transform, residual arcs.
 
 Conventions used throughout the package:
 
@@ -17,9 +17,10 @@ Conventions used throughout the package:
 
 Comparisons on flow values are strict float comparisons, no epsilons:
 augmentation assigns saturated values exactly, so f == 0 and f == u
-stay meaningful predicates. push (exact saturation) and empty_arcs
-(the empty arcs of a path) are the package's one implementation of
-these two rules.
+stay meaningful predicates. residual_arcs (the arcs present under a
+flow), push (exact saturation) and empty_arcs (the empty arcs of a
+path) are the package's one implementation of these three rules; the
+solver's flat-array engine inlines the first as res[a] > 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BalanceMismatch, InfeasibleFlow, InvariantError
 
@@ -281,11 +282,6 @@ def check_feasible(instance: TransformedNetwork, values: tuple[float, ...]) -> f
 # ---------------------------------------------------------------------------
 # Residual arcs
 
-def arc_edge(arc: int) -> int:
-    """Edge index an arc belongs to."""
-    return arc >> 1
-
-
 def arc_is_forward(arc: int) -> bool:
     return (arc & 1) == 0
 
@@ -326,60 +322,13 @@ def empty_arcs(
     )
 
 
-class ResidualView:
-    """Read-only residual network of a flow on a transformed instance.
-
-    Arcs are the int encoding described in the module docstring. The
-    view is a thin layer over (instance, flow); nothing is copied.
-    """
-
-    __slots__ = ("instance", "flow")
-
-    def __init__(self, instance: TransformedNetwork, flow: Flow):
-        self.instance = instance
-        self.flow = flow
-
-    def has(self, arc: int) -> bool:
-        e = arc >> 1
-        edge = self.instance.base.edges[e]
-        f = self.flow.values[e]
-        return f < edge.capacity if (arc & 1) == 0 else f > 0.0
-
-    def residual_capacity(self, arc: int) -> float:
-        e = arc >> 1
-        edge = self.instance.base.edges[e]
-        f = self.flow.values[e]
-        return edge.capacity - f if (arc & 1) == 0 else f
-
-    def cost(self, arc: int) -> float:
-        c = self.instance.base.edges[arc >> 1].cost
-        return c if (arc & 1) == 0 else -c
-
-    def tail(self, arc: int) -> int:
-        edge = self.instance.base.edges[arc >> 1]
-        return edge.tail if (arc & 1) == 0 else edge.head
-
-    def head(self, arc: int) -> int:
-        edge = self.instance.base.edges[arc >> 1]
-        return edge.head if (arc & 1) == 0 else edge.tail
-
-    def is_empty(self, arc: int) -> bool:
-        """Present with absent reverse: the edge is all-or-nothing here."""
-        return self.has(arc) and not self.has(arc ^ 1)
-
-    def is_good(self, arc: int) -> bool:
-        """Empty arc over a cost-bearing (non-auxiliary) edge."""
-        return self.is_empty(arc) and self.instance.base.is_original(arc >> 1)
-
-    def arcs(self) -> Iterator[int]:
-        for e in range(self.instance.m):
-            if self.has(2 * e):
-                yield 2 * e
-            if self.has(2 * e + 1):
-                yield 2 * e + 1
-
-
-def residual(instance: TransformedNetwork, flow: Flow) -> ResidualView:
-    """Residual view of a feasible flow; raises InfeasibleFlow otherwise."""
-    check_feasible(instance, flow.values)
-    return ResidualView(instance, flow)
+def residual_arcs(net: FlowNetwork, f: Sequence[float]) -> list[tuple]:
+    """(arc, tail, head, signed cost) for every residual arc present
+    under flow f, in arc order: forward iff f < cap, backward iff f > 0."""
+    arcs = []
+    for e, edge in enumerate(net.edges):
+        if f[e] < edge.capacity:
+            arcs.append((2 * e, edge.tail, edge.head, edge.cost))
+        if f[e] > 0.0:
+            arcs.append((2 * e + 1, edge.head, edge.tail, -edge.cost))
+    return arcs

@@ -120,6 +120,9 @@ class _Engine:
     forward search records each node's predecessor arc in its tie key
     (see dijkstra_forward) rather than copying the arc sequence of its
     path, and the path to the sink is read back from the sink's key.
+
+    analysis.reference_solve runs the same bookkeeping (path_length,
+    path_nodes, augment, snapshot) around its own path search.
     """
 
     def __init__(self, instance: TransformedNetwork):

@@ -102,6 +102,66 @@ class TestReferenceSolve:
             assert ref.final_flow.values == fresh.final_flow.values
 
 
+class TestStepBookkeeping:
+    """Each step's length, nodes, amount, value and arcs, recomputed from
+    the replayed flows and the raw edges alone. reference_solve shares
+    this bookkeeping with the solver, so agreement between the two
+    cannot catch a fault in it."""
+
+    def check_trace(self, inst, trace, z):
+        edges = inst.base.edges
+
+        def res(f, a):
+            e = a >> 1
+            return f[e] if a & 1 else edges[e].capacity - f[e]
+
+        flows = replay_flows(trace)
+        for j, step in enumerate(trace.steps):
+            pre, post = flows[j].values, flows[j + 1].values
+            before = flows[j].value
+            arcs = step.path_arcs
+            want = min([z - before] + [res(pre, a) for a in arcs])
+            assert step.amount == want, step.index
+            assert step.amount > 0.0, step.index
+            assert step.length == math.fsum(
+                -edges[a >> 1].cost if a & 1 else edges[a >> 1].cost
+                for a in arcs
+            ), step.index
+            nodes = [inst.source]
+            for a in arcs:
+                edge = edges[a >> 1]
+                tail, head = (edge.head, edge.tail) if a & 1 else (edge.tail, edge.head)
+                assert tail == nodes[-1], step.index
+                nodes.append(head)
+            assert step.path_nodes == tuple(nodes), step.index
+            assert nodes[-1] == inst.sink, step.index
+            value = z if z - before == step.amount else before + step.amount
+            assert step.flow_value_after == value == flows[j + 1].value
+            saturated = tuple(a for a in arcs if res(pre, a) == step.amount)
+            assert step.saturated_arcs == saturated, step.index
+            assert all(res(post, a) == 0.0 for a in saturated), step.index
+            assert step.good_arcs == tuple(
+                a for a in arcs
+                if res(pre, a ^ 1) == 0.0 and inst.base.is_original(a >> 1)
+            ), step.index
+        assert trace.final_flow == flows[-1]
+
+    def test_steps_match_raw_recomputation(self):
+        instances = [uniform_instance(seed) for seed in range(50)] + [
+            random_instance(seed, n=6, m=11, capacities="real")
+            for seed in range(50)
+        ]
+        partial_reached = 0
+        for inst in instances:
+            # at 0.6 z the remaining demand is the last step's bottleneck
+            for z in (inst.z, 0.6 * inst.z):
+                for trace in (solve(inst, z=z), reference_solve(inst, z=z)):
+                    self.check_trace(inst, trace, z)
+                    if z != inst.z and trace.final_flow.value == z:
+                        partial_reached += 1
+        assert partial_reached > 50
+
+
 class TestReplayAndClassify:
     def test_replay_matches_retained(self):
         for seed in range(10):
@@ -269,6 +329,18 @@ class TestGapReport:
         inst = random_instance(0, n=8, m=16)
         rep = gap_report(inst, max_hops=10, budget=50)
         assert rep.truncated
+        # the path search spends the whole budget; no cycle is reached
+        assert (rep.paths_enumerated, rep.cycles_enumerated) == (50, 0)
+
+    def test_exact_enumeration_on_random_instance(self):
+        # recorded values; any change to the enumeration order, the
+        # edge-use rule or the cycle start rule moves them
+        rep = gap_report(random_instance(0, n=6, m=10))
+        assert rep.paths_enumerated == 42
+        assert rep.cycles_enumerated == 86
+        assert rep.min_path_gap == 9.624248196240387e-05
+        assert rep.min_abs_cycle_cost == 0.0007787983837947445
+        assert not rep.truncated
 
 
 class TestOutcomes:

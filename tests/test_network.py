@@ -10,14 +10,13 @@ from sspflow import (
     FlowNetwork,
     InfeasibleFlow,
     InvariantError,
-    arc_edge,
     arc_is_forward,
     arc_reverse,
     as_transformed,
     check_feasible,
     flow_from_values,
     max_flow_value,
-    residual,
+    residual_arcs,
     transform,
     zero_flow,
 )
@@ -183,41 +182,45 @@ class TestTransform:
 
 class TestFlowAndResidual:
     def test_arc_encoding(self):
-        assert arc_edge(6) == 3 and arc_edge(7) == 3
         assert arc_is_forward(6) and not arc_is_forward(7)
         assert arc_reverse(6) == 7 and arc_reverse(7) == 6
 
     def test_zero_flow_residual(self):
         inst = transform(single_edge_network())
-        view = residual(inst, zero_flow(inst))
-        # forward arcs present, backward absent, all empty
-        for e in range(inst.m):
-            assert view.has(2 * e)
-            assert not view.has(2 * e + 1)
-            assert view.is_empty(2 * e)
-        assert view.is_good(0)  # the one original edge
-        assert not view.is_good(2)  # aux edge: empty but not good
-        assert view.residual_capacity(0) == 5.0
-        assert view.cost(0) == 0.5 and view.cost(1) == -0.5
+        f = zero_flow(inst).values
+        cap = [e.capacity for e in inst.base.edges]
+        s, t = inst.source, inst.sink
+        # forward arcs present with their costs, backward absent
+        assert residual_arcs(inst.base, f) == [
+            (0, 0, 1, 0.5),
+            (2, s, 0, 0.0),
+            (4, 1, t, 0.0),
+        ]
+        # all empty; only the original edge's arc is good
+        assert empty_arcs(f, cap, (0, 2, 4)) == (0, 2, 4)
+        assert inst.base.is_original(0) and not inst.base.is_original(1)
 
     def test_saturated_and_interior(self):
         inst = transform(single_edge_network(cap=5.0, demand=3.0))
         flow = flow_from_values(inst, [3.0, 3.0, 3.0])
-        view = residual(inst, flow)
-        # original edge interior: both arcs present, neither empty
-        assert view.has(0) and view.has(1)
-        assert not view.is_empty(0) and not view.is_empty(1)
-        # aux edges saturated: backward arc is the empty one
-        assert not view.has(2) and view.has(3)
-        assert view.is_empty(3)
-        assert view.residual_capacity(0) == 2.0
-        assert view.residual_capacity(1) == 3.0
+        cap = [e.capacity for e in inst.base.edges]
+        s, t = inst.source, inst.sink
+        # original edge interior: both arcs present, the backward one
+        # with negated cost; aux edges saturated: only backward arcs
+        assert residual_arcs(inst.base, flow.values) == [
+            (0, 0, 1, 0.5),
+            (1, 1, 0, -0.5),
+            (3, 0, s, 0.0),
+            (5, t, 1, 0.0),
+        ]
+        # neither arc of the interior edge is empty; the aux ones are
+        assert empty_arcs(flow.values, cap, (0, 1, 3, 5)) == (3, 5)
 
     def test_arcs_enumeration(self):
         inst = transform(single_edge_network())
         flow = flow_from_values(inst, [3.0, 3.0, 3.0])
-        arcs = set(residual(inst, flow).arcs())
-        assert arcs == {0, 1, 3, 5}  # aux edges saturated at cap 3
+        arcs = [a for a, *_ in residual_arcs(inst.base, flow.values)]
+        assert arcs == [0, 1, 3, 5]  # aux edges saturated at cap 3
 
     def test_check_feasible_bounds(self):
         inst = transform(single_edge_network())
