@@ -54,6 +54,11 @@ _CYCLE_SLACK = 1e-12
 # Slack for inequalities that are exact in real arithmetic but pass
 # through potentials or repeated summation.
 _CHECK_SLACK = 1e-9
+# The reversed-path check runs Bellman-Ford per step; it is skipped on
+# instances with more nodes than this.
+_REVERSE_PATH_NODE_LIMIT = 12
+# Good arcs per step that harvest_reconstruction_cases turns into cases.
+_CASE_ARCS_PER_STEP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +118,7 @@ def _bf_labels(n_ids, arcs, source):
 
 
 def reference_solve(
-    instance: TransformedNetwork,
-    *,
-    z: float | None = None,
-    retain_flows: bool = False,
+    instance: TransformedNetwork, *, z: float | None = None
 ) -> AugmentationTrace:
     """Same algorithm, independent search: Bellman-Ford on raw costs.
 
@@ -131,7 +133,6 @@ def reference_solve(
     net = instance.base
     eng = _Engine(instance)
     steps = []
-    flows = [eng.snapshot()] if retain_flows else None
 
     while True:
         if eng.value == z:
@@ -157,15 +158,12 @@ def reference_solve(
                 good_arcs=good,
             )
         )
-        if retain_flows:
-            flows.append(eng.snapshot())
 
     return AugmentationTrace(
         instance=instance,
         steps=tuple(steps),
         outcome=outcome,
         final_flow=eng.snapshot(),
-        intermediate_flows=tuple(flows) if retain_flows else None,
     )
 
 
@@ -373,12 +371,13 @@ def _check_no_negative_cycle(trace, flows) -> LemmaCheck:
     return LemmaCheck(cid, True)
 
 
-def _check_reverse_path(trace, flows, node_limit) -> LemmaCheck:
+def _check_reverse_path(trace, flows) -> LemmaCheck:
     cid = "reverse_path_optimal"
     inst = trace.instance
-    if inst.n > node_limit:
+    if inst.n > _REVERSE_PATH_NODE_LIMIT:
         return LemmaCheck(
-            cid, True, skipped=True, detail=f"n={inst.n} above limit {node_limit}"
+            cid, True, skipped=True,
+            detail=f"n={inst.n} above limit {_REVERSE_PATH_NODE_LIMIT}",
         )
     net = inst.base
     for j, step in enumerate(trace.steps):
@@ -412,9 +411,7 @@ def _check_no_backward_aux(trace) -> LemmaCheck:
     return LemmaCheck(cid, True)
 
 
-def check_lemmas(
-    trace: AugmentationTrace, *, expensive_node_limit: int = 12
-) -> LemmaReport:
+def check_lemmas(trace: AugmentationTrace) -> LemmaReport:
     """Run the structural property suite against one trace."""
     flows = replay_flows(trace)
     checks = (
@@ -424,7 +421,7 @@ def check_lemmas(
         _check_empty_arc_on_path(trace, flows),
         _check_bad_flow_bound(trace),
         _check_no_negative_cycle(trace, flows),
-        _check_reverse_path(trace, flows, expensive_node_limit),
+        _check_reverse_path(trace, flows),
         _check_no_backward_aux(trace),
     )
     return LemmaReport(checks)
@@ -472,7 +469,7 @@ class ReconstructionCase:
 
 
 def harvest_reconstruction_cases(
-    trace: AugmentationTrace, *, max_arcs_per_step: int = 2
+    trace: AugmentationTrace,
 ) -> list[ReconstructionCase]:
     """Triples that reconstruction must recover, read off a solved trace.
 
@@ -492,7 +489,7 @@ def harvest_reconstruction_cases(
         thresholds = [lo, (lo + hi) / 2]
         if hi - 1e-9 > lo:
             thresholds.append(hi - 1e-9)
-        for a in step.good_arcs[:max_arcs_per_step]:
+        for a in step.good_arcs[:_CASE_ARCS_PER_STEP]:
             for d in thresholds:
                 cases.append(ReconstructionCase(a, d, flows[j], step.index))
     return cases

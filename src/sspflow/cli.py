@@ -1,6 +1,6 @@
 """Command-line harness.
 
-    sspflow solve INSTANCE [--z Z] [--out trace.csv]
+    sspflow solve INSTANCE [--z Z] [--out trace.csv] [--iteration-cap N]
     sspflow costfn INSTANCE [--out costfn.csv]
     sspflow generate --model smoothed|perturbed --shape bipartite|erdos|layered
                      --n N --m M --seed S [--phi PHI] [--cost-spec FILE] [--out FILE]
@@ -10,8 +10,9 @@
     sspflow verify INSTANCE [--out lemmas.csv]
     sspflow reconstruct-check INSTANCE [--max-cases N]
 
-Exit codes: 0 success, 1 input error, 2 infeasible demand,
-3 internal invariant violation.
+Exit codes: 0 success, 1 input error (a bad flag value or an unreadable
+file), 2 infeasible demand, 3 internal invariant violation. Every
+package error carries its code as exit_code (see errors).
 
 All commands are deterministic under fixed seeds. The experiment
 runtime column stays empty unless --timings is given, keeping default
@@ -31,22 +32,8 @@ from .analysis import (
     check_reconstruction,
     harvest_reconstruction_cases,
 )
-from .errors import (
-    AuxiliaryArc,
-    BadParams,
-    FlowError,
-    InfeasibleFlow,
-    InfeasibleShape,
-    InternalInvariantError,
-    InvalidInterval,
-    InvariantError,
-    IterationCapExceeded,
-    LemmaViolation,
-    NoPath,
-    ParseError,
-    PredictionMismatch,
-)
-from .network import FlowNetwork, TransformedNetwork, as_transformed, transform
+from .errors import FlowError, ParseError, PredictionMismatch
+from .network import TransformedNetwork, as_transformed, transform
 from .solver import (
     Outcome,
     cost_function,
@@ -56,24 +43,11 @@ from .solver import (
     trace_csv_rows,
 )
 
-_INPUT_ERRORS = (
-    ParseError,
-    InvariantError,
-    InvalidInterval,
-    InfeasibleShape,
-    BadParams,
-    AuxiliaryArc,
-    InfeasibleFlow,
-    FileNotFoundError,
-    IsADirectoryError,
-)
-_INFEASIBLE_ERRORS = (NoPath,)
-_INTERNAL_ERRORS = (
-    InternalInvariantError,
-    IterationCapExceeded,
-    PredictionMismatch,
-    LemmaViolation,
-)
+MODELS = ("smoothed", "perturbed", "lowerbound")
+SHAPES = ("bipartite", "erdos", "layered")
+
+# What main prints before the message, per exit code.
+_LABELS = {1: "error", 2: "infeasible", 3: "invariant violation"}
 
 
 def load_instance(path: str) -> TransformedNetwork:
@@ -100,18 +74,28 @@ def _flow_cost(instance: TransformedNetwork, values) -> float:
     return math.fsum(f * e.cost for f, e in zip(values, instance.base.edges))
 
 
+def _nonnegative(flag: str, value):
+    """value unchanged when it is None or >= 0; ParseError otherwise."""
+    if value is not None and not value >= 0:
+        raise ParseError(f"{flag} must be nonnegative, got {value!r}")
+    return value
+
+
+def _comma_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{flag}: bad value in {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_solve(args) -> int:
+    z = _nonnegative("--z", args.z)
+    cap = _nonnegative("--iteration-cap", args.iteration_cap)
     instance = load_instance(args.instance)
-    trace = solve(
-        instance,
-        z=args.z,
-        retain_flows=args.retain_flows,
-        record_distances=False,
-        iteration_cap=args.iteration_cap,
-    )
+    trace = solve(instance, z=z, record_distances=False, iteration_cap=cap)
     if args.out:
         _write_lines(args.out, trace_csv_rows(trace))
     final = trace.final_flow
@@ -120,7 +104,7 @@ def cmd_solve(args) -> int:
         f"cost={_flow_cost(instance, final.values)!r}"
     )
     if trace.outcome is Outcome.MAX_FLOW_BELOW_Z:
-        target = args.z if args.z is not None else instance.z
+        target = z if z is not None else instance.z
         print(
             f"no flow of value {target!r}: maximum is {final.value!r}",
             file=sys.stderr,
@@ -204,9 +188,12 @@ def _experiment_instance(model, shape, n, m, phi, seed):
 
 def cmd_experiment(args) -> int:
     models = args.models.split(",")
-    ns = [int(x) for x in args.ns.split(",")]
-    ms = [int(x) for x in args.ms.split(",")]
-    phis = [float(x) for x in args.phis.split(",")]
+    unknown = [model for model in models if model not in MODELS]
+    if unknown:
+        raise ParseError(f"--models: unknown model {unknown[0]!r}")
+    ns = _comma_list("--ns", args.ns, int)
+    ms = _comma_list("--ms", args.ms, int)
+    phis = _comma_list("--phis", args.phis, float)
     cells = [
         (model, n, m, phi)
         for model in models
@@ -237,9 +224,7 @@ def cmd_experiment(args) -> int:
                     out.flush()
                     continue
                 elapsed = time.perf_counter() - started
-                phi_eff = generators.effective_phi(
-                    "perturbed" if model == "perturbed" else model, phi
-                )
+                phi_eff = generators.effective_phi(model, phi)
                 bound = 2 * instance.m * instance.n * phi_eff + 2 * instance.n
                 steps = len(trace.steps)
                 steps_seen.append(steps)
@@ -269,9 +254,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reconstruct_check(args) -> int:
+    max_cases = _nonnegative("--max-cases", args.max_cases)
     instance = load_instance(args.instance)
     trace = solve(instance, retain_flows=True, record_distances=False)
-    cases = harvest_reconstruction_cases(trace)[: args.max_cases]
+    cases = harvest_reconstruction_cases(trace)[:max_cases]
     if not cases:
         print("no reconstructable steps harvested")
         return 0
@@ -302,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--z", type=float, default=None, help="target value override")
     p.add_argument("--out", default=None, help="trace CSV path")
-    p.add_argument("--retain-flows", action="store_true")
     p.add_argument("--iteration-cap", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 
@@ -312,10 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_costfn)
 
     p = sub.add_parser("generate", help="write a seeded instance file")
-    p.add_argument("--model", choices=["smoothed", "perturbed", "lowerbound"],
-                   default="smoothed")
-    p.add_argument("--shape", choices=["bipartite", "erdos", "layered"],
-                   default="bipartite")
+    p.add_argument("--model", choices=MODELS, default="smoothed")
+    p.add_argument("--shape", choices=SHAPES, default="bipartite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--phi", type=float, default=1.0,
@@ -341,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="step-count grid experiment")
     p.add_argument("--models", default="smoothed",
                    help="comma list: smoothed,perturbed,lowerbound")
-    p.add_argument("--shape", choices=["bipartite", "erdos", "layered"],
-                   default="bipartite")
+    p.add_argument("--shape", choices=SHAPES, default="bipartite")
     p.add_argument("--ns", required=True, help="comma list of n")
     p.add_argument("--ms", required=True, help="comma list of m")
     p.add_argument("--phis", required=True,
@@ -371,15 +353,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except FlowError as exc:
+        print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _INFEASIBLE_ERRORS as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
-    except _INTERNAL_ERRORS as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

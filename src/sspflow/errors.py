@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: input-side problems
-(parsing, invariant violations in user data, bad parameters) exit 1,
-an infeasible flow-value request exits 2, and internal invariant
-violations exit 3.
+Each class carries the process exit code the CLI returns for it as
+exit_code: input-side problems (parsing, invariant violations in user
+data, bad parameters) exit 1, a missing source-sink path exits 2, and
+failed self-checks (internal invariants, iteration cap, predictions,
+lemmas) exit 3.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ from __future__ import annotations
 class FlowError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParseError(FlowError):
-    """Malformed instance or cost-spec file; carries a 1-based line number."""
+    """Malformed input: an instance or cost-spec file (with a 1-based line
+    number) or a command-line value."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -38,6 +42,8 @@ class InfeasibleFlow(FlowError):
 class NoPath(FlowError):
     """No source-sink path exists where one is required."""
 
+    exit_code = 2
+
 
 class AuxiliaryArc(FlowError):
     """An operation that needs a cost-bearing edge was given an auxiliary one."""
@@ -46,9 +52,13 @@ class AuxiliaryArc(FlowError):
 class IterationCapExceeded(FlowError):
     """Solver exceeded an explicit iteration budget; diagnostic guard."""
 
+    exit_code = 3
+
 
 class InternalInvariantError(FlowError):
     """A runtime self-check failed (negative reduced cost, broken potential)."""
+
+    exit_code = 3
 
 
 class InvalidInterval(FlowError):
@@ -66,6 +76,10 @@ class BadParams(FlowError):
 class PredictionMismatch(FlowError):
     """Observed solver behavior diverged from the construction's prediction."""
 
+    exit_code = 3
+
 
 class LemmaViolation(FlowError):
     """A structural property that must hold was observed to fail."""
+
+    exit_code = 3

@@ -46,24 +46,21 @@ class SmoothedCostSpec:
             self._validate(iv, f"interval for edge {e}")
 
     @property
-    def range_hi(self) -> float:
-        return 1.0 if self.convention == "unit" else self.phi
-
-    @property
     def min_length(self) -> float:
         return 1.0 / self.phi if self.convention == "unit" else 1.0
 
     @property
     def cost_bound(self) -> float:
-        return self.range_hi
+        """Top of the cost range: 1 (unit convention) or phi."""
+        return 1.0 if self.convention == "unit" else self.phi
 
     def _validate(self, interval: tuple[float, float], what: str) -> None:
         lo, hi = interval
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvalidInterval(f"{what}: endpoints must be finite")
-        if lo < 0.0 or hi > self.range_hi:
+        if lo < 0.0 or hi > self.cost_bound:
             raise InvalidInterval(
-                f"{what}: [{lo}, {hi}] outside [0, {self.range_hi}]"
+                f"{what}: [{lo}, {hi}] outside [0, {self.cost_bound}]"
             )
         # Densities stay below phi exactly when the interval is at least
         # the minimum length; a hair of float slack avoids rejecting
@@ -78,7 +75,7 @@ class SmoothedCostSpec:
             return self.intervals[edge_index]
         if self.default_interval is not None:
             return self.default_interval
-        return (0.0, self.range_hi)
+        return (0.0, self.cost_bound)
 
 
 def parse_cost_spec(text: str) -> SmoothedCostSpec:
@@ -304,27 +301,24 @@ def sample_costs(
     )
 
 
-def adversarial_spec(
-    topology: Topology, phi: float, convention: str = "unit"
-) -> SmoothedCostSpec:
-    """Worst-case-flavored interval choice at density bound phi.
+def adversarial_spec(topology: Topology, phi: float) -> SmoothedCostSpec:
+    """Worst-case-flavored interval choice at density bound phi, unit
+    convention.
 
     Edges touching a supply or demand node get costs concentrated near
     0; all other edges get costs concentrated inside a narrow band, the
     pattern the exponential-family seed network uses.
     """
-    spec0 = SmoothedCostSpec(phi, convention)
-    width = spec0.min_length
-    hi = spec0.range_hi
+    width = SmoothedCostSpec(phi).min_length
     endpoints = {v for v, b in topology.balance.items() if b != 0.0}
     intervals = {}
-    band_lo = min(0.7 * hi, hi - width)
+    band_lo = min(0.7, 1.0 - width)
     for e, (tail, head, _cap) in enumerate(topology.edges):
         if tail in endpoints or head in endpoints:
             intervals[e] = (0.0, width)
         else:
             intervals[e] = (band_lo, band_lo + width)
-    return SmoothedCostSpec(phi, convention, None, intervals)
+    return SmoothedCostSpec(phi, intervals=intervals)
 
 
 # ---------------------------------------------------------------------------

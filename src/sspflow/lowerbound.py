@@ -45,8 +45,10 @@ from .solver import AugmentationTrace, run_ssp
 log = logging.getLogger(__name__)
 
 # Seed increment when a sampled instance produces an exact path-length
-# tie (probability-zero event under continuous draws; retried anyway).
+# tie (probability-zero event under continuous draws; retried anyway),
+# and how many seeds verify_count tries.
 _RETRY_STRIDE = 1000003
+_MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,6 @@ class StageInstance:
 
     instance: TransformedNetwork
     stage: int
-    side: int
-    seed_edges: int
     seed: int
     roles: Mapping[int, str]
     predicted_steps: int
@@ -119,7 +119,6 @@ class HardInstance:
 
     instance: TransformedNetwork
     params: LowerBoundParams
-    seed: int
     roles: Mapping[int, str]
     predicted_steps: int
     core_source: int  # deepest stage's source
@@ -155,18 +154,14 @@ def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
     return StageInstance(
         instance=TransformedNetwork(net, s, t, float(edges)),
         stage=1,
-        side=side,
-        seed_edges=edges,
         seed=seed,
         roles=roles,
         predicted_steps=edges,
     )
 
 
-def extend_stage(stage: StageInstance, seed: int | None = None) -> StageInstance:
+def extend_stage(stage: StageInstance) -> StageInstance:
     """Wrap a stage with a feed/bypass gadget, doubling its step count."""
-    if seed is None:
-        seed = stage.seed
     i = stage.stage
     inner = stage.instance
     net = inner.base
@@ -183,7 +178,7 @@ def extend_stage(stage: StageInstance, seed: int | None = None) -> StageInstance
     ]
     for tail, head, clo, chi in add:
         e = len(edge_list)
-        edge_list.append(Edge(tail, head, cap, _cost(seed, e, clo, chi)))
+        edge_list.append(Edge(tail, head, cap, _cost(stage.seed, e, clo, chi)))
     z = 2.0 * cap
     balance = {v: 0.0 for v in net.nodes}
     balance[s_new] = z
@@ -200,8 +195,6 @@ def extend_stage(stage: StageInstance, seed: int | None = None) -> StageInstance
     return StageInstance(
         instance=TransformedNetwork(new_net, s_new, t_new, z),
         stage=i + 1,
-        side=stage.side,
-        seed_edges=stage.seed_edges,
         seed=stage.seed,
         roles=roles,
         predicted_steps=2 * stage.predicted_steps,
@@ -235,39 +228,31 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
 
     inf_cap = 4.0 * m_count * n_k + 1.0
     fan_cap = float(n_k)
-    chain_lo, chain_hi = 2.0 ** (k + 5) - 1.0, 2.0 ** (k + 5)
-    near_lo, near_hi = 2.0 ** (k + 4) - 1.0, 2.0 ** (k + 4)
+    far = (2.0 ** (k + 5) - 1.0, 2.0 ** (k + 5))
+    near = (2.0 ** (k + 4) - 1.0, 2.0 ** (k + 4))
 
     edge_list = list(net.edges)
 
-    def add(tail, head, capacity, lo, hi):
+    def add(tail, head, capacity, band, inward):
+        if not inward:
+            tail, head = head, tail
         e = len(edge_list)
-        edge_list.append(Edge(tail, head, capacity, _cost(seed, e, lo, hi)))
+        edge_list.append(Edge(tail, head, capacity, _cost(seed, e, *band)))
 
-    # towards-source chain A: walk down a_i -> ... -> a_1 -> core source
-    for i in range(1, m_count):
-        add(chain_a[i], chain_a[i - 1], inf_cap, chain_lo, chain_hi)
-    for i in range(m_count):
-        add(s, chain_a[i], fan_cap, 0.0, 1.0)
-    add(chain_a[0], core.source, inf_cap, near_lo, near_hi)
-    # towards-sink chain B: b_i -> ... -> b_1 -> core sink
-    for i in range(1, m_count):
-        add(chain_b[i], chain_b[i - 1], inf_cap, chain_lo, chain_hi)
-    for i in range(m_count):
-        add(s, chain_b[i], fan_cap, 0.0, 1.0)
-    add(chain_b[0], core.sink, inf_cap, chain_lo, chain_hi)
-    # from-source chain C: core source -> c_1 -> ... -> c_i
-    for i in range(1, m_count):
-        add(chain_c[i - 1], chain_c[i], inf_cap, chain_lo, chain_hi)
-    for i in range(m_count):
-        add(chain_c[i], t, fan_cap, 0.0, 1.0)
-    add(core.source, chain_c[0], inf_cap, chain_lo, chain_hi)
-    # from-sink chain D: core sink -> d_1 -> ... -> d_i
-    for i in range(1, m_count):
-        add(chain_d[i - 1], chain_d[i], inf_cap, chain_lo, chain_hi)
-    for i in range(m_count):
-        add(chain_d[i], t, fan_cap, 0.0, 1.0)
-    add(core.sink, chain_d[0], inf_cap, near_lo, near_hi)
+    # (chain, walks towards the core, core end, link band). Inward chains
+    # A and B walk down x_i -> ... -> x_1 -> core end, fed from s; outward
+    # chains C and D walk up core end -> x_1 -> ... -> x_i, drained into t.
+    for chain, inward, end, link_band in (
+        (chain_a, True, core.source, near),
+        (chain_b, True, core.sink, far),
+        (chain_c, False, core.source, far),
+        (chain_d, False, core.sink, near),
+    ):
+        for i in range(1, m_count):
+            add(chain[i], chain[i - 1], inf_cap, far, inward)
+        for v in chain:
+            add(s if inward else t, v, fan_cap, (0.0, 1.0), inward)
+        add(chain[0], end, inf_cap, link_band, inward)
 
     z = 2.0 * m_count * n_k
     balance = {v: 0.0 for v in net.nodes}
@@ -292,7 +277,6 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
     return HardInstance(
         instance=instance,
         params=params,
-        seed=seed,
         roles=roles,
         predicted_steps=params.predicted_steps,
         core_source=core.source,
@@ -331,8 +315,6 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
 
 @dataclass(frozen=True)
 class LowerBoundReport:
-    params: LowerBoundParams
-    seed: int
     seed_used: int
     predicted_steps: int
     observed_steps: int
@@ -349,9 +331,7 @@ def _phase_window(k: int, i: int, parity: int) -> tuple[float, float]:
     return 2 * beta - (2.0 ** (k + 3) - 5), 2 * beta + 2 * (i + 1) - 7
 
 
-def verify_count(
-    params: LowerBoundParams, seed: int, *, max_retries: int = 3
-) -> LowerBoundReport:
+def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
     """Solve the constructed instance and check it behaves as predicted.
 
     Checks, in order: exact augmentation count; unit amounts; phase
@@ -368,7 +348,7 @@ def verify_count(
     retries = 0
     hard = None
     trace: AugmentationTrace | None = None
-    for attempt in range(max_retries):
+    for _ in range(_MAX_ATTEMPTS):
         hard = build_hard_instance(params, seed_used)
         trace = run_ssp(hard.instance, record_distances=False)
         lengths = [st.length for st in trace.steps]
@@ -381,7 +361,7 @@ def verify_count(
         seed_used = seed_used + _RETRY_STRIDE
     else:
         raise PredictionMismatch(
-            f"path-length ties persisted across {max_retries} seeds"
+            f"path-length ties persisted across {_MAX_ATTEMPTS} seeds"
         )
 
     observed = len(trace.steps)
@@ -435,8 +415,6 @@ def verify_count(
                 f"[{lo}, {hi}] for phase {i} parity {parity}"
             )
     return LowerBoundReport(
-        params=params,
-        seed=seed,
         seed_used=seed_used,
         predicted_steps=params.predicted_steps,
         observed_steps=observed,

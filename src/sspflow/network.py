@@ -52,7 +52,7 @@ class Edge:
 class FlowNetwork:
     """Immutable directed network with capacities, costs and node balances."""
 
-    __slots__ = ("nodes", "edges", "balance", "cost_bound", "_index")
+    __slots__ = ("nodes", "edges", "balance", "cost_bound")
 
     def __init__(
         self,
@@ -74,7 +74,7 @@ class FlowNetwork:
         if not (math.isfinite(cost_bound) and cost_bound >= 1.0):
             raise InvariantError(f"cost bound must be finite and >= 1, got {cost_bound}")
 
-        index: dict[tuple[int, int], int] = {}
+        pairs: set[tuple[int, int]] = set()
         for i, e in enumerate(edges):
             if e.tail == e.head:
                 raise InvariantError(f"edge {i}: self-loop at node {e.tail}")
@@ -93,13 +93,13 @@ class FlowNetwork:
             else:
                 raise InvariantError(f"edge {i}: unknown kind {e.kind!r}")
             key = (e.tail, e.head)
-            if key in index:
+            if key in pairs:
                 raise InvariantError(f"edge {i}: duplicate edge {key}")
-            if (e.head, e.tail) in index:
+            if (e.head, e.tail) in pairs:
                 raise InvariantError(
                     f"edge {i}: antiparallel pair {key} forms a 2-cycle"
                 )
-            index[key] = i
+            pairs.add(key)
 
         bal = {v: 0.0 for v in node_set}
         for v, b in balance.items():
@@ -117,7 +117,6 @@ class FlowNetwork:
         self._set("edges", edges)
         self._set("balance", MappingProxyType(bal))
         self._set("cost_bound", float(cost_bound))
-        self._set("_index", index)
 
     def _set(self, name, value):
         object.__setattr__(self, name, value)
@@ -132,13 +131,6 @@ class FlowNetwork:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def index_of(self, tail: int, head: int) -> int:
-        """Edge index for endpoints; KeyError if absent."""
-        return self._index[(tail, head)]
-
-    def has_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._index
 
     def is_original(self, e: int) -> bool:
         return self.edges[e].kind == ORIGINAL
@@ -294,7 +286,8 @@ def push(
     f: list[float], cap: Sequence[float], arcs: Iterable[int], amount: float
 ) -> tuple[int, ...]:
     """Push amount along a path, updating f in place; returns the arcs
-    it saturates, whose edges are assigned 0 or cap exactly."""
+    it saturates (zero residual after the push), whose edges are
+    assigned 0 or cap exactly when the residual equals the amount."""
     saturated = []
     for a in arcs:
         e = a >> 1
@@ -309,6 +302,8 @@ def push(
             f[e] = cap[e]
         else:
             f[e] += amount
+            if f[e] == cap[e]:  # the sum rounded onto the capacity
+                saturated.append(a)
     return tuple(saturated)
 
 

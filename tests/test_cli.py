@@ -1,6 +1,23 @@
 import pytest
 
-from sspflow import write_instance
+from sspflow import (
+    AuxiliaryArc,
+    BadParams,
+    BalanceMismatch,
+    FlowError,
+    InfeasibleFlow,
+    InfeasibleShape,
+    InternalInvariantError,
+    InvalidInterval,
+    InvariantError,
+    IterationCapExceeded,
+    LemmaViolation,
+    NoPath,
+    ParseError,
+    PredictionMismatch,
+    write_instance,
+)
+from sspflow import cli
 from sspflow.cli import main
 
 from conftest import single_edge_network, two_path_network
@@ -170,3 +187,63 @@ def test_reconstruct_check(instance_file, capsys):
     assert main(["reconstruct-check", instance_file]) == 0
     out = capsys.readouterr().out
     assert "reconstructions exact" in out
+
+
+EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{inst}", "--z", "-1"],
+    ["solve", "{inst}", "--iteration-cap", "-1"],
+    ["solve", "{inst}/x"],
+    ["reconstruct-check", "{inst}", "--max-cases", "-1"],
+    EXPERIMENT + ["--ns", "abc", "--out", "{out}"],
+    EXPERIMENT + ["--phis", "2,x", "--out", "{out}"],
+    EXPERIMENT + ["--models", "bogus", "--out", "{out}"],
+])
+def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
+    out = tmp_path / "rows.csv"
+    argv = [a.format(inst=instance_file, out=out) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()  # rejected before any CSV row is written
+
+
+# Exit code and stderr label of every package error, as main reports them.
+EXIT_CODES = {
+    FlowError: (1, "error"),
+    ParseError: (1, "error"),
+    InvariantError: (1, "error"),
+    BalanceMismatch: (1, "error"),
+    InfeasibleFlow: (1, "error"),
+    AuxiliaryArc: (1, "error"),
+    InvalidInterval: (1, "error"),
+    InfeasibleShape: (1, "error"),
+    BadParams: (1, "error"),
+    NoPath: (2, "infeasible"),
+    IterationCapExceeded: (3, "invariant violation"),
+    InternalInvariantError: (3, "invariant violation"),
+    PredictionMismatch: (3, "invariant violation"),
+    LemmaViolation: (3, "invariant violation"),
+}
+
+
+def _subclasses(cls):
+    return {cls}.union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def test_every_error_class_has_an_expected_exit_code():
+    assert _subclasses(FlowError) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", EXIT_CODES, ids=lambda cls: cls.__name__)
+def test_error_exit_code_and_label(cls, instance_file, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_costfn", fail)
+    code, label = EXIT_CODES[cls]
+    assert main(["costfn", instance_file]) == code
+    assert capsys.readouterr().err == f"{label}: boom\n"

@@ -45,7 +45,6 @@ class TestSmoothedCostSpec:
 
     def test_phi_range_convention(self):
         spec = SmoothedCostSpec(8.0, convention="phi")
-        assert spec.range_hi == 8.0
         assert spec.min_length == 1.0
         assert spec.cost_bound == 8.0
         SmoothedCostSpec(8.0, convention="phi", intervals={0: (6.9, 8.0)})

@@ -17,6 +17,7 @@ from sspflow import (
     flow_from_values,
     max_flow_value,
     residual_arcs,
+    run_ssp,
     transform,
     zero_flow,
 )
@@ -36,9 +37,7 @@ class TestConstruction:
         net = single_edge_network()
         assert net.n == 2 and net.m == 1
         assert net.balance[0] == 3.0 and net.balance[1] == -3.0
-        assert net.index_of(0, 1) == 0
-        assert net.has_edge(0, 1)
-        assert not net.has_edge(1, 0)
+        assert (net.edges[0].tail, net.edges[0].head) == (0, 1)
 
     def test_isolated_node_kept(self):
         net = FlowNetwork(
@@ -254,6 +253,28 @@ class TestPushAndEmptyArcs:
         assert f[0] + amount != cap[0]  # accumulating would miss cap
         assert push(f, cap, (0,), amount) == (0,)
         assert f[0] == cap[0]
+
+    def test_push_lists_an_arc_whose_sum_rounds_onto_capacity(self):
+        f = [1.423]
+        cap = [2.5]
+        amount = math.nextafter(cap[0] - f[0], 0.0)
+        assert cap[0] - f[0] != amount and f[0] + amount == cap[0]
+        assert push(f, cap, (0,), amount) == (0,)
+        assert f[0] == cap[0]
+
+    def test_solver_lists_every_arc_it_zeroes(self):
+        # step 4 fills edge 12 by a sum that rounds onto its capacity
+        trace = run_ssp(
+            random_instance(24, n=6, m=11, capacities="real"),
+            retain_flows=True,
+            record_distances=False,
+        )
+        step = trace.steps[3]
+        post = trace.intermediate_flows[4].values
+        cap = [e.capacity for e in trace.instance.base.edges]
+        assert step.path_arcs == (24, 16, 18, 8, 28)
+        assert post[12] == cap[12] and post[14] == cap[14]
+        assert step.saturated_arcs == (24, 28)
 
     def test_empty_arcs(self):
         f = [0.0, 2.0, 0.5]

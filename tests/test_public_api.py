@@ -1,0 +1,34 @@
+import importlib
+
+import pytest
+
+import sspflow
+
+# Return types the package names only as results of its own functions;
+# they stay out of sspflow.__all__ and import from where they are defined.
+RETURN_TYPES = [
+    ("sspflow.solver", "CostFunction"),
+    ("sspflow.network", "Flow"),
+    ("sspflow.analysis", "FlowClassification"),
+    ("sspflow.analysis", "GapReport"),
+    ("sspflow.analysis", "LemmaCheck"),
+    ("sspflow.analysis", "LemmaReport"),
+    ("sspflow.lowerbound", "LowerBoundReport"),
+    ("sspflow.analysis", "ReconstructionCase"),
+    ("sspflow.generators", "Topology"),
+]
+
+
+def test_all_has_no_duplicates():
+    assert len(sspflow.__all__) == len(set(sspflow.__all__))
+
+
+def test_all_names_resolve():
+    assert [name for name in sspflow.__all__ if not hasattr(sspflow, name)] == []
+
+
+@pytest.mark.parametrize("module, name", RETURN_TYPES)
+def test_return_types_resolve_from_their_module(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    assert isinstance(cls, type) and cls.__module__ == module
+    assert name not in sspflow.__all__
