@@ -13,7 +13,6 @@ from numpy.random import Generator, Philox
 # Stream tags; packed into the high bits of the second key word.
 COSTS = 1
 TOPOLOGY = 2
-BALANCES = 3
 NOISE = 4
 INT_COSTS = 5
 

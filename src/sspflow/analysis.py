@@ -39,7 +39,6 @@ from .network import (
     residual_arcs,
 )
 from .solver import (
-    AugmentationStep,
     AugmentationTrace,
     Outcome,
     _Engine,
@@ -125,14 +124,13 @@ def reference_solve(
     Produces the same step sequence as solve() (paths, lengths,
     amounts) and serves as its oracle in tests. Only the path search is
     its own: it runs over network.residual_arcs of the current flow,
-    while the bookkeeping (path length and nodes, bottleneck, push,
-    good arcs, flow value) is the solver engine's.
+    while the bookkeeping (path length, bottleneck, push, good arcs,
+    flow value and the step record) is the solver engine's.
     """
     if z is None:
         z = instance.z
     net = instance.base
     eng = _Engine(instance)
-    steps = []
 
     while True:
         if eng.value == z:
@@ -143,25 +141,11 @@ def reference_solve(
         if dist_t == INF:
             outcome = Outcome.MAX_FLOW_BELOW_Z
             break
-        length = eng.path_length(arcs)
-        nodes = eng.path_nodes(arcs)
-        amount, saturated, good = eng.augment(arcs, z)
-        steps.append(
-            AugmentationStep(
-                index=len(steps) + 1,
-                path_nodes=nodes,
-                path_arcs=arcs,
-                length=length,
-                amount=amount,
-                flow_value_after=eng.value,
-                saturated_arcs=saturated,
-                good_arcs=good,
-            )
-        )
+        eng.augment(arcs, eng.path_length(arcs), z)
 
     return AugmentationTrace(
         instance=instance,
-        steps=tuple(steps),
+        steps=tuple(eng.steps),
         outcome=outcome,
         final_flow=eng.snapshot(),
     )

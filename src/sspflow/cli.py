@@ -194,6 +194,7 @@ def cmd_experiment(args) -> int:
     ns = _comma_list("--ns", args.ns, int)
     ms = _comma_list("--ms", args.ms, int)
     phis = _comma_list("--phis", args.phis, float)
+    trials = _nonnegative("--trials", args.trials)
     cells = [
         (model, n, m, phi)
         for model in models
@@ -210,7 +211,7 @@ def cmd_experiment(args) -> int:
             cell = f"model={model};shape={args.shape};n={n};m={m};phi={phi:g}"
             steps_seen = []
             bound = None
-            for trial in range(args.trials):
+            for trial in range(trials):
                 seed = _trial_seed(args.seed, cell_index, trial)
                 started = time.perf_counter()
                 try:
@@ -219,6 +220,11 @@ def cmd_experiment(args) -> int:
                     )
                     trace = run_ssp(instance, record_distances=False)
                 except FlowError as exc:
+                    # Bad parameters fail every trial alike and end the run
+                    # with their own exit code; only a failed self-check
+                    # becomes a per-trial error row.
+                    if exc.exit_code != 3:
+                        raise
                     failures += 1
                     out.write(f"{cell},{trial},error:{type(exc).__name__},,,\n")
                     out.flush()

@@ -128,7 +128,6 @@ class Topology:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int, float], ...]  # (tail, head, capacity)
     balance: Mapping[int, float]
-    int_costs: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -324,15 +323,14 @@ def adversarial_spec(topology: Topology, phi: float) -> SmoothedCostSpec:
 # ---------------------------------------------------------------------------
 # Perturbed-integer model
 
-def assign_integer_costs(topology: Topology, c_bound: int, seed: int) -> Topology:
-    """Adversarial stand-in: keyed uniform integers in {1..C}."""
+def assign_integer_costs(topology: Topology, c_bound: int, seed: int) -> tuple[int, ...]:
+    """Adversarial stand-in: keyed uniform integers in {1..C}, per edge."""
     if c_bound < 1:
         raise InvalidInterval(f"integer cost bound must be >= 1, got {c_bound}")
-    ints = tuple(
+    return tuple(
         int(_rng.stream(seed, _rng.INT_COSTS, e).integers(1, c_bound + 1))
         for e in range(topology.m)
     )
-    return Topology(topology.nodes, topology.edges, topology.balance, ints)
 
 
 def perturbed_integer(
@@ -344,15 +342,12 @@ def perturbed_integer(
     the raw k_e + noise values. The model's effective density bound is
     (C + 1) / 2.
     """
-    if topology.int_costs is None:
-        topology = assign_integer_costs(topology, c_bound, seed)
-    if any(not 1 <= k <= c_bound for k in topology.int_costs):
-        raise InvalidInterval(f"integer costs must lie in {{1..{c_bound}}}")
+    ints = assign_integer_costs(topology, c_bound, seed)
     scale = float(c_bound + 1)
     edges = []
     for e, (tail, head, cap) in enumerate(topology.edges):
         noise = _rng.uniform(seed, _rng.NOISE, e, -1.0, 1.0)
-        edges.append(Edge(tail, head, cap, (topology.int_costs[e] + noise) / scale))
+        edges.append(Edge(tail, head, cap, (ints[e] + noise) / scale))
     net = FlowNetwork(edges, dict(topology.balance), topology.nodes, 1.0)
     return net, scale
 

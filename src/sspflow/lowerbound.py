@@ -180,12 +180,9 @@ def extend_stage(stage: StageInstance) -> StageInstance:
         e = len(edge_list)
         edge_list.append(Edge(tail, head, cap, _cost(stage.seed, e, clo, chi)))
     z = 2.0 * cap
-    balance = {v: 0.0 for v in net.nodes}
-    balance[s_new] = z
-    balance[t_new] = -z
     new_net = FlowNetwork(
         edge_list,
-        balance,
+        {s_new: z, t_new: -z},
         list(net.nodes) + [s_new, t_new],
         cost_bound=2.0 ** (i + 5),
     )
@@ -255,11 +252,8 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
         add(chain[0], end, inf_cap, link_band, inward)
 
     z = 2.0 * m_count * n_k
-    balance = {v: 0.0 for v in net.nodes}
-    balance[s] = z
-    balance[t] = -z
     nodes = list(net.nodes) + list(chain_a + chain_b + chain_c + chain_d) + [s, t]
-    full = FlowNetwork(edge_list, balance, nodes, cost_bound=params.phi)
+    full = FlowNetwork(edge_list, {s: z, t: -z}, nodes, cost_bound=params.phi)
     instance = TransformedNetwork(full, s, t, z)
 
     if instance.n != params.predicted_nodes or instance.m != params.predicted_edges:

@@ -50,7 +50,10 @@ class Edge:
 
 
 class FlowNetwork:
-    """Immutable directed network with capacities, costs and node balances."""
+    """Immutable directed network with capacities, costs and node balances.
+
+    Nodes missing from balance get balance 0.0.
+    """
 
     __slots__ = ("nodes", "edges", "balance", "cost_bound")
 
@@ -178,10 +181,7 @@ def transform(network: FlowNetwork) -> "TransformedNetwork":
     edges += [Edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
     edges += [Edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
     z = math.fsum(b for _, b in supplies)
-    balance = {v: 0.0 for v in network.nodes}
-    balance[s] = z
-    balance[t] = -z
-    base = FlowNetwork(edges, balance, network.nodes + (s, t), network.cost_bound)
+    base = FlowNetwork(edges, {s: z, t: -z}, network.nodes + (s, t), network.cost_bound)
     return TransformedNetwork(base, s, t, z)
 
 

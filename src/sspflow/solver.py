@@ -33,7 +33,7 @@ The reached target value equals z bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
 from operator import add
@@ -68,7 +68,7 @@ class AugmentationStep:
 
     distances_from_s / distances_to_t are the shortest-path distances
     in the residual network *after* this augmentation (None when the
-    solve ran with record_distances=False, or past an early stop).
+    solve ran with record_distances=False).
     Unreachable nodes carry math.inf.
 
     good_arcs are the path's empty arcs on original edges, under the
@@ -121,8 +121,10 @@ class _Engine:
     (see dijkstra_forward) rather than copying the arc sequence of its
     path, and the path to the sink is read back from the sink's key.
 
-    analysis.reference_solve runs the same bookkeeping (path_length,
-    path_nodes, augment, snapshot) around its own path search.
+    augment builds the AugmentationStep record of every step, for
+    run_ssp and for analysis.reference_solve, which runs the same
+    bookkeeping (path_length, augment, snapshot) around its own path
+    search.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -153,6 +155,7 @@ class _Engine:
         self.f = [0.0] * net.m
         self.value = 0.0
         self.pi = [0.0] * self.n
+        self.steps: list[AugmentationStep] = []
 
     # -- shortest paths -----------------------------------------------------
 
@@ -292,8 +295,9 @@ class _Engine:
     def path_length(self, arcs: Iterable[int]) -> float:
         return math.fsum(map(self.signed_cost.__getitem__, arcs))
 
-    def augment(self, arcs: Sequence[int], z: float):
-        """Push the bottleneck amount; returns (amount, saturated, good)."""
+    def augment(self, arcs: Sequence[int], length: float, z: float) -> None:
+        """Push the bottleneck amount along arcs, whose raw cost sum is
+        length, and append the step's record to steps."""
         f, cap, res = self.f, self.cap, self.res
         amount = z - self.value
         for a in arcs:
@@ -308,13 +312,21 @@ class _Engine:
             res[2 * e] = cap[e] - f[e]
             res[2 * e + 1] = f[e]
         self.value = z if z - self.value == amount else self.value + amount
-        return amount, saturated, good
+        self.steps.append(
+            AugmentationStep(
+                index=len(self.steps) + 1,
+                path_nodes=(self.ids[self.s], *map(self.arc_head_id.__getitem__, arcs)),
+                path_arcs=arcs,
+                length=length,
+                amount=amount,
+                flow_value_after=self.value,
+                saturated_arcs=saturated,
+                good_arcs=good,
+            )
+        )
 
     def snapshot(self) -> Flow:
         return Flow(tuple(self.f), self.value)
-
-    def path_nodes(self, arcs: Sequence[int]) -> tuple[int, ...]:
-        return (self.ids[self.s], *map(self.arc_head_id.__getitem__, arcs))
 
 
 def _check_reduced_cost(rc: float, a: int, c: float, pu: float, pv: float) -> None:
@@ -346,19 +358,19 @@ def run_ssp(
     if z < 0:
         raise ValueError("target value must be nonnegative")
     eng = _Engine(instance)
-    drafts: list[dict] = []
+    steps = eng.steps
     flows = [eng.snapshot()] if retain_flows else None
     initial_dist = initial_dist_to = None
-    outcome = None
 
     while True:
         dist, key = eng.dijkstra_forward()
         if record_distances:
             d_act = eng.actual_distances(dist)
             dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
-            if drafts:
-                drafts[-1]["distances_from_s"] = d_act
-                drafts[-1]["distances_to_t"] = dp_act
+            if steps:
+                steps[-1] = replace(
+                    steps[-1], distances_from_s=d_act, distances_to_t=dp_act
+                )
             else:
                 initial_dist, initial_dist_to = d_act, dp_act
         if eng.value == z:
@@ -372,32 +384,18 @@ def run_ssp(
         if stop_above_length is not None and length > stop_above_length:
             outcome = Outcome.STOPPED_ABOVE_LENGTH
             break
-        if iteration_cap is not None and len(drafts) >= iteration_cap:
+        if iteration_cap is not None and len(steps) >= iteration_cap:
             raise IterationCapExceeded(
                 f"augmentation count exceeded cap {iteration_cap}"
             )
-        nodes = eng.path_nodes(arcs)
-        amount, saturated, good = eng.augment(arcs, z)
-        drafts.append(
-            dict(
-                index=len(drafts) + 1,
-                path_nodes=nodes,
-                path_arcs=arcs,
-                length=length,
-                amount=amount,
-                flow_value_after=eng.value,
-                saturated_arcs=saturated,
-                good_arcs=good,
-            )
-        )
+        eng.augment(arcs, length, z)
         if retain_flows:
             flows.append(eng.snapshot())
         eng.update_potentials(dist)
 
-    steps = tuple(AugmentationStep(**d) for d in drafts)
     return AugmentationTrace(
         instance=instance,
-        steps=steps,
+        steps=tuple(steps),
         outcome=outcome,
         final_flow=eng.snapshot(),
         initial_distances_from_s=initial_dist,

@@ -200,6 +200,7 @@ EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials",
     EXPERIMENT + ["--ns", "abc", "--out", "{out}"],
     EXPERIMENT + ["--phis", "2,x", "--out", "{out}"],
     EXPERIMENT + ["--models", "bogus", "--out", "{out}"],
+    EXPERIMENT + ["--trials", "-1", "--out", "{out}"],
 ])
 def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     out = tmp_path / "rows.csv"
@@ -209,6 +210,31 @@ def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not out.exists()  # rejected before any CSV row is written
+
+
+@pytest.mark.parametrize("argv", [
+    EXPERIMENT + ["--phis", "0.5"],  # InvalidInterval in every trial
+    EXPERIMENT + ["--models", "lowerbound"],  # BadParams in every trial
+])
+def test_experiment_bad_params_exit_1(argv, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--trials", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "error:" not in out.read_text()
+
+
+def test_experiment_self_check_failure_is_a_row(tmp_path, monkeypatch):
+    def fail(instance, **kwargs):
+        raise InternalInvariantError("boom")
+
+    monkeypatch.setattr(cli, "run_ssp", fail)
+    out = tmp_path / "rows.csv"
+    assert main(EXPERIMENT + ["--trials", "2", "--out", str(out)]) == 3
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",error:InternalInvariantError," in row for row in rows)
 
 
 # Exit code and stderr label of every package error, as main reports them.

@@ -236,7 +236,7 @@ class TestPerturbedInteger:
         c_bound = 5
         net, scale = perturbed_integer(topo, c_bound, seed=3)
         assert scale == 6.0
-        ints = assign_integer_costs(topo, c_bound, seed=3).int_costs
+        ints = assign_integer_costs(topo, c_bound, seed=3)
         for e, edge in enumerate(net.edges):
             raw = edge.cost * scale
             assert abs(raw - ints[e]) < 1.0  # noise is U(-1, 1)
@@ -245,7 +245,7 @@ class TestPerturbedInteger:
 
     def test_integer_costs_in_range(self):
         topo = erdos_topology(7, 12, seed=0)
-        ints = assign_integer_costs(topo, 4, seed=0).int_costs
+        ints = assign_integer_costs(topo, 4, seed=0)
         assert all(1 <= k <= 4 for k in ints)
         with pytest.raises(InvalidInterval):
             assign_integer_costs(topo, 0, seed=0)

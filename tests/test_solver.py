@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +169,56 @@ class TestStepRecords:
             assert len(step.path_nodes) == len(step.path_arcs) + 1
             assert step.path_nodes[0] == inst.source
             assert step.path_nodes[-1] == inst.sink
+
+
+class TestRecordDistancesModes:
+    """Recording distances attaches them to steps built without them;
+    it must change nothing else."""
+
+    INSTANCES = [uniform_instance(seed) for seed in range(25)] + [
+        random_instance(seed, n=6, m=11, capacities="real") for seed in range(25)
+    ]
+
+    def test_same_steps_with_and_without_distances(self):
+        for inst in self.INSTANCES:
+            on = run_ssp(inst, record_distances=True)
+            off = run_ssp(inst, record_distances=False)
+            assert all(
+                step.distances_from_s is not None and step.distances_to_t is not None
+                for step in on.steps
+            )
+            blanked = tuple(
+                replace(step, distances_from_s=None, distances_to_t=None)
+                for step in on.steps
+            )
+            assert blanked == off.steps
+            assert on.outcome == off.outcome
+            assert on.final_flow == off.final_flow
+
+    def test_indices_count_from_one(self):
+        for inst in self.INSTANCES:
+            for trace in (
+                run_ssp(inst, record_distances=True),
+                run_ssp(inst, record_distances=False),
+                reference_solve(inst),
+            ):
+                assert [step.index for step in trace.steps] == list(
+                    range(1, len(trace.steps) + 1)
+                )
+
+    def test_early_stop_keeps_last_distances(self):
+        stopped = 0
+        for inst in self.INSTANCES:
+            trace = run_ssp(inst, record_distances=False)
+            lengths = sorted({step.length for step in trace.steps})
+            if len(lengths) < 2:
+                continue
+            trace = run_ssp(inst, stop_above_length=lengths[0])
+            assert trace.outcome == Outcome.STOPPED_ABOVE_LENGTH
+            assert trace.steps[-1].distances_from_s is not None
+            assert trace.steps[-1].distances_to_t is not None
+            stopped += 1
+        assert stopped > 25
 
 
 class TestDeterminism:
