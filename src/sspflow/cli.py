@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
-from . import dimacs, generators, lowerbound
+from . import _rng, dimacs, generators, lowerbound
 from .analysis import (
     check_lemmas,
     check_reconstruction,
@@ -81,6 +82,14 @@ def _nonnegative(flag: str, value):
     return value
 
 
+def _seed(value: int) -> int:
+    """value unchanged when it is a usable seed, in [0, 2^63); ParseError
+    otherwise (numpy would key larger seeds inexactly)."""
+    if not 0 <= value < _rng.SEED_LIMIT:
+        raise ParseError(f"--seed must lie in [0, 2^63), got {value}")
+    return value
+
+
 def _comma_list(flag: str, text: str, kind) -> list:
     try:
         return [kind(x) for x in text.split(",")]
@@ -121,6 +130,7 @@ def cmd_costfn(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _seed(args.seed)
     if args.model == "smoothed":
         topo = generators.random_topology(args.n, args.m, args.shape, args.seed)
         if args.cost_spec:
@@ -142,7 +152,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    built = lowerbound.build_worstcase(args.n, args.m, args.phi, args.seed)
+    built = lowerbound.build_worstcase(args.n, args.m, args.phi, _seed(args.seed))
     instance = built.instance
     print(
         f"stage={'full' if isinstance(built, lowerbound.HardInstance) else built.stage} "
@@ -202,6 +212,13 @@ def cmd_experiment(args) -> int:
         for m in ms
         for phi in phis
     ]
+    _seed(args.seed)
+    if cells and trials:
+        last = _trial_seed(args.seed, len(cells) - 1, trials - 1)
+        if last >= _rng.SEED_LIMIT:
+            raise ParseError(
+                f"--seed {args.seed}: trial seeds reach {last}, past 2^63"
+            )
     failures = 0
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -243,6 +260,14 @@ def cmd_experiment(args) -> int:
                 mean = math.fsum(steps_seen) / len(steps_seen)
                 out.write(f"{cell},mean,{mean!r},,{bound!r},{mean / bound!r}\n")
                 out.flush()
+    except (FlowError, OSError):
+        # A run stopped by an error leaves no file that could pass for a
+        # finished grid.
+        if out is not sys.stdout:
+            out.close()
+            if os.path.isfile(args.out):
+                os.remove(args.out)
+        raise
     finally:
         if out is not sys.stdout:
             out.close()

@@ -290,11 +290,11 @@ def sample_costs(
     topology: Topology, spec: SmoothedCostSpec, seed: int
 ) -> FlowNetwork:
     """Realize a topology into a network by drawing every edge cost."""
+    draws = _rng.randoms(seed, _rng.COSTS, 0, topology.m)
     edges = []
-    for e, (tail, head, cap) in enumerate(topology.edges):
+    for e, ((tail, head, cap), u) in enumerate(zip(topology.edges, draws)):
         lo, hi = spec.interval_for(e)
-        cost = _rng.uniform(seed, _rng.COSTS, e, lo, hi)
-        edges.append(Edge(tail, head, cap, cost))
+        edges.append(Edge(tail, head, cap, lo + (hi - lo) * u))
     return FlowNetwork(
         edges, dict(topology.balance), topology.nodes, spec.cost_bound
     )
@@ -327,10 +327,7 @@ def assign_integer_costs(topology: Topology, c_bound: int, seed: int) -> tuple[i
     """Adversarial stand-in: keyed uniform integers in {1..C}, per edge."""
     if c_bound < 1:
         raise InvalidInterval(f"integer cost bound must be >= 1, got {c_bound}")
-    return tuple(
-        int(_rng.stream(seed, _rng.INT_COSTS, e).integers(1, c_bound + 1))
-        for e in range(topology.m)
-    )
+    return tuple(_rng.integers(seed, _rng.INT_COSTS, topology.m, c_bound))
 
 
 def perturbed_integer(
@@ -344,10 +341,11 @@ def perturbed_integer(
     """
     ints = assign_integer_costs(topology, c_bound, seed)
     scale = float(c_bound + 1)
+    draws = _rng.randoms(seed, _rng.NOISE, 0, topology.m)
     edges = []
-    for e, (tail, head, cap) in enumerate(topology.edges):
-        noise = _rng.uniform(seed, _rng.NOISE, e, -1.0, 1.0)
-        edges.append(Edge(tail, head, cap, (ints[e] + noise) / scale))
+    for (tail, head, cap), k, u in zip(topology.edges, ints, draws):
+        noise = -1.0 + 2.0 * u
+        edges.append(Edge(tail, head, cap, (k + noise) / scale))
     net = FlowNetwork(edges, dict(topology.balance), topology.nodes, 1.0)
     return net, scale
 

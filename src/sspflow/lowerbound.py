@@ -129,8 +129,14 @@ class HardInstance:
     fan_d: tuple[int, ...]
 
 
-def _cost(seed: int, edge_index: int, lo: float, hi: float) -> float:
-    return _rng.uniform(seed, _rng.COSTS, edge_index, lo, hi)
+def _costed(seed: int, start: int, rows) -> list[Edge]:
+    """Edges for (tail, head, capacity, lo, hi) rows that take the edge
+    indices start, start + 1, ...; each cost is drawn from [lo, hi)."""
+    draws = _rng.randoms(seed, _rng.COSTS, start, start + len(rows))
+    return [
+        Edge(tail, head, cap, lo + (hi - lo) * u)
+        for (tail, head, cap, lo, hi), u in zip(rows, draws)
+    ]
 
 
 def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
@@ -142,10 +148,10 @@ def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
     if side < 1 or not side <= edges <= side**2:
         raise BadParams(f"need side <= edges <= side^2, got {side}, {edges}")
     topo = bipartite_topology(side, edges)
-    edge_list = []
-    for e, (a, b, cap) in enumerate(topo.edges):
-        lo, hi = (7.0, 9.0) if e < edges else (0.0, 1.0)
-        edge_list.append(Edge(a, b, cap, _cost(seed, e, lo, hi)))
+    edge_list = _costed(seed, 0, [
+        (a, b, cap, *((7.0, 9.0) if e < edges else (0.0, 1.0)))
+        for e, (a, b, cap) in enumerate(topo.edges)
+    ])
     net = FlowNetwork(edge_list, topo.balance, topo.nodes, cost_bound=2.0**5)
     s, *tiers, t = topo.nodes
     roles = {s: "s1", t: "t1"}
@@ -169,16 +175,12 @@ def extend_stage(stage: StageInstance) -> StageInstance:
     s_new = max(net.nodes) + 1
     t_new = s_new + 1
     lo, hi = 2.0 ** (i + 3) - 1.0, 2.0 ** (i + 3) + 1.0
-    edge_list = list(net.edges)
-    add = [
-        (s_new, inner.source, 0.0, 1.0),
-        (inner.sink, t_new, 0.0, 1.0),
-        (s_new, inner.sink, lo, hi),
-        (inner.source, t_new, lo, hi),
-    ]
-    for tail, head, clo, chi in add:
-        e = len(edge_list)
-        edge_list.append(Edge(tail, head, cap, _cost(stage.seed, e, clo, chi)))
+    edge_list = list(net.edges) + _costed(stage.seed, len(net.edges), [
+        (s_new, inner.source, cap, 0.0, 1.0),
+        (inner.sink, t_new, cap, 0.0, 1.0),
+        (s_new, inner.sink, cap, lo, hi),
+        (inner.source, t_new, cap, lo, hi),
+    ])
     z = 2.0 * cap
     new_net = FlowNetwork(
         edge_list,
@@ -228,13 +230,12 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
     far = (2.0 ** (k + 5) - 1.0, 2.0 ** (k + 5))
     near = (2.0 ** (k + 4) - 1.0, 2.0 ** (k + 4))
 
-    edge_list = list(net.edges)
+    rows = []
 
     def add(tail, head, capacity, band, inward):
         if not inward:
             tail, head = head, tail
-        e = len(edge_list)
-        edge_list.append(Edge(tail, head, capacity, _cost(seed, e, *band)))
+        rows.append((tail, head, capacity, *band))
 
     # (chain, walks towards the core, core end, link band). Inward chains
     # A and B walk down x_i -> ... -> x_1 -> core end, fed from s; outward
@@ -250,6 +251,7 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
         for v in chain:
             add(s if inward else t, v, fan_cap, (0.0, 1.0), inward)
         add(chain[0], end, inf_cap, link_band, inward)
+    edge_list = list(net.edges) + _costed(seed, len(net.edges), rows)
 
     z = 2.0 * m_count * n_k
     nodes = list(net.nodes) + list(chain_a + chain_b + chain_c + chain_d) + [s, t]

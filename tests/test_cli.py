@@ -201,6 +201,13 @@ EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials",
     EXPERIMENT + ["--phis", "2,x", "--out", "{out}"],
     EXPERIMENT + ["--models", "bogus", "--out", "{out}"],
     EXPERIMENT + ["--trials", "-1", "--out", "{out}"],
+    EXPERIMENT + ["--seed", "-1", "--out", "{out}"],
+    # trial seeds past 2^63, which numpy would key inexactly
+    EXPERIMENT + ["--seed", "100000000", "--out", "{out}"],
+    ["generate", "--n", "3", "--m", "4", "--seed", "-1", "--out", "{out}"],
+    ["generate", "--n", "3", "--m", "4", "--seed", str(2**64), "--out", "{out}"],
+    ["lowerbound", "--n", "2", "--m", "3", "--phi", "64", "--seed", str(2**63),
+     "--out", "{out}"],
 ])
 def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     out = tmp_path / "rows.csv"
@@ -215,6 +222,7 @@ def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
 @pytest.mark.parametrize("argv", [
     EXPERIMENT + ["--phis", "0.5"],  # InvalidInterval in every trial
     EXPERIMENT + ["--models", "lowerbound"],  # BadParams in every trial
+    EXPERIMENT + ["--phis", "2,0.5"],  # first cell's rows already written
 ])
 def test_experiment_bad_params_exit_1(argv, tmp_path, capsys):
     out = tmp_path / "rows.csv"
@@ -222,7 +230,7 @@ def test_experiment_bad_params_exit_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    assert "error:" not in out.read_text()
+    assert not out.exists()  # no partial grid left behind
 
 
 def test_experiment_self_check_failure_is_a_row(tmp_path, monkeypatch):

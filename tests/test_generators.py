@@ -25,6 +25,74 @@ from sspflow import (
 from sspflow import _rng
 
 
+class TestBulkDraws:
+    """randoms and integers equal the first draw of each scalar stream."""
+
+    TAGS = (_rng.COSTS, _rng.NOISE, _rng.INT_COSTS)
+    LAST_SEED = 2**63 - 1
+    LAST_INDEX = 2**48 - 1
+
+    def test_randoms_contiguous_keys(self):
+        for seed in (0, 7, self.LAST_SEED):
+            for tag in self.TAGS:
+                for start in (0, 1000, self.LAST_INDEX - 40):
+                    got = _rng.randoms(seed, tag, start, start + 41)
+                    want = [
+                        _rng.stream(seed, tag, i).random()
+                        for i in range(start, start + 41)
+                    ]
+                    assert got == want
+
+    def test_randoms_random_keys(self):
+        gen = np.random.default_rng(11)
+        for _ in range(300):
+            seed = int(gen.integers(0, 2**63))
+            tag = int(gen.choice(self.TAGS))
+            index = int(gen.integers(0, 2**48))
+            assert _rng.randoms(seed, tag, index, index + 1) == [
+                _rng.stream(seed, tag, index).random()
+            ]
+
+    def test_empty_block(self):
+        assert _rng.randoms(3, _rng.COSTS, 5, 5) == []
+        assert _rng.integers(3, _rng.INT_COSTS, 0, 7) == []
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 17, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40])
+    def test_integers(self, c):
+        for seed in (0, self.LAST_SEED):
+            for tag in self.TAGS:
+                want = [
+                    int(_rng.stream(seed, tag, i).integers(1, c + 1))
+                    for i in range(200)
+                ]
+                assert _rng.integers(seed, tag, 200, c) == want
+
+    def test_integers_half_rejected_bound(self):
+        # At c = 2^31 + 1 the 32-bit leftover falls below c for about half
+        # the keys, so the scalar fallback carries about half the draws.
+        c, k = 2**31 + 1, 400
+        low = _rng._first_words(5, _rng.INT_COSTS, 0, k) & np.uint64(2**32 - 1)
+        leftover = (low * np.uint64(c)) & np.uint64(2**32 - 1)
+        assert 0.4 < float((leftover < c).mean()) < 0.6
+        want = [int(_rng.stream(5, _rng.INT_COSTS, i).integers(1, c + 1)) for i in range(k)]
+        assert _rng.integers(5, _rng.INT_COSTS, k, c) == want
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+    def test_seed_outside_exact_range_raises(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            _rng.stream(seed, _rng.COSTS, 0)
+        with pytest.raises(ValueError, match="seed"):
+            _rng.randoms(seed, _rng.COSTS, 0, 3)
+        with pytest.raises(ValueError, match="seed"):
+            _rng.integers(seed, _rng.INT_COSTS, 3, 5)
+
+    def test_index_outside_key_space_raises(self):
+        with pytest.raises(ValueError, match="index"):
+            _rng.randoms(0, _rng.COSTS, self.LAST_INDEX, self.LAST_INDEX + 2)
+        with pytest.raises(ValueError, match="index"):
+            _rng.randoms(0, _rng.COSTS, -1, 2)
+
+
 class TestSmoothedCostSpec:
     def test_phi_one_forces_full_interval(self):
         spec = SmoothedCostSpec(1.0)
@@ -131,9 +199,7 @@ class TestSampling:
     def test_uniformity_three_sigma(self):
         # mean of 1e5 uniform draws on [0,1]: sigma = 1/sqrt(12e5)
         k = 100_000
-        draws = np.array(
-            [_rng.uniform(7, _rng.COSTS, e, 0.0, 1.0) for e in range(k)]
-        )
+        draws = np.array(_rng.randoms(7, _rng.COSTS, 0, k))
         sigma = 1.0 / math.sqrt(12 * k)
         assert abs(draws.mean() - 0.5) < 3 * sigma
         # and the quarters fill evenly to within 3 sigma of a binomial
