@@ -33,8 +33,14 @@ def main():
 
     trace = solve(inst)
     print(f"outcome: {trace.outcome.value} after {len(trace.steps)} augmentations")
+    edges = inst.base.edges
     for step in trace.steps:
-        route = " -> ".join(str(v) for v in step.path_nodes)
+        # arc 2e runs along edge e, arc 2e + 1 against it
+        nodes = [inst.source] + [
+            edges[a >> 1].tail if a & 1 else edges[a >> 1].head
+            for a in step.path_arcs
+        ]
+        route = " -> ".join(map(str, nodes))
         print(
             f"  step {step.index}: length {step.length:.4f}, "
             f"amount {step.amount:g}, via {route}"

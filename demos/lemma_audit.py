@@ -25,7 +25,7 @@ from sspflow import (
 
 
 def audit_one(verbose: bool):
-    topo = bipartite_topology(4, 13, seed=21)
+    topo = bipartite_topology(4, 13)
     inst = transform(sample_costs(topo, adversarial_spec(topo, 10.0), 21))
     trace = solve(inst, retain_flows=True)
     report = check_lemmas(trace)

@@ -29,7 +29,7 @@ def mean_steps(phi: float) -> tuple[float, float]:
     bound = 0.0
     for trial in range(TRIALS):
         seed = int(phi * 1000) + trial
-        topo = bipartite_topology(SIDE, EDGES, seed)
+        topo = bipartite_topology(SIDE, EDGES)
         spec = adversarial_spec(topo, phi)
         inst = transform(sample_costs(topo, spec, seed))
         trace = run_ssp(inst, record_distances=False)

@@ -58,7 +58,7 @@ def act_three():
             f"   side={side} edges={edges} phi={phi:g}: "
             f"{hard.instance.n} nodes, {hard.instance.m} edges, "
             f"{report.observed_steps} augmentations "
-            f"(predicted {report.predicted_steps}, "
+            f"(predicted {hard.predicted_steps}, "
             f"{report.phases_checked} phases checked)"
         )
     print()

@@ -184,14 +184,9 @@ def verify_optimality(instance: TransformedNetwork, flow: Flow) -> bool:
 
 @dataclass(frozen=True)
 class FlowClassification:
-    """Good/bad label per augmentation step (1-based indices)."""
+    """Indices (from 1) of the steps whose path holds no good arc."""
 
-    step_good: tuple[bool, ...]
     bad_steps: tuple[int, ...]
-
-    @property
-    def bad_count(self) -> int:
-        return len(self.bad_steps)
 
 
 def classify(trace: AugmentationTrace) -> FlowClassification:
@@ -205,7 +200,6 @@ def classify(trace: AugmentationTrace) -> FlowClassification:
     flows = replay_flows(trace)
     net = trace.instance.base
     cap = [e.capacity for e in net.edges]
-    good_flags = []
     bad = []
     for j, step in enumerate(trace.steps):
         pre = flows[j].values
@@ -217,14 +211,13 @@ def classify(trace: AugmentationTrace) -> FlowClassification:
                 f"step {step.index}: recorded good flag {bool(step.good_arcs)} "
                 f"disagrees with replay {has_good}"
             )
-        good_flags.append(has_good)
         if not has_good:
             bad.append(step.index)
     if len(bad) > trace.instance.n:
         raise LemmaViolation(
             f"{len(bad)} bad steps exceed the node-count bound {trace.instance.n}"
         )
-    return FlowClassification(tuple(good_flags), tuple(bad))
+    return FlowClassification(tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,7 @@ def _check_bad_flow_bound(trace) -> LemmaCheck:
         cls = classify(trace)
     except LemmaViolation as exc:
         return LemmaCheck(cid, False, None, str(exc))
-    return LemmaCheck(cid, True, detail=f"{cls.bad_count} bad step(s)")
+    return LemmaCheck(cid, True, detail=f"{len(cls.bad_steps)} bad step(s)")
 
 
 def _check_no_negative_cycle(trace, flows) -> LemmaCheck:

@@ -22,6 +22,7 @@ output byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -90,6 +91,14 @@ def _seed(value: int) -> int:
     return value
 
 
+def _cost_bound(flag: str, phi: float) -> int:
+    """phi as the perturbed model's integer cost bound C; ParseError for
+    a fraction, which int() would drop silently."""
+    if not phi.is_integer():
+        raise ParseError(f"{flag}: perturbed cost bound must be an integer, got {phi:g}")
+    return int(phi)
+
+
 def _comma_list(flag: str, text: str, kind) -> list:
     try:
         return [kind(x) for x in text.split(",")]
@@ -143,7 +152,8 @@ def cmd_generate(args) -> int:
         net = generators.sample_costs(topo, spec, args.seed)
     elif args.model == "perturbed":
         topo = generators.random_topology(args.n, args.m, args.shape, args.seed)
-        net, _scale = generators.perturbed_integer(topo, int(args.phi), args.seed)
+        c_bound = _cost_bound("--phi", args.phi)
+        net, _scale = generators.perturbed_integer(topo, c_bound, args.seed)
     else:  # lowerbound
         built = lowerbound.build_worstcase(args.n, args.m, args.phi, args.seed)
         net = built.instance.base
@@ -204,6 +214,9 @@ def cmd_experiment(args) -> int:
     ns = _comma_list("--ns", args.ns, int)
     ms = _comma_list("--ms", args.ms, int)
     phis = _comma_list("--phis", args.phis, float)
+    if "perturbed" in models:
+        for phi in phis:
+            _cost_bound("--phis", phi)
     trials = _nonnegative("--trials", args.trials)
     cells = [
         (model, n, m, phi)
@@ -222,55 +235,51 @@ def cmd_experiment(args) -> int:
     failures = 0
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        out.write("cell,trial,steps,runtime,bound_2mnphi_plus_2n,ratio\n")
-        out.flush()
-        for cell_index, (model, n, m, phi) in enumerate(cells):
-            cell = f"model={model};shape={args.shape};n={n};m={m};phi={phi:g}"
-            steps_seen = []
-            bound = None
-            for trial in range(trials):
-                seed = _trial_seed(args.seed, cell_index, trial)
-                started = time.perf_counter()
-                try:
-                    instance = _experiment_instance(
-                        model, args.shape, n, m, phi, seed
+        with out if args.out else contextlib.nullcontext():
+            out.write("cell,trial,steps,runtime,bound_2mnphi_plus_2n,ratio\n")
+            out.flush()
+            for cell_index, (model, n, m, phi) in enumerate(cells):
+                cell = f"model={model};shape={args.shape};n={n};m={m};phi={phi:g}"
+                steps_seen = []
+                bound = None
+                for trial in range(trials):
+                    seed = _trial_seed(args.seed, cell_index, trial)
+                    started = time.perf_counter()
+                    try:
+                        instance = _experiment_instance(
+                            model, args.shape, n, m, phi, seed
+                        )
+                        trace = run_ssp(instance, record_distances=False)
+                    except FlowError as exc:
+                        # Bad parameters fail every trial alike and end the run
+                        # with their own exit code; only a failed self-check
+                        # becomes a per-trial error row.
+                        if exc.exit_code != 3:
+                            raise
+                        failures += 1
+                        out.write(f"{cell},{trial},error:{type(exc).__name__},,,\n")
+                        out.flush()
+                        continue
+                    elapsed = time.perf_counter() - started
+                    phi_eff = generators.effective_phi(model, phi)
+                    bound = 2 * instance.m * instance.n * phi_eff + 2 * instance.n
+                    steps = len(trace.steps)
+                    steps_seen.append(steps)
+                    runtime = f"{elapsed:.6f}" if args.timings else ""
+                    out.write(
+                        f"{cell},{trial},{steps},{runtime},{bound!r},{steps / bound!r}\n"
                     )
-                    trace = run_ssp(instance, record_distances=False)
-                except FlowError as exc:
-                    # Bad parameters fail every trial alike and end the run
-                    # with their own exit code; only a failed self-check
-                    # becomes a per-trial error row.
-                    if exc.exit_code != 3:
-                        raise
-                    failures += 1
-                    out.write(f"{cell},{trial},error:{type(exc).__name__},,,\n")
                     out.flush()
-                    continue
-                elapsed = time.perf_counter() - started
-                phi_eff = generators.effective_phi(model, phi)
-                bound = 2 * instance.m * instance.n * phi_eff + 2 * instance.n
-                steps = len(trace.steps)
-                steps_seen.append(steps)
-                runtime = f"{elapsed:.6f}" if args.timings else ""
-                out.write(
-                    f"{cell},{trial},{steps},{runtime},{bound!r},{steps / bound!r}\n"
-                )
-                out.flush()
-            if steps_seen and bound is not None:
-                mean = math.fsum(steps_seen) / len(steps_seen)
-                out.write(f"{cell},mean,{mean!r},,{bound!r},{mean / bound!r}\n")
-                out.flush()
+                if steps_seen and bound is not None:
+                    mean = math.fsum(steps_seen) / len(steps_seen)
+                    out.write(f"{cell},mean,{mean!r},,{bound!r},{mean / bound!r}\n")
+                    out.flush()
     except (FlowError, OSError):
         # A run stopped by an error leaves no file that could pass for a
         # finished grid.
-        if out is not sys.stdout:
-            out.close()
-            if os.path.isfile(args.out):
-                os.remove(args.out)
+        if args.out and os.path.isfile(args.out):
+            os.remove(args.out)
         raise
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 3 if failures else 0
 
 

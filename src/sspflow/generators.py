@@ -138,7 +138,7 @@ class Topology:
         return len(self.edges)
 
 
-def bipartite_topology(n: int, m: int, seed: int = 0) -> Topology:
+def bipartite_topology(n: int, m: int) -> Topology:
     """Two n-node tiers plus endpoints; the first m (u_i, w_j) slots
     in row-major order, unit capacities, degree-matched fan edges."""
     if n < 1 or not n <= m <= n * n:
@@ -275,7 +275,7 @@ def random_topology(
 ) -> Topology:
     """Dispatch by shape name: bipartite | erdos | layered."""
     if shape == "bipartite":
-        return bipartite_topology(n, m, seed)
+        return bipartite_topology(n, m)
     if shape == "erdos":
         return erdos_topology(n, m, seed, **kwargs)
     if shape == "layered":

@@ -312,7 +312,6 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
 @dataclass(frozen=True)
 class LowerBoundReport:
     seed_used: int
-    predicted_steps: int
     observed_steps: int
     phases_checked: int
     retries: int
@@ -368,6 +367,9 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
         )
 
     tol = 1e-9
+    source = hard.instance.source
+    # Node each arc enters: arc 2e runs along edge e, arc 2e + 1 against it.
+    head = [v for e in hard.instance.base.edges for v in (e.head, e.tail)]
     for j, step in enumerate(trace.steps):
         block = j // n_k
         phase = block // 2  # 0-based
@@ -377,8 +379,8 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
             raise PredictionMismatch(
                 f"step {step.index}: amount {step.amount}, predicted 1.0"
             )
-        second = step.path_nodes[1]
-        penult = step.path_nodes[-2]
+        nodes = [source, *map(head.__getitem__, step.path_arcs)]
+        second, penult = nodes[1], nodes[-2]
         if parity == 0:
             want_in, want_out = hard.fan_a[phase], hard.fan_d[phase]
         else:
@@ -389,7 +391,6 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
                 f"leaves {hard.roles.get(penult)}, predicted "
                 f"{hard.roles.get(want_in)}/{hard.roles.get(want_out)}"
             )
-        nodes = step.path_nodes
         if hard.core_source not in nodes or hard.core_sink not in nodes:
             raise PredictionMismatch(
                 f"step {step.index}: path bypasses the core stage"
@@ -412,7 +413,6 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
             )
     return LowerBoundReport(
         seed_used=seed_used,
-        predicted_steps=params.predicted_steps,
         observed_steps=observed,
         phases_checked=2 * params.chain_length,
         retries=retries,

@@ -66,6 +66,9 @@ class Outcome(str, Enum):
 class AugmentationStep:
     """One augmentation: the path taken and the state changes it caused.
 
+    index counts from 1. path_arcs run from source to sink, arc 2e along
+    edge e and arc 2e + 1 against it, so they name the path's nodes too.
+
     distances_from_s / distances_to_t are the shortest-path distances
     in the residual network *after* this augmentation (None when the
     solve ran with record_distances=False).
@@ -77,7 +80,6 @@ class AugmentationStep:
     """
 
     index: int
-    path_nodes: tuple[int, ...]
     path_arcs: tuple[int, ...]
     length: float
     amount: float
@@ -146,11 +148,7 @@ class _Engine:
             self.in_adj[v].append((2 * e, u, c))
             self.out_adj[v].append((2 * e + 1, u, -c))
             self.in_adj[u].append((2 * e + 1, v, -c))
-        # Per arc: signed cost, and the id of the node the arc enters.
         self.signed_cost = [x for c in cost for x in (c, -c)]
-        self.arc_head_id = [
-            self.ids[x] for u, v in zip(tail, head) for x in (v, u)
-        ]
         self.res = [r for c in self.cap for r in (c, 0.0)]
         self.f = [0.0] * net.m
         self.value = 0.0
@@ -315,7 +313,6 @@ class _Engine:
         self.steps.append(
             AugmentationStep(
                 index=len(self.steps) + 1,
-                path_nodes=(self.ids[self.s], *map(self.arc_head_id.__getitem__, arcs)),
                 path_arcs=arcs,
                 length=length,
                 amount=amount,

@@ -118,7 +118,7 @@ def test_criterion_4_smoothed_grid_within_bound():
                 bound = None
                 for trial in range(trials):
                     seed = 100_000 * cells + trial
-                    topo = bipartite_topology(n, m, seed)
+                    topo = bipartite_topology(n, m)
                     spec = adversarial_spec(topo, phi)
                     inst = transform(sample_costs(topo, spec, seed))
                     trace = run_ssp(inst, record_distances=False)
@@ -153,7 +153,7 @@ def _lemma_pool():
             n, m = [(6, 7), (7, 9), (8, 11), (9, 12)][idx % 4]
             topo = layered_topology(n, m, seed)
         else:
-            topo = bipartite_topology(3, 5 + idx % 5, seed)
+            topo = bipartite_topology(3, 5 + idx % 5)
         spec = adversarial_spec(topo, phi)
         yield transform(sample_costs(topo, spec, seed))
         idx += 1
@@ -265,7 +265,7 @@ def test_criterion_8_perturbed_model_within_bound():
         bound = None
         for trial in range(50):
             seed = 10_000 * c_bound + trial
-            topo = bipartite_topology(8, 24, seed)
+            topo = bipartite_topology(8, 24)
             net, _scale = perturbed_integer(topo, c_bound, seed)
             inst = transform(net)
             trace = run_ssp(inst, record_distances=False)

@@ -204,6 +204,11 @@ EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials",
     EXPERIMENT + ["--seed", "-1", "--out", "{out}"],
     # trial seeds past 2^63, which numpy would key inexactly
     EXPERIMENT + ["--seed", "100000000", "--out", "{out}"],
+    # the perturbed model's phi is an integer cost bound C
+    EXPERIMENT + ["--models", "perturbed", "--phis", "4,4.5", "--out", "{out}"],
+    EXPERIMENT + ["--models", "perturbed", "--phis", "inf", "--out", "{out}"],
+    ["generate", "--model", "perturbed", "--n", "3", "--m", "4", "--phi", "4.5",
+     "--out", "{out}"],
     ["generate", "--n", "3", "--m", "4", "--seed", "-1", "--out", "{out}"],
     ["generate", "--n", "3", "--m", "4", "--seed", str(2**64), "--out", "{out}"],
     ["lowerbound", "--n", "2", "--m", "3", "--phi", "64", "--seed", str(2**63),

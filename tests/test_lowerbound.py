@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
+from sspflow import lowerbound
 from sspflow import (
     BadParams,
     HardInstance,
     LowerBoundParams,
     Outcome,
+    PredictionMismatch,
     StageInstance,
     build_hard_instance,
     build_stage1,
@@ -60,7 +63,7 @@ class TestStage1:
         assert len(trace.steps) == edges
         for step in trace.steps:
             assert step.amount == 1.0
-            assert len(step.path_nodes) == 4  # s, u, w, t
+            assert len(step.path_arcs) == 3  # s-u, u-w, w-t
             assert 7.0 - 1e-9 <= step.length <= 11.0 + 1e-9
 
     def test_costs_in_declared_bands(self):
@@ -161,7 +164,6 @@ class TestFullConstruction:
     def test_reference_instance_verifies(self):
         report = verify_count(LowerBoundParams(8, 16, 64.0), seed=0)
         assert report.observed_steps == 256
-        assert report.predicted_steps == 256
         assert report.retries == 0
 
     def test_counts_match_prediction(self):
@@ -176,6 +178,19 @@ class TestFullConstruction:
     def test_small_variant(self):
         report = verify_count(LowerBoundParams(4, 4, 64.0), seed=0)
         assert report.observed_steps == 32
+
+    def test_phase_check_fires(self, monkeypatch):
+        # Steps 1-4 route forward through the core, steps 5-8 back; step 2
+        # takes step 6's arcs and keeps its own length and amount.
+        def swapped(instance, **kwargs):
+            trace = run_ssp(instance, **kwargs)
+            steps = list(trace.steps)
+            steps[1] = dataclasses.replace(steps[1], path_arcs=steps[5].path_arcs)
+            return dataclasses.replace(trace, steps=tuple(steps))
+
+        monkeypatch.setattr(lowerbound, "run_ssp", swapped)
+        with pytest.raises(PredictionMismatch, match=r"^step 2: path enters b1 "):
+            verify_count(LowerBoundParams(4, 4, 64.0), seed=0)
 
     def test_deterministic(self):
         p = LowerBoundParams(4, 4, 64.0)

@@ -33,6 +33,19 @@ from sspflow.network import empty_arcs
 from conftest import random_instance, single_edge_network, uniform_instance
 
 
+def path_nodes(inst, arcs):
+    """Nodes of the path arcs trace from the source over the raw edges
+    (arc 2e runs along edge e, arc 2e + 1 against it), checking that
+    each arc leaves the node the previous one entered."""
+    nodes = [inst.source]
+    for a in arcs:
+        edge = inst.base.edges[a >> 1]
+        tail, head = (edge.head, edge.tail) if a & 1 else (edge.tail, edge.head)
+        assert tail == nodes[-1]
+        nodes.append(head)
+    return tuple(nodes)
+
+
 class TestBasicSolves:
     def test_single_edge(self, single_edge):
         inst = transform(single_edge)
@@ -42,7 +55,7 @@ class TestBasicSolves:
         step = trace.steps[0]
         assert step.amount == 3.0
         assert step.length == 0.5
-        assert step.path_nodes == (inst.source, 0, 1, inst.sink)
+        assert path_nodes(inst, step.path_arcs) == (inst.source, 0, 1, inst.sink)
         assert trace.final_flow.values == (3.0, 3.0, 3.0)
         assert trace.final_flow.value == 3.0
 
@@ -166,9 +179,7 @@ class TestStepRecords:
         inst = transform(two_paths)
         trace = solve(inst)
         for step in trace.steps:
-            assert len(step.path_nodes) == len(step.path_arcs) + 1
-            assert step.path_nodes[0] == inst.source
-            assert step.path_nodes[-1] == inst.sink
+            assert path_nodes(inst, step.path_arcs)[-1] == inst.sink
 
 
 class TestRecordDistancesModes:
