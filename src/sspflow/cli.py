@@ -34,7 +34,7 @@ from .analysis import (
     check_reconstruction,
     harvest_reconstruction_cases,
 )
-from .errors import FlowError, ParseError, PredictionMismatch
+from .errors import FlowError, ParseError
 from .network import TransformedNetwork, as_transformed, transform
 from .solver import (
     Outcome,
@@ -164,28 +164,21 @@ def cmd_generate(args) -> int:
 def cmd_lowerbound(args) -> int:
     built = lowerbound.build_worstcase(args.n, args.m, args.phi, _seed(args.seed))
     instance = built.instance
+    full = isinstance(built, lowerbound.HardInstance)
     print(
-        f"stage={'full' if isinstance(built, lowerbound.HardInstance) else built.stage} "
+        f"stage={'full' if full else built.stage} "
         f"nodes={instance.n} edges={instance.m} z={instance.z!r} "
         f"predicted_steps={built.predicted_steps}"
     )
     if args.out:
         _write_lines(args.out, dimacs.write_instance(instance.base).splitlines())
     if args.verify:
-        if isinstance(built, lowerbound.HardInstance):
-            report = lowerbound.verify_count(built.params, args.seed)
-            print(
-                f"verified: {report.observed_steps} augmentations over "
-                f"{report.phases_checked} phases (seed {report.seed_used})"
-            )
-        else:
-            trace = run_ssp(instance, record_distances=False)
-            if len(trace.steps) != built.predicted_steps:
-                raise PredictionMismatch(
-                    f"observed {len(trace.steps)} augmentations, "
-                    f"predicted {built.predicted_steps}"
-                )
-            print(f"verified: {len(trace.steps)} augmentations")
+        trace = lowerbound.verify_count(built)
+        phases = (
+            f" over {2 * built.params.chain_length} phases (seed {args.seed})"
+            if full else ""
+        )
+        print(f"verified: {len(trace.steps)} augmentations{phases}")
     return 0
 
 

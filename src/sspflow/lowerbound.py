@@ -26,12 +26,13 @@ smoothed model at density bound phi:
   direction, for exactly m * 2^(k-1) * 2M augmentations in total.
 
 phi must be at least 64 so that k >= 1. Requests below that fall back
-to stage 1 alone (build_worstcase).
+to stage 1 alone (build_worstcase). verify_count solves what
+build_worstcase returned, once, checks it against the prediction and
+returns the trace it checked.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -41,14 +42,6 @@ from .errors import BadParams, PredictionMismatch
 from .generators import bipartite_topology
 from .network import Edge, FlowNetwork, TransformedNetwork
 from .solver import AugmentationTrace, run_ssp
-
-log = logging.getLogger(__name__)
-
-# Seed increment when a sampled instance produces an exact path-length
-# tie (probability-zero event under continuous draws; retried anyway),
-# and how many seeds verify_count tries.
-_RETRY_STRIDE = 1000003
-_MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -309,14 +302,6 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
 # ---------------------------------------------------------------------------
 # Verification
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    seed_used: int
-    observed_steps: int
-    phases_checked: int
-    retries: int
-
-
 def _phase_window(k: int, i: int, parity: int) -> tuple[float, float]:
     """Admissible path-cost window for phase i (1-based)."""
     if parity == 0:
@@ -326,50 +311,33 @@ def _phase_window(k: int, i: int, parity: int) -> tuple[float, float]:
     return 2 * beta - (2.0 ** (k + 3) - 5), 2 * beta + 2 * (i + 1) - 7
 
 
-def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
-    """Solve the constructed instance and check it behaves as predicted.
+def verify_count(built: HardInstance | StageInstance) -> AugmentationTrace:
+    """Solve a build_worstcase result once and check it behaves as predicted.
 
-    Checks, in order: exact augmentation count; unit amounts; phase
-    structure (which chain the path enters and leaves through, and the
-    direction it traverses the core); per-phase path-cost windows; and
-    strictly increasing path lengths. Any divergence raises
-    PredictionMismatch naming the first offending step. A seed that
-    happens to produce an exact path-length tie is logged and retried
-    with a shifted seed.
+    Checks the exact augmentation count. For a HardInstance it then
+    checks, step by step: unit amounts; phase structure (which chain the
+    path enters and leaves through, and the direction it traverses the
+    core); per-phase path-cost windows; and strictly increasing path
+    lengths, so an exact tie fails too. Any divergence raises
+    PredictionMismatch naming the first offending step. Returns the
+    trace it checked.
     """
-    k = params.doubling_depth
-    n_k = params.stage_max_flow(k)
-    seed_used = seed
-    retries = 0
-    hard = None
-    trace: AugmentationTrace | None = None
-    for _ in range(_MAX_ATTEMPTS):
-        hard = build_hard_instance(params, seed_used)
-        trace = run_ssp(hard.instance, record_distances=False)
-        lengths = [st.length for st in trace.steps]
-        if all(a < b for a, b in zip(lengths, lengths[1:])):
-            break
-        log.warning(
-            "seed %d produced an exact path-length tie; retrying", seed_used
-        )
-        retries += 1
-        seed_used = seed_used + _RETRY_STRIDE
-    else:
-        raise PredictionMismatch(
-            f"path-length ties persisted across {_MAX_ATTEMPTS} seeds"
-        )
-
+    trace = run_ssp(built.instance, record_distances=False)
     observed = len(trace.steps)
-    if observed != params.predicted_steps:
+    if observed != built.predicted_steps:
         raise PredictionMismatch(
-            f"observed {observed} augmentations, predicted {params.predicted_steps}; "
-            f"first divergence at step {min(observed, params.predicted_steps) + 1}"
+            f"observed {observed} augmentations, predicted {built.predicted_steps}; "
+            f"first divergence at step {min(observed, built.predicted_steps) + 1}"
         )
+    if isinstance(built, StageInstance):
+        return trace
 
-    tol = 1e-9
-    source = hard.instance.source
+    k = built.params.doubling_depth
+    n_k = built.params.stage_max_flow(k)
+    source = built.instance.source
     # Node each arc enters: arc 2e runs along edge e, arc 2e + 1 against it.
-    head = [v for e in hard.instance.base.edges for v in (e.head, e.tail)]
+    head = [v for e in built.instance.base.edges for v in (e.head, e.tail)]
+    previous = -math.inf
     for j, step in enumerate(trace.steps):
         block = j // n_k
         phase = block // 2  # 0-based
@@ -382,21 +350,21 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
         nodes = [source, *map(head.__getitem__, step.path_arcs)]
         second, penult = nodes[1], nodes[-2]
         if parity == 0:
-            want_in, want_out = hard.fan_a[phase], hard.fan_d[phase]
+            want_in, want_out = built.fan_a[phase], built.fan_d[phase]
         else:
-            want_in, want_out = hard.fan_b[phase], hard.fan_c[phase]
+            want_in, want_out = built.fan_b[phase], built.fan_c[phase]
         if second != want_in or penult != want_out:
             raise PredictionMismatch(
-                f"step {step.index}: path enters {hard.roles.get(second)} and "
-                f"leaves {hard.roles.get(penult)}, predicted "
-                f"{hard.roles.get(want_in)}/{hard.roles.get(want_out)}"
+                f"step {step.index}: path enters {built.roles.get(second)} and "
+                f"leaves {built.roles.get(penult)}, predicted "
+                f"{built.roles.get(want_in)}/{built.roles.get(want_out)}"
             )
-        if hard.core_source not in nodes or hard.core_sink not in nodes:
+        if built.core_source not in nodes or built.core_sink not in nodes:
             raise PredictionMismatch(
                 f"step {step.index}: path bypasses the core stage"
             )
-        pos_src = nodes.index(hard.core_source)
-        pos_snk = nodes.index(hard.core_sink)
+        pos_src = nodes.index(built.core_source)
+        pos_snk = nodes.index(built.core_sink)
         if parity == 0 and not pos_src < pos_snk:
             raise PredictionMismatch(
                 f"step {step.index}: core traversed backwards in a forward phase"
@@ -406,14 +374,15 @@ def verify_count(params: LowerBoundParams, seed: int) -> LowerBoundReport:
                 f"step {step.index}: core traversed forwards in a backward phase"
             )
         lo, hi = _phase_window(k, i, parity)
-        if not lo - tol <= step.length <= hi + tol:
+        if not lo <= step.length <= hi:
             raise PredictionMismatch(
                 f"step {step.index}: length {step.length} outside "
                 f"[{lo}, {hi}] for phase {i} parity {parity}"
             )
-    return LowerBoundReport(
-        seed_used=seed_used,
-        observed_steps=observed,
-        phases_checked=2 * params.chain_length,
-        retries=retries,
-    )
+        if not step.length > previous:
+            raise PredictionMismatch(
+                f"step {step.index}: length {step.length} does not exceed "
+                f"the previous step's {previous}"
+            )
+        previous = step.length
+    return trace

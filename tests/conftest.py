@@ -1,15 +1,18 @@
 """Shared fixtures and instance builders."""
 
+import dataclasses
 import math
 
 import pytest
 
+from sspflow import lowerbound
 from sspflow import (
     Edge,
     FlowNetwork,
     SmoothedCostSpec,
     adversarial_spec,
     random_topology,
+    run_ssp,
     sample_costs,
     transform,
 )
@@ -91,6 +94,18 @@ def two_paths():
 @pytest.fixture
 def profile_network():
     return profile_fixture_network()
+
+
+@pytest.fixture
+def forced_tie(monkeypatch):
+    """lowerbound.run_ssp gives step 3 the exact length of step 2."""
+    def tied(instance, **kwargs):
+        trace = run_ssp(instance, **kwargs)
+        steps = list(trace.steps)
+        steps[2] = dataclasses.replace(steps[2], length=steps[1].length)
+        return dataclasses.replace(trace, steps=tuple(steps))
+
+    monkeypatch.setattr(lowerbound, "run_ssp", tied)
 
 
 def lp_feasible_value(network):

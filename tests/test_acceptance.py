@@ -17,6 +17,7 @@ from sspflow import (
     TransformedNetwork,
     adversarial_spec,
     bipartite_topology,
+    build_hard_instance,
     build_stage1,
     check_lemmas,
     check_reconstruction,
@@ -51,8 +52,8 @@ def test_criterion_1_exponential_counts_exact():
     for side, edges, phi, want in cells:
         params = LowerBoundParams(side, edges, phi)
         for seed in range(20):
-            rep = verify_count(params, seed)
-            assert rep.observed_steps == want, (side, edges, phi, seed)
+            trace = verify_count(build_hard_instance(params, seed))
+            assert len(trace.steps) == want, (side, edges, phi, seed)
             checked += 1
     report(
         "criterion-1",

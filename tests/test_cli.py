@@ -15,9 +15,10 @@ from sspflow import (
     NoPath,
     ParseError,
     PredictionMismatch,
+    build_hard_instance,
     write_instance,
 )
-from sspflow import cli
+from sspflow import cli, lowerbound
 from sspflow.cli import main
 
 from conftest import single_edge_network, two_path_network
@@ -122,9 +123,43 @@ def test_lowerbound_verify(capsys):
         "lowerbound", "--n", "4", "--m", "4", "--phi", "64", "--seed", "0",
         "--verify",
     ]) == 0
-    out = capsys.readouterr().out
-    assert "predicted_steps=32" in out
-    assert "verified: 32 augmentations" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "stage=full nodes=28 edges=44 z=32.0 predicted_steps=32",
+        "verified: 32 augmentations over 8 phases (seed 0)",
+    ]
+
+
+def test_lowerbound_verify_stage1_fallback(capsys):
+    assert main(["lowerbound", "--n", "4", "--m", "8", "--phi", "16", "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "stage=1 nodes=10 edges=16 z=8.0 predicted_steps=8",
+        "verified: 8 augmentations",
+    ]
+
+
+def test_lowerbound_verify_builds_once(monkeypatch, capsys):
+    seeds = []
+
+    def counted(params, seed):
+        seeds.append(seed)
+        return build_hard_instance(params, seed)
+
+    monkeypatch.setattr(lowerbound, "build_hard_instance", counted)
+    assert main([
+        "lowerbound", "--n", "4", "--m", "4", "--phi", "64", "--seed", "3",
+        "--verify",
+    ]) == 0
+    assert seeds == [3]
+
+
+def test_lowerbound_tie_exit_3(forced_tie, capsys):
+    assert main([
+        "lowerbound", "--n", "4", "--m", "4", "--phi", "64",
+        "--seed", str(2**63 - 1), "--verify",
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: step 3: ")
+    assert "Traceback" not in err
 
 
 def test_lowerbound_writes_instance(tmp_path, capsys):

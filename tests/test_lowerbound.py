@@ -162,9 +162,8 @@ class TestExtension:
 
 class TestFullConstruction:
     def test_reference_instance_verifies(self):
-        report = verify_count(LowerBoundParams(8, 16, 64.0), seed=0)
-        assert report.observed_steps == 256
-        assert report.retries == 0
+        trace = verify_count(build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0))
+        assert len(trace.steps) == 256
 
     def test_counts_match_prediction(self):
         p = LowerBoundParams(8, 16, 64.0)
@@ -176,8 +175,8 @@ class TestFullConstruction:
         )
 
     def test_small_variant(self):
-        report = verify_count(LowerBoundParams(4, 4, 64.0), seed=0)
-        assert report.observed_steps == 32
+        trace = verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+        assert len(trace.steps) == 32
 
     def test_phase_check_fires(self, monkeypatch):
         # Steps 1-4 route forward through the core, steps 5-8 back; step 2
@@ -190,7 +189,11 @@ class TestFullConstruction:
 
         monkeypatch.setattr(lowerbound, "run_ssp", swapped)
         with pytest.raises(PredictionMismatch, match=r"^step 2: path enters b1 "):
-            verify_count(LowerBoundParams(4, 4, 64.0), seed=0)
+            verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+
+    def test_exact_tie_fires(self, forced_tie):
+        with pytest.raises(PredictionMismatch, match=r"^step 3: .* does not exceed"):
+            verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
 
     def test_deterministic(self):
         p = LowerBoundParams(4, 4, 64.0)
@@ -222,9 +225,8 @@ class TestLargePhi:
     )
     def test_verify_count(self, side, edges, phi):
         p = LowerBoundParams(side, edges, phi)
-        report = verify_count(p, seed=0)
-        assert report.observed_steps == p.predicted_steps
-        assert report.retries == 0
+        trace = verify_count(build_hard_instance(p, seed=0))
+        assert len(trace.steps) == p.predicted_steps
 
 
 class TestWorstcaseDispatch:

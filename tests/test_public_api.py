@@ -13,7 +13,6 @@ RETURN_TYPES = [
     ("sspflow.analysis", "GapReport"),
     ("sspflow.analysis", "LemmaCheck"),
     ("sspflow.analysis", "LemmaReport"),
-    ("sspflow.lowerbound", "LowerBoundReport"),
     ("sspflow.analysis", "ReconstructionCase"),
     ("sspflow.generators", "Topology"),
 ]
