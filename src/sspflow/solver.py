@@ -7,12 +7,17 @@ value z is reached or the sink becomes unreachable. Every intermediate
 flow is a minimum-cost flow for its value, so path lengths never
 decrease and the value-vs-cost profile is convex piecewise linear.
 
-Shortest paths run Dijkstra over reduced costs with node potentials:
-after each iteration the potential of every reachable node grows by
-its distance, which keeps all residual arc costs nonnegative (asserted
-with a 1e-9 slack, or one relative to the magnitudes involved, for
-float rounding, then clamped). Path length is reported as the
-exact-rounded sum of raw arc costs.
+Shortest paths run Dijkstra over reduced costs with node potentials.
+A solve that records no distances stops each search once the sink is
+settled; one that records them searches the whole residual network.
+After each iteration every potential grows by min(dist[v], b), where b
+is the distance of the last node settled: the sink's after a stop, the
+largest finite one after a full search. Settled nodes grow by their
+exact distance and all others by b, which is at most their tentative
+distance, so every residual arc cost stays nonnegative (asserted with a
+1e-9 slack, or one relative to the magnitudes involved, for float
+rounding, then clamped). Path length is reported as the exact-rounded
+sum of raw arc costs.
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
@@ -36,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, IterationCapExceeded
@@ -157,11 +161,18 @@ class _Engine:
 
     # -- shortest paths -----------------------------------------------------
 
-    def dijkstra_forward(self):
+    def dijkstra_forward(self, stop_at_sink: bool):
         """Reduced distances and tie keys from the source.
 
-        Returns (dist, key) lists indexed by dense node index. A label
-        is (reduced dist, hops, key), compared lexicographically; the
+        Returns (dist, key, bound): lists indexed by dense node index,
+        and the distance of the last node settled. With stop_at_sink the
+        search ends when the sink is settled, whose label is then final,
+        and bound is dist[sink]; nodes left unsettled keep tentative
+        distances of at least bound. Otherwise every reachable node is
+        settled, and bound, as nodes settle in nondecreasing distance,
+        is the largest finite distance.
+
+        A label is (reduced dist, hops, key), compared lexicographically; the
         heap holds (dist, hops, key, node). key[v] = (key[u], a) pairs
         the key of the predecessor u with the predecessor arc a, and
         key[source] = (), so following the pairs back gives the arc
@@ -188,15 +199,20 @@ class _Engine:
         key: list[tuple | None] = [None] * n
         done = [False] * n
         s = self.s
+        stop = self.t if stop_at_sink else -1
         dist[s] = 0.0
         key[s] = ()
         heap: list = [(0.0, 0, (), s)]
+        bound = 0.0
         while heap:
             # Labels only ever decrease, so the first entry popped for a
             # node carries its current label; later ones are stale.
             du, hu, ku, u = heappop(heap)
             if done[u]:
                 continue
+            bound = du
+            if u == stop:
+                break
             done[u] = True
             if not hu % KEY_FLATTEN_DEPTH:
                 ku = self.path_arcs(ku)
@@ -221,7 +237,7 @@ class _Engine:
                 hops[v] = hv
                 key[v] = kv
                 heappush(heap, (cand, hv, kv, v))
-        return dist, key
+        return dist, key, bound
 
     def dijkstra_reverse(self):
         """Reduced distances to the sink (reverse graph, no tie keys)."""
@@ -266,17 +282,21 @@ class _Engine:
             for i in range(self.n)
         }
 
-    def update_potentials(self, dist_red: Sequence[float]) -> None:
-        # Unreachable nodes get the largest finite shift. Any residual arc
-        # leaving such a node enters the reachable set, so its reduced cost
-        # moves by (shift - dist_red[head]) >= 0 and stays nonnegative;
-        # arcs between unreachable nodes shift by equal amounts on both
-        # ends. Without this, stale potentials on unreachable nodes can
-        # turn negative in the reverse-direction search.
-        if INF in dist_red:
-            shift = max(filter(INF.__gt__, dist_red))
-            dist_red = [d if d < INF else shift for d in dist_red]
-        self.pi = list(map(add, self.pi, dist_red))
+    def update_potentials(self, dist_red: Sequence[float], bound: float) -> None:
+        """Raise pi[v] by min(dist_red[v], bound), in one pass.
+
+        bound is dijkstra_forward's: every settled node has distance at
+        most bound, and every other node a tentative distance of at least
+        bound, or none. Settled nodes move by their distance, as usual.
+        A residual arc from a settled u to an unsettled v relaxed v to at
+        most dist_red[u] + rc, so its reduced cost rc moves by
+        dist_red[u] - bound >= -rc; an arc leaving an unsettled node
+        moves by bound - min(...) >= 0. So every reduced cost stays
+        nonnegative. Unreachable nodes rise by bound too: left behind,
+        their stale potentials could turn reduced costs negative in the
+        reverse-direction search.
+        """
+        self.pi = [p + (d if d < bound else bound) for p, d in zip(self.pi, dist_red)]
 
     # -- augmentation ---------------------------------------------------------
 
@@ -360,7 +380,12 @@ def run_ssp(
     initial_dist = initial_dist_to = None
 
     while True:
-        dist, key = eng.dijkstra_forward()
+        # Without distances to record, nothing reads a search once z is
+        # reached, nor a node's label once the sink's is final.
+        if not record_distances and eng.value == z:
+            outcome = Outcome.REACHED_Z
+            break
+        dist, key, bound = eng.dijkstra_forward(not record_distances)
         if record_distances:
             d_act = eng.actual_distances(dist)
             dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
@@ -370,9 +395,9 @@ def run_ssp(
                 )
             else:
                 initial_dist, initial_dist_to = d_act, dp_act
-        if eng.value == z:
-            outcome = Outcome.REACHED_Z
-            break
+            if eng.value == z:
+                outcome = Outcome.REACHED_Z
+                break
         if dist[eng.t] == INF:
             outcome = Outcome.MAX_FLOW_BELOW_Z
             break
@@ -388,7 +413,7 @@ def run_ssp(
         eng.augment(arcs, length, z)
         if retain_flows:
             flows.append(eng.snapshot())
-        eng.update_potentials(dist)
+        eng.update_potentials(dist, bound)
 
     return AugmentationTrace(
         instance=instance,

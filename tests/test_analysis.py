@@ -68,21 +68,24 @@ class TestReferenceSolve:
     def test_agrees_with_production_solver(self):
         for seed in range(25):
             inst = uniform_instance(seed, n=6, m=10)
-            a = solve(inst)
             b = reference_solve(inst)
-            assert a.outcome == b.outcome, seed
-            assert len(a.steps) == len(b.steps), seed
-            for x, y in zip(a.steps, b.steps):
-                for name in (
-                    "path_arcs",
-                    "saturated_arcs",
-                    "good_arcs",
-                    "flow_value_after",
-                    "amount",
-                    "length",
-                ):
-                    assert getattr(x, name) == getattr(y, name), (seed, x.index, name)
-            assert a.final_flow == b.final_flow, seed
+            for record in (True, False):
+                a = solve(inst, record_distances=record)
+                assert a.outcome == b.outcome, seed
+                assert len(a.steps) == len(b.steps), seed
+                for x, y in zip(a.steps, b.steps):
+                    for name in (
+                        "path_arcs",
+                        "saturated_arcs",
+                        "good_arcs",
+                        "flow_value_after",
+                        "amount",
+                        "length",
+                    ):
+                        assert getattr(x, name) == getattr(y, name), (
+                            seed, record, x.index, name
+                        )
+                assert a.final_flow == b.final_flow, seed
 
     def test_intermediate_flows_unique(self):
         # a fresh solve to any step boundary value reproduces the

@@ -9,20 +9,28 @@ from sspflow import (
     FlowNetwork,
     InternalInvariantError,
     IterationCapExceeded,
+    LowerBoundParams,
     Outcome,
+    adversarial_spec,
     as_transformed,
+    build_hard_instance,
     cost_function,
     cost_function_from_steps,
     max_flow_value,
+    perturbed_integer,
+    random_topology,
     reference_solve,
     run_ssp,
+    sample_costs,
     solve,
     transform,
 )
 from sspflow.solver import (
     COSTFN_CSV_HEADER,
     KEY_FLATTEN_DEPTH,
+    REDUCED_COST_SLACK,
     TRACE_CSV_HEADER,
+    _Engine,
     _check_reduced_cost,
     cost_function_csv_rows,
     trace_csv_rows,
@@ -190,21 +198,49 @@ class TestRecordDistancesModes:
         random_instance(seed, n=6, m=11, capacities="real") for seed in range(25)
     ]
 
+    @staticmethod
+    def assert_modes_agree(inst):
+        on = run_ssp(inst, record_distances=True)
+        off = run_ssp(inst, record_distances=False)
+        assert all(
+            step.distances_from_s is not None and step.distances_to_t is not None
+            for step in on.steps
+        )
+        blanked = tuple(
+            replace(step, distances_from_s=None, distances_to_t=None)
+            for step in on.steps
+        )
+        assert blanked == off.steps
+        assert on.outcome == off.outcome
+        assert on.final_flow == off.final_flow
+
     def test_same_steps_with_and_without_distances(self):
         for inst in self.INSTANCES:
-            on = run_ssp(inst, record_distances=True)
-            off = run_ssp(inst, record_distances=False)
-            assert all(
-                step.distances_from_s is not None and step.distances_to_t is not None
-                for step in on.steps
-            )
-            blanked = tuple(
-                replace(step, distances_from_s=None, distances_to_t=None)
-                for step in on.steps
-            )
-            assert blanked == off.steps
-            assert on.outcome == off.outcome
-            assert on.final_flow == off.final_flow
+            self.assert_modes_agree(inst)
+
+    # Without distances the forward search stops at the sink, so the
+    # modes run different potentials: large ones, exact ties and the
+    # instance families the CLI solves must still give the same steps.
+
+    @pytest.mark.parametrize("side, edges, phi", [(8, 16, 256.0), (4, 4, 8192.0)])
+    def test_same_steps_on_hard_instances(self, side, edges, phi):
+        built = build_hard_instance(LowerBoundParams(side, edges, phi), seed=0)
+        self.assert_modes_agree(built.instance)
+
+    @pytest.mark.parametrize("model", ["smoothed", "perturbed"])
+    @pytest.mark.parametrize("shape", ["erdos", "layered"])
+    def test_same_steps_on_experiment_instances(self, model, shape):
+        for seed in range(4):
+            topo = random_topology(30, 150, shape, seed)
+            if model == "perturbed":
+                net, _scale = perturbed_integer(topo, 16, seed)
+            else:
+                net = sample_costs(topo, adversarial_spec(topo, 16.0), seed)
+            self.assert_modes_agree(transform(net))
+
+    def test_same_steps_on_tie_grids(self):
+        for shape in GRID_GOLDEN:
+            self.assert_modes_agree(grid_instance(*shape))
 
     def test_indices_count_from_one(self):
         for inst in self.INSTANCES:
@@ -230,6 +266,54 @@ class TestRecordDistancesModes:
             assert trace.steps[-1].distances_to_t is not None
             stopped += 1
         assert stopped > 25
+
+    def test_no_search_after_reaching_z(self, monkeypatch):
+        calls = []
+        search = _Engine.dijkstra_forward
+
+        def counted(self, *args):
+            calls.append(None)
+            return search(self, *args)
+
+        monkeypatch.setattr(_Engine, "dijkstra_forward", counted)
+        reached = 0
+        for inst in self.INSTANCES:
+            for record, extra in ((False, 0), (True, 1)):
+                calls.clear()
+                trace = run_ssp(inst, record_distances=record)
+                if trace.outcome is not Outcome.REACHED_Z:
+                    continue
+                # with distances on, the last search records the last
+                # step's distances
+                assert len(calls) == len(trace.steps) + extra
+                reached += 1
+        assert reached > 20
+
+
+class TestPotentialUpdate:
+    def test_reduced_costs_nonnegative_after_sink_stop(self):
+        steps = cut_short = 0
+        for seed in range(100):
+            capacities = "real" if seed % 2 else "int"
+            inst = random_instance(seed, n=10, m=30, capacities=capacities)
+            eng = _Engine(inst)
+            while eng.value < inst.z:
+                dist, key, bound = eng.dijkstra_forward(True)
+                if dist[eng.t] == math.inf:
+                    break
+                cut_short += any(d > bound for d in dist)
+                arcs = eng.path_arcs(key[eng.t])
+                eng.augment(arcs, eng.path_length(arcs), inst.z)
+                eng.update_potentials(dist, bound)
+                pi = eng.pi
+                for u, adj in enumerate(eng.out_adj):
+                    for a, v, c in adj:
+                        if eng.res[a] > 0.0:
+                            rc = (c + pi[u]) - pi[v]
+                            assert rc >= -REDUCED_COST_SLACK, (seed, len(eng.steps), a)
+                steps += 1
+        # most searches stop with nodes left unsettled
+        assert steps > 300 and cut_short > steps // 2
 
 
 class TestDeterminism:
@@ -379,9 +463,10 @@ class TestTieBreaks:
     @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
     def test_grid_golden(self, shape):
         inst = grid_instance(*shape)
-        trace = solve(inst)
-        assert trace.outcome is Outcome.REACHED_Z
-        assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
+        for record in (True, False):
+            trace = solve(inst, record_distances=record)
+            assert trace.outcome is Outcome.REACHED_Z
+            assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
         ref = reference_solve(inst)
         assert tuple(s.path_arcs for s in ref.steps) == GRID_GOLDEN[shape]
 
