@@ -290,6 +290,9 @@ def sample_costs(
     topology: Topology, spec: SmoothedCostSpec, seed: int
 ) -> FlowNetwork:
     """Realize a topology into a network by drawing every edge cost."""
+    stray = sorted(e for e in spec.intervals if not 0 <= e < topology.m)
+    if stray:
+        raise InvalidInterval(f"interval for edge {stray[0]}: no such edge in 0..{topology.m - 1}")
     draws = _rng.randoms(seed, _rng.COSTS, 0, topology.m)
     edges = []
     for e, ((tail, head, cap), u) in enumerate(zip(topology.edges, draws)):
@@ -324,9 +327,10 @@ def adversarial_spec(topology: Topology, phi: float) -> SmoothedCostSpec:
 # Perturbed-integer model
 
 def assign_integer_costs(topology: Topology, c_bound: int, seed: int) -> tuple[int, ...]:
-    """Adversarial stand-in: keyed uniform integers in {1..C}, per edge."""
-    if c_bound < 1:
-        raise InvalidInterval(f"integer cost bound must be >= 1, got {c_bound}")
+    """Adversarial stand-in: keyed uniform integers in {1..C}, per edge;
+    numpy draws them as int64, so C must lie in [1, 2^63 - 1]."""
+    if not 1 <= c_bound < 1 << 63:
+        raise InvalidInterval(f"integer cost bound must lie in [1, 2^63 - 1], got {c_bound}")
     return tuple(_rng.integers(seed, _rng.INT_COSTS, topology.m, c_bound))
 
 

@@ -25,6 +25,11 @@ smoothed model at density bound phi:
   solver replays the stage-k doubling pattern 2M times, alternating
   direction, for exactly m * 2^(k-1) * 2M augmentations in total.
 
+The tower is one edge list. Stage i's edges are the first ones of
+stage i + 1's and costs are keyed by (seed, edge index), so one draw
+over the whole list costs every stage, and each stage, or the full
+instance, is one network over a prefix of it.
+
 phi must be at least 64 so that k >= 1. Requests below that fall back
 to stage 1 alone (build_worstcase). verify_count solves what
 build_worstcase returned, once, checks it against the prediction and
@@ -34,7 +39,7 @@ returns the trace it checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import _rng
@@ -101,9 +106,12 @@ class StageInstance:
 
     instance: TransformedNetwork
     stage: int
-    seed: int
     roles: Mapping[int, str]
-    predicted_steps: int
+
+    @property
+    def predicted_steps(self) -> int:
+        """2^(stage-1) * edges: the stage's flow value z, one unit per step."""
+        return int(self.instance.z)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,6 @@ class HardInstance:
     instance: TransformedNetwork
     params: LowerBoundParams
     roles: Mapping[int, str]
-    predicted_steps: int
     core_source: int  # deepest stage's source
     core_sink: int
     fan_a: tuple[int, ...]
@@ -121,84 +128,77 @@ class HardInstance:
     fan_c: tuple[int, ...]
     fan_d: tuple[int, ...]
 
+    @property
+    def predicted_steps(self) -> int:
+        return self.params.predicted_steps
 
-def _costed(seed: int, start: int, rows) -> list[Edge]:
-    """Edges for (tail, head, capacity, lo, hi) rows that take the edge
-    indices start, start + 1, ...; each cost is drawn from [lo, hi)."""
-    draws = _rng.randoms(seed, _rng.COSTS, start, start + len(rows))
+
+def _tower(side: int, edges: int, stages: int):
+    """Rows (tail, head, capacity, lo, hi) of stages 1..stages in edge
+    index order, the role of each node (node v is names[v]) and each
+    stage's (source, sink, edge count): stage i is the first count rows.
+    """
+    topo = bipartite_topology(side, edges)
+    rows = [
+        (a, b, cap, *((7.0, 9.0) if e < edges else (0.0, 1.0)))
+        for e, (a, b, cap) in enumerate(topo.edges)
+    ]
+    names = ["s1", *(f"u{i + 1}" for i in range(side)),
+             *(f"w{j + 1}" for j in range(side)), "t1"]
+    ends = [(0, len(names) - 1, len(rows))]
+    for i in range(1, stages):
+        src, snk, _ = ends[-1]
+        s_new, t_new = len(names), len(names) + 1
+        cap = float(2 ** (i - 1) * edges)
+        lo, hi = 2.0 ** (i + 3) - 1.0, 2.0 ** (i + 3) + 1.0
+        rows += [
+            (s_new, src, cap, 0.0, 1.0),
+            (snk, t_new, cap, 0.0, 1.0),
+            (s_new, snk, cap, lo, hi),
+            (src, t_new, cap, lo, hi),
+        ]
+        names += [f"s{i + 1}", f"t{i + 1}"]
+        ends.append((s_new, t_new, len(rows)))
+    return rows, names, ends
+
+
+def _costed(seed: int, rows) -> list[Edge]:
+    """Edges for rows that take the edge indices 0, 1, ...; each cost is
+    drawn from [lo, hi) in one keyed draw."""
+    draws = _rng.randoms(seed, _rng.COSTS, 0, len(rows))
     return [
         Edge(tail, head, cap, lo + (hi - lo) * u)
         for (tail, head, cap, lo, hi), u in zip(rows, draws)
     ]
 
 
-def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
-    """The bipartite seed gadget; exactly `edges` augmentations.
-
-    The skeleton is generators.bipartite_topology(side, edges): the
-    `edges` slot edges come first and cost [7, 9], the fans [0, 1].
-    """
-    if side < 1 or not side <= edges <= side**2:
-        raise BadParams(f"need side <= edges <= side^2, got {side}, {edges}")
-    topo = bipartite_topology(side, edges)
-    edge_list = _costed(seed, 0, [
-        (a, b, cap, *((7.0, 9.0) if e < edges else (0.0, 1.0)))
-        for e, (a, b, cap) in enumerate(topo.edges)
-    ])
-    net = FlowNetwork(edge_list, topo.balance, topo.nodes, cost_bound=2.0**5)
-    s, *tiers, t = topo.nodes
-    roles = {s: "s1", t: "t1"}
-    roles.update({v: f"u{i + 1}" for i, v in enumerate(tiers[:side])})
-    roles.update({v: f"w{j + 1}" for j, v in enumerate(tiers[side:])})
-    return StageInstance(
-        instance=TransformedNetwork(net, s, t, float(edges)),
-        stage=1,
-        seed=seed,
-        roles=roles,
-        predicted_steps=edges,
-    )
-
-
-def extend_stage(stage: StageInstance) -> StageInstance:
-    """Wrap a stage with a feed/bypass gadget, doubling its step count."""
-    i = stage.stage
-    inner = stage.instance
-    net = inner.base
-    cap = float(stage.predicted_steps)  # == inner max flow N_i
-    s_new = max(net.nodes) + 1
-    t_new = s_new + 1
-    lo, hi = 2.0 ** (i + 3) - 1.0, 2.0 ** (i + 3) + 1.0
-    edge_list = list(net.edges) + _costed(stage.seed, len(net.edges), [
-        (s_new, inner.source, cap, 0.0, 1.0),
-        (inner.sink, t_new, cap, 0.0, 1.0),
-        (s_new, inner.sink, cap, lo, hi),
-        (inner.source, t_new, cap, lo, hi),
-    ])
-    z = 2.0 * cap
-    new_net = FlowNetwork(
-        edge_list,
-        {s_new: z, t_new: -z},
-        list(net.nodes) + [s_new, t_new],
-        cost_bound=2.0 ** (i + 5),
-    )
-    roles = dict(stage.roles)
-    roles[s_new] = f"s{i + 1}"
-    roles[t_new] = f"t{i + 1}"
-    return StageInstance(
-        instance=TransformedNetwork(new_net, s_new, t_new, z),
-        stage=i + 1,
-        seed=stage.seed,
-        roles=roles,
-        predicted_steps=2 * stage.predicted_steps,
-    )
+def _stages(side: int, edges: int, stages: int, seed: int,
+            phi: float = math.inf) -> list[StageInstance]:
+    """Stages 1..stages; stage i's cost bound is min(phi, 2^(i+4))."""
+    rows, names, ends = _tower(side, edges, stages)
+    edge_list = _costed(seed, rows)
+    out = []
+    for i, (s, t, count) in enumerate(ends, start=1):
+        z = float(2 ** (i - 1) * edges)
+        net = FlowNetwork(edge_list[:count], {s: z, t: -z}, range(t + 1),
+                          cost_bound=min(phi, 2.0 ** (i + 4)))
+        out.append(StageInstance(
+            instance=TransformedNetwork(net, s, t, z),
+            stage=i,
+            roles=dict(enumerate(names[:t + 1])),
+        ))
+    return out
 
 
 def stage_sequence(side: int, edges: int, stages: int, seed: int) -> list[StageInstance]:
-    """Stages 1..stages built over one seed."""
-    out = [build_stage1(side, edges, seed)]
-    for _ in range(stages - 1):
-        out.append(extend_stage(out[-1]))
-    return out
+    """Stages 1..stages built over one seed; stage i + 1 wraps stage i
+    and doubles its step count to 2^i * edges."""
+    return _stages(side, edges, stages, seed)
+
+
+def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
+    """The bipartite seed gadget; exactly `edges` augmentations."""
+    return _stages(side, edges, 1, seed)[0]
 
 
 def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
@@ -206,24 +206,20 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
     k = params.doubling_depth
     m_count = params.chain_length
     n_k = params.stage_max_flow(k)
-    stage = stage_sequence(params.side, params.edges, k, seed)[-1]
-    core = stage.instance
-    net = core.base
+    rows, names, ends = _tower(params.side, params.edges, k)
+    core_source, core_sink, _ = ends[-1]
 
-    next_id = max(net.nodes) + 1
-    chain_a = tuple(range(next_id, next_id + m_count))
-    chain_b = tuple(range(next_id + m_count, next_id + 2 * m_count))
-    chain_c = tuple(range(next_id + 2 * m_count, next_id + 3 * m_count))
-    chain_d = tuple(range(next_id + 3 * m_count, next_id + 4 * m_count))
-    s = next_id + 4 * m_count
+    chain_a, chain_b, chain_c, chain_d = (
+        tuple(range(len(names) + j * m_count, len(names) + (j + 1) * m_count))
+        for j in range(4)
+    )
+    s = chain_d[-1] + 1
     t = s + 1
 
     inf_cap = 4.0 * m_count * n_k + 1.0
     fan_cap = float(n_k)
     far = (2.0 ** (k + 5) - 1.0, 2.0 ** (k + 5))
     near = (2.0 ** (k + 4) - 1.0, 2.0 ** (k + 4))
-
-    rows = []
 
     def add(tail, head, capacity, band, inward):
         if not inward:
@@ -233,22 +229,23 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
     # (chain, walks towards the core, core end, link band). Inward chains
     # A and B walk down x_i -> ... -> x_1 -> core end, fed from s; outward
     # chains C and D walk up core end -> x_1 -> ... -> x_i, drained into t.
-    for chain, inward, end, link_band in (
-        (chain_a, True, core.source, near),
-        (chain_b, True, core.sink, far),
-        (chain_c, False, core.source, far),
-        (chain_d, False, core.sink, near),
+    for label, chain, inward, end, link_band in (
+        ("a", chain_a, True, core_source, near),
+        ("b", chain_b, True, core_sink, far),
+        ("c", chain_c, False, core_source, far),
+        ("d", chain_d, False, core_sink, near),
     ):
         for i in range(1, m_count):
             add(chain[i], chain[i - 1], inf_cap, far, inward)
         for v in chain:
             add(s if inward else t, v, fan_cap, (0.0, 1.0), inward)
         add(chain[0], end, inf_cap, link_band, inward)
-    edge_list = list(net.edges) + _costed(seed, len(net.edges), rows)
+        names += [f"{label}{i + 1}" for i in range(m_count)]
+    names += ["s", "t"]
 
     z = 2.0 * m_count * n_k
-    nodes = list(net.nodes) + list(chain_a + chain_b + chain_c + chain_d) + [s, t]
-    full = FlowNetwork(edge_list, {s: z, t: -z}, nodes, cost_bound=params.phi)
+    full = FlowNetwork(_costed(seed, rows), {s: z, t: -z}, range(t + 1),
+                       cost_bound=params.phi)
     instance = TransformedNetwork(full, s, t, z)
 
     if instance.n != params.predicted_nodes or instance.m != params.predicted_edges:
@@ -256,20 +253,12 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
             f"construction size {instance.n}/{instance.m} differs from "
             f"predicted {params.predicted_nodes}/{params.predicted_edges}"
         )
-
-    roles = dict(stage.roles)
-    roles[s] = "s"
-    roles[t] = "t"
-    for label, chain in (("a", chain_a), ("b", chain_b), ("c", chain_c), ("d", chain_d)):
-        for i, v in enumerate(chain):
-            roles[v] = f"{label}{i + 1}"
     return HardInstance(
         instance=instance,
         params=params,
-        roles=roles,
-        predicted_steps=params.predicted_steps,
-        core_source=core.source,
-        core_sink=core.sink,
+        roles=dict(enumerate(names)),
+        core_source=core_source,
+        core_sink=core_sink,
         fan_a=chain_a,
         fan_b=chain_b,
         fan_c=chain_c,
@@ -280,9 +269,9 @@ def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:
 def build_worstcase(side: int, edges: int, phi: float, seed: int):
     """HardInstance when phi permits (>= 64), stage 1 alone otherwise.
 
-    The fallback re-declares the seed gadget's cost bound as phi so the
-    result stays inside the requested density class; gadget costs reach
-    11, so phi below 12 leaves no room for it.
+    The fallback declares the seed gadget's cost bound as min(phi, 32)
+    so the result stays inside the requested density class; gadget
+    costs reach 11, so phi below 12 leaves no room for it.
     """
     if phi >= 64.0:
         return build_hard_instance(LowerBoundParams(side, edges, phi), seed)
@@ -290,13 +279,7 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
         raise BadParams(
             f"no worst-case family below density bound 12, got {phi}"
         )
-    stage = build_stage1(side, edges, seed)
-    base = stage.instance.base
-    bound = min(phi, base.cost_bound)
-    if bound == base.cost_bound:
-        return stage
-    rebased = FlowNetwork(base.edges, dict(base.balance), base.nodes, bound)
-    return replace(stage, instance=replace(stage.instance, base=rebased))
+    return _stages(side, edges, 1, seed, phi)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,20 @@ def test_generate_with_cost_spec(tmp_path):
     assert all(0.0 <= e.cost <= 0.1 for e in net.edges)
 
 
+@pytest.mark.parametrize("edge", ["99", "-1", "13"])
+def test_generate_cost_spec_unknown_edge_exit_1(edge, tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"phi 2.0\ninterval {edge} 0 0.6\n")
+    out = tmp_path / "inst.dimacs"
+    assert main([
+        "generate", "--n", "4", "--m", "5", "--cost-spec", str(spec),
+        "--out", str(out),
+    ]) == 1  # the 4-by-5 bipartite topology has edges 0..12
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: interval for edge {edge}:")
+    assert not out.exists()
+
+
 def test_generate_bad_shape_params_exit_1(capsys):
     assert main([
         "generate", "--model", "smoothed", "--shape", "erdos",
@@ -248,6 +262,11 @@ EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials",
     ["generate", "--n", "3", "--m", "4", "--seed", str(2**64), "--out", "{out}"],
     ["lowerbound", "--n", "2", "--m", "3", "--phi", "64", "--seed", str(2**63),
      "--out", "{out}"],
+    # perturbed cost bounds C past 2^63 - 1, which numpy cannot draw
+    ["generate", "--model", "perturbed", "--n", "4", "--m", "5", "--phi", "1e19",
+     "--out", "{out}"],
+    ["experiment", "--models", "perturbed", "--ns", "4", "--ms", "6",
+     "--phis", "9223372036854775808", "--trials", "1", "--out", "{out}"],
 ])
 def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     out = tmp_path / "rows.csv"

@@ -196,6 +196,14 @@ class TestSampling:
             if e != 2:
                 assert base.edges[e].cost == tweaked.edges[e].cost
 
+    @pytest.mark.parametrize("edge", [16, 99, -1])
+    def test_interval_for_missing_edge(self, edge):
+        topo = bipartite_topology(4, 8)  # edges 0..15
+        sample_costs(topo, SmoothedCostSpec(2.0, intervals={15: (0.0, 0.6)}), 0)
+        spec = SmoothedCostSpec(2.0, intervals={edge: (0.0, 0.6)})
+        with pytest.raises(InvalidInterval, match=f"^interval for edge {edge}:"):
+            sample_costs(topo, spec, seed=0)
+
     def test_uniformity_three_sigma(self):
         # mean of 1e5 uniform draws on [0,1]: sigma = 1/sqrt(12e5)
         k = 100_000
@@ -315,6 +323,13 @@ class TestPerturbedInteger:
         assert all(1 <= k <= 4 for k in ints)
         with pytest.raises(InvalidInterval):
             assign_integer_costs(topo, 0, seed=0)
+
+    def test_integer_cost_bound_up_to_int64(self):
+        topo = erdos_topology(7, 12, seed=0)
+        ints = assign_integer_costs(topo, 2**63 - 1, seed=0)
+        assert all(1 <= k < 2**63 for k in ints)
+        with pytest.raises(InvalidInterval, match=r"\[1, 2\^63 - 1\]"):
+            assign_integer_costs(topo, 2**63, seed=0)
 
     def test_effective_phi(self):
         assert effective_phi("perturbed", 5.0) == 3.0

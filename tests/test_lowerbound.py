@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
 
-from sspflow import lowerbound
+from sspflow import _rng, lowerbound, network
 from sspflow import (
     BadParams,
     HardInstance,
@@ -17,6 +18,7 @@ from sspflow import (
     run_ssp,
     stage_sequence,
     verify_count,
+    write_instance,
 )
 
 
@@ -215,6 +217,23 @@ class TestFullConstruction:
         assert hard.core_source not in all_fans
         assert hard.core_sink not in all_fans
 
+    def test_one_draw_one_network(self, monkeypatch):
+        calls = {"draws": 0, "networks": 0}
+        randoms, flow_network = _rng.randoms, network.FlowNetwork
+
+        def counted_randoms(*args):
+            calls["draws"] += 1
+            return randoms(*args)
+
+        def counted_network(*args, **kwargs):
+            calls["networks"] += 1
+            return flow_network(*args, **kwargs)
+
+        monkeypatch.setattr(_rng, "randoms", counted_randoms)
+        monkeypatch.setattr(lowerbound, "FlowNetwork", counted_network)
+        build_hard_instance(LowerBoundParams(8, 16, 4096.0), 0)
+        assert calls == {"draws": 1, "networks": 1}
+
 
 class TestLargePhi:
     """Potentials reach about 2^(k+5) times the chain length here, so
@@ -250,3 +269,55 @@ class TestWorstcaseDispatch:
     def test_fallback_needs_density_headroom(self):
         with pytest.raises(BadParams):
             build_worstcase(4, 8, 2.0, seed=0)
+
+
+def family_digest(built) -> str:
+    """sha256 of the DIMACS text plus every stored fact of a build."""
+    inst = built.instance
+    facts = [sorted(built.roles.items()), inst.source, inst.sink, inst.z,
+             built.predicted_steps]
+    if isinstance(built, HardInstance):
+        facts += [built.fan_a, built.fan_b, built.fan_c, built.fan_d,
+                  built.core_source, built.core_sink]
+    else:
+        facts.append(built.stage)
+    text = write_instance(inst.base) + repr(facts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFamilyGolden:
+    """Digests recorded before the family was built from one edge list."""
+
+    HARD = {
+        ((4, 4, 64.0), 0): "7005be869e2cf72cd693a3098e3a276d2b022a40e52309160326efe724fabf36",
+        ((4, 4, 64.0), 3): "a52a5250a419140f4181d63eb8d5c346e110494ed00ca24e43e7ef3fda7c25de",
+        ((8, 16, 64.0), 0): "30096133b6335f6ba8902f9491b9257fa6729915ca5842fe2030b95c236aa223",
+        ((8, 16, 64.0), 3): "1103bc001117c3328f4f141d93c388eae638997d08da96c01b524ade4adeafbc",
+        ((8, 16, 4096.0), 0): "22b81c69475c38cf73e2d6ab4f232a8050749eb23cba5f01124661940e3b5441",
+        ((8, 16, 4096.0), 3): "872194860e3d78df1de9fd57a5c6a834d7d76388fe828789a80f8fc6f913249c",
+    }
+    STAGES = [
+        "fc2b78f22d8ac4fddc78c049d5345f11affe863a2c5cb282a57911a1d3977d64",
+        "866406468f8478d2cbe2ec8f6474e50601f768242aa21e2c16505c666c3b7230",
+        "595677d0240759f084619abfca4e5b9e9a233a958a0875d863033dc0fe1bd29f",
+        "462d0e52302d126036c2f84e7776a4bd51144229dd4a4e2e30689906f6b93507",
+        "faac0277ec7a5b2fa394d9396335e422f3f134286f322b09ab02f1abc548b9b5",
+    ]
+    WORSTCASE = {
+        12.0: "1fec6f0a5f423e68e85f0ec62b0974ad9ccb1c9e3eefeb0d852c72c23e2cb5cc",
+        16.0: "ef354f1068d97b777566093747039f73dd5c776ab8afd0093297b1220c7758d3",
+        40.0: "fc2b78f22d8ac4fddc78c049d5345f11affe863a2c5cb282a57911a1d3977d64",
+    }
+
+    @pytest.mark.parametrize("params, seed", sorted(HARD))
+    def test_hard_instance(self, params, seed):
+        built = build_hard_instance(LowerBoundParams(*params), seed)
+        assert family_digest(built) == self.HARD[params, seed]
+
+    def test_stage_sequence(self):
+        assert [family_digest(s) for s in stage_sequence(4, 8, 5, 0)] == self.STAGES
+
+    @pytest.mark.parametrize("phi", sorted(WORSTCASE))
+    def test_worstcase_fallback(self, phi):
+        assert family_digest(build_worstcase(4, 8, phi, 0)) == self.WORSTCASE[phi]
+
