@@ -7,6 +7,13 @@ compares them against what the production solver reports:
   algorithm, no potentials, no Dijkstra, same tie-break rule; only its
   path search is its own.
 * verify_optimality: negative-cycle test over the residual network.
+  The distances from the source recorded on the flow certify it in one
+  pass: they must be feasible potentials, within the cycle slack, on
+  every residual arc that leaves a labelled node. A cycle then cannot
+  pass from a labelled node to an unlabelled one, costs at least -slack
+  per arc among labelled nodes, and among unlabelled nodes is left to
+  Bellman-Ford. A rejected arc, or no distances, falls back to a full
+  Bellman-Ford.
 * check_lemmas: executable structural properties of a solver trace
   (monotone distances, nondecreasing path lengths, convex profile,
   empty arcs on every path, the bad-step bound, per-step optimality,
@@ -21,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     AuxiliaryArc,
+    InfeasibleFlow,
     InternalInvariantError,
     LemmaViolation,
     NoPath,
@@ -172,11 +180,73 @@ def _relax(dist: dict, arcs, slack: float) -> bool:
     return False
 
 
-def verify_optimality(instance: TransformedNetwork, flow: Flow) -> bool:
-    """True iff the residual network has no negative-cost cycle."""
+def verify_optimality(
+    instance: TransformedNetwork,
+    flow: Flow,
+    dist: Mapping[int, float] | None = None,
+) -> bool:
+    """True iff the residual network has no negative-cost cycle.
+
+    dist, when given, holds distances from the source recorded on this
+    flow (math.inf for a node without a label). They are checked as a
+    certificate in one pass over the edges: every present arc u -> v of
+    cost c with a finite d[u] must satisfy d[u] + c >= d[v] - slack,
+    the inequality and slack of _relax. Bellman-Ford then runs only on
+    the arcs whose two ends are unlabelled. A negative cycle is found
+    whatever dist holds:
+
+    * a cycle through labelled and unlabelled nodes has an arc from a
+      labelled node to an unlabelled one, which fails the check;
+    * a cycle through labelled nodes only costs the sum of its arcs'
+      d[u] + c - d[v] (the labels telescope), each at least -slack;
+    * a cycle through unlabelled nodes only is Bellman-Ford's.
+
+    When any arc fails, a node's label is missing or is neither finite
+    nor math.inf, or dist is None, the verdict is a full Bellman-Ford
+    over the residual arcs, so it never rests on trusting dist. A flow
+    with other than m values raises InfeasibleFlow.
+    """
     net = instance.base
-    dist = dict.fromkeys(net.nodes, 0.0)
-    return _relax(dist, residual_arcs(net, flow.values), _CYCLE_SLACK)
+    values = flow.values
+    if len(values) != net.m:
+        raise InfeasibleFlow(f"expected {net.m} edge values, got {len(values)}")
+    if dist is not None:
+        free = _unlabelled_arcs(net, values, dist)
+        if free is not None:
+            labels = {}
+            for _, u, v, _ in free:
+                labels[u] = labels[v] = 0.0
+            return _relax(labels, free, _CYCLE_SLACK)
+    return _relax(
+        dict.fromkeys(net.nodes, 0.0), residual_arcs(net, values), _CYCLE_SLACK
+    )
+
+
+def _unlabelled_arcs(net, values, dist) -> list[tuple] | None:
+    """The residual arcs between unlabelled nodes, in arc order, or None
+    when dist is no certificate for the rest (see verify_optimality)."""
+    for w in net.nodes:
+        x = dist.get(w, math.nan)
+        if x != INF and not math.isfinite(x):
+            return None
+    slack = _CYCLE_SLACK
+    free = []
+    for e, (edge, x) in enumerate(zip(net.edges, values)):
+        u, v, c = edge.tail, edge.head, edge.cost
+        du, dv = dist[u], dist[v]
+        if x < edge.capacity:
+            if du < INF:
+                if du + c < dv - slack:
+                    return None
+            elif dv == INF:
+                free.append((2 * e, u, v, c))
+        if x > 0.0:
+            if dv < INF:
+                if dv - c < du - slack:
+                    return None
+            elif du == INF:
+                free.append((2 * e + 1, v, u, -c))
+    return free
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +409,11 @@ def _check_bad_flow_bound(trace) -> LemmaCheck:
 
 def _check_no_negative_cycle(trace, flows) -> LemmaCheck:
     cid = "no_negative_cycle"
-    for j, flow in enumerate(flows):
-        if not verify_optimality(trace.instance, flow):
+    dists = [trace.initial_distances_from_s] + [
+        s.distances_from_s for s in trace.steps
+    ]
+    for j, (flow, dist) in enumerate(zip(flows, dists)):
+        if not verify_optimality(trace.instance, flow, dist):
             return LemmaCheck(
                 cid, False, j if j > 0 else None,
                 f"negative residual cycle at flow {j}",

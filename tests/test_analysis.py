@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from sspflow import analysis
 from sspflow import (
     AuxiliaryArc,
     Edge,
     FlowNetwork,
+    InfeasibleFlow,
     InternalInvariantError,
     Outcome,
     check_lemmas,
@@ -18,11 +20,14 @@ from sspflow import (
     reconstruct,
     reference_solve,
     replay_flows,
+    residual_arcs,
     run_ssp,
     solve,
     transform,
     verify_optimality,
 )
+
+from sspflow.network import Flow
 
 from conftest import random_instance, uniform_instance
 
@@ -62,6 +67,179 @@ class TestOptimality:
             inst = uniform_instance(seed)
             trace = solve(inst)
             assert verify_optimality(inst, trace.final_flow), seed
+
+
+def recorded_distances(trace):
+    """d_0 .. d_N, the distances from the source recorded on each flow."""
+    return [trace.initial_distances_from_s] + [
+        step.distances_from_s for step in trace.steps
+    ]
+
+
+@pytest.fixture
+def full_bellman_ford(monkeypatch):
+    """Counts verify_optimality's full Bellman-Ford runs: only they
+    build the residual arc list."""
+    calls = []
+
+    def counted(net, f):
+        calls.append(f)
+        return residual_arcs(net, f)
+
+    monkeypatch.setattr(analysis, "residual_arcs", counted)
+    return calls
+
+
+def circulation_network():
+    """slack_network plus a 3-cycle 4 -> 5 -> 6 -> 4 that no source
+    path reaches, and its optimal flow with 1 unit around the cycle:
+    the cycle's backward arcs form a residual cycle of cost -0.3 among
+    nodes that carry no distance label."""
+    net = FlowNetwork(
+        list(slack_network().edges)
+        + [Edge(4, 5, 2.0, 0.1), Edge(5, 6, 2.0, 0.1), Edge(6, 4, 2.0, 0.1)],
+        {0: 2.0, 3: -2.0},
+    )
+    inst = transform(net)
+    trace = solve(inst)
+    values = list(trace.final_flow.values)
+    for e in (4, 5, 6):
+        assert values[e] == 0.0
+        values[e] = 1.0
+    return inst, trace, Flow(tuple(values), trace.final_flow.value)
+
+
+class TestCertificate:
+    """verify_optimality with recorded distances: the certificate's
+    verdict is the full Bellman-Ford's, and a certificate that does not
+    hold sends it to the full Bellman-Ford."""
+
+    def test_same_verdict_as_full_bellman_ford(self, full_bellman_ford):
+        instances = (
+            [uniform_instance(seed) for seed in range(50)]
+            + [random_instance(seed, n=10, m=30) for seed in range(50)]
+            + [
+                random_instance(seed, n=8, m=20, capacities="real")
+                for seed in range(50)
+            ]
+        )
+        flows_checked = with_unlabelled = 0
+        for inst in instances:
+            trace = solve(inst)
+            for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
+                full = verify_optimality(inst, flow)
+                assert verify_optimality(inst, flow, dist) == full
+                flows_checked += 1
+                with_unlabelled += math.inf in dist.values()
+        assert flows_checked > 600 and with_unlabelled > 150
+        # every recorded distance vector certified its flow: the only
+        # full runs are the dist-free reference calls
+        assert len(full_bellman_ford) == flows_checked
+
+    def test_doctored_flow_same_verdict(self):
+        inst = transform(slack_network())
+        bad = flow_from_values(inst, [0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
+        optimal = solve(inst)
+        for dist in (
+            optimal.initial_distances_from_s,
+            optimal.steps[-1].distances_from_s,
+            dict.fromkeys(inst.base.nodes, 0.0),
+            dict.fromkeys(inst.base.nodes, math.inf),
+        ):
+            assert verify_optimality(inst, bad, dist) is False
+        assert verify_optimality(inst, bad) is False
+
+    def pick_labelled_node(self, trace):
+        """A flow, its distances and a labelled node other than the
+        source; the node's incoming tree arc is tight."""
+        flows = replay_flows(trace)
+        dists = recorded_distances(trace)
+        src = trace.instance.source
+        for flow, dist in zip(flows, dists):
+            for v, d in dist.items():
+                if v != src and d < math.inf:
+                    return flow, dict(dist), v
+        raise AssertionError("no labelled node")
+
+    def test_nudged_distance_falls_back(self, full_bellman_ford):
+        for seed in range(10):
+            inst = uniform_instance(seed)
+            flow, dist, v = self.pick_labelled_node(solve(inst))
+            assert verify_optimality(inst, flow, dist)
+            assert not full_bellman_ford
+            dist[v] += 0.5
+            assert verify_optimality(inst, flow, dist)
+            assert len(full_bellman_ford) == 1, seed
+            full_bellman_ford.clear()
+
+    def test_reachable_node_set_to_inf_falls_back(self, full_bellman_ford):
+        for seed in range(10):
+            inst = uniform_instance(seed)
+            flow, dist, v = self.pick_labelled_node(solve(inst))
+            dist[v] = math.inf
+            assert verify_optimality(inst, flow, dist)
+            assert len(full_bellman_ford) == 1, seed
+            full_bellman_ford.clear()
+
+    def test_label_neither_finite_nor_inf_falls_back(self, full_bellman_ford):
+        inst = uniform_instance(0)
+        flow, dist, v = self.pick_labelled_node(solve(inst))
+        for bad in (math.nan, -math.inf):
+            assert verify_optimality(inst, flow, {**dist, v: bad})
+        del dist[v]
+        assert verify_optimality(inst, flow, dist)
+        assert len(full_bellman_ford) == 3
+
+    def test_negative_cycle_among_labelled_nodes(self, full_bellman_ford):
+        inst, _, flow = circulation_network()
+        # every node labelled, the cycle's too: the certificate cannot
+        # hold on a negative cycle, whatever the labels
+        for dist in (
+            dict.fromkeys(inst.base.nodes, 0.0),
+            {v: 0.1 * v for v in inst.base.nodes},
+        ):
+            assert verify_optimality(inst, flow, dist) is False
+        assert len(full_bellman_ford) == 2
+
+    def test_negative_cycle_among_unlabelled_nodes(self, full_bellman_ford):
+        inst, trace, flow = circulation_network()
+        dist = trace.steps[-1].distances_from_s
+        assert [dist[v] for v in (4, 5, 6)] == [math.inf] * 3
+        assert verify_optimality(inst, trace.final_flow, dist) is True
+        # the cycle is Bellman-Ford's among the unlabelled nodes, with
+        # no fall back to the full run
+        assert verify_optimality(inst, flow, dist) is False
+        assert not full_bellman_ford
+        assert verify_optimality(inst, flow) is False
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_flow_rejected(self, delta):
+        inst = uniform_instance(0)
+        trace = solve(inst)
+        values = trace.final_flow.values
+        values = values[:-1] if delta < 0 else values + (0.0,)
+        wrong = Flow(values, trace.final_flow.value)
+        for dist in (None, trace.steps[-1].distances_from_s):
+            with pytest.raises(InfeasibleFlow, match="edge values"):
+                verify_optimality(inst, wrong, dist)
+
+    def test_check_lemmas_passes_recorded_distances(self, monkeypatch):
+        seen = []
+
+        def spy(instance, flow, dist=None):
+            seen.append(dist)
+            return True
+
+        monkeypatch.setattr(analysis, "verify_optimality", spy)
+        inst = uniform_instance(3)
+        trace = solve(inst)
+        check_lemmas(trace)
+        assert len(seen) == len(trace.steps) + 1
+        assert all(a is b for a, b in zip(seen, recorded_distances(trace)))
+        seen.clear()
+        check_lemmas(solve(inst, record_distances=False))
+        check_lemmas(reference_solve(inst))
+        assert seen and all(d is None for d in seen)
 
 
 class TestReferenceSolve:

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from sspflow import AugmentationStep, AugmentationTrace, run_ssp
+import sspflow.analysis
+from sspflow import AugmentationStep, AugmentationTrace, check_lemmas, run_ssp
 
 from conftest import uniform_instance
 
@@ -70,3 +71,22 @@ def test_steps_digest_runs_on_a_trace(tracing):
     digest = tracing.steps_digest([span])
     assert len(digest) == 16
     assert digest == tracing.steps_digest([span])
+
+
+def test_check_lemmas_calls_verify_optimality_per_flow(tracing, monkeypatch):
+    # the traced analysis.verify_optimality span and its call count see
+    # one call per flow, made through the module attribute
+    assert ("sspflow.analysis", "verify_optimality",
+            "analysis.verify_optimality") in tracing.TARGETS
+    original = sspflow.analysis.verify_optimality
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sspflow.analysis, "verify_optimality", counted)
+    trace = run_ssp(uniform_instance(3), record_distances=True)
+    assert trace.initial_distances_from_s is not None
+    assert check_lemmas(trace).all_passed
+    assert len(calls) == len(trace.steps) + 1
