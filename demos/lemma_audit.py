@@ -6,7 +6,9 @@ every path crosses an empty arc, bad steps stay below the node count,
 no residual negative cycles appear, reversed path arcs are themselves
 optimal, and auxiliary edges are never traversed backwards. The checks
 are the executable versions of the facts the linear smoothed bound
-rests on; a single failure anywhere would invalidate the analysis.
+rests on; a single failure anywhere would invalidate the analysis. The
+detailed instance is also replayed in exact rational arithmetic, which
+tells whether float rounding changed any path choice.
 
 Run:  python3 demos/lemma_audit.py
 """
@@ -16,7 +18,7 @@ from sspflow import (
     bipartite_topology,
     check_lemmas,
     erdos_topology,
-    gap_report,
+    exact_check,
     layered_topology,
     sample_costs,
     solve,
@@ -33,12 +35,9 @@ def audit_one(verbose: bool):
         print(f"single instance, {len(trace.steps)} augmentations:")
         print(report.as_text())
         print()
-        gaps = gap_report(inst)
-        print(
-            f"tie diagnostics: min path gap {gaps.min_path_gap:.3e}, "
-            f"min |cycle cost| {gaps.min_abs_cycle_cost:.3e}, "
-            f"tie risk {gaps.tie_risk}"
-        )
+        exact = exact_check(trace)
+        where = "" if exact.passed else f" at step {exact.first_violation_step}"
+        print(f"exact replay: {'PASS' if exact.passed else 'FAIL'}{where}")
         print()
     return report
 

@@ -17,7 +17,7 @@ from .analysis import (
     check_lemmas,
     check_reconstruction,
     classify,
-    gap_report,
+    exact_check,
     harvest_reconstruction_cases,
     reconstruct,
     reference_solve,
@@ -48,7 +48,6 @@ from .generators import (
     bipartite_topology,
     effective_phi,
     erdos_topology,
-    format_cost_spec,
     layered_topology,
     parse_cost_spec,
     perturbed_integer,
@@ -75,10 +74,8 @@ from .network import (
     arc_reverse,
     as_transformed,
     check_feasible,
-    flow_from_values,
     residual_arcs,
     transform,
-    zero_flow,
 )
 from .solver import (
     AugmentationStep,
@@ -86,7 +83,6 @@ from .solver import (
     Outcome,
     cost_function,
     cost_function_from_steps,
-    max_flow_value,
     run_ssp,
     solve,
 )
@@ -137,12 +133,9 @@ __all__ = [
     "cost_function_from_steps",
     "effective_phi",
     "erdos_topology",
-    "flow_from_values",
-    "format_cost_spec",
-    "gap_report",
+    "exact_check",
     "harvest_reconstruction_cases",
     "layered_topology",
-    "max_flow_value",
     "parse_cost_spec",
     "perturbed_integer",
     "random_topology",
@@ -159,5 +152,4 @@ __all__ = [
     "verify_count",
     "verify_optimality",
     "write_instance",
-    "zero_flow",
 ]

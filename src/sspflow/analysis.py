@@ -20,8 +20,9 @@ compares them against what the production solver reports:
   reversed-path optimality).
 * reconstruct: recover an intermediate flow from one residual arc and
   a length threshold, never reading the arc's original cost.
-* gap_report: near-tie diagnostic over path lengths and signed cycle
-  costs.
+* exact_check: every step replayed in exact rational arithmetic; the
+  recorded path must be the exact shortest one, ties settled by the
+  same lexicographic rule.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ INF = math.inf
 
 # Improvements smaller than this are float noise, not a negative cycle.
 _CYCLE_SLACK = 1e-12
+# A certificate arc may also miss by rounding relative to its terms
+# (labels grow with phi on the worst-case family).
+_CYCLE_RTOL = 1e-12
 # Slack for inequalities that are exact in real arithmetic but pass
 # through potentials or repeated summation.
 _CHECK_SLACK = 1e-9
@@ -102,7 +106,7 @@ def _bf_labels(n_ids, arcs, source):
     undercut genuine simple paths.
     """
     labels = {v: (INF, 0, ()) for v in n_ids}
-    labels[source] = (0.0, 0, ())
+    labels[source] = (0, 0, ())  # int 0 keeps the arcs' number type
     cap_rounds = 4 * len(n_ids) + 16
     for _ in range(cap_rounds):
         changed = False
@@ -191,9 +195,10 @@ def verify_optimality(
     flow (math.inf for a node without a label). They are checked as a
     certificate in one pass over the edges: every present arc u -> v of
     cost c with a finite d[u] must satisfy d[u] + c >= d[v] - slack,
-    the inequality and slack of _relax. Bellman-Ford then runs only on
-    the arcs whose two ends are unlabelled. A negative cycle is found
-    whatever dist holds:
+    where slack is the larger of _relax's absolute _CYCLE_SLACK and
+    _CYCLE_RTOL * max(|d[u]|, |d[v]|, |c|), rounding relative to the
+    terms. Bellman-Ford then runs only on the arcs whose two ends are
+    unlabelled. A negative cycle is found whatever dist holds:
 
     * a cycle through labelled and unlabelled nodes has an arc from a
       labelled node to an unlabelled one, which fails the check;
@@ -236,17 +241,24 @@ def _unlabelled_arcs(net, values, dist) -> list[tuple] | None:
         du, dv = dist[u], dist[v]
         if x < edge.capacity:
             if du < INF:
-                if du + c < dv - slack:
+                if du + c < dv - slack and _beyond_rounding(du, c, dv):
                     return None
             elif dv == INF:
                 free.append((2 * e, u, v, c))
         if x > 0.0:
             if dv < INF:
-                if dv - c < du - slack:
+                if dv - c < du - slack and _beyond_rounding(dv, -c, du):
                     return None
             elif du == INF:
                 free.append((2 * e + 1, v, u, -c))
     return free
+
+
+def _beyond_rounding(x: float, c: float, y: float) -> bool:
+    """x + c < y, already short by more than _CYCLE_SLACK, is short by
+    more than rounding relative to its terms too; always so when y is
+    math.inf (an arc from a labelled node to an unlabelled one)."""
+    return y == INF or x + c < y - _CYCLE_RTOL * max(abs(x), abs(y), abs(c))
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +489,38 @@ def check_lemmas(trace: AugmentationTrace) -> LemmaReport:
     return LemmaReport(checks)
 
 
+def exact_check(trace: AugmentationTrace) -> LemmaCheck:
+    """Replay every step in exact arithmetic: the recorded path must be
+    the exact shortest one.
+
+    Every float is a dyadic rational, so Fraction holds each cost
+    exactly. For step j, _bf_labels runs over the residual arcs of the
+    replayed flow f_j with Fraction costs, and the sink's label must
+    carry the recorded path_arcs. One comparison covers both an exactly
+    shortest path and an exact tie settled by the lexicographic (hops,
+    arc sequence) rule. No negative-cycle pass is needed: starting from
+    the zero flow of a network without negative cycles, exactly shortest
+    augmenting paths keep every flow free of them, because each residual
+    arc a step adds reverses a path arc of reduced cost 0. Not part of
+    check_lemmas, whose report verify prints.
+    """
+    from fractions import Fraction  # loads decimal; kept off import time
+
+    inst = trace.instance
+    net = inst.base
+    for step, flow in zip(trace.steps, replay_flows(trace)):
+        arcs = [
+            (a, u, v, Fraction(c)) for a, u, v, c in residual_arcs(net, flow.values)
+        ]
+        path = _bf_labels(net.nodes, arcs, inst.source)[inst.sink][2]
+        if path != step.path_arcs:
+            return LemmaCheck(
+                "exact_shortest_path", False, step.index,
+                f"exact search takes arcs {path}",
+            )
+    return LemmaCheck("exact_shortest_path", True)
+
+
 # ---------------------------------------------------------------------------
 # Flow reconstruction
 
@@ -554,91 +598,3 @@ def check_reconstruction(
         got = reconstruct(instance, case.arc, case.threshold)
         results.append((case, got.values == case.expected.values))
     return results
-
-
-# ---------------------------------------------------------------------------
-# Near-tie diagnostics
-
-@dataclass(frozen=True)
-class GapReport:
-    """Smallest observed separations; near-zero values signal tie risk."""
-
-    min_path_gap: float
-    min_abs_cycle_cost: float
-    paths_enumerated: int
-    cycles_enumerated: int
-    truncated: bool
-
-    @property
-    def tie_risk(self) -> bool:
-        return self.min_path_gap < 1e-12 or self.min_abs_cycle_cost < 1e-12
-
-
-def gap_report(
-    instance: TransformedNetwork,
-    *,
-    max_hops: int = 8,
-    budget: int = 20000,
-) -> GapReport:
-    """Enumerate short paths and cycles over both edge orientations.
-
-    Each edge contributes a forward arc (cost c) and a backward arc
-    (cost -c); a walk may use each edge once. Reports the minimum gap
-    between distinct source-sink path costs and the minimum absolute
-    cycle cost, over everything enumerated within the budget.
-    """
-    net = instance.base
-    idx = {v: i for i, v in enumerate(net.nodes)}
-    n = net.n
-    out: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
-    for e, edge in enumerate(net.edges):
-        if edge.capacity > 0:
-            out[idx[edge.tail]].append((2 * e, idx[edge.head], edge.cost))
-            out[idx[edge.head]].append((2 * e + 1, idx[edge.tail], -edge.cost))
-
-    state = {"count": 0, "truncated": False}
-    path_costs: list[float] = []
-    cycle_costs: list[float] = []
-
-    def dfs(u, target, lo, visited, used_edges, costs, found):
-        """Walks from u to target over unused edges, through unvisited
-        nodes numbered at least lo; appends each walk's cost to found."""
-        if state["count"] >= budget:
-            state["truncated"] = True
-            return
-        if len(costs) >= max_hops:
-            return
-        for a, v, c in out[u]:
-            if a >> 1 in used_edges:
-                continue
-            if v == target:
-                state["count"] += 1
-                found.append(math.fsum(costs + [c]))
-                continue
-            if v in visited or v < lo:
-                continue
-            visited.add(v)
-            used_edges.add(a >> 1)
-            dfs(v, target, lo, visited, used_edges, costs + [c], found)
-            used_edges.discard(a >> 1)
-            visited.discard(v)
-
-    s, t = idx[instance.source], idx[instance.sink]
-    dfs(s, t, 0, {s}, set(), [], path_costs)
-    # A cycle is a walk back to start; its first hop cannot close it,
-    # as self-loops are rejected.
-    for start in range(n):
-        dfs(start, start, start, {start}, set(), [], cycle_costs)
-
-    path_costs.sort()
-    min_gap = INF
-    for a, b in zip(path_costs, path_costs[1:]):
-        min_gap = min(min_gap, b - a)
-    min_cycle = min((abs(c) for c in cycle_costs), default=INF)
-    return GapReport(
-        min_path_gap=min_gap,
-        min_abs_cycle_cost=min_cycle,
-        paths_enumerated=len(path_costs),
-        cycles_enumerated=len(cycle_costs),
-        truncated=state["truncated"],
-    )

@@ -107,17 +107,6 @@ def parse_cost_spec(text: str) -> SmoothedCostSpec:
     return SmoothedCostSpec(phi, convention, default_interval, intervals)
 
 
-def format_cost_spec(spec: SmoothedCostSpec) -> str:
-    lines = [f"phi {spec.phi!r}", f"convention {spec.convention}"]
-    if spec.default_interval is not None:
-        lo, hi = spec.default_interval
-        lines.append(f"default-interval {lo!r} {hi!r}")
-    for e in sorted(spec.intervals):
-        lo, hi = spec.intervals[e]
-        lines.append(f"interval {e} {lo!r} {hi!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Topologies
 

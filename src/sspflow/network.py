@@ -233,19 +233,6 @@ class Flow:
     value: float
 
 
-def zero_flow(instance: TransformedNetwork) -> Flow:
-    return Flow((0.0,) * instance.m, 0.0)
-
-
-def flow_from_values(
-    instance: TransformedNetwork, values: Iterable[float]
-) -> Flow:
-    """Build a Flow from raw edge values, checking feasibility."""
-    values = tuple(float(x) for x in values)
-    value = check_feasible(instance, values)
-    return Flow(values, value)
-
-
 def check_feasible(instance: TransformedNetwork, values: tuple[float, ...]) -> float:
     """Validate capacity bounds and conservation; return the flow value."""
     net = instance.base

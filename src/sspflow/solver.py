@@ -444,12 +444,6 @@ def solve(
     )
 
 
-def max_flow_value(instance: TransformedNetwork) -> float:
-    """Value of a maximum source-sink flow."""
-    trace = run_ssp(instance, z=INF, record_distances=False)
-    return trace.final_flow.value
-
-
 # ---------------------------------------------------------------------------
 # Value-vs-cost profile
 
@@ -465,19 +459,6 @@ class CostFunction:
 
     breakpoints: tuple[tuple[float, float], ...]
     slopes: tuple[float, ...]
-
-    @property
-    def max_value(self) -> float:
-        return self.breakpoints[-1][0]
-
-    def value_at(self, x: float) -> float:
-        if not 0.0 <= x <= self.max_value:
-            raise ValueError(f"{x} outside [0, {self.max_value}]")
-        for j, slope in enumerate(self.slopes):
-            x0, y0 = self.breakpoints[j]
-            if x <= self.breakpoints[j + 1][0]:
-                return y0 + slope * (x - x0)
-        return self.breakpoints[-1][1]
 
     def is_convex(self) -> bool:
         return all(a < b for a, b in zip(self.slopes, self.slopes[1:]))

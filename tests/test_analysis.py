@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,18 +11,23 @@ from sspflow import (
     FlowNetwork,
     InfeasibleFlow,
     InternalInvariantError,
+    LowerBoundParams,
     Outcome,
+    adversarial_spec,
+    bipartite_topology,
+    build_hard_instance,
+    check_feasible,
     check_lemmas,
     check_reconstruction,
     classify,
-    flow_from_values,
-    gap_report,
+    exact_check,
     harvest_reconstruction_cases,
     reconstruct,
     reference_solve,
     replay_flows,
     residual_arcs,
     run_ssp,
+    sample_costs,
     solve,
     transform,
     verify_optimality,
@@ -59,7 +65,8 @@ class TestOptimality:
         inst = transform(slack_network())
         # push everything along the expensive route: the residual cycle
         # (forward cheap, backward expensive) has cost 0.3 - 0.7 < 0
-        bad = flow_from_values(inst, [0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
+        values = (0.0, 0.0, 2.0, 2.0, 2.0, 2.0)
+        bad = Flow(values, check_feasible(inst, values))
         assert not verify_optimality(inst, bad)
 
     def test_random_pool_optimal(self):
@@ -136,9 +143,23 @@ class TestCertificate:
         # full runs are the dist-free reference calls
         assert len(full_bellman_ford) == flows_checked
 
+    def test_certificate_holds_on_worst_case_family(self):
+        # labels reach the thousands here, so float noise on an arc
+        # exceeds the absolute slack; the relative test absorbs it
+        inst = build_hard_instance(LowerBoundParams(8, 16, 256.0), 0).instance
+        trace = solve(inst)
+        pairs = list(zip(replay_flows(trace), recorded_distances(trace)))
+        assert len(pairs) == 1025
+        rejected = sum(
+            analysis._unlabelled_arcs(inst.base, flow.values, dist) is None
+            for flow, dist in pairs
+        )
+        assert rejected == 0
+
     def test_doctored_flow_same_verdict(self):
         inst = transform(slack_network())
-        bad = flow_from_values(inst, [0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
+        values = (0.0, 0.0, 2.0, 2.0, 2.0, 2.0)
+        bad = Flow(values, check_feasible(inst, values))
         optimal = solve(inst)
         for dist in (
             optimal.initial_distances_from_s,
@@ -483,47 +504,97 @@ class TestReconstruction:
             assert lo <= case.threshold < hi
 
 
-class TestGapReport:
+def demo_instance():
+    """The instance demos/lemma_audit.py audits in detail."""
+    topo = bipartite_topology(4, 13)
+    return transform(sample_costs(topo, adversarial_spec(topo, 10.0), 21))
+
+
+def two_route_network(cost_a, cost_b):
+    """Routes 0->1->3 (edges 0, 1) and 0->2->3 (edges 2, 3) of unit
+    capacity, each edge's cost from its route's pair, demand 2."""
+    (a0, a1), (b0, b1) = cost_a, cost_b
+    return FlowNetwork(
+        [
+            Edge(0, 1, 1.0, a0),
+            Edge(1, 3, 1.0, a1),
+            Edge(0, 2, 1.0, b0),
+            Edge(2, 3, 1.0, b1),
+        ],
+        {0: 2.0, 3: -2.0},
+    )
+
+
+class TestExactCheck:
+    """exact_check: each recorded path is the exact shortest one, with
+    exact ties settled by the (hops, arc sequence) rule."""
+
     def test_distinct_paths(self):
-        inst = transform(slack_network())
-        rep = gap_report(inst)
-        assert rep.min_path_gap == pytest.approx(0.4, abs=1e-9)
-        assert rep.min_abs_cycle_cost == pytest.approx(0.4, abs=1e-9)
-        assert rep.paths_enumerated >= 2
-        assert rep.cycles_enumerated >= 1
-        assert not rep.tie_risk
-        assert not rep.truncated
+        trace = solve(transform(slack_network()))
+        assert exact_check(trace) == analysis.LemmaCheck("exact_shortest_path", True)
 
-    def test_tied_paths_flagged(self):
-        net = FlowNetwork(
-            [
-                Edge(0, 1, 1.0, 0.2),
-                Edge(1, 3, 1.0, 0.2),
-                Edge(0, 2, 1.0, 0.2),
-                Edge(2, 3, 1.0, 0.2),
-            ],
-            {0: 2.0, 3: -2.0},
+    def test_exact_tie_takes_lexicographic_choice(self):
+        # 0.2 + 0.2 on both routes: an exact tie, so the lower arc
+        # sequence goes first
+        trace = solve(transform(two_route_network((0.2, 0.2), (0.2, 0.2))))
+        first, second = trace.steps
+        assert first.length == second.length
+        assert exact_check(trace).passed
+        swapped = dataclasses.replace(
+            trace,
+            steps=(
+                dataclasses.replace(first, path_arcs=second.path_arcs),
+                dataclasses.replace(second, path_arcs=first.path_arcs),
+            ),
         )
-        rep = gap_report(transform(net))
-        assert rep.min_path_gap == 0.0
-        assert rep.tie_risk
+        check = exact_check(swapped)
+        assert (check.passed, check.first_violation_step) == (False, 1)
 
-    def test_budget_truncation(self):
-        inst = random_instance(0, n=8, m=16)
-        rep = gap_report(inst, max_hops=10, budget=50)
-        assert rep.truncated
-        # the path search spends the whole budget; no cycle is reached
-        assert (rep.paths_enumerated, rep.cycles_enumerated) == (50, 0)
+    def test_float_tie_that_is_not_exact(self):
+        # 1 + 2**-53 rounds to 1.0, so the float solve sees a tie and
+        # takes the lower arc sequence; exactly, that route is longer
+        inst = transform(two_route_network((1.0, 2.0**-53), (1.0, 0.0)))
+        trace = solve(inst)
+        assert trace.steps[0].length == trace.steps[1].length == 1.0
+        check = exact_check(trace)
+        assert (check.passed, check.first_violation_step) == (False, 1)
+        assert str(trace.steps[1].path_arcs) in check.detail
 
-    def test_exact_enumeration_on_random_instance(self):
-        # recorded values; any change to the enumeration order, the
-        # edge-use rule or the cycle start rule moves them
-        rep = gap_report(random_instance(0, n=6, m=10))
-        assert rep.paths_enumerated == 42
-        assert rep.cycles_enumerated == 86
-        assert rep.min_path_gap == 9.624248196240387e-05
-        assert rep.min_abs_cycle_cost == 0.0007787983837947445
-        assert not rep.truncated
+    def test_random_pool(self):
+        for seed in range(100):
+            for capacities in ("int", "real"):
+                inst = random_instance(seed, capacities=capacities)
+                trace = solve(inst, record_distances=False)
+                assert exact_check(trace).passed, (seed, capacities)
+
+    def test_demo_instance_and_mutated_trace(self):
+        trace = solve(demo_instance(), retain_flows=True)
+        assert exact_check(trace).passed
+        steps = list(trace.steps)
+        steps[1] = dataclasses.replace(steps[1], path_arcs=steps[2].path_arcs)
+        mutated = dataclasses.replace(
+            trace, steps=tuple(steps), intermediate_flows=None
+        )
+        check = exact_check(mutated)
+        assert (check.passed, check.first_violation_step) == (False, 2)
+
+    @pytest.mark.parametrize(
+        "side, edges, phi", [(4, 4, 64.0), (4, 4, 256.0), (8, 16, 64.0)]
+    )
+    def test_worst_case_family(self, side, edges, phi):
+        inst = build_hard_instance(LowerBoundParams(side, edges, phi), 0).instance
+        assert exact_check(solve(inst, record_distances=False)).passed
+
+    def test_labels_keep_the_number_type(self):
+        inst = demo_instance()
+        arcs = [
+            (a, u, v, Fraction(c))
+            for a, u, v, c in residual_arcs(inst.base, (0.0,) * inst.m)
+        ]
+        labels = analysis._bf_labels(inst.base.nodes, arcs, inst.source)
+        reached = [d for v, (d, _, _) in labels.items() if v != inst.source]
+        assert math.inf not in reached
+        assert all(type(d) is Fraction for d in reached)
 
 
 class TestOutcomes:

@@ -14,11 +14,11 @@ from sspflow import (
     build_stage1,
     effective_phi,
     erdos_topology,
-    format_cost_spec,
     layered_topology,
     parse_cost_spec,
     perturbed_integer,
     random_topology,
+    run_ssp,
     sample_costs,
     transform,
 )
@@ -146,7 +146,14 @@ class TestSpecFile:
             default_interval=(0.25, 0.5),
             intervals={0: (0.0, 0.125), 5: (0.875, 1.0)},
         )
-        assert parse_cost_spec(format_cost_spec(spec)) == spec
+        text = (
+            "phi 12.5\n"
+            "convention unit\n"
+            "default-interval 0.25 0.5\n"
+            "interval 0 0.0 0.125\n"
+            "interval 5 0.875 1.0\n"
+        )
+        assert parse_cost_spec(text) == spec
 
     def test_comments_ignored(self):
         text = "# header\nphi 2.0\n\n# more\ninterval 0 0.0 0.5\n"
@@ -240,11 +247,10 @@ class TestTopologies:
             bipartite_topology(3, 10)  # m > n^2
 
     def test_bipartite_feasible_by_construction(self):
-        from sspflow import max_flow_value
-
         topo = bipartite_topology(5, 13)
         net = sample_costs(topo, SmoothedCostSpec(1.0), seed=0)
-        assert max_flow_value(transform(net)) == 13.0
+        trace = run_ssp(transform(net), z=math.inf, record_distances=False)
+        assert trace.final_flow.value == 13.0
 
     def test_erdos_no_duplicates_or_two_cycles(self):
         topo = erdos_topology(8, 14, seed=2)

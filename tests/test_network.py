@@ -14,15 +14,12 @@ from sspflow import (
     arc_reverse,
     as_transformed,
     check_feasible,
-    flow_from_values,
-    max_flow_value,
     residual_arcs,
     run_ssp,
     transform,
-    zero_flow,
 )
 
-from sspflow.network import empty_arcs, push
+from sspflow.network import Flow, empty_arcs, push
 
 from conftest import (
     lp_feasible_value,
@@ -186,7 +183,7 @@ class TestFlowAndResidual:
 
     def test_zero_flow_residual(self):
         inst = transform(single_edge_network())
-        f = zero_flow(inst).values
+        f = (0.0,) * inst.m
         cap = [e.capacity for e in inst.base.edges]
         s, t = inst.source, inst.sink
         # forward arcs present with their costs, backward absent
@@ -201,7 +198,8 @@ class TestFlowAndResidual:
 
     def test_saturated_and_interior(self):
         inst = transform(single_edge_network(cap=5.0, demand=3.0))
-        flow = flow_from_values(inst, [3.0, 3.0, 3.0])
+        values = (3.0, 3.0, 3.0)
+        flow = Flow(values, check_feasible(inst, values))
         cap = [e.capacity for e in inst.base.edges]
         s, t = inst.source, inst.sink
         # original edge interior: both arcs present, the backward one
@@ -217,22 +215,23 @@ class TestFlowAndResidual:
 
     def test_arcs_enumeration(self):
         inst = transform(single_edge_network())
-        flow = flow_from_values(inst, [3.0, 3.0, 3.0])
+        values = (3.0, 3.0, 3.0)
+        flow = Flow(values, check_feasible(inst, values))
         arcs = [a for a, *_ in residual_arcs(inst.base, flow.values)]
         assert arcs == [0, 1, 3, 5]  # aux edges saturated at cap 3
 
     def test_check_feasible_bounds(self):
         inst = transform(single_edge_network())
         with pytest.raises(InfeasibleFlow, match="outside"):
-            flow_from_values(inst, [6.0, 3.0, 3.0])
+            check_feasible(inst, (6.0, 3.0, 3.0))
         with pytest.raises(InfeasibleFlow, match="conservation"):
-            flow_from_values(inst, [1.0, 3.0, 3.0])
+            check_feasible(inst, (1.0, 3.0, 3.0))
         with pytest.raises(InfeasibleFlow, match="expected"):
-            flow_from_values(inst, [1.0])
+            check_feasible(inst, (1.0,))
 
     def test_flow_value_reported(self):
         inst = transform(single_edge_network())
-        assert flow_from_values(inst, [2.0, 2.0, 2.0]).value == 2.0
+        assert check_feasible(inst, (2.0, 2.0, 2.0)) == 2.0
         assert check_feasible(inst, (0.0, 0.0, 0.0)) == 0.0
 
 
@@ -286,16 +285,16 @@ class TestPushAndEmptyArcs:
 
 class TestAgainstLP:
     def test_max_flow_matches_lp_oracle(self):
-        # max_flow_value is SSP-driven; linprog is an independent oracle
+        # SSP to z = inf is a max flow; linprog is an independent oracle
         for seed in range(50):
             inst = random_instance(seed, n=6, m=10)
-            got = max_flow_value(inst)
+            got = run_ssp(inst, z=math.inf, record_distances=False).final_flow.value
             want = lp_feasible_value(inst.base)
             assert got == pytest.approx(want, abs=1e-7), seed
 
     def test_uniform_pool_feasibility(self):
         for seed in range(20):
             inst = uniform_instance(seed, n=5, m=8)
-            got = max_flow_value(inst)
+            got = run_ssp(inst, z=math.inf, record_distances=False).final_flow.value
             want = lp_feasible_value(inst.base)
             assert got == pytest.approx(want, abs=1e-7), seed

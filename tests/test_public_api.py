@@ -10,7 +10,6 @@ RETURN_TYPES = [
     ("sspflow.solver", "CostFunction"),
     ("sspflow.network", "Flow"),
     ("sspflow.analysis", "FlowClassification"),
-    ("sspflow.analysis", "GapReport"),
     ("sspflow.analysis", "LemmaCheck"),
     ("sspflow.analysis", "LemmaReport"),
     ("sspflow.analysis", "ReconstructionCase"),

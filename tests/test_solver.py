@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sspflow import (
@@ -16,7 +17,7 @@ from sspflow import (
     build_hard_instance,
     cost_function,
     cost_function_from_steps,
-    max_flow_value,
+    exact_check,
     perturbed_integer,
     random_topology,
     reference_solve,
@@ -100,7 +101,8 @@ class TestBasicSolves:
 
     def test_max_flow_value(self, two_paths):
         inst = transform(two_paths)
-        assert max_flow_value(inst) == 5.0
+        trace = run_ssp(inst, z=math.inf, record_distances=False)
+        assert trace.final_flow.value == 5.0
 
     def test_negative_target_rejected(self, single_edge):
         with pytest.raises(ValueError):
@@ -333,6 +335,13 @@ class TestDeterminism:
         assert a == b
 
 
+def profile_at(cf, x):
+    """y(x) read off the breakpoints, linear in between."""
+    xs, ys = zip(*cf.breakpoints)
+    assert 0.0 <= x <= xs[-1], x
+    return float(np.interp(x, xs, ys))
+
+
 class TestCostFunction:
     def test_profile_fixture(self, profile_network):
         inst = transform(profile_network)
@@ -343,16 +352,15 @@ class TestCostFunction:
         assert ys == [0.0, 8.0, 14.0, 28.0, 44.0, 71.0, 95.0]
         assert list(cf.slopes) == [4.0, 6.0, 7.0, 8.0, 9.0, 12.0]
         assert cf.is_convex()
-        assert cf.max_value == 12.0
+        assert cf.breakpoints[-1][0] == 12.0
 
     def test_value_at(self, profile_network):
         cf = cost_function(transform(profile_network))
-        assert cf.value_at(0.0) == 0.0
-        assert cf.value_at(2.0) == 8.0
-        assert cf.value_at(2.5) == 11.0
-        assert cf.value_at(12.0) == 95.0
-        with pytest.raises(ValueError):
-            cf.value_at(12.5)
+        assert profile_at(cf, 0.0) == 0.0
+        assert profile_at(cf, 2.0) == 8.0
+        assert profile_at(cf, 2.5) == 11.0
+        assert profile_at(cf, 12.0) == 95.0
+        assert cf.breakpoints[-1][0] < 12.5  # the profile ends at the max flow
 
     def test_equal_slopes_merge(self):
         cf = cost_function_from_steps([(2.0, 1.0), (2.0, 3.0), (5.0, 1.0)])
@@ -375,7 +383,7 @@ class TestCostFunction:
                 f * e.cost
                 for f, e in zip(trace.final_flow.values, inst.base.edges)
             )
-            assert cost == pytest.approx(cf.value_at(x), abs=1e-9)
+            assert cost == pytest.approx(profile_at(cf, x), abs=1e-9)
 
 
 class TestCsv:
@@ -477,6 +485,14 @@ class TestTieBreaks:
             trace = solve(relabelled(inst, seed))
             assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
 
+    @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
+    def test_grid_exact_check(self, shape):
+        # the ties are exact in rational arithmetic too, and the exact
+        # replay settles them by the same arc-sequence rule
+        inst = grid_instance(*shape)
+        for moved in [inst] + [relabelled(inst, seed) for seed in range(5)]:
+            assert exact_check(solve(moved)).passed
+
     def test_tie_past_key_flatten_depth(self):
         # 71-arc paths: the tie keys are flattened at 64 hops on the way
         inst = grid_instance(3, 70, 1.0)
@@ -484,6 +500,7 @@ class TestTieBreaks:
         ref = reference_solve(inst)
         assert len(trace.steps[0].path_arcs) > KEY_FLATTEN_DEPTH
         assert [s.path_arcs for s in trace.steps] == [s.path_arcs for s in ref.steps]
+        assert exact_check(trace).passed
 
     def test_deep_tie_compares_without_recursion_error(self):
         # two zero-cost chains of 1500 arcs tie exactly at the sink; the
