@@ -11,6 +11,12 @@ on the order edges are visited.
 
 The perturbed-integer model draws cost_e = k_e + U(-1, 1) for an
 adversarial integer k_e in {1..C}, normalized by C+1 into [0, 1).
+
+The random topologies (erdos, layered) read one keyed stream per seed
+with bulk numpy calls; one call of size k gives the values of k scalar
+calls. erdos_topology reads endpoints in blocks and may read past the
+last pair it accepts, so it draws the rest from a twin stream on the
+same key that first skips exactly the endpoint draws used.
 """
 
 from __future__ import annotations
@@ -127,6 +133,20 @@ class Topology:
         return len(self.edges)
 
 
+def _check_capacities(capacities: str) -> None:
+    if capacities not in ("int", "real"):
+        raise InfeasibleShape(
+            f"capacities must be 'int' or 'real', got {capacities!r}"
+        )
+
+
+def _capacities(gen, m: int, capacities: str) -> list[float]:
+    """m edge capacities in one draw: integers 1..3, or reals in [0.5, 2.5)."""
+    if capacities == "int":
+        return gen.integers(1, 4, size=m).astype(float).tolist()
+    return (0.5 + 2.0 * gen.random(m)).tolist()
+
+
 def bipartite_topology(n: int, m: int) -> Topology:
     """Two n-node tiers plus endpoints; the first m (u_i, w_j) slots
     in row-major order, unit capacities, degree-matched fan edges."""
@@ -152,6 +172,7 @@ def erdos_topology(
     n: int, m: int, seed: int, capacities: str = "int"
 ) -> Topology:
     """m directed edges over n nodes, no duplicates or 2-cycles."""
+    _check_capacities(capacities)
     if n < 2 or m < 1:
         raise InfeasibleShape(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     if m > n * (n - 1) // 2:
@@ -161,47 +182,57 @@ def erdos_topology(
     gen = _rng.stream(seed, _rng.TOPOLOGY)
     chosen: list[tuple[int, int]] = []
     taken = set()
+    used = 0
     while len(chosen) < m:
-        a = int(gen.integers(0, n))
-        b = int(gen.integers(0, n))
-        if a == b or (a, b) in taken or (b, a) in taken:
-            continue
-        taken.add((a, b))
-        chosen.append((a, b))
-    if capacities == "int":
-        caps = [float(gen.integers(1, 4)) for _ in chosen]
-    else:
-        caps = [0.5 + 2.0 * gen.random() for _ in chosen]
+        # A drawn pair is new with probability free / n^2, so a block
+        # holds about the pairs still needed; those past the last
+        # accepted pair go unused.
+        free = n * (n - 1) - 2 * len(chosen)
+        ends = gen.integers(0, n, size=2 * ((m - len(chosen)) * n * n // free + 8))
+        pairs = iter(ends.tolist())
+        for a, b in zip(pairs, pairs):
+            used += 2
+            if a == b or (a, b) in taken or (b, a) in taken:
+                continue
+            taken.add((a, b))
+            chosen.append((a, b))
+            if len(chosen) == m:
+                break
+    # A twin stream on the same key skips exactly the endpoint draws, so
+    # the later draws come from where one scalar draw per endpoint left off.
+    gen = _rng.stream(seed, _rng.TOPOLOGY)
+    gen.integers(0, n, size=used)
+    caps = _capacities(gen, m, capacities)
     edges = [(a, b, c) for (a, b), c in zip(chosen, caps)]
 
     k = max(1, n // 3)
-    order = list(gen.permutation(n))
+    order = gen.permutation(n).tolist()
     supply_nodes = order[:k]
     demand_nodes = order[k : 2 * k]
     balance = {v: 0.0 for v in range(n)}
     if capacities == "int":
-        supplies = [float(gen.integers(1, 4)) for _ in supply_nodes]
+        supplies = gen.integers(1, 4, size=k).astype(float).tolist()
     else:
-        supplies = [0.5 + gen.random() for _ in supply_nodes]
+        supplies = (0.5 + gen.random(k)).tolist()
     total = math.fsum(supplies)
     for v, b in zip(supply_nodes, supplies):
-        balance[int(v)] = b
+        balance[v] = b
     if capacities == "int":
         # spread the integer total round-robin over demand nodes
         left = int(total)
         base = left // k
         rem = left - base * k
         for j, v in enumerate(demand_nodes):
-            balance[int(v)] = -float(base + (1 if j < rem else 0))
+            balance[v] = -float(base + (1 if j < rem else 0))
     else:
-        weights = [gen.random() + 0.1 for _ in demand_nodes]
+        weights = (gen.random(k) + 0.1).tolist()
         wsum = math.fsum(weights)
         acc = 0.0
         for j, v in enumerate(demand_nodes[:-1]):
             share = total * weights[j] / wsum
-            balance[int(v)] = -share
+            balance[v] = -share
             acc += share
-        balance[int(demand_nodes[-1])] = -(total - acc)
+        balance[demand_nodes[-1]] = -(total - acc)
     return Topology(tuple(range(n)), tuple(edges), balance)
 
 
@@ -209,8 +240,11 @@ def layered_topology(
     n: int, m: int, seed: int, layers: int = 3, capacities: str = "int"
 ) -> Topology:
     """Nodes in layers, edges only between consecutive layers."""
+    _check_capacities(capacities)
     if layers < 2 or n < layers:
         raise InfeasibleShape(f"need at least one node per layer, n={n}, layers={layers}")
+    if m < 1:
+        raise InfeasibleShape(f"need m >= 1, got m={m}")
     tiers: list[list[int]] = [[] for _ in range(layers)]
     for v in range(n):
         tiers[v % layers].append(v)
@@ -224,10 +258,7 @@ def layered_topology(
         raise InfeasibleShape(f"m={m} exceeds the {len(slots)} consecutive-layer slots")
     gen = _rng.stream(seed, _rng.TOPOLOGY)
     picked_idx = sorted(gen.permutation(len(slots))[:m].tolist())
-    if capacities == "int":
-        caps = [float(gen.integers(1, 4)) for _ in range(m)]
-    else:
-        caps = [0.5 + 2.0 * gen.random() for _ in range(m)]
+    caps = _capacities(gen, m, capacities)
     edges = [(slots[i][0], slots[i][1], caps[j]) for j, i in enumerate(picked_idx)]
 
     first, last = tiers[0], tiers[-1]

@@ -29,6 +29,12 @@ equal depth order exactly as the flat sequences they encode, so the
 search makes the same comparisons and picks the same paths as with
 flat sequences; the sink's path is read back from its key.
 
+Ties are decided on float lengths, by design. Two routes whose exact
+lengths differ by less than float resolution (1 + 2^-53 against 1)
+have the same float length, so the arc sequence settles them and the
+solve may take the exactly longer route. analysis.exact_check replays
+a trace in exact arithmetic and flags such a step.
+
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
 exact; a step's good arcs are its network.empty_arcs on original edges.

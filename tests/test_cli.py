@@ -267,6 +267,10 @@ EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials",
      "--out", "{out}"],
     ["experiment", "--models", "perturbed", "--ns", "4", "--ms", "6",
      "--phis", "9223372036854775808", "--trials", "1", "--out", "{out}"],
+    # layered shapes need at least one edge
+    ["generate", "--shape", "layered", "--n", "6", "--m", "-3", "--out", "{out}"],
+    ["generate", "--shape", "layered", "--n", "6", "--m", "0", "--out", "{out}"],
+    EXPERIMENT + ["--shape", "layered", "--ns", "6", "--ms", "-3", "--out", "{out}"],
 ])
 def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     out = tmp_path / "rows.csv"

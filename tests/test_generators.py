@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -286,6 +287,16 @@ class TestTopologies:
             layered_topology(2, 2, seed=0, layers=3)
         with pytest.raises(InfeasibleShape):
             layered_topology(6, 100, seed=0, layers=3)
+        for m in (0, -3):
+            with pytest.raises(InfeasibleShape, match="m >= 1"):
+                layered_topology(6, m, seed=0)
+
+    @pytest.mark.parametrize("capacities", ["bogus", "Int", "REAL", ""])
+    def test_unknown_capacities_rejected(self, capacities):
+        with pytest.raises(InfeasibleShape, match="'int' or 'real'"):
+            erdos_topology(6, 9, seed=0, capacities=capacities)
+        with pytest.raises(InfeasibleShape, match="'int' or 'real'"):
+            layered_topology(9, 12, seed=0, capacities=capacities)
 
     def test_dispatch(self):
         assert random_topology(4, 8, "bipartite", 0) == bipartite_topology(4, 8)
@@ -341,3 +352,137 @@ class TestPerturbedInteger:
         assert effective_phi("perturbed", 5.0) == 3.0
         assert effective_phi("smoothed", 5.0) == 5.0
         assert effective_phi("lowerbound", 64.0) == 64.0
+
+
+class TestStreamProperty:
+    """The topology builders draw in bulk; numpy gives one size-k call the
+    same values as k scalar calls on the same stream."""
+
+    BOUNDS = [(0, 2), (0, 3), (1, 4), (0, 60), (0, 120), (0, 1000), (0, 2**31 + 1),
+              (5, 2**31 + 6), (0, 2**32 - 1), (0, 2**32), (0, 2**32 + 1)]
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_integers_bulk_equals_scalar(self, lo, hi):
+        for seed in range(40):
+            k = 1 + seed % 9
+            bulk = _rng.stream(seed, _rng.TOPOLOGY).integers(lo, hi, size=k)
+            gen = _rng.stream(seed, _rng.TOPOLOGY)
+            assert bulk.tolist() == [int(gen.integers(lo, hi)) for _ in range(k)]
+
+    def test_random_bulk_equals_scalar(self):
+        for seed in range(40):
+            k = 1 + seed % 9
+            bulk = _rng.stream(seed, _rng.TOPOLOGY).random(k)
+            gen = _rng.stream(seed, _rng.TOPOLOGY)
+            assert bulk.tolist() == [gen.random() for _ in range(k)]
+
+    def test_half_rejected_bound(self):
+        # At 2^31 + 1 values numpy's 32-bit Lemire step rejects about half
+        # of the words, so a bulk call must consume the same rejections.
+        gen = _rng.stream(3, _rng.TOPOLOGY)
+        raw = gen.integers(0, 2**32, size=4000, dtype=np.uint64)
+        leftover = (raw * np.uint64(2**31 + 1)) & np.uint64(2**32 - 1)
+        assert 0.4 < float((leftover < 2**31 + 1).mean()) < 0.6
+        bulk = _rng.stream(3, _rng.TOPOLOGY).integers(0, 2**31 + 1, size=500)
+        gen = _rng.stream(3, _rng.TOPOLOGY)
+        assert bulk.tolist() == [int(gen.integers(0, 2**31 + 1)) for _ in range(500)]
+
+    @pytest.mark.parametrize("n", [7, 60, 120])
+    def test_mixed_sequence_after_permutation(self, n):
+        # The erdos builder's order: endpoints, capacities, a permutation,
+        # then supplies and weights; odd counts leave half a 64-bit word
+        # buffered between calls.
+        for seed in range(20):
+            bulk = _rng.stream(seed, _rng.TOPOLOGY)
+            scalar = _rng.stream(seed, _rng.TOPOLOGY)
+            k = 3 + seed % 4
+            assert bulk.integers(0, n, size=2 * k + 1).tolist() == [
+                int(scalar.integers(0, n)) for _ in range(2 * k + 1)
+            ]
+            assert bulk.integers(1, 4, size=k).tolist() == [
+                int(scalar.integers(1, 4)) for _ in range(k)
+            ]
+            assert bulk.permutation(n).tolist() == scalar.permutation(n).tolist()
+            assert bulk.integers(1, 4, size=k).tolist() == [
+                int(scalar.integers(1, 4)) for _ in range(k)
+            ]
+            assert (0.5 + bulk.random(k)).tolist() == [
+                0.5 + scalar.random() for _ in range(k)
+            ]
+            assert int(bulk.integers(0, n)) == int(scalar.integers(0, n))
+            assert (bulk.random(k) + 0.1).tolist() == [
+                scalar.random() + 0.1 for _ in range(k)
+            ]
+
+
+def topology_digest(topos) -> str:
+    """sha256 over the edges, the balance items in order and every value's
+    type of each topology."""
+    facts = []
+    for topo in topos:
+        facts.append([(v, type(v).__name__) for v in topo.nodes])
+        facts.append([
+            [(x, type(x).__name__) for x in edge] for edge in topo.edges
+        ])
+        facts.append([
+            (v, b, type(v).__name__, type(b).__name__)
+            for v, b in topo.balance.items()
+        ])
+    return hashlib.sha256(repr(facts).encode()).hexdigest()
+
+
+class TestTopologyGolden:
+    """Digests of erdos_topology and layered_topology recorded before the
+    builders drew in bulk, under numpy 2.4.6. NEP 19 promises no stream
+    stability across numpy versions, so an upgrade that changes the
+    instances fails here rather than silently."""
+
+    RECORDED_NUMPY = "2.4.6"
+    SEEDS = (0, 1, 5, 2**63 - 1)
+    ERDOS = {
+        ((2, 1), "int"): "30a10c80a2e6b6261b1cea0323e064c2003c45717a6f7f61b21c9e708c4f1405",
+        ((2, 1), "real"): "86d4182ff3f932cc131892a554e942ee1e107a1264a3776efa5495b95a4a6eed",
+        ((6, 15), "int"): "89cf56b7125d83d3bca8eab04e375e3801343ab3bc7df32d46e11ed0b779b5ac",
+        ((6, 15), "real"): "af8eacb449fa6edc491fa57cbe6fdcb16c88bb10c16a801a78cc9e1cab231dd4",
+        ((8, 14), "int"): "bc38001599871b7914b374d95dc09ec204062276bcef29bdc6eac48703f4fb59",
+        ((8, 14), "real"): "11e8be8993e9e0e9511883faeafae374153708ff1dea74c1cefac700fe5ebf5a",
+        ((60, 600), "int"): "91c3ad02ad9355090b5287132846ec720bafec2e06821e1b082ee74b6ebb0a00",
+        ((60, 600), "real"): "fe23590fd4d5eca818ba928d146a8e5398b01d50a691d3a0e33980152bff6caf",
+        ((120, 600), "int"): "1fee106fbdd74737d91b5d9152fceb1431324191db8d89b4a7d56107e37b0006",
+        ((120, 600), "real"): "2ac582ba808e746c0edde28618588ae9c54f19373f40d8f5793c3eef0d6d544b",
+        ((40, 780), "int"): "0d48a6b530b9a98351d58c96a8babe963aa7466555ab484452e9da550023794b",
+        ((40, 780), "real"): "6817de851f2d9695c2ee28c634d857a5b8ff046fb66c39ae8b93a81e9f2b6e28",
+    }
+    LAYERED = {
+        ((6, 9, 2), "int"): "bc82453d9019ad7409b5b026bb11c3bb8d5de2ceb0679273a9a5f0245a998312",
+        ((6, 9, 2), "real"): "9f2742695f178b7c7d5b58bafe7d7eb7a36758e1d67f85c5db5927fe61750d8b",
+        ((9, 12, 3), "int"): "528a4f31b2c3d48d31fe5815112225a5c6a3654676495895b637a37985bbb737",
+        ((9, 12, 3), "real"): "7324e91b4e04d23920d6443ac73d941508bd42fefbd9080788f183255b5e4b71",
+        ((30, 200, 3), "int"): "75f64932b4cacc4121cf157b80c101dcf2c9b140552e7a68af487af067cbae69",
+        ((30, 200, 3), "real"): "059e0d3279a2c25a2db277556bca7aa061de6a1ea979be93a0d23aa2b1718558",
+        ((40, 150, 5), "int"): "87381fa300536b4bd60407e4b4c0d18fbd3f6f767c0a5bb5e819f36fccba6759",
+        ((40, 150, 5), "real"): "78081b7dc338f8d1e8db84ba67b03c3efe95db18caf2cdf5714bf51dc58845ff",
+        ((50, 400, 2), "int"): "34c66aaf7738effb807922def6a73f02ceb40f5be0062313f2e51ded138ddd64",
+        ((50, 400, 2), "real"): "0f99df3142893243b25e6b32235a789dec79473f38c5c5bfeb2222d816332ea2",
+    }
+
+    def check(self, got, want):
+        assert got == want, (
+            f"topology digest differs under numpy {np.__version__}; the "
+            f"digests were recorded with numpy {self.RECORDED_NUMPY}"
+        )
+
+    @pytest.mark.parametrize("shape, capacities", sorted(ERDOS))
+    def test_erdos(self, shape, capacities):
+        n, m = shape
+        topos = [erdos_topology(n, m, s, capacities=capacities) for s in self.SEEDS]
+        self.check(topology_digest(topos), self.ERDOS[shape, capacities])
+
+    @pytest.mark.parametrize("shape, capacities", sorted(LAYERED))
+    def test_layered(self, shape, capacities):
+        n, m, layers = shape
+        topos = [
+            layered_topology(n, m, s, layers=layers, capacities=capacities)
+            for s in self.SEEDS
+        ]
+        self.check(topology_digest(topos), self.LAYERED[shape, capacities])
