@@ -17,7 +17,6 @@ Run:  python3 demos/worstcase_family.py
 from sspflow import (
     LowerBoundParams,
     build_hard_instance,
-    build_stage1,
     run_ssp,
     stage_sequence,
     verify_count,
@@ -26,7 +25,7 @@ from sspflow import (
 
 def act_one():
     print("1. seed gadget (side 4, 9 tier edges)")
-    stage = build_stage1(4, 9, seed=0)
+    stage = stage_sequence(4, 9, 1, seed=0)[0]
     trace = run_ssp(stage.instance, record_distances=False)
     lengths = [s.length for s in trace.steps]
     print(f"   augmentations: {len(trace.steps)} (one per tier edge)")

@@ -36,7 +36,6 @@ from .errors import (
     InvalidInterval,
     InvariantError,
     IterationCapExceeded,
-    LemmaViolation,
     NoPath,
     ParseError,
     PredictionMismatch,
@@ -59,7 +58,6 @@ from .lowerbound import (
     LowerBoundParams,
     StageInstance,
     build_hard_instance,
-    build_stage1,
     build_worstcase,
     stage_sequence,
     verify_count,
@@ -70,8 +68,6 @@ from .network import (
     Edge,
     FlowNetwork,
     TransformedNetwork,
-    arc_is_forward,
-    arc_reverse,
     as_transformed,
     check_feasible,
     residual_arcs,
@@ -107,7 +103,6 @@ __all__ = [
     "InvalidInterval",
     "InvariantError",
     "IterationCapExceeded",
-    "LemmaViolation",
     "LowerBoundParams",
     "NoPath",
     "Outcome",
@@ -117,13 +112,10 @@ __all__ = [
     "StageInstance",
     "TransformedNetwork",
     "adversarial_spec",
-    "arc_is_forward",
-    "arc_reverse",
     "as_transformed",
     "assign_integer_costs",
     "bipartite_topology",
     "build_hard_instance",
-    "build_stage1",
     "build_worstcase",
     "check_feasible",
     "check_lemmas",

@@ -35,14 +35,11 @@ from .errors import (
     AuxiliaryArc,
     InfeasibleFlow,
     InternalInvariantError,
-    LemmaViolation,
     NoPath,
 )
 from .network import (
     Flow,
     TransformedNetwork,
-    arc_is_forward,
-    arc_reverse,
     empty_arcs,
     push,
     residual_arcs,
@@ -264,20 +261,12 @@ def _beyond_rounding(x: float, c: float, y: float) -> bool:
 # ---------------------------------------------------------------------------
 # Step classification
 
-@dataclass(frozen=True)
-class FlowClassification:
-    """Indices (from 1) of the steps whose path holds no good arc."""
-
-    bad_steps: tuple[int, ...]
-
-
-def classify(trace: AugmentationTrace) -> FlowClassification:
-    """Recompute good/bad per step from replayed flows.
+def classify(trace: AugmentationTrace) -> tuple[int, ...]:
+    """Indices (from 1) of the bad steps, recomputed from replayed flows.
 
     A step is good when its path holds an empty arc (network.empty_arcs,
     under the flow before the step) over an original edge. Cross-checks
-    the recorded flag, bool(step.good_arcs), and enforces the bad-step
-    bound (at most one per node).
+    the recorded flag, bool(step.good_arcs).
     """
     flows = replay_flows(trace)
     net = trace.instance.base
@@ -295,11 +284,7 @@ def classify(trace: AugmentationTrace) -> FlowClassification:
             )
         if not has_good:
             bad.append(step.index)
-    if len(bad) > trace.instance.n:
-        raise LemmaViolation(
-            f"{len(bad)} bad steps exceed the node-count bound {trace.instance.n}"
-        )
-    return FlowClassification(tuple(bad))
+    return tuple(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +397,12 @@ def _check_empty_arc_on_path(trace, flows) -> LemmaCheck:
 
 def _check_bad_flow_bound(trace) -> LemmaCheck:
     cid = "bad_flow_bound"
-    try:
-        cls = classify(trace)
-    except LemmaViolation as exc:
-        return LemmaCheck(cid, False, None, str(exc))
-    return LemmaCheck(cid, True, detail=f"{len(cls.bad_steps)} bad step(s)")
+    k, n = len(classify(trace)), trace.instance.n
+    if k > n:  # at most one bad step per node
+        return LemmaCheck(
+            cid, False, None, f"{k} bad steps exceed the node-count bound {n}"
+        )
+    return LemmaCheck(cid, True, detail=f"{k} bad step(s)")
 
 
 def _check_no_negative_cycle(trace, flows) -> LemmaCheck:
@@ -446,7 +432,7 @@ def _check_reverse_path(trace, flows) -> LemmaCheck:
         post = flows[j + 1]
         arcs = residual_arcs(net, post.values)
         present = {a for a, *_ in arcs}
-        reversed_arcs = [arc_reverse(a) for a in reversed(step.path_arcs)]
+        reversed_arcs = [a ^ 1 for a in reversed(step.path_arcs)]
         if any(a not in present for a in reversed_arcs):
             return LemmaCheck(cid, False, step.index, "reversed path not present")
         dist = dict.fromkeys(net.nodes, INF)
@@ -537,7 +523,7 @@ def reconstruct(instance: TransformedNetwork, arc: int, threshold: float) -> Flo
         raise ValueError(f"arc {arc} outside instance")
     if not instance.base.is_original(e):
         raise AuxiliaryArc(f"arc {arc} lies on an auxiliary edge")
-    new_cost = instance.base.cost_bound if arc_is_forward(arc) else 0.0
+    new_cost = 0.0 if arc & 1 else instance.base.cost_bound
     modified = TransformedNetwork(
         instance.base.with_edge_cost(e, new_cost),
         instance.source,

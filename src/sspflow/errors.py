@@ -3,8 +3,8 @@
 Each class carries the process exit code the CLI returns for it as
 exit_code: input-side problems (parsing, invariant violations in user
 data, bad parameters) exit 1, a missing source-sink path exits 2, and
-failed self-checks (internal invariants, iteration cap, predictions,
-lemmas) exit 3.
+failed self-checks (internal invariants, iteration cap, predictions)
+exit 3.
 """
 
 from __future__ import annotations
@@ -75,11 +75,5 @@ class BadParams(FlowError):
 
 class PredictionMismatch(FlowError):
     """Observed solver behavior diverged from the construction's prediction."""
-
-    exit_code = 3
-
-
-class LemmaViolation(FlowError):
-    """A structural property that must hold was observed to fail."""
 
     exit_code = 3

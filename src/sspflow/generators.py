@@ -155,7 +155,7 @@ def bipartite_topology(n: int, m: int) -> Topology:
     s, t = 0, 2 * n + 1
     u = [1 + i for i in range(n)]
     w = [n + 1 + j for j in range(n)]
-    pairs = [(u[i], w[j]) for i in range(n) for j in range(n)][:m]
+    pairs = [(u[k // n], w[k % n]) for k in range(m)]
     outdeg = {v: 0 for v in u}
     indeg = {v: 0 for v in w}
     for a, b in pairs:

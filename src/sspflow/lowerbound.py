@@ -191,14 +191,10 @@ def _stages(side: int, edges: int, stages: int, seed: int,
 
 
 def stage_sequence(side: int, edges: int, stages: int, seed: int) -> list[StageInstance]:
-    """Stages 1..stages built over one seed; stage i + 1 wraps stage i
-    and doubles its step count to 2^i * edges."""
+    """Stages 1..stages built over one seed. Stage 1 is the bipartite
+    seed gadget, with exactly `edges` augmentations; stage i + 1 wraps
+    stage i and doubles its step count to 2^i * edges."""
     return _stages(side, edges, stages, seed)
-
-
-def build_stage1(side: int, edges: int, seed: int) -> StageInstance:
-    """The bipartite seed gadget; exactly `edges` augmentations."""
-    return _stages(side, edges, 1, seed)[0]
 
 
 def build_hard_instance(params: LowerBoundParams, seed: int) -> HardInstance:

@@ -26,7 +26,7 @@ solver's flat-array engine inlines the first as res[a] > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -35,8 +35,9 @@ from .errors import BalanceMismatch, InfeasibleFlow, InvariantError
 ORIGINAL = "original"
 AUXILIARY = "aux"
 
-# Relative tolerance for zero-sum balance checks on constructed (float)
-# data; file input is validated in exact decimal arithmetic upstream.
+# Relative tolerance for zero-sum balance checks, scaled by the total
+# balance magnitude (at least 1). File input gets the same check:
+# dimacs parses balances as floats.
 _BALANCE_RTOL = 1e-9
 
 
@@ -49,27 +50,28 @@ class Edge:
     kind: str = ORIGINAL
 
 
+@dataclass(frozen=True, slots=True)
 class FlowNetwork:
     """Immutable directed network with capacities, costs and node balances.
 
-    Nodes missing from balance get balance 0.0.
+    edges and nodes may be any iterables. Nodes are the sorted union of
+    nodes, edge endpoints and balance keys; nodes missing from balance
+    get balance 0.0.
     """
 
-    __slots__ = ("nodes", "edges", "balance", "cost_bound")
+    edges: tuple[Edge, ...]
+    balance: Mapping[int, float] = field(hash=False)
+    nodes: tuple[int, ...] | None = None
+    cost_bound: float = 1.0
 
-    def __init__(
-        self,
-        edges: Iterable[Edge],
-        balance: Mapping[int, float],
-        nodes: Iterable[int] | None = None,
-        cost_bound: float = 1.0,
-    ):
-        edges = tuple(edges)
-        node_set = set(nodes) if nodes is not None else set()
+    def __post_init__(self):
+        edges = tuple(self.edges)
+        cost_bound = self.cost_bound
+        node_set = set(self.nodes) if self.nodes is not None else set()
         for e in edges:
             node_set.add(e.tail)
             node_set.add(e.head)
-        node_set.update(balance)
+        node_set.update(self.balance)
         if not node_set:
             raise InvariantError("network has no nodes")
         if not all(isinstance(v, int) for v in node_set):
@@ -105,7 +107,7 @@ class FlowNetwork:
             pairs.add(key)
 
         bal = {v: 0.0 for v in node_set}
-        for v, b in balance.items():
+        for v, b in self.balance.items():
             if v not in node_set:
                 raise InvariantError(f"balance given for unknown node {v}")
             if not math.isfinite(b):
@@ -116,16 +118,10 @@ class FlowNetwork:
         if abs(total) > _BALANCE_RTOL * scale:
             raise BalanceMismatch(f"balances sum to {total}, expected 0")
 
-        self._set("nodes", tuple(sorted(node_set)))
-        self._set("edges", edges)
-        self._set("balance", MappingProxyType(bal))
-        self._set("cost_bound", float(cost_bound))
-
-    def _set(self, name, value):
-        object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowNetwork is immutable")
+        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "balance", MappingProxyType(bal))
+        object.__setattr__(self, "cost_bound", float(cost_bound))
 
     @property
     def n(self) -> int:
@@ -144,19 +140,6 @@ class FlowNetwork:
         old = edges[e]
         edges[e] = Edge(old.tail, old.head, old.capacity, cost, old.kind)
         return FlowNetwork(edges, dict(self.balance), self.nodes, self.cost_bound)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlowNetwork):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.edges == other.edges
-            and dict(self.balance) == dict(other.balance)
-            and self.cost_bound == other.cost_bound
-        )
-
-    def __hash__(self):
-        return hash((self.nodes, self.edges, self.cost_bound))
 
     def __repr__(self):
         return f"FlowNetwork(n={self.n}, m={self.m}, cost_bound={self.cost_bound})"
@@ -260,14 +243,6 @@ def check_feasible(instance: TransformedNetwork, values: tuple[float, ...]) -> f
 
 # ---------------------------------------------------------------------------
 # Residual arcs
-
-def arc_is_forward(arc: int) -> bool:
-    return (arc & 1) == 0
-
-
-def arc_reverse(arc: int) -> int:
-    return arc ^ 1
-
 
 def push(
     f: list[float], cap: Sequence[float], arcs: Iterable[int], amount: float

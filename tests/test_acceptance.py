@@ -18,7 +18,6 @@ from sspflow import (
     adversarial_spec,
     bipartite_topology,
     build_hard_instance,
-    build_stage1,
     check_lemmas,
     check_reconstruction,
     effective_phi,
@@ -69,7 +68,7 @@ def test_criterion_2_seed_gadget_counts_and_costs():
     started = time.perf_counter()
     total = 0
     for side, edges in [(3, 7), (5, 10), (10, 100)]:
-        stage = build_stage1(side, edges, seed=0)
+        stage = stage_sequence(side, edges, 1, seed=0)[0]
         trace = run_ssp(stage.instance, record_distances=False)
         assert trace.outcome is Outcome.REACHED_Z
         assert len(trace.steps) == edges, (side, edges)

@@ -381,11 +381,11 @@ class TestReplayAndClassify:
         for seed in range(10):
             inst = uniform_instance(seed)
             trace = solve(inst)
-            cls = classify(trace)
-            assert cls.bad_steps == tuple(
+            bad = classify(trace)
+            assert bad == tuple(
                 step.index for step in trace.steps if not step.good_arcs
             )
-            assert len(cls.bad_steps) <= inst.n
+            assert len(bad) <= inst.n
 
     def test_tampered_flag_detected(self):
         inst = uniform_instance(4)
@@ -438,6 +438,19 @@ class TestLemmaSuite:
         assert not report.all_passed
         failed = {c.check_id for c in report.checks if not c.passed}
         assert "path_length_increase" in failed
+        assert "cost_function_shape" in failed
+
+    def test_bad_step_bound_fails_above_node_count(self, monkeypatch):
+        inst = uniform_instance(3)
+        trace = solve(inst, retain_flows=True)
+        n = trace.instance.n
+        monkeypatch.setattr(
+            analysis, "classify", lambda trace: tuple(range(1, n + 2))
+        )
+        by_id = {c.check_id: c for c in check_lemmas(trace).checks}
+        check = by_id["bad_flow_bound"]
+        assert not check.passed and check.first_violation_step is None
+        assert check.detail == f"{n + 1} bad steps exceed the node-count bound {n}"
 
     def test_expensive_check_skipped_on_large_instance(self):
         inst = uniform_instance(0, n=14, m=20)

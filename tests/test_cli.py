@@ -11,14 +11,13 @@ from sspflow import (
     InvalidInterval,
     InvariantError,
     IterationCapExceeded,
-    LemmaViolation,
     NoPath,
     ParseError,
     PredictionMismatch,
     build_hard_instance,
     write_instance,
 )
-from sspflow import cli, lowerbound
+from sspflow import analysis, cli, lowerbound
 from sspflow.cli import main
 
 from conftest import single_edge_network, two_path_network
@@ -232,6 +231,33 @@ def test_verify_reports_lemmas(instance_file, tmp_path, capsys):
     assert len(rows) == 9
 
 
+def test_verify_exits_3_when_bad_steps_exceed_node_count(
+    instance_file, monkeypatch, capsys
+):
+    monkeypatch.setattr(
+        analysis, "classify", lambda trace: tuple(range(1, trace.instance.n + 2))
+    )
+    assert main(["verify", instance_file]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL bad_flow_bound (" in out
+    assert "bad steps exceed the node-count bound" in out
+
+
+# Balances are floats checked to a 1e-9 relative tolerance: an imbalance
+# of 1e-10 solves, one of 1e-8 is an input error.
+@pytest.mark.parametrize("demand, code", [("-1.0000000001", 0), ("-1.00000001", 1)])
+def test_balance_tolerance_on_file_input(tmp_path, capsys, demand, code):
+    path = tmp_path / "imbalanced.dimacs"
+    path.write_text(f"p min 2 1\nn 0 1\nn 1 {demand}\na 0 1 1 0.5\n")
+    assert main(["solve", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error: balances sum to")
+    else:
+        assert captured.out.startswith("reached_z steps=1 value=1.0")
+    assert "Traceback" not in captured.err
+
+
 def test_reconstruct_check(instance_file, capsys):
     assert main(["reconstruct-check", instance_file]) == 0
     out = capsys.readouterr().out
@@ -323,7 +349,6 @@ EXIT_CODES = {
     IterationCapExceeded: (3, "invariant violation"),
     InternalInvariantError: (3, "invariant violation"),
     PredictionMismatch: (3, "invariant violation"),
-    LemmaViolation: (3, "invariant violation"),
 }
 
 

@@ -13,7 +13,6 @@ from sspflow import (
     PredictionMismatch,
     StageInstance,
     build_hard_instance,
-    build_stage1,
     build_worstcase,
     run_ssp,
     stage_sequence,
@@ -59,7 +58,7 @@ class TestParams:
 class TestStage1:
     @pytest.mark.parametrize("side,edges", [(3, 7), (5, 10), (10, 100)])
     def test_exact_step_count_and_costs(self, side, edges):
-        stage = build_stage1(side, edges, seed=0)
+        stage = stage_sequence(side, edges, 1, seed=0)[0]
         trace = run_ssp(stage.instance, record_distances=False)
         assert trace.outcome is Outcome.REACHED_Z
         assert len(trace.steps) == edges
@@ -69,7 +68,7 @@ class TestStage1:
             assert 7.0 - 1e-9 <= step.length <= 11.0 + 1e-9
 
     def test_costs_in_declared_bands(self):
-        stage = build_stage1(4, 9, seed=1)
+        stage = stage_sequence(4, 9, 1, seed=1)[0]
         base = stage.instance.base
         for e, edge in enumerate(base.edges):
             if e < 9:  # tier-to-tier slots
@@ -78,14 +77,14 @@ class TestStage1:
                 assert 0.0 <= edge.cost <= 1.0
 
     def test_deterministic(self):
-        a = build_stage1(3, 7, seed=5)
-        b = build_stage1(3, 7, seed=5)
+        a = stage_sequence(3, 7, 1, seed=5)[0]
+        b = stage_sequence(3, 7, 1, seed=5)[0]
         assert a.instance.base == b.instance.base
-        c = build_stage1(3, 7, seed=6)
+        c = stage_sequence(3, 7, 1, seed=6)[0]
         assert a.instance.base != c.instance.base
 
     def test_roles(self):
-        stage = build_stage1(3, 7, seed=0)
+        stage = stage_sequence(3, 7, 1, seed=0)[0]
         roles = stage.roles
         assert roles[stage.instance.source] == "s1"
         assert roles[stage.instance.sink] == "t1"

@@ -10,8 +10,6 @@ from sspflow import (
     FlowNetwork,
     InfeasibleFlow,
     InvariantError,
-    arc_is_forward,
-    arc_reverse,
     as_transformed,
     check_feasible,
     residual_arcs,
@@ -101,6 +99,14 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             net.cost_bound = 2.0
 
+    def test_equality_ignores_node_order(self):
+        edges = [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.2)]
+        a = FlowNetwork(edges, {0: 1.0, 2: -1.0}, nodes=[2, 9, 0, 1])
+        b = FlowNetwork(tuple(edges), {2: -1.0, 0: 1.0}, nodes=[9, 1, 0, 2])
+        assert a == b and hash(a) == hash(b)
+        c = FlowNetwork(edges, {0: 2.0, 2: -2.0}, nodes=[0, 1, 2, 9])
+        assert c != a
+
     def test_with_edge_cost(self):
         net = single_edge_network()
         net2 = net.with_edge_cost(0, 0.9)
@@ -177,10 +183,6 @@ class TestTransform:
 
 
 class TestFlowAndResidual:
-    def test_arc_encoding(self):
-        assert arc_is_forward(6) and not arc_is_forward(7)
-        assert arc_reverse(6) == 7 and arc_reverse(7) == 6
-
     def test_zero_flow_residual(self):
         inst = transform(single_edge_network())
         f = (0.0,) * inst.m

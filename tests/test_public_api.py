@@ -1,3 +1,5 @@
+import dataclasses
+import enum
 import importlib
 
 import pytest
@@ -9,7 +11,6 @@ import sspflow
 RETURN_TYPES = [
     ("sspflow.solver", "CostFunction"),
     ("sspflow.network", "Flow"),
-    ("sspflow.analysis", "FlowClassification"),
     ("sspflow.analysis", "LemmaCheck"),
     ("sspflow.analysis", "LemmaReport"),
     ("sspflow.analysis", "ReconstructionCase"),
@@ -30,3 +31,22 @@ def test_return_types_resolve_from_their_module(module, name):
     cls = getattr(importlib.import_module(module), name)
     assert isinstance(cls, type) and cls.__module__ == module
     assert name not in sspflow.__all__
+
+
+def _record_types():
+    public = (getattr(sspflow, name) for name in sspflow.__all__)
+    returned = (
+        getattr(importlib.import_module(module), name)
+        for module, name in RETURN_TYPES
+    )
+    return [
+        cls
+        for cls in (*public, *returned)
+        if isinstance(cls, type) and not issubclass(cls, (BaseException, enum.Enum))
+    ]
+
+
+@pytest.mark.parametrize("cls", _record_types(), ids=lambda cls: cls.__name__)
+def test_records_are_frozen_dataclasses(cls):
+    assert dataclasses.is_dataclass(cls)
+    assert cls.__dataclass_params__.frozen
