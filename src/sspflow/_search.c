@@ -1,0 +1,488 @@
+/* Compiled Dijkstra loops of sspflow.solver._Engine.
+ *
+ * Each function repeats its Python counterpart float operation for float:
+ * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
+ * clamp, the same comparisons, so the settle order, the distances and the
+ * chosen paths are bit-identical. The engine's lists are read in place
+ * through the C API; nothing is converted.
+ *
+ * forward's heap holds (dist, hops, pred, arc, node): the label of node
+ * reached over arc from the settled node pred. The Python search orders
+ * labels of equal (dist, hops) by their arc sequences, which are the
+ * settled tree path of pred followed by arc. Two such paths of equal
+ * length agree up to the deepest common ancestor of the two preds and
+ * differ in the arc leaving it, so path_cmp walks both chains back in
+ * step to that node and compares the two arcs there.
+ *
+ * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
+ * fused multiply-add or fast-math, so every double operation rounds as
+ * Python's does.
+ */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
+/* reverse leaves hops, pred and arc at 0, -1 and -1, so its entries order
+ * by (dist, node), as heapq orders its (dist, node) pairs. */
+typedef struct {
+    double d;
+    Py_ssize_t hops, pred, arc, node;
+} Entry;
+
+/* Per-node state of one search, freed by state_free. */
+typedef struct {
+    Py_ssize_t n;
+    double *dist;
+    Py_ssize_t *hops, *pred, *parc;
+    char *done;
+    Entry *heap;
+    Py_ssize_t len, cap;
+} State;
+
+static PyObject *float_zero;
+
+static void
+state_free(State *st)
+{
+    PyMem_Free(st->dist);
+    PyMem_Free(st->hops);
+    PyMem_Free(st->pred);
+    PyMem_Free(st->parc);
+    PyMem_Free(st->done);
+    PyMem_Free(st->heap);
+}
+
+static int
+state_init(State *st, Py_ssize_t n)
+{
+    st->n = n;
+    st->len = 0;
+    st->cap = 16;
+    st->dist = PyMem_New(double, n);
+    st->hops = PyMem_New(Py_ssize_t, n);
+    st->pred = PyMem_New(Py_ssize_t, n);
+    st->parc = PyMem_New(Py_ssize_t, n);
+    st->done = PyMem_New(char, n);
+    st->heap = PyMem_New(Entry, st->cap);
+    if (!st->dist || !st->hops || !st->pred || !st->parc || !st->done || !st->heap) {
+        state_free(st);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        st->dist[i] = Py_HUGE_VAL;
+        st->hops[i] = 0;
+        st->done[i] = 0;
+    }
+    return 0;
+}
+
+/* Sign of (path(u1), a1) against (path(u2), a2), where u1 and u2 are
+ * settled at the same depth. */
+static int
+path_cmp(const State *st, Py_ssize_t u1, Py_ssize_t a1, Py_ssize_t u2, Py_ssize_t a2)
+{
+    while (u1 != u2) {
+        a1 = st->parc[u1];
+        a2 = st->parc[u2];
+        u1 = st->pred[u1];
+        u2 = st->pred[u2];
+    }
+    return (a1 > a2) - (a1 < a2);
+}
+
+/* Tuple order of (dist, hops, key, node), as heapq compares the Python
+ * search's entries. */
+static int
+less(const State *st, const Entry *x, const Entry *y)
+{
+    if (x->d != y->d)
+        return x->d < y->d;
+    if (x->hops != y->hops)
+        return x->hops < y->hops;
+    int c = path_cmp(st, x->pred, x->arc, y->pred, y->arc);
+    return c ? c < 0 : x->node < y->node;
+}
+
+static int
+push(State *st, Entry e)
+{
+    if (st->len == st->cap) {
+        Entry *grown = PyMem_Realloc(st->heap, 2 * st->cap * sizeof(Entry));
+        if (!grown) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        st->heap = grown;
+        st->cap *= 2;
+    }
+    Entry *h = st->heap;
+    Py_ssize_t i = st->len++;
+    while (i > 0) {
+        Py_ssize_t up = (i - 1) / 2;
+        if (!less(st, &e, &h[up]))
+            break;
+        h[i] = h[up];
+        i = up;
+    }
+    h[i] = e;
+    return 0;
+}
+
+static Entry
+pop(State *st)
+{
+    Entry *h = st->heap;
+    Entry top = h[0], last = h[--st->len];
+    Py_ssize_t i = 0, n = st->len;
+    for (;;) {
+        Py_ssize_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && less(st, &h[c + 1], &h[c]))
+            c++;
+        if (!less(st, &h[c], &last))
+            break;
+        h[i] = h[c];
+        i = c;
+    }
+    if (n)
+        h[i] = last;
+    return top;
+}
+
+/* -- reading the engine's lists ------------------------------------------ */
+
+static int
+as_double(PyObject *o, double *out)
+{
+    if (PyFloat_CheckExact(o)) {
+        *out = PyFloat_AS_DOUBLE(o);
+        return 0;
+    }
+    *out = PyFloat_AsDouble(o);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* res[a] <= 0.0 as Python decides it: 1, 0, or -1 with an exception set. */
+static int
+no_residual(PyObject *res, Py_ssize_t a)
+{
+    if (a < 0 || a >= PyList_GET_SIZE(res)) {
+        PyErr_SetString(PyExc_IndexError, "arc index out of range");
+        return -1;
+    }
+    PyObject *r = PyList_GET_ITEM(res, a);
+    if (PyFloat_CheckExact(r))
+        return PyFloat_AS_DOUBLE(r) <= 0.0;
+    return PyObject_RichCompareBool(r, float_zero, Py_LE);
+}
+
+static int
+item_double(PyObject *list, Py_ssize_t i, double *out)
+{
+    if (i < 0 || i >= PyList_GET_SIZE(list)) {
+        PyErr_SetString(PyExc_IndexError, "node index out of range");
+        return -1;
+    }
+    return as_double(PyList_GET_ITEM(list, i), out);
+}
+
+/* Row v of an adjacency list, as a new reference: the row stays alive
+ * while it is scanned, whatever the check callback does. */
+static PyObject *
+adj_row(PyObject *adj, Py_ssize_t v)
+{
+    PyObject *row;
+    if (v >= PyList_GET_SIZE(adj) || !PyList_Check(row = PyList_GET_ITEM(adj, v))) {
+        PyErr_SetString(PyExc_TypeError, "adjacency rows must be lists");
+        return NULL;
+    }
+    Py_INCREF(row);
+    return row;
+}
+
+/* One adjacency entry (arc, node, signed cost); the cost is read later,
+ * only for arcs that pass the residual and settled tests. */
+static int
+adj_entry(PyObject *entry, Py_ssize_t n, Py_ssize_t *a, Py_ssize_t *v)
+{
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
+        PyErr_SetString(PyExc_TypeError, "adjacency entries must be 3-tuples");
+        return -1;
+    }
+    *a = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 0));
+    if (*a == -1 && PyErr_Occurred())
+        return -1;
+    *v = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 1));
+    if (*v == -1 && PyErr_Occurred())
+        return -1;
+    if (*v < 0 || *v >= n) {
+        PyErr_SetString(PyExc_IndexError, "node index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* rc = (c + pu) - pv for the arc entry from u to v, with pu = pi[u] and
+ * pv = pi[v], clamped at 0.0 as the Python loops do; below -slack,
+ * check(rc, a, c, pi[u], pi[v]) decides first and may raise. */
+static int
+reduced_cost(PyObject *check, double slack, PyObject *entry, PyObject *pi,
+             Py_ssize_t u, double pu, Py_ssize_t v, double pv, double *rc)
+{
+    double c;
+    if (as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0)
+        return -1;
+    *rc = (c + pu) - pv;
+    if (*rc < 0.0) {
+        if (*rc < -slack) {
+            PyObject *ok = PyObject_CallFunction(
+                check, "dOOOO", *rc, PyTuple_GET_ITEM(entry, 0),
+                PyTuple_GET_ITEM(entry, 2), PyList_GET_ITEM(pi, u),
+                PyList_GET_ITEM(pi, v));
+            if (!ok)
+                return -1;
+            Py_DECREF(ok);
+        }
+        *rc = 0.0;
+    }
+    return 0;
+}
+
+static PyObject *
+dist_list(const State *st)
+{
+    PyObject *out = PyList_New(st->n);
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < st->n; i++) {
+        PyObject *d = PyFloat_FromDouble(st->dist[i]);
+        if (!d) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, d);
+    }
+    return out;
+}
+
+/* -- the searches --------------------------------------------------------- */
+
+static PyObject *
+forward(PyObject *self, PyObject *args)
+{
+    PyObject *out_adj, *res, *pi, *check;
+    Py_ssize_t s, t;
+    int stop_at_sink;
+    double slack;
+    if (!PyArg_ParseTuple(args, "O!O!O!nnpOd:forward", &PyList_Type, &out_adj,
+                          &PyList_Type, &res, &PyList_Type, &pi, &s, &t,
+                          &stop_at_sink, &check, &slack))
+        return NULL;
+    Py_ssize_t n = PyList_GET_SIZE(out_adj);
+    if (s < 0 || s >= n || t < 0 || t >= n) {
+        PyErr_SetString(PyExc_IndexError, "source or sink out of range");
+        return NULL;
+    }
+    State st;
+    if (state_init(&st, n) < 0)
+        return NULL;
+    PyObject *adj = NULL, *result = NULL, *dist, *path = Py_None;
+    Py_ssize_t stop = stop_at_sink ? t : -1;
+    double bound = 0.0;
+    st.dist[s] = 0.0;
+    st.pred[s] = st.parc[s] = -1;
+    Entry root = {0.0, 0, -1, -1, s};
+    if (push(&st, root) < 0)
+        goto done;
+    while (st.len) {
+        /* Labels only ever decrease, so the first entry popped for a
+         * node carries its current label; later ones are stale. */
+        Entry top = pop(&st);
+        Py_ssize_t u = top.node;
+        if (st.done[u])
+            continue;
+        bound = top.d;
+        if (u == stop)
+            break;
+        st.done[u] = 1;
+        Py_ssize_t hv = top.hops + 1;
+        double pu;
+        if (item_double(pi, u, &pu) < 0)
+            goto done;
+        if (!(adj = adj_row(out_adj, u)))
+            goto done;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(adj); i++) {
+            PyObject *entry = PyList_GET_ITEM(adj, i);
+            Py_ssize_t a, v;
+            if (adj_entry(entry, n, &a, &v) < 0)
+                goto done;
+            int skip = no_residual(res, a);
+            if (skip < 0)
+                goto done;
+            if (skip || st.done[v])
+                continue;
+            double pv, rc;
+            if (item_double(pi, v, &pv) < 0
+                || reduced_cost(check, slack, entry, pi, u, pu, v, pv, &rc) < 0)
+                goto done;
+            double cand = top.d + rc, dv = st.dist[v];
+            if (cand > dv)
+                continue;
+            if (cand == dv
+                && (hv > st.hops[v]
+                    || (hv == st.hops[v] && path_cmp(&st, u, a, st.pred[v], st.parc[v]) >= 0)))
+                continue;
+            st.dist[v] = cand;
+            st.hops[v] = hv;
+            st.pred[v] = u;
+            st.parc[v] = a;
+            Entry e = {cand, hv, u, a, v};
+            if (push(&st, e) < 0)
+                goto done;
+        }
+        Py_CLEAR(adj);
+    }
+
+    if (!(dist = dist_list(&st)))
+        goto done;
+    if (st.dist[t] < Py_HUGE_VAL) {
+        path = PyTuple_New(st.hops[t]);
+        if (!path) {
+            Py_DECREF(dist);
+            goto done;
+        }
+        for (Py_ssize_t v = t, k = st.hops[t]; k > 0; v = st.pred[v]) {
+            PyObject *a = PyLong_FromSsize_t(st.parc[v]);
+            if (!a) {
+                Py_DECREF(dist);
+                Py_DECREF(path);
+                goto done;
+            }
+            PyTuple_SET_ITEM(path, --k, a);
+        }
+    } else {
+        Py_INCREF(path);
+    }
+    result = Py_BuildValue("NNd", dist, path, bound);
+done:
+    Py_XDECREF(adj);
+    state_free(&st);
+    return result;
+}
+
+static PyObject *
+reverse(PyObject *self, PyObject *args)
+{
+    PyObject *in_adj, *res, *pi, *check;
+    Py_ssize_t t;
+    double slack;
+    if (!PyArg_ParseTuple(args, "O!O!O!nOd:reverse", &PyList_Type, &in_adj,
+                          &PyList_Type, &res, &PyList_Type, &pi, &t, &check, &slack))
+        return NULL;
+    Py_ssize_t n = PyList_GET_SIZE(in_adj);
+    if (t < 0 || t >= n) {
+        PyErr_SetString(PyExc_IndexError, "sink out of range");
+        return NULL;
+    }
+    State st;
+    if (state_init(&st, n) < 0)
+        return NULL;
+    PyObject *adj = NULL, *result = NULL;
+    st.dist[t] = 0.0;
+    Entry root = {0.0, 0, -1, -1, t};
+    if (push(&st, root) < 0)
+        goto done;
+    while (st.len) {
+        Entry top = pop(&st);
+        Py_ssize_t v = top.node;
+        if (st.done[v])
+            continue;
+        st.done[v] = 1;
+        double pv;
+        if (item_double(pi, v, &pv) < 0)
+            goto done;
+        if (!(adj = adj_row(in_adj, v)))
+            goto done;
+        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(adj); i++) {
+            PyObject *entry = PyList_GET_ITEM(adj, i);
+            Py_ssize_t a, u;
+            if (adj_entry(entry, n, &a, &u) < 0)
+                goto done;
+            int skip = no_residual(res, a);
+            if (skip < 0)
+                goto done;
+            if (skip || st.done[u])
+                continue;
+            double pu, rc;
+            if (item_double(pi, u, &pu) < 0
+                || reduced_cost(check, slack, entry, pi, u, pu, v, pv, &rc) < 0)
+                goto done;
+            double cand = top.d + rc;
+            if (cand < st.dist[u]) {
+                st.dist[u] = cand;
+                Entry e = {cand, 0, -1, -1, u};
+                if (push(&st, e) < 0)
+                    goto done;
+            }
+        }
+        Py_CLEAR(adj);
+    }
+    result = dist_list(&st);
+done:
+    Py_XDECREF(adj);
+    state_free(&st);
+    return result;
+}
+
+static PyObject *
+raise_potentials(PyObject *self, PyObject *args)
+{
+    PyObject *pi, *dist;
+    double bound;
+    if (!PyArg_ParseTuple(args, "O!O!d:raise_potentials", &PyList_Type, &pi,
+                          &PyList_Type, &dist, &bound))
+        return NULL;
+    Py_ssize_t n = PyList_GET_SIZE(pi);
+    if (PyList_GET_SIZE(dist) < n)
+        n = PyList_GET_SIZE(dist);
+    PyObject *out = PyList_New(n);
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double p, d;
+        PyObject *x;
+        if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
+            || as_double(PyList_GET_ITEM(dist, i), &d) < 0
+            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound)))) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"forward", forward, METH_VARARGS,
+     "forward(out_adj, res, pi, s, t, stop_at_sink, check, slack)"
+     " -> (dist, path_arcs | None, bound)"},
+    {"reverse", reverse, METH_VARARGS,
+     "reverse(in_adj, res, pi, t, check, slack) -> dist"},
+    {"raise_potentials", raise_potentials, METH_VARARGS,
+     "raise_potentials(pi, dist, bound) -> [p + min(d, bound)]"},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_search",
+    "Compiled Dijkstra loops of sspflow.solver._Engine.", -1, methods,
+};
+
+PyMODINIT_FUNC
+PyInit__search(void)
+{
+    if (!float_zero && !(float_zero = PyFloat_FromDouble(0.0)))
+        return NULL;
+    return PyModule_Create(&module);
+}

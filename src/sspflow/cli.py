@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -310,7 +311,10 @@ def cmd_reconstruct_check(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs milliseconds a solve can spend."""
     parser = argparse.ArgumentParser(
         prog="sspflow",
         description="Successive-shortest-path min-cost flow laboratory",
@@ -322,12 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=None, help="target value override")
     p.add_argument("--out", default=None, help="trace CSV path")
     p.add_argument("--iteration-cap", type=int, default=None)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("costfn", help="value-vs-cost profile as CSV")
     p.add_argument("instance")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_costfn)
 
     p = sub.add_parser("generate", help="write a seeded instance file")
     p.add_argument("--model", choices=MODELS, default="smoothed")
@@ -342,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["uniform", "adversarial"],
                    default="uniform")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("lowerbound", help="exponential-family instance")
     p.add_argument("--n", type=int, required=True, help="seed gadget side size")
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true",
                    help="solve and check the predicted behavior")
-    p.set_defaults(fn=cmd_lowerbound)
 
     p = sub.add_parser("experiment", help="step-count grid experiment")
     p.add_argument("--models", default="smoothed",
@@ -367,25 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="results CSV (default stdout)")
     p.add_argument("--timings", action="store_true",
                    help="fill the runtime column (breaks byte-determinism)")
-    p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("verify", help="run the lemma suite on an instance")
     p.add_argument("instance")
     p.add_argument("--out", default=None, help="lemma report CSV path")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reconstruct-check",
                        help="harvest and check flow reconstructions")
     p.add_argument("instance")
     p.add_argument("--max-cases", type=int, default=50)
-    p.set_defaults(fn=cmd_reconstruct_check)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so a replaced cmd_* function is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except FlowError as exc:
         print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -22,6 +22,7 @@ same key that first skips exactly the endpoint draws used.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -245,21 +246,23 @@ def layered_topology(
         raise InfeasibleShape(f"need at least one node per layer, n={n}, layers={layers}")
     if m < 1:
         raise InfeasibleShape(f"need m >= 1, got m={m}")
-    tiers: list[list[int]] = [[] for _ in range(layers)]
-    for v in range(n):
-        tiers[v % layers].append(v)
-    slots = [
-        (a, b)
-        for li in range(layers - 1)
-        for a in tiers[li]
-        for b in tiers[li + 1]
-    ]
-    if m > len(slots):
-        raise InfeasibleShape(f"m={m} exceeds the {len(slots)} consecutive-layer slots")
+    # Node v sits in layer v % layers. Slots are numbered layer pair by
+    # layer pair, each block row-major over (tail, head), and a picked
+    # slot index is decoded by its block's start and divmod.
+    tiers = [range(li, n, layers) for li in range(layers)]
+    starts = [0]
+    for li in range(layers - 1):
+        starts.append(starts[-1] + len(tiers[li]) * len(tiers[li + 1]))
+    if m > starts[-1]:
+        raise InfeasibleShape(f"m={m} exceeds the {starts[-1]} consecutive-layer slots")
     gen = _rng.stream(seed, _rng.TOPOLOGY)
-    picked_idx = sorted(gen.permutation(len(slots))[:m].tolist())
+    picked_idx = sorted(gen.permutation(starts[-1])[:m].tolist())
     caps = _capacities(gen, m, capacities)
-    edges = [(slots[i][0], slots[i][1], caps[j]) for j, i in enumerate(picked_idx)]
+    edges = []
+    for i, c in zip(picked_idx, caps):
+        li = bisect_right(starts, i) - 1
+        a, b = divmod(i - starts[li], len(tiers[li + 1]))
+        edges.append((tiers[li][a], tiers[li + 1][b], c))
 
     first, last = tiers[0], tiers[-1]
     out_cap = {v: 0.0 for v in first}

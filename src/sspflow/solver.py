@@ -35,6 +35,14 @@ have the same float length, so the arc sequence settles them and the
 solve may take the exactly longer route. analysis.exact_check replays
 a trace in exact arithmetic and flags such a step.
 
+The three loops (forward search, reverse search, potential update) also
+exist in C, in _search.c: the engine calls them when every cost and
+capacity is a float or an int, reading its lists in place, and they
+repeat the Python loops float operation for float, so traces are
+bit-identical with or without them. _native compiles that file with gcc
+on the first engine build and caches the library in __pycache__; when
+no build is possible it logs one warning and the Python loops run.
+
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
 exact; a step's good arcs are its network.empty_arcs on original edges.
@@ -49,6 +57,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
+from . import _native
 from .errors import InternalInvariantError, IterationCapExceeded
 from .network import ORIGINAL, Flow, TransformedNetwork, empty_arcs, push
 
@@ -164,19 +173,24 @@ class _Engine:
         self.value = 0.0
         self.pi = [0.0] * self.n
         self.steps: list[AugmentationStep] = []
+        # The compiled loops compute in C doubles; other number types
+        # (Fraction, numpy scalars) keep their own arithmetic in Python.
+        native = all(type(x) in (float, int) for x in (*cost, *self.cap))
+        self.native = _native.load() if native else None
 
     # -- shortest paths -----------------------------------------------------
 
     def dijkstra_forward(self, stop_at_sink: bool):
-        """Reduced distances and tie keys from the source.
+        """Reduced distances and the sink's path from the source.
 
-        Returns (dist, key, bound): lists indexed by dense node index,
-        and the distance of the last node settled. With stop_at_sink the
-        search ends when the sink is settled, whose label is then final,
-        and bound is dist[sink]; nodes left unsettled keep tentative
-        distances of at least bound. Otherwise every reachable node is
-        settled, and bound, as nodes settle in nondecreasing distance,
-        is the largest finite distance.
+        Returns (dist, arcs, bound): distances indexed by dense node
+        index, the arc sequence of the sink's path (None when the sink
+        is unreachable), and the distance of the last node settled. With
+        stop_at_sink the search ends when the sink is settled, whose
+        label is then final, and bound is dist[sink]; nodes left
+        unsettled keep tentative distances of at least bound. Otherwise
+        every reachable node is settled, and bound, as nodes settle in
+        nondecreasing distance, is the largest finite distance.
 
         A label is (reduced dist, hops, key), compared lexicographically; the
         heap holds (dist, hops, key, node). key[v] = (key[u], a) pairs
@@ -195,7 +209,14 @@ class _Engine:
         node at a multiple of KEY_FLATTEN_DEPTH hops hands its children
         its key as a flat arc tuple; every key of a given depth has the
         same shape, so the order is unchanged.
+
+        With the compiled kernel, native.forward runs the same search.
         """
+        if self.native is not None:
+            return self.native.forward(
+                self.out_adj, self.res, self.pi, self.s, self.t, stop_at_sink,
+                _check_reduced_cost, REDUCED_COST_SLACK,
+            )
         n = self.n
         pi = self.pi
         res = self.res
@@ -243,10 +264,16 @@ class _Engine:
                 hops[v] = hv
                 key[v] = kv
                 heappush(heap, (cand, hv, kv, v))
-        return dist, key, bound
+        t = self.t
+        return dist, (self.path_arcs(key[t]) if dist[t] < INF else None), bound
 
     def dijkstra_reverse(self):
         """Reduced distances to the sink (reverse graph, no tie keys)."""
+        if self.native is not None:
+            return self.native.reverse(
+                self.in_adj, self.res, self.pi, self.t,
+                _check_reduced_cost, REDUCED_COST_SLACK,
+            )
         pi = self.pi
         res = self.res
         in_adj = self.in_adj
@@ -302,6 +329,9 @@ class _Engine:
         their stale potentials could turn reduced costs negative in the
         reverse-direction search.
         """
+        if self.native is not None:
+            self.pi = self.native.raise_potentials(self.pi, dist_red, bound)
+            return
         self.pi = [p + (d if d < bound else bound) for p, d in zip(self.pi, dist_red)]
 
     # -- augmentation ---------------------------------------------------------
@@ -391,7 +421,7 @@ def run_ssp(
         if not record_distances and eng.value == z:
             outcome = Outcome.REACHED_Z
             break
-        dist, key, bound = eng.dijkstra_forward(not record_distances)
+        dist, arcs, bound = eng.dijkstra_forward(not record_distances)
         if record_distances:
             d_act = eng.actual_distances(dist)
             dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
@@ -404,10 +434,9 @@ def run_ssp(
             if eng.value == z:
                 outcome = Outcome.REACHED_Z
                 break
-        if dist[eng.t] == INF:
+        if arcs is None:
             outcome = Outcome.MAX_FLOW_BELOW_Z
             break
-        arcs = eng.path_arcs(key[eng.t])
         length = eng.path_length(arcs)
         if stop_above_length is not None and length > stop_above_length:
             outcome = Outcome.STOPPED_ABOVE_LENGTH

@@ -360,6 +360,10 @@ def test_every_error_class_has_an_expected_exit_code():
     assert _subclasses(FlowError) == set(EXIT_CODES)
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("cls", EXIT_CODES, ids=lambda cls: cls.__name__)
 def test_error_exit_code_and_label(cls, instance_file, monkeypatch, capsys):
     def fail(args):

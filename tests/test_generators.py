@@ -293,6 +293,18 @@ class TestTopologies:
             assert tier[b] == tier[a] + 1
         assert math.fsum(topo.balance.values()) == pytest.approx(0.0)
 
+    def test_layered_keeps_no_list_of_slots(self):
+        # n = 3000 in 3 layers has 2,000,000 slots: as tuples they took
+        # 145 MB; the 16 MB left are numpy's permutation of their indices
+        tracemalloc.start()
+        try:
+            topo = layered_topology(3000, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(topo.edges) == 100
+        assert peak < 20_000_000
+
     def test_layered_shape_errors(self):
         with pytest.raises(InfeasibleShape):
             layered_topology(2, 2, seed=0, layers=3)

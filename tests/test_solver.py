@@ -37,9 +37,16 @@ from sspflow.solver import (
     trace_csv_rows,
 )
 
+from sspflow import _native
 from sspflow.network import empty_arcs
 
 from conftest import random_instance, single_edge_network, uniform_instance
+
+
+@pytest.fixture
+def python_loops(monkeypatch):
+    """Runs the solver on its Python loops: the loader finds no kernel."""
+    monkeypatch.setattr(_native, "load", lambda: None)
 
 
 def path_nodes(inst, arcs):
@@ -300,11 +307,10 @@ class TestPotentialUpdate:
             inst = random_instance(seed, n=10, m=30, capacities=capacities)
             eng = _Engine(inst)
             while eng.value < inst.z:
-                dist, key, bound = eng.dijkstra_forward(True)
+                dist, arcs, bound = eng.dijkstra_forward(True)
                 if dist[eng.t] == math.inf:
                     break
                 cut_short += any(d > bound for d in dist)
-                arcs = eng.path_arcs(key[eng.t])
                 eng.augment(arcs, eng.path_length(arcs), inst.z)
                 eng.update_potentials(dist, bound)
                 pi = eng.pi
@@ -556,3 +562,116 @@ class TestReducedCostTolerance:
     def test_negative_reduced_cost_at_small_magnitudes_raises(self):
         with pytest.raises(InternalInvariantError, match="arc 7"):
             _check_reduced_cost(-1e-6, 7, 0.5, 3.0, 3.5)
+
+    def test_engine_checks_below_slack_and_clamps(self, monkeypatch):
+        # both searches hand the reduced-cost check the same terms; a
+        # check that returns lets the search clamp the cost to 0.0
+        calls = []
+        monkeypatch.setattr(
+            "sspflow.solver._check_reduced_cost", lambda *terms: calls.append(terms)
+        )
+        eng = _Engine(transform(single_edge_network()))
+        a, v, c = eng.out_adj[eng.s][0]
+        eng.pi[v] = c + 5.0
+        dist, arcs, bound = eng.dijkstra_forward(True)
+        assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
+        assert dist[v] == 0.0 and arcs is not None
+        calls.clear()
+        eng = _Engine(transform(single_edge_network()))
+        a, u, c = eng.in_adj[eng.t][0]
+        eng.pi[eng.t] = c + 5.0
+        assert eng.dijkstra_reverse()[u] == 0.0
+        assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
+
+    def test_engine_raises_past_tolerance(self):
+        eng = _Engine(transform(single_edge_network()))
+        a, v, c = eng.out_adj[eng.s][0]
+        eng.pi[v] = c + 5.0
+        with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
+            eng.dijkstra_forward(False)
+        eng = _Engine(transform(single_edge_network()))
+        a, u, c = eng.in_adj[eng.t][0]
+        eng.pi[eng.t] = c + 5.0
+        with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
+            eng.dijkstra_reverse()
+
+
+# The classes above run on the compiled kernel when it loads. Their
+# copies below run on the Python loops, so the goldens, the tie chains
+# and the tolerance rule hold for both backends.
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestRecordDistancesModesPythonLoops(TestRecordDistancesModes):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestTieBreaksPythonLoops(TestTieBreaks):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestMetamorphicPythonLoops(TestMetamorphic):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestReducedCostTolerancePythonLoops(TestReducedCostTolerance):
+    pass
+
+
+def full_trace(inst, **kwargs):
+    """Everything run_ssp returns, floats by repr, or the exception raised."""
+    try:
+        trace = run_ssp(inst, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+    def dists(d):
+        return None if d is None else repr(sorted(d.items()))
+
+    return (
+        [
+            (s.path_arcs, repr(s.length), repr(s.amount), repr(s.flow_value_after),
+             s.saturated_arcs, s.good_arcs,
+             dists(s.distances_from_s), dists(s.distances_to_t))
+            for s in trace.steps
+        ],
+        dists(trace.initial_distances_from_s),
+        dists(trace.initial_distances_to_t),
+        trace.outcome,
+        repr(trace.final_flow),
+    )
+
+
+def lockstep_instances():
+    yield from (
+        random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
+        for seed in range(40)
+    )
+    yield build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0).instance
+    topo = random_topology(30, 150, "erdos", 0)
+    yield transform(sample_costs(topo, adversarial_spec(topo, 16.0), 0))
+    yield transform(perturbed_integer(topo, 16, 0)[0])
+
+
+@pytest.mark.skipif(_native.load() is None, reason="the compiled search kernel is unavailable")
+def test_backends_agree_in_lockstep(monkeypatch):
+    # the kernel repeats the Python loops float operation for float, so
+    # every step, distance and flow is bit-identical in every search
+    # mode, and a solve that raises raises the same error
+    modes = (
+        {"record_distances": True},
+        {"record_distances": False},
+        {"z": math.inf, "record_distances": False},
+        {"record_distances": False, "iteration_cap": 3},
+    )
+    for inst in lockstep_instances():
+        assert _Engine(inst).native is not None
+        native = [full_trace(inst, **mode) for mode in modes]
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "load", lambda: None)
+            assert _Engine(inst).native is None
+            python = [full_trace(inst, **mode) for mode in modes]
+        assert native == python
