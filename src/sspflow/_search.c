@@ -6,13 +6,12 @@
  * chosen paths are bit-identical. The engine's lists are read in place
  * through the C API; nothing is converted.
  *
- * forward's heap holds (dist, hops, pred, arc, node): the label of node
- * reached over arc from the settled node pred. The Python search orders
- * labels of equal (dist, hops) by their arc sequences, which are the
- * settled tree path of pred followed by arc. Two such paths of equal
- * length agree up to the deepest common ancestor of the two preds and
- * differ in the arc leaving it, so path_cmp walks both chains back in
- * step to that node and compares the two arcs there.
+ * forward keeps per node the dist, hops, pred and parc (predecessor arc) of
+ * its label and orders its heap by (dist, hops, node). A label is only ever
+ * built from a settled one with strictly smaller (dist, hops): hops grow by
+ * one, rc >= 0 and fl(d + rc) >= d. So a node is settled after every
+ * relaxation that can set its label, and a relaxation that ties in (dist,
+ * hops) compares arc sequences with path_less.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -21,11 +20,11 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* reverse leaves hops, pred and arc at 0, -1 and -1, so its entries order
- * by (dist, node), as heapq orders its (dist, node) pairs. */
+/* A heap entry; reverse leaves hops at 0, so its entries order by
+ * (dist, node), as heapq orders its (dist, node) pairs. */
 typedef struct {
     double d;
-    Py_ssize_t hops, pred, arc, node;
+    Py_ssize_t hops, node;
 } Entry;
 
 /* Per-node state of one search, freed by state_free. */
@@ -76,10 +75,11 @@ state_init(State *st, Py_ssize_t n)
     return 0;
 }
 
-/* Sign of (path(u1), a1) against (path(u2), a2), where u1 and u2 are
- * settled at the same depth. */
+/* Whether (path(u1), a1) precedes (path(u2), a2), where u1 and u2 are
+ * settled at the same depth: the two paths agree up to the deepest node
+ * both predecessor chains share and differ in the arc leaving it. */
 static int
-path_cmp(const State *st, Py_ssize_t u1, Py_ssize_t a1, Py_ssize_t u2, Py_ssize_t a2)
+path_less(const State *st, Py_ssize_t u1, Py_ssize_t a1, Py_ssize_t u2, Py_ssize_t a2)
 {
     while (u1 != u2) {
         a1 = st->parc[u1];
@@ -87,20 +87,19 @@ path_cmp(const State *st, Py_ssize_t u1, Py_ssize_t a1, Py_ssize_t u2, Py_ssize_
         u1 = st->pred[u1];
         u2 = st->pred[u2];
     }
-    return (a1 > a2) - (a1 < a2);
+    return a1 < a2;
 }
 
-/* Tuple order of (dist, hops, key, node), as heapq compares the Python
+/* Tuple order of (dist, hops, node), as heapq compares the Python
  * search's entries. */
 static int
-less(const State *st, const Entry *x, const Entry *y)
+less(const Entry *x, const Entry *y)
 {
     if (x->d != y->d)
         return x->d < y->d;
     if (x->hops != y->hops)
         return x->hops < y->hops;
-    int c = path_cmp(st, x->pred, x->arc, y->pred, y->arc);
-    return c ? c < 0 : x->node < y->node;
+    return x->node < y->node;
 }
 
 static int
@@ -119,7 +118,7 @@ push(State *st, Entry e)
     Py_ssize_t i = st->len++;
     while (i > 0) {
         Py_ssize_t up = (i - 1) / 2;
-        if (!less(st, &e, &h[up]))
+        if (!less(&e, &h[up]))
             break;
         h[i] = h[up];
         i = up;
@@ -138,9 +137,9 @@ pop(State *st)
         Py_ssize_t c = 2 * i + 1;
         if (c >= n)
             break;
-        if (c + 1 < n && less(st, &h[c + 1], &h[c]))
+        if (c + 1 < n && less(&h[c + 1], &h[c]))
             c++;
-        if (!less(st, &h[c], &last))
+        if (!less(&h[c], &last))
             break;
         h[i] = h[c];
         i = c;
@@ -292,7 +291,7 @@ forward(PyObject *self, PyObject *args)
     double bound = 0.0;
     st.dist[s] = 0.0;
     st.pred[s] = st.parc[s] = -1;
-    Entry root = {0.0, 0, -1, -1, s};
+    Entry root = {0.0, 0, s};
     if (push(&st, root) < 0)
         goto done;
     while (st.len) {
@@ -329,15 +328,19 @@ forward(PyObject *self, PyObject *args)
             double cand = top.d + rc, dv = st.dist[v];
             if (cand > dv)
                 continue;
-            if (cand == dv
-                && (hv > st.hops[v]
-                    || (hv == st.hops[v] && path_cmp(&st, u, a, st.pred[v], st.parc[v]) >= 0)))
+            if (cand == dv && hv >= st.hops[v]) {
+                /* the entry (dv, hv, v) is already in the heap */
+                if (hv == st.hops[v] && path_less(&st, u, a, st.pred[v], st.parc[v])) {
+                    st.pred[v] = u;
+                    st.parc[v] = a;
+                }
                 continue;
+            }
             st.dist[v] = cand;
             st.hops[v] = hv;
             st.pred[v] = u;
             st.parc[v] = a;
-            Entry e = {cand, hv, u, a, v};
+            Entry e = {cand, hv, v};
             if (push(&st, e) < 0)
                 goto done;
         }
@@ -390,7 +393,7 @@ reverse(PyObject *self, PyObject *args)
         return NULL;
     PyObject *adj = NULL, *result = NULL;
     st.dist[t] = 0.0;
-    Entry root = {0.0, 0, -1, -1, t};
+    Entry root = {0.0, 0, t};
     if (push(&st, root) < 0)
         goto done;
     while (st.len) {
@@ -421,7 +424,7 @@ reverse(PyObject *self, PyObject *args)
             double cand = top.d + rc;
             if (cand < st.dist[u]) {
                 st.dist[u] = cand;
-                Entry e = {cand, 0, -1, -1, u};
+                Entry e = {cand, 0, u};
                 if (push(&st, e) < 0)
                     goto done;
             }

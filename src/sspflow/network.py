@@ -183,7 +183,7 @@ class TransformedNetwork:
             raise InvariantError("source/sink must be nodes of the network")
         if self.source == self.sink:
             raise InvariantError("source and sink must differ")
-        if self.z < 0:
+        if not self.z >= 0:
             raise InvariantError("target value z must be nonnegative")
         scale = max(1.0, abs(self.z))
         if abs(net.balance[self.source] - self.z) > _BALANCE_RTOL * scale:

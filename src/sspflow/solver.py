@@ -21,13 +21,12 @@ sum of raw arc costs.
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
-edge index and forward before backward. The search does not copy arc
-sequences: each node keeps its predecessor arc inside a nested tie key
-(key of the predecessor, arc), rooted at () for the source. Keys are
-compared only between labels with equal arc counts, and nested keys of
-equal depth order exactly as the flat sequences they encode, so the
-search makes the same comparisons and picks the same paths as with
-flat sequences; the sink's path is read back from its key.
+edge index and forward before backward. A label is only ever built from
+a settled one with strictly smaller (length, arc count): one more arc,
+reduced costs clamped at 0, and fl(d + rc) >= d. So a heap ordered by
+(dist, hops, node) settles a node only after every relaxation that can
+set its label; a relaxation that ties in (dist, hops) compares arc
+sequences by walking both predecessor chains back to their common node.
 
 Ties are decided on float lengths, by design. Two routes whose exact
 lengths differ by less than float resolution (1 + 2^-53 against 1)
@@ -69,10 +68,6 @@ REDUCED_COST_SLACK = 1e-9
 # Past it, a reduced cost must also fall below this many times the
 # largest of |c|, |pi[u]|, |pi[v]|, which rounding grows with.
 _REDUCED_COST_RTOL = 1e-12
-
-# Tie keys of nodes at a multiple of this many hops are stored as flat
-# arc tuples, which bounds how deep a key comparison recurses.
-KEY_FLATTEN_DEPTH = 64
 
 
 class Outcome(str, Enum):
@@ -138,9 +133,8 @@ class _Engine:
 
     Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
     the same float operations, slack check and clamp everywhere. The
-    forward search records each node's predecessor arc in its tie key
-    (see dijkstra_forward) rather than copying the arc sequence of its
-    path, and the path to the sink is read back from the sink's key.
+    forward search records each node's predecessor and predecessor arc
+    (see dijkstra_forward), and the sink's path is read back from them.
 
     augment builds the AugmentationStep record of every step, for
     run_ssp and for analysis.reference_solve, which runs the same
@@ -192,23 +186,14 @@ class _Engine:
         every reachable node is settled, and bound, as nodes settle in
         nondecreasing distance, is the largest finite distance.
 
-        A label is (reduced dist, hops, key), compared lexicographically; the
-        heap holds (dist, hops, key, node). key[v] = (key[u], a) pairs
-        the key of the predecessor u with the predecessor arc a, and
-        key[source] = (), so following the pairs back gives the arc
-        sequence of v's path. For sequences of equal length, nested
-        pairs compare exactly as the flat sequences do (prefix first,
-        last arc to break a tie), and keys are only ever compared
-        between labels with equal hops. So heap pops, the arcs whose
-        reduced cost is checked and the chosen paths are those of flat
-        (dist, hops, arc-sequence) labels, while a relaxation builds
-        one pair instead of copying its predecessor's sequence.
-
-        A key comparison recurses one level per pair until the two keys
-        share a prefix object. To bound that depth on long exact ties, a
-        node at a multiple of KEY_FLATTEN_DEPTH hops hands its children
-        its key as a flat arc tuple; every key of a given depth has the
-        same shape, so the order is unchanged.
+        A label is (reduced dist, hops, arc sequence), compared
+        lexicographically; the heap holds (dist, hops, node), and
+        pred/parc hold each node's predecessor and the arc from it. Every
+        relaxation comes from a settled node and builds a strictly larger
+        (dist, hops), so a node's label is final when it is popped. On a
+        tie in (dist, hops), _path_less compares the two arc sequences,
+        and a better one updates pred/parc only: the entry
+        (dist[v], hops[v], v) is already in the heap.
 
         With the compiled kernel, native.forward runs the same search.
         """
@@ -223,26 +208,24 @@ class _Engine:
         out_adj = self.out_adj
         dist = [INF] * n
         hops = [0] * n
-        key: list[tuple | None] = [None] * n
+        pred = [-1] * n
+        parc = [-1] * n
         done = [False] * n
         s = self.s
         stop = self.t if stop_at_sink else -1
         dist[s] = 0.0
-        key[s] = ()
-        heap: list = [(0.0, 0, (), s)]
+        heap: list = [(0.0, 0, s)]
         bound = 0.0
         while heap:
             # Labels only ever decrease, so the first entry popped for a
             # node carries its current label; later ones are stale.
-            du, hu, ku, u = heappop(heap)
+            du, hu, u = heappop(heap)
             if done[u]:
                 continue
             bound = du
             if u == stop:
                 break
             done[u] = True
-            if not hu % KEY_FLATTEN_DEPTH:
-                ku = self.path_arcs(ku)
             hv = hu + 1
             piu = pi[u]
             for a, v, c in out_adj[u]:
@@ -257,18 +240,28 @@ class _Engine:
                 dv = dist[v]
                 if cand > dv:
                     continue
-                kv = (ku, a)
-                if cand == dv and (hv, kv) >= (hops[v], key[v]):
+                if cand == dv and hv >= hops[v]:
+                    if hv == hops[v] and _path_less(pred, parc, u, a, pred[v], parc[v]):
+                        pred[v] = u
+                        parc[v] = a
                     continue
                 dist[v] = cand
                 hops[v] = hv
-                key[v] = kv
-                heappush(heap, (cand, hv, kv, v))
-        t = self.t
-        return dist, (self.path_arcs(key[t]) if dist[t] < INF else None), bound
+                pred[v] = u
+                parc[v] = a
+                heappush(heap, (cand, hv, v))
+        arcs = None
+        v = self.t
+        if dist[v] < INF:
+            back = []
+            while v != s:
+                back.append(parc[v])
+                v = pred[v]
+            arcs = tuple(reversed(back))
+        return dist, arcs, bound
 
     def dijkstra_reverse(self):
-        """Reduced distances to the sink (reverse graph, no tie keys)."""
+        """Reduced distances to the sink (reverse graph, no tie-break)."""
         if self.native is not None:
             return self.native.reverse(
                 self.in_adj, self.res, self.pi, self.t,
@@ -336,16 +329,6 @@ class _Engine:
 
     # -- augmentation ---------------------------------------------------------
 
-    @staticmethod
-    def path_arcs(key: tuple) -> tuple[int, ...]:
-        """Arc sequence a tie key encodes, walked back to its flat prefix."""
-        arcs = []
-        while key and type(key[0]) is tuple:
-            key, a = key
-            arcs.append(a)
-        arcs.reverse()
-        return key + tuple(arcs)
-
     def path_length(self, arcs: Iterable[int]) -> float:
         return math.fsum(map(self.signed_cost.__getitem__, arcs))
 
@@ -382,6 +365,18 @@ class _Engine:
         return Flow(tuple(self.f), self.value)
 
 
+def _path_less(pred: list[int], parc: list[int], u: int, a: int, w: int, b: int) -> bool:
+    """Whether the path to u then arc a precedes the path to w then arc b,
+    for settled u and w at equal hops: the two agree up to the deepest
+    node their predecessor chains share and differ in the arc leaving it."""
+    while u != w:
+        a = parc[u]
+        b = parc[w]
+        u = pred[u]
+        w = pred[w]
+    return a < b
+
+
 def _check_reduced_cost(rc: float, a: int, c: float, pu: float, pv: float) -> None:
     """Raise unless rc = (c + pu) - pv, already below -REDUCED_COST_SLACK,
     is rounding relative to its terms (potentials reach 1e6 at large phi)."""
@@ -408,8 +403,10 @@ def run_ssp(
     """
     if z is None:
         z = instance.z
-    if z < 0:
+    if not z >= 0:  # NaN too: its residuals would never reach 0
         raise ValueError("target value must be nonnegative")
+    if stop_above_length is not None and math.isnan(stop_above_length):
+        raise ValueError("stop_above_length must not be NaN")
     eng = _Engine(instance)
     steps = eng.steps
     flows = [eng.snapshot()] if retain_flows else None

@@ -1,5 +1,6 @@
 import logging
 import shutil
+import subprocess
 import sysconfig
 from fractions import Fraction
 from pathlib import Path
@@ -60,3 +61,14 @@ def test_costs_of_other_types_take_the_python_loops(number):
     got = run_ssp(other)
     assert [s.path_arcs for s in got.steps] == [s.path_arcs for s in want.steps]
     assert got.final_flow == want.final_flow
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_kernel_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        [_native._CC, *_native._FLAGS, "-Wall", "-Werror",
+         f"-I{sysconfig.get_paths()['include']}",
+         str(_native._SOURCE), "-o", str(tmp_path / "_search.so")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

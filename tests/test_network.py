@@ -10,6 +10,7 @@ from sspflow import (
     FlowNetwork,
     InfeasibleFlow,
     InvariantError,
+    TransformedNetwork,
     as_transformed,
     check_feasible,
     residual_arcs,
@@ -171,6 +172,12 @@ class TestTransform:
         assert inst.z == 3.0
         with pytest.raises(InvariantError):
             as_transformed(net, 1, 0)  # b(source) != z
+
+    def test_nan_target_rejected(self):
+        # every balance comparison with NaN is false, so only the sign
+        # check can refuse it
+        with pytest.raises(InvariantError, match="nonnegative"):
+            TransformedNetwork(single_edge_network(), 0, 1, math.nan)
 
     def test_interior_balance_rejected(self):
         # interior imbalances cancel, so only the interior check can fire

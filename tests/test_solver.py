@@ -28,7 +28,6 @@ from sspflow import (
 )
 from sspflow.solver import (
     COSTFN_CSV_HEADER,
-    KEY_FLATTEN_DEPTH,
     REDUCED_COST_SLACK,
     TRACE_CSV_HEADER,
     _Engine,
@@ -114,6 +113,18 @@ class TestBasicSolves:
     def test_negative_target_rejected(self, single_edge):
         with pytest.raises(ValueError):
             solve(transform(single_edge), z=-1.0)
+
+    def test_nan_target_rejected(self):
+        # a NaN amount would leave NaN residuals that never reach 0; the
+        # cap turns a missed check into a failure instead of a hang
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_ssp(random_instance(0), z=math.nan, iteration_cap=5)
+
+    def test_nan_stop_above_length_rejected(self, profile_network):
+        with pytest.raises(ValueError, match="NaN"):
+            run_ssp(
+                transform(profile_network), stop_above_length=math.nan, iteration_cap=5
+            )
 
     def test_iteration_cap(self, profile_network):
         inst = transform(profile_network)
@@ -473,6 +484,19 @@ def relabelled(inst, seed):
     return as_transformed(moved, ids[inst.source], ids[inst.sink])
 
 
+def fewer_hops_instance():
+    """Two routes of length exactly 1 from node 0 to node 4: 0-1-2-4 over
+    three arcs, settled first, and 0-3-4 over two, which must win."""
+    edges = [
+        Edge(0, 1, 1.0, 0.0),
+        Edge(1, 2, 1.0, 0.0),
+        Edge(2, 4, 1.0, 1.0),
+        Edge(0, 3, 1.0, 0.5),
+        Edge(3, 4, 1.0, 0.5),
+    ]
+    return as_transformed(FlowNetwork(edges, {0: 1.0, 4: -1.0}), 0, 4)
+
+
 class TestTieBreaks:
     @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
     def test_grid_golden(self, shape):
@@ -499,12 +523,18 @@ class TestTieBreaks:
         for moved in [inst] + [relabelled(inst, seed) for seed in range(5)]:
             assert exact_check(solve(moved)).passed
 
-    def test_tie_past_key_flatten_depth(self):
-        # 71-arc paths: the tie keys are flattened at 64 hops on the way
+    def test_fewer_hops_wins_an_exact_tie(self):
+        inst = fewer_hops_instance()
+        for record in (True, False):
+            trace = solve(inst, record_distances=record)
+            assert [s.path_arcs for s in trace.steps] == [(6, 8)]
+        assert [s.path_arcs for s in reference_solve(inst).steps] == [(6, 8)]
+
+    def test_tie_on_71_arc_paths(self):
         inst = grid_instance(3, 70, 1.0)
         trace = solve(inst)
         ref = reference_solve(inst)
-        assert len(trace.steps[0].path_arcs) > KEY_FLATTEN_DEPTH
+        assert len(trace.steps[0].path_arcs) > 64
         assert [s.path_arcs for s in trace.steps] == [s.path_arcs for s in ref.steps]
         assert exact_check(trace).passed
 
@@ -651,6 +681,8 @@ def lockstep_instances():
         for seed in range(40)
     )
     yield build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0).instance
+    yield fewer_hops_instance()
+    yield relabelled(grid_instance(4, 4, 1.0), 0)
     topo = random_topology(30, 150, "erdos", 0)
     yield transform(sample_costs(topo, adversarial_spec(topo, 16.0), 0))
     yield transform(perturbed_integer(topo, 16, 0)[0])
