@@ -3,11 +3,12 @@
 load() compiles the source with gcc into this package's __pycache__,
 under a name that hashes the source, the compiler flags and the
 interpreter's extension suffix, so a changed source or interpreter never
-loads a stale build and an unchanged one compiles once. The build goes to
-a temporary file that os.replace moves into place, so concurrent
-processes never load a half-written library. Any failure (no compiler,
-no Python.h, a read-only package directory) logs one warning, and the
-solver runs its Python loops instead; both give identical traces.
+loads a stale build and an unchanged one compiles once; a new build
+deletes the older ones for the same suffix. The build goes to a temporary
+file that os.replace moves into place, so concurrent processes never
+load a half-written library. Any failure (no compiler, no Python.h, a
+read-only package directory) logs one warning, and the solver runs its
+Python loops instead; both give identical traces.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def _build() -> Path:
     target = _CACHE_DIR / f"_search.{tag}{suffix}"
     if not target.is_file():
         _compile(target)
+        for old in set(_CACHE_DIR.glob(f"_search.*{suffix}")) - {target}:
+            old.unlink(missing_ok=True)
     return target
 
 

@@ -20,15 +20,15 @@ compares them against what the production solver reports:
   reversed-path optimality).
 * reconstruct: recover an intermediate flow from one residual arc and
   a length threshold, never reading the arc's original cost.
-* exact_check: every step replayed in exact rational arithmetic; the
-  recorded path must be the exact shortest one, ties settled by the
-  same lexicographic rule.
+* exact_check: every step replayed by the solver's engine over exact
+  Fraction costs; the recorded path must be the exact shortest one,
+  ties settled by the same lexicographic rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -103,7 +103,7 @@ def _bf_labels(n_ids, arcs, source):
     undercut genuine simple paths.
     """
     labels = {v: (INF, 0, ()) for v in n_ids}
-    labels[source] = (0, 0, ())  # int 0 keeps the arcs' number type
+    labels[source] = (0.0, 0, ())
     cap_rounds = 4 * len(n_ids) + 16
     for _ in range(cap_rounds):
         changed = False
@@ -480,30 +480,29 @@ def exact_check(trace: AugmentationTrace) -> LemmaCheck:
     the exact shortest one.
 
     Every float is a dyadic rational, so Fraction holds each cost
-    exactly. For step j, _bf_labels runs over the residual arcs of the
-    replayed flow f_j with Fraction costs, and the sink's label must
-    carry the recorded path_arcs. One comparison covers both an exactly
-    shortest path and an exact tie settled by the lexicographic (hops,
-    arc sequence) rule. No negative-cycle pass is needed: starting from
-    the zero flow of a network without negative cycles, exactly shortest
-    augmenting paths keep every flow free of them, because each residual
-    arc a step adds reverses a path arc of reduced cost 0. Not part of
+    exactly. The solver's own engine runs over a copy of the instance
+    with Fraction costs (capacities stay the trace's floats), and each
+    step's search must return the recorded path_arcs. One comparison
+    covers both an exactly shortest path and an exact tie settled by
+    the lexicographic (hops, arc sequence) rule. The engine pushes
+    toward math.inf: a target that binds ends the solve, so it cuts
+    only the last step's amount, which no search follows. Not part of
     check_lemmas, whose report verify prints.
     """
     from fractions import Fraction  # loads decimal; kept off import time
 
     inst = trace.instance
-    net = inst.base
-    for step, flow in zip(trace.steps, replay_flows(trace)):
-        arcs = [
-            (a, u, v, Fraction(c)) for a, u, v, c in residual_arcs(net, flow.values)
-        ]
-        path = _bf_labels(net.nodes, arcs, inst.source)[inst.sink][2]
-        if path != step.path_arcs:
+    edges = [replace(e, cost=Fraction(e.cost)) for e in inst.base.edges]
+    eng = _Engine(replace(inst, base=replace(inst.base, edges=edges)))
+    for step in trace.steps:
+        dist, arcs, bound = eng.dijkstra_forward(True)
+        if arcs != step.path_arcs:
             return LemmaCheck(
                 "exact_shortest_path", False, step.index,
-                f"exact search takes arcs {path}",
+                f"exact search takes arcs {arcs or ()}",
             )
+        eng.augment(arcs, step.length, INF)
+        eng.update_potentials(dist, bound)
     return LemmaCheck("exact_shortest_path", True)
 
 

@@ -41,6 +41,7 @@ repeat the Python loops float operation for float, so traces are
 bit-identical with or without them. _native compiles that file with gcc
 on the first engine build and caches the library in __pycache__; when
 no build is possible it logs one warning and the Python loops run.
+Other number types run the Python loops from their own zero, c - c.
 
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
@@ -137,9 +138,9 @@ class _Engine:
     (see dijkstra_forward), and the sink's path is read back from them.
 
     augment builds the AugmentationStep record of every step, for
-    run_ssp and for analysis.reference_solve, which runs the same
-    bookkeeping (path_length, augment, snapshot) around its own path
-    search.
+    run_ssp, for analysis.reference_solve, which runs this bookkeeping
+    around its own path search, and for analysis.exact_check, which
+    runs the whole engine over Fraction costs.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -165,12 +166,13 @@ class _Engine:
         self.res = [r for c in self.cap for r in (c, 0.0)]
         self.f = [0.0] * net.m
         self.value = 0.0
-        self.pi = [0.0] * self.n
         self.steps: list[AugmentationStep] = []
-        # The compiled loops compute in C doubles; other number types
-        # (Fraction, numpy scalars) keep their own arithmetic in Python.
+        # The compiled loops compute in C doubles; other number types keep
+        # their own arithmetic in Python, from c - c (0.0 + Fraction is float).
         native = all(type(x) in (float, int) for x in (*cost, *self.cap))
         self.native = _native.load() if native else None
+        self.zero = 0.0 if native else cost[0] - cost[0]
+        self.pi = [self.zero] * self.n
 
     # -- shortest paths -----------------------------------------------------
 
@@ -213,9 +215,8 @@ class _Engine:
         done = [False] * n
         s = self.s
         stop = self.t if stop_at_sink else -1
-        dist[s] = 0.0
-        heap: list = [(0.0, 0, s)]
-        bound = 0.0
+        dist[s] = bound = self.zero
+        heap: list = [(bound, 0, s)]
         while heap:
             # Labels only ever decrease, so the first entry popped for a
             # node carries its current label; later ones are stale.
@@ -272,8 +273,8 @@ class _Engine:
         in_adj = self.in_adj
         dist = [INF] * self.n
         done = [False] * self.n
-        dist[self.t] = 0.0
-        heap: list = [(0.0, self.t)]
+        dist[self.t] = self.zero
+        heap: list = [(self.zero, self.t)]
         while heap:
             d, v = heappop(heap)
             if done[v]:

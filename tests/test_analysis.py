@@ -34,6 +34,7 @@ from sspflow import (
 )
 
 from sspflow.network import Flow
+from sspflow.solver import _Engine
 
 from conftest import random_instance, uniform_instance
 
@@ -592,22 +593,69 @@ class TestExactCheck:
         assert (check.passed, check.first_violation_step) == (False, 2)
 
     @pytest.mark.parametrize(
-        "side, edges, phi", [(4, 4, 64.0), (4, 4, 256.0), (8, 16, 64.0)]
+        "solve_with, outcome",
+        [
+            (
+                lambda inst: run_ssp(inst, z=0.6 * inst.z, record_distances=False),
+                Outcome.REACHED_Z,
+            ),
+            (
+                lambda inst: run_ssp(inst, z=math.inf, record_distances=False),
+                Outcome.MAX_FLOW_BELOW_Z,
+            ),
+            (
+                lambda inst: run_ssp(
+                    inst, stop_above_length=midway_length(inst), record_distances=False
+                ),
+                Outcome.STOPPED_ABOVE_LENGTH,
+            ),
+            (reference_solve, Outcome.REACHED_Z),
+        ],
+        ids=["partial_target", "max_flow", "stop_above_length", "reference_solve"],
+    )
+    def test_other_targets_and_solvers(self, solve_with, outcome):
+        # the replay pushes toward math.inf whatever the trace's target:
+        # a target that binds cuts only the last step's amount
+        outcomes = set()
+        for seed in range(30):
+            inst = random_instance(seed, capacities="real")
+            trace = solve_with(inst)
+            outcomes.add(trace.outcome)
+            assert exact_check(trace).passed, seed
+        assert outcome in outcomes
+
+    @pytest.mark.parametrize(
+        "side, edges, phi",
+        [(4, 4, 64.0), (4, 4, 256.0), (4, 4, 1024.0), (8, 16, 64.0)],
     )
     def test_worst_case_family(self, side, edges, phi):
         inst = build_hard_instance(LowerBoundParams(side, edges, phi), 0).instance
         assert exact_check(solve(inst, record_distances=False)).passed
 
-    def test_labels_keep_the_number_type(self):
+    def test_engine_keeps_the_number_type(self):
+        # 0.0 + Fraction(1) is a float: one float seed anywhere would
+        # turn the replay inexact without failing it
         inst = demo_instance()
-        arcs = [
-            (a, u, v, Fraction(c))
-            for a, u, v, c in residual_arcs(inst.base, (0.0,) * inst.m)
-        ]
-        labels = analysis._bf_labels(inst.base.nodes, arcs, inst.source)
-        reached = [d for v, (d, _, _) in labels.items() if v != inst.source]
-        assert math.inf not in reached
-        assert all(type(d) is Fraction for d in reached)
+        edges = [dataclasses.replace(e, cost=Fraction(e.cost)) for e in inst.base.edges]
+        exact = dataclasses.replace(inst, base=dataclasses.replace(inst.base, edges=edges))
+        for stop_at_sink in (True, False):
+            eng = _Engine(exact)
+            assert eng.native is None
+            for _ in range(4):
+                dist, arcs, bound = eng.dijkstra_forward(stop_at_sink)
+                labels = [d for d in (*dist, *eng.dijkstra_reverse()) if d != math.inf]
+                assert len(labels) > eng.n
+                for x in (*labels, *eng.pi, bound):
+                    assert type(x) is Fraction, (stop_at_sink, x)
+                eng.augment(arcs, eng.path_length(arcs), inst.z)
+                eng.update_potentials(dist, bound)
+            assert all(type(p) is Fraction for p in eng.pi)
+
+
+def midway_length(inst):
+    """The length of the middle step of a full solve (math.inf if none)."""
+    steps = run_ssp(inst, record_distances=False).steps
+    return steps[len(steps) // 2].length if steps else math.inf
 
 
 class TestOutcomes:

@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sysconfig
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,20 @@ def test_costs_of_other_types_take_the_python_loops(number):
     got = run_ssp(other)
     assert [s.path_arcs for s in got.steps] == [s.path_arcs for s in want.steps]
     assert got.final_flow == want.final_flow
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_a_new_build_deletes_older_ones(monkeypatch, tmp_path):
+    # builds of an older source pile up in the cache otherwise; those of
+    # another interpreter may still be in use
+    stale = tmp_path / f"_search.0123456789ab{EXTENSION_SUFFIXES[0]}"
+    foreign = tmp_path / "_search.0123456789ab.cpython-0-other.so"
+    stale.touch()
+    foreign.touch()
+    monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path)
+    target = _native._build()
+    assert sorted(tmp_path.iterdir()) == sorted([target, foreign])
+    assert _native._build() == target and target.is_file()
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
