@@ -37,8 +37,6 @@ typedef struct {
     Py_ssize_t len, cap;
 } State;
 
-static PyObject *float_zero;
-
 static void
 state_free(State *st)
 {
@@ -162,7 +160,8 @@ as_double(PyObject *o, double *out)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* res[a] <= 0.0 as Python decides it: 1, 0, or -1 with an exception set. */
+/* res[a] <= 0.0 as Python decides it: 1, 0, or -1 with an exception set.
+ * An int res[a] rounds to a double of the same sign. */
 static int
 no_residual(PyObject *res, Py_ssize_t a)
 {
@@ -170,10 +169,10 @@ no_residual(PyObject *res, Py_ssize_t a)
         PyErr_SetString(PyExc_IndexError, "arc index out of range");
         return -1;
     }
-    PyObject *r = PyList_GET_ITEM(res, a);
-    if (PyFloat_CheckExact(r))
-        return PyFloat_AS_DOUBLE(r) <= 0.0;
-    return PyObject_RichCompareBool(r, float_zero, Py_LE);
+    double r;
+    if (as_double(PyList_GET_ITEM(res, a), &r) < 0)
+        return -1;
+    return r <= 0.0;
 }
 
 static int
@@ -222,23 +221,17 @@ adj_entry(PyObject *entry, Py_ssize_t n, Py_ssize_t *a, Py_ssize_t *v)
     return 0;
 }
 
-/* rc = (c + pu) - pv for the arc entry from u to v, with pu = pi[u] and
+/* rc = (c + pu) - pv for arc a of cost c from u to v, with pu = pi[u] and
  * pv = pi[v], clamped at 0.0 as the Python loops do; below -slack,
- * check(rc, a, c, pi[u], pi[v]) decides first and may raise. */
+ * check(rc, a, c, pu, pv) decides first and may raise. */
 static int
-reduced_cost(PyObject *check, double slack, PyObject *entry, PyObject *pi,
-             Py_ssize_t u, double pu, Py_ssize_t v, double pv, double *rc)
+reduced_cost(PyObject *check, double slack, Py_ssize_t a, double c, double pu,
+             double pv, double *rc)
 {
-    double c;
-    if (as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0)
-        return -1;
     *rc = (c + pu) - pv;
     if (*rc < 0.0) {
         if (*rc < -slack) {
-            PyObject *ok = PyObject_CallFunction(
-                check, "dOOOO", *rc, PyTuple_GET_ITEM(entry, 0),
-                PyTuple_GET_ITEM(entry, 2), PyList_GET_ITEM(pi, u),
-                PyList_GET_ITEM(pi, v));
+            PyObject *ok = PyObject_CallFunction(check, "dnddd", *rc, a, c, pu, pv);
             if (!ok)
                 return -1;
             Py_DECREF(ok);
@@ -321,9 +314,10 @@ forward(PyObject *self, PyObject *args)
                 goto done;
             if (skip || st.done[v])
                 continue;
-            double pv, rc;
+            double pv, c, rc;
             if (item_double(pi, v, &pv) < 0
-                || reduced_cost(check, slack, entry, pi, u, pu, v, pv, &rc) < 0)
+                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
+                || reduced_cost(check, slack, a, c, pu, pv, &rc) < 0)
                 goto done;
             double cand = top.d + rc, dv = st.dist[v];
             if (cand > dv)
@@ -377,13 +371,13 @@ done:
 static PyObject *
 reverse(PyObject *self, PyObject *args)
 {
-    PyObject *in_adj, *res, *pi, *check;
+    PyObject *out_adj, *res, *pi, *check;
     Py_ssize_t t;
     double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!nOd:reverse", &PyList_Type, &in_adj,
+    if (!PyArg_ParseTuple(args, "O!O!O!nOd:reverse", &PyList_Type, &out_adj,
                           &PyList_Type, &res, &PyList_Type, &pi, &t, &check, &slack))
         return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(in_adj);
+    Py_ssize_t n = PyList_GET_SIZE(out_adj);
     if (t < 0 || t >= n) {
         PyErr_SetString(PyExc_IndexError, "sink out of range");
         return NULL;
@@ -405,21 +399,23 @@ reverse(PyObject *self, PyObject *args)
         double pv;
         if (item_double(pi, v, &pv) < 0)
             goto done;
-        if (!(adj = adj_row(in_adj, v)))
+        if (!(adj = adj_row(out_adj, v)))
             goto done;
         for (Py_ssize_t i = 0; i < PyList_GET_SIZE(adj); i++) {
             PyObject *entry = PyList_GET_ITEM(adj, i);
-            Py_ssize_t a, u;
-            if (adj_entry(entry, n, &a, &u) < 0)
+            Py_ssize_t b, u;
+            if (adj_entry(entry, n, &b, &u) < 0)
                 goto done;
+            Py_ssize_t a = b ^ 1; /* from u into v, at cost -c (exact) */
             int skip = no_residual(res, a);
             if (skip < 0)
                 goto done;
             if (skip || st.done[u])
                 continue;
-            double pu, rc;
+            double pu, c, rc;
             if (item_double(pi, u, &pu) < 0
-                || reduced_cost(check, slack, entry, pi, u, pu, v, pv, &rc) < 0)
+                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
+                || reduced_cost(check, slack, a, -c, pu, pv, &rc) < 0)
                 goto done;
             double cand = top.d + rc;
             if (cand < st.dist[u]) {
@@ -471,7 +467,7 @@ static PyMethodDef methods[] = {
      "forward(out_adj, res, pi, s, t, stop_at_sink, check, slack)"
      " -> (dist, path_arcs | None, bound)"},
     {"reverse", reverse, METH_VARARGS,
-     "reverse(in_adj, res, pi, t, check, slack) -> dist"},
+     "reverse(out_adj, res, pi, t, check, slack) -> dist"},
     {"raise_potentials", raise_potentials, METH_VARARGS,
      "raise_potentials(pi, dist, bound) -> [p + min(d, bound)]"},
     {NULL, NULL, 0, NULL},
@@ -485,7 +481,5 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__search(void)
 {
-    if (!float_zero && !(float_zero = PyFloat_FromDouble(0.0)))
-        return NULL;
     return PyModule_Create(&module);
 }

@@ -41,6 +41,7 @@ from .network import (
     Flow,
     TransformedNetwork,
     empty_arcs,
+    good_arcs,
     push,
     residual_arcs,
 )
@@ -133,8 +134,8 @@ def reference_solve(
     Produces the same step sequence as solve() (paths, lengths,
     amounts) and serves as its oracle in tests. Only the path search is
     its own: it runs over network.residual_arcs of the current flow,
-    while the bookkeeping (path length, bottleneck, push, good arcs,
-    flow value and the step record) is the solver engine's.
+    while the bookkeeping (path length, bottleneck, push, flow value and
+    the step record) is the solver engine's.
     """
     if z is None:
         z = instance.z
@@ -262,29 +263,18 @@ def _beyond_rounding(x: float, c: float, y: float) -> bool:
 # Step classification
 
 def classify(trace: AugmentationTrace) -> tuple[int, ...]:
-    """Indices (from 1) of the bad steps, recomputed from replayed flows.
+    """Indices (from 1) of the bad steps, from replayed flows.
 
-    A step is good when its path holds an empty arc (network.empty_arcs,
-    under the flow before the step) over an original edge. Cross-checks
-    the recorded flag, bool(step.good_arcs).
+    A step is good when its path has good arcs (network.good_arcs: empty
+    arcs over original edges) under the flow before the step.
     """
-    flows = replay_flows(trace)
     net = trace.instance.base
     cap = [e.capacity for e in net.edges]
-    bad = []
-    for j, step in enumerate(trace.steps):
-        pre = flows[j].values
-        has_good = any(
-            net.is_original(a >> 1) for a in empty_arcs(pre, cap, step.path_arcs)
-        )
-        if has_good != bool(step.good_arcs):
-            raise InternalInvariantError(
-                f"step {step.index}: recorded good flag {bool(step.good_arcs)} "
-                f"disagrees with replay {has_good}"
-            )
-        if not has_good:
-            bad.append(step.index)
-    return tuple(bad)
+    return tuple(
+        step.index
+        for step, pre in zip(trace.steps, replay_flows(trace))
+        if not good_arcs(net, pre.values, cap, step.path_arcs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +377,9 @@ def _check_cost_function_shape(trace) -> LemmaCheck:
 
 
 def _check_empty_arc_on_path(trace, flows) -> LemmaCheck:
+    """Every path holds an empty arc under the flow before its step. An
+    exact tie in path length, which the paper's noise rules out with
+    probability 1, can fail it on an optimal solve (TestCsv's bad step)."""
     cid = "empty_arc_on_path"
     cap = [e.capacity for e in trace.instance.base.edges]
     for j, step in enumerate(trace.steps):
@@ -552,23 +545,24 @@ def harvest_reconstruction_cases(
 ) -> list[ReconstructionCase]:
     """Triples that reconstruction must recover, read off a solved trace.
 
-    For each step i whose path contains good arcs, the flow before
-    step i is recoverable from any of those arcs together with any
-    threshold in [previous length, this length).
+    For each step i whose path has good arcs (network.good_arcs) under
+    the flow before step i, that flow is recoverable from any of them
+    together with any threshold in [previous length, this length).
     """
     flows = replay_flows(trace)
+    net = trace.instance.base
+    cap = [e.capacity for e in net.edges]
     cases = []
     for j, step in enumerate(trace.steps):
-        if not step.good_arcs:
-            continue
         lo = trace.steps[j - 1].length if j > 0 else 0.0
         hi = step.length
         if not lo < hi:
             continue
+        good = good_arcs(net, flows[j].values, cap, step.path_arcs)
         thresholds = [lo, (lo + hi) / 2]
         if hi - 1e-9 > lo:
             thresholds.append(hi - 1e-9)
-        for a in step.good_arcs[:_CASE_ARCS_PER_STEP]:
+        for a in good[:_CASE_ARCS_PER_STEP]:
             for d in thresholds:
                 cases.append(ReconstructionCase(a, d, flows[j], step.index))
     return cases

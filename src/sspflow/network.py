@@ -18,9 +18,10 @@ Conventions used throughout the package:
 Comparisons on flow values are strict float comparisons, no epsilons:
 augmentation assigns saturated values exactly, so f == 0 and f == u
 stay meaningful predicates. residual_arcs (the arcs present under a
-flow), push (exact saturation) and empty_arcs (the empty arcs of a
-path) are the package's one implementation of these three rules; the
-solver's flat-array engine inlines the first as res[a] > 0.
+flow), push (exact saturation), empty_arcs (the empty arcs of a path)
+and good_arcs (those of them on original edges) are the package's one
+implementation of these rules; the solver's flat-array engine inlines
+the first as res[a] > 0.
 """
 
 from __future__ import annotations
@@ -277,6 +278,14 @@ def empty_arcs(
     return tuple(
         a for a in arcs if f[a >> 1] == (cap[a >> 1] if a & 1 else 0.0)
     )
+
+
+def good_arcs(
+    net: FlowNetwork, f: Sequence[float], cap: Sequence[float], arcs: Iterable[int]
+) -> tuple[int, ...]:
+    """Empty arcs of a path under f (cap listing net's capacities) over
+    original edges; the step that takes the path is good when it has one."""
+    return tuple(a for a in empty_arcs(f, cap, arcs) if net.is_original(a >> 1))
 
 
 def residual_arcs(net: FlowNetwork, f: Sequence[float]) -> list[tuple]:

@@ -45,7 +45,8 @@ Other number types run the Python loops from their own zero, c - c.
 
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
-exact; a step's good arcs are its network.empty_arcs on original edges.
+exact. A step's saturated and good arcs (network.good_arcs) follow from
+replaying the paths with push; trace_csv_rows derives them.
 The reached target value equals z bit-for-bit.
 """
 
@@ -59,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _native
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import ORIGINAL, Flow, TransformedNetwork, empty_arcs, push
+from .network import Flow, TransformedNetwork, good_arcs, push
 
 INF = math.inf
 
@@ -79,7 +80,7 @@ class Outcome(str, Enum):
 
 @dataclass(frozen=True)
 class AugmentationStep:
-    """One augmentation: the path taken and the state changes it caused.
+    """One augmentation: the path taken, its length and the amount pushed.
 
     index counts from 1. path_arcs run from source to sink, arc 2e along
     edge e and arc 2e + 1 against it, so they name the path's nodes too.
@@ -89,9 +90,8 @@ class AugmentationStep:
     solve ran with record_distances=False).
     Unreachable nodes carry math.inf.
 
-    good_arcs are the path's empty arcs on original edges, under the
-    flow before this augmentation; the step is good when there is one,
-    and the good_arc column of the trace CSV is bool(good_arcs).
+    The arcs a step saturates and whether it is good follow from the
+    replayed flows (network.good_arcs); trace_csv_rows derives both.
     """
 
     index: int
@@ -99,8 +99,6 @@ class AugmentationStep:
     length: float
     amount: float
     flow_value_after: float
-    saturated_arcs: tuple[int, ...]
-    good_arcs: tuple[int, ...]
     distances_from_s: Mapping[int, float] | None = None
     distances_to_t: Mapping[int, float] | None = None
 
@@ -124,13 +122,12 @@ class _Engine:
     Nodes are dense indices 0..n-1. Built once per solve:
 
     * out_adj[u] lists (arc, head, signed cost) for every potential
-      residual arc leaving u, and in_adj[v] lists (arc, tail, signed
-      cost) for every one entering v, in the order edge index, then
-      forward before backward. Presence is re-checked at relax time.
+      residual arc leaving u, in edge order. Presence is re-checked at
+      relax time. The reverse search reads the same lists: an entry
+      (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c.
     * res[a] is the residual capacity of arc a: cap - f for a forward
       arc, f for a backward one. augment refreshes it for the edges on
       the path, so both Dijkstra loops test res[a] <= 0.0 inline.
-    * is_original[e] says whether edge e bears cost (is not auxiliary).
 
     Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
     the same float operations, slack check and clamp everywhere. The
@@ -152,16 +149,12 @@ class _Engine:
         head = [idx[e.head] for e in net.edges]
         cost = [e.cost for e in net.edges]
         self.cap = [e.capacity for e in net.edges]
-        self.is_original = [e.kind == ORIGINAL for e in net.edges]
         self.s = idx[instance.source]
         self.t = idx[instance.sink]
         self.out_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
-        self.in_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
         for e, (u, v, c) in enumerate(zip(tail, head, cost)):
             self.out_adj[u].append((2 * e, v, c))
-            self.in_adj[v].append((2 * e, u, c))
             self.out_adj[v].append((2 * e + 1, u, -c))
-            self.in_adj[u].append((2 * e + 1, v, -c))
         self.signed_cost = [x for c in cost for x in (c, -c)]
         self.res = [r for c in self.cap for r in (c, 0.0)]
         self.f = [0.0] * net.m
@@ -265,12 +258,12 @@ class _Engine:
         """Reduced distances to the sink (reverse graph, no tie-break)."""
         if self.native is not None:
             return self.native.reverse(
-                self.in_adj, self.res, self.pi, self.t,
+                self.out_adj, self.res, self.pi, self.t,
                 _check_reduced_cost, REDUCED_COST_SLACK,
             )
         pi = self.pi
         res = self.res
-        in_adj = self.in_adj
+        out_adj = self.out_adj
         dist = [INF] * self.n
         done = [False] * self.n
         dist[self.t] = self.zero
@@ -281,13 +274,13 @@ class _Engine:
                 continue
             done[v] = True
             piv = pi[v]
-            for a, u, c in in_adj[v]:
-                if res[a] <= 0.0 or done[u]:
+            for b, u, c in out_adj[v]:
+                if res[b ^ 1] <= 0.0 or done[u]:
                     continue
-                rc = (c + pi[u]) - piv
+                rc = (-c + pi[u]) - piv
                 if rc < 0.0:
                     if rc < -REDUCED_COST_SLACK:
-                        _check_reduced_cost(rc, a, c, pi[u], piv)
+                        _check_reduced_cost(rc, b ^ 1, -c, pi[u], piv)
                     rc = 0.0
                 cand = d + rc
                 if cand < dist[u]:
@@ -342,9 +335,7 @@ class _Engine:
             r = res[a]
             if r < amount:
                 amount = r
-        is_original = self.is_original
-        good = tuple(a for a in empty_arcs(f, cap, arcs) if is_original[a >> 1])
-        saturated = push(f, cap, arcs, amount)
+        push(f, cap, arcs, amount)
         for a in arcs:
             e = a >> 1
             res[2 * e] = cap[e] - f[e]
@@ -357,8 +348,6 @@ class _Engine:
                 length=length,
                 amount=amount,
                 flow_value_after=self.value,
-                saturated_arcs=saturated,
-                good_arcs=good,
             )
         )
 
@@ -534,11 +523,18 @@ COSTFN_CSV_HEADER = "x,y,slope_right"
 
 
 def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
+    """One row per step; n_saturated and good_arc (network.good_arcs) come
+    from pushing the steps again from the zero flow, as the solve did."""
+    net = trace.instance.base
+    cap = [e.capacity for e in net.edges]
+    f = [0.0] * net.m
     rows = [TRACE_CSV_HEADER]
     for s in trace.steps:
+        good = int(bool(good_arcs(net, f, cap, s.path_arcs)))
+        saturated = push(f, cap, s.path_arcs, s.amount)
         rows.append(
             f"{s.index},{s.length!r},{s.amount!r},{s.flow_value_after!r},"
-            f"{len(s.saturated_arcs)},{int(bool(s.good_arcs))}"
+            f"{len(saturated)},{good}"
         )
     return rows
 

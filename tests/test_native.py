@@ -66,11 +66,14 @@ def test_costs_of_other_types_take_the_python_loops(number):
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_a_new_build_deletes_older_ones(monkeypatch, tmp_path):
-    # builds of an older source pile up in the cache otherwise; those of
-    # another interpreter may still be in use
+    # builds of an older source pile up in the cache otherwise, as do
+    # those of the kernel's first naming scheme; those of another
+    # interpreter may still be in use
     stale = tmp_path / f"_search.0123456789ab{EXTENSION_SUFFIXES[0]}"
+    legacy = tmp_path / "_forward-0123456789abcdef.so"
     foreign = tmp_path / "_search.0123456789ab.cpython-0-other.so"
     stale.touch()
+    legacy.touch()
     foreign.touch()
     monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path)
     target = _native._build()

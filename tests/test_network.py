@@ -19,6 +19,7 @@ from sspflow import (
 )
 
 from sspflow.network import Flow, empty_arcs, push
+from sspflow.solver import trace_csv_rows
 
 from conftest import (
     lp_feasible_value,
@@ -282,7 +283,9 @@ class TestPushAndEmptyArcs:
         cap = [e.capacity for e in trace.instance.base.edges]
         assert step.path_arcs == (24, 16, 18, 8, 28)
         assert post[12] == cap[12] and post[14] == cap[14]
-        assert step.saturated_arcs == (24, 28)
+        assert trace_csv_rows(trace)[4].split(",")[4] == "2"
+        f = list(trace.intermediate_flows[3].values)
+        assert push(f, cap, step.path_arcs, step.amount) == (24, 28)
 
     def test_empty_arcs(self):
         f = [0.0, 2.0, 0.5]

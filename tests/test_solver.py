@@ -15,6 +15,7 @@ from sspflow import (
     adversarial_spec,
     as_transformed,
     build_hard_instance,
+    classify,
     cost_function,
     cost_function_from_steps,
     exact_check,
@@ -37,7 +38,7 @@ from sspflow.solver import (
 )
 
 from sspflow import _native
-from sspflow.network import empty_arcs
+from sspflow.network import empty_arcs, push
 
 from conftest import random_instance, single_edge_network, uniform_instance
 
@@ -171,12 +172,12 @@ class TestStepRecords:
         trace = solve(inst)
         s1 = trace.steps[0]
         # the two route edges saturate; aux edges (cap 5) do not
-        sat_edges = {a >> 1 for a in s1.saturated_arcs}
-        assert sat_edges == {0, 1}
-        assert s1.good_arcs
         cap = [e.capacity for e in inst.base.edges]
-        empty = empty_arcs([0.0] * inst.m, cap, s1.path_arcs)
-        assert set(s1.good_arcs) <= set(empty)
+        f = [0.0] * inst.m
+        assert empty_arcs(f, cap, s1.path_arcs) == s1.path_arcs
+        assert {a >> 1 for a in push(f, cap, s1.path_arcs, s1.amount)} == {0, 1}
+        # the trace CSV derives both: two saturated arcs, a good step
+        assert trace_csv_rows(trace)[1].endswith(",2,1")
 
     def test_distances_recorded(self, two_paths):
         inst = transform(two_paths)
@@ -417,6 +418,26 @@ class TestCsv:
             "2,0.5,2.0,4.0,2,1",
         ]
 
+    def test_trace_csv_bad_step(self):
+        # found by random search: step 4 ties step 3 at length 1.0 and
+        # its path has no empty arc, so it is bad and zeroes four arcs
+        edges = [
+            (2, 3, 2.0, 0.75), (1, 3, 1.0, 1.0), (1, 4, 1.0, 0.0),
+            (4, 2, 3.0, 0.75), (5, 0, 2.0, 0.5), (5, 1, 3.0, 0.75),
+            (3, 4, 1.0, 0.0), (3, 0, 2.0, 0.75), (0, 1, 1.0, 0.25),
+            (1, 2, 2.0, 1.0),
+        ]
+        balance = {0: -1.0, 1: -3.0, 2: 0.0, 3: 2.0, 4: 0.0, 5: 2.0}
+        trace = solve(transform(FlowNetwork([Edge(*e) for e in edges], balance)))
+        assert trace_csv_rows(trace) == [
+            TRACE_CSV_HEADER,
+            "1,0.5,1.0,1.0,1,1",
+            "2,0.75,1.0,2.0,1,1",
+            "3,1.0,1.0,3.0,1,1",
+            "4,1.0,1.0,4.0,4,0",
+        ]
+        assert classify(trace) == (4,)
+
     def test_costfn_csv_shape(self, profile_network):
         rows = cost_function_csv_rows(cost_function(transform(profile_network)))
         assert rows[0] == COSTFN_CSV_HEADER
@@ -608,7 +629,8 @@ class TestReducedCostTolerance:
         assert dist[v] == 0.0 and arcs is not None
         calls.clear()
         eng = _Engine(transform(single_edge_network()))
-        a, u, c = eng.in_adj[eng.t][0]
+        b, u, c = eng.out_adj[eng.t][0]  # the reverse search reads it backward
+        a, c = b ^ 1, -c
         eng.pi[eng.t] = c + 5.0
         assert eng.dijkstra_reverse()[u] == 0.0
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
@@ -620,7 +642,8 @@ class TestReducedCostTolerance:
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
             eng.dijkstra_forward(False)
         eng = _Engine(transform(single_edge_network()))
-        a, u, c = eng.in_adj[eng.t][0]
+        b, u, c = eng.out_adj[eng.t][0]
+        a, c = b ^ 1, -c
         eng.pi[eng.t] = c + 5.0
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
             eng.dijkstra_reverse()
@@ -652,7 +675,8 @@ class TestReducedCostTolerancePythonLoops(TestReducedCostTolerance):
 
 
 def full_trace(inst, **kwargs):
-    """Everything run_ssp returns, floats by repr, or the exception raised."""
+    """Everything run_ssp returns, floats by repr, and the trace CSV, or
+    the exception raised."""
     try:
         trace = run_ssp(inst, **kwargs)
     except Exception as exc:
@@ -664,7 +688,6 @@ def full_trace(inst, **kwargs):
     return (
         [
             (s.path_arcs, repr(s.length), repr(s.amount), repr(s.flow_value_after),
-             s.saturated_arcs, s.good_arcs,
              dists(s.distances_from_s), dists(s.distances_to_t))
             for s in trace.steps
         ],
@@ -672,7 +695,19 @@ def full_trace(inst, **kwargs):
         dists(trace.initial_distances_to_t),
         trace.outcome,
         repr(trace.final_flow),
+        trace_csv_rows(trace),
     )
+
+
+def int_instance(seed):
+    """Int costs and capacities on an 8-node erdos topology; the kernel
+    reads them, unlike floats, through the C API's number protocol."""
+    topo = random_topology(8, 20, "erdos", seed)
+    edges = [
+        Edge(u, v, int(c), (7 * e + seed) % 10)
+        for e, (u, v, c) in enumerate(topo.edges)
+    ]
+    return transform(FlowNetwork(edges, dict(topo.balance), topo.nodes, 10.0))
 
 
 def lockstep_instances():
@@ -680,6 +715,7 @@ def lockstep_instances():
         random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
         for seed in range(40)
     )
+    yield from (int_instance(seed) for seed in range(20))
     yield build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0).instance
     yield fewer_hops_instance()
     yield relabelled(grid_instance(4, 4, 1.0), 0)
