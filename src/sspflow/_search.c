@@ -11,7 +11,9 @@
  * built from a settled one with strictly smaller (dist, hops): hops grow by
  * one, rc >= 0 and fl(d + rc) >= d. So a node is settled after every
  * relaxation that can set its label, and a relaxation that ties in (dist,
- * hops) compares arc sequences with path_less.
+ * hops) compares arc sequences with path_less. Its last pass over the nodes
+ * builds the distances and the raised potentials pi[v] + min(dist[v],
+ * bound) together, bound being the distance of the last node settled.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -241,21 +243,36 @@ reduced_cost(PyObject *check, double slack, Py_ssize_t a, double c, double pu,
     return 0;
 }
 
+/* The distances as a list. With pi, *raised also gets [pi[i] +
+ * min(dist[i], bound)] over the first min(len(pi), n) nodes, as zip
+ * pairs them in the Python loop, built in the same pass. */
 static PyObject *
-dist_list(const State *st)
+dist_list(const State *st, PyObject *pi, double bound, PyObject **raised)
 {
-    PyObject *out = PyList_New(st->n);
-    if (!out)
-        return NULL;
+    Py_ssize_t np = pi ? Py_MIN(PyList_GET_SIZE(pi), st->n) : 0;
+    PyObject *out = PyList_New(st->n), *up = pi ? PyList_New(np) : NULL;
+    if (!out || (pi && !up))
+        goto fail;
     for (Py_ssize_t i = 0; i < st->n; i++) {
-        PyObject *d = PyFloat_FromDouble(st->dist[i]);
-        if (!d) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, d);
+        double d = st->dist[i], p;
+        PyObject *x = PyFloat_FromDouble(d);
+        if (!x)
+            goto fail;
+        PyList_SET_ITEM(out, i, x);
+        if (i >= np)
+            continue;
+        if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
+            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound))))
+            goto fail;
+        PyList_SET_ITEM(up, i, x);
     }
+    if (pi)
+        *raised = up;
     return out;
+fail:
+    Py_XDECREF(out);
+    Py_XDECREF(up);
+    return NULL;
 }
 
 /* -- the searches --------------------------------------------------------- */
@@ -279,7 +296,7 @@ forward(PyObject *self, PyObject *args)
     State st;
     if (state_init(&st, n) < 0)
         return NULL;
-    PyObject *adj = NULL, *result = NULL, *dist, *path = Py_None;
+    PyObject *adj = NULL, *result = NULL, *dist = NULL, *raised = NULL, *path = NULL;
     Py_ssize_t stop = stop_at_sink ? t : -1;
     double bound = 0.0;
     st.dist[s] = 0.0;
@@ -341,29 +358,26 @@ forward(PyObject *self, PyObject *args)
         Py_CLEAR(adj);
     }
 
-    if (!(dist = dist_list(&st)))
-        goto done;
     if (st.dist[t] < Py_HUGE_VAL) {
-        path = PyTuple_New(st.hops[t]);
-        if (!path) {
-            Py_DECREF(dist);
+        if (!(path = PyTuple_New(st.hops[t])))
             goto done;
-        }
         for (Py_ssize_t v = t, k = st.hops[t]; k > 0; v = st.pred[v]) {
             PyObject *a = PyLong_FromSsize_t(st.parc[v]);
-            if (!a) {
-                Py_DECREF(dist);
-                Py_DECREF(path);
+            if (!a)
                 goto done;
-            }
             PyTuple_SET_ITEM(path, --k, a);
         }
     } else {
-        Py_INCREF(path);
+        Py_INCREF(Py_None);
+        path = Py_None;
     }
-    result = Py_BuildValue("NNd", dist, path, bound);
+    if ((dist = dist_list(&st, pi, bound, &raised)))
+        result = PyTuple_Pack(3, dist, path, raised);
 done:
     Py_XDECREF(adj);
+    Py_XDECREF(dist);
+    Py_XDECREF(raised);
+    Py_XDECREF(path);
     state_free(&st);
     return result;
 }
@@ -427,49 +441,19 @@ reverse(PyObject *self, PyObject *args)
         }
         Py_CLEAR(adj);
     }
-    result = dist_list(&st);
+    result = dist_list(&st, NULL, 0.0, NULL);
 done:
     Py_XDECREF(adj);
     state_free(&st);
     return result;
 }
 
-static PyObject *
-raise_potentials(PyObject *self, PyObject *args)
-{
-    PyObject *pi, *dist;
-    double bound;
-    if (!PyArg_ParseTuple(args, "O!O!d:raise_potentials", &PyList_Type, &pi,
-                          &PyList_Type, &dist, &bound))
-        return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(pi);
-    if (PyList_GET_SIZE(dist) < n)
-        n = PyList_GET_SIZE(dist);
-    PyObject *out = PyList_New(n);
-    if (!out)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double p, d;
-        PyObject *x;
-        if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
-            || as_double(PyList_GET_ITEM(dist, i), &d) < 0
-            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound)))) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, x);
-    }
-    return out;
-}
-
 static PyMethodDef methods[] = {
     {"forward", forward, METH_VARARGS,
      "forward(out_adj, res, pi, s, t, stop_at_sink, check, slack)"
-     " -> (dist, path_arcs | None, bound)"},
+     " -> (dist, path_arcs | None, [p + min(d, bound)])"},
     {"reverse", reverse, METH_VARARGS,
      "reverse(out_adj, res, pi, t, check, slack) -> dist"},
-    {"raise_potentials", raise_potentials, METH_VARARGS,
-     "raise_potentials(pi, dist, bound) -> [p + min(d, bound)]"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -488,14 +488,13 @@ def exact_check(trace: AugmentationTrace) -> LemmaCheck:
     edges = [replace(e, cost=Fraction(e.cost)) for e in inst.base.edges]
     eng = _Engine(replace(inst, base=replace(inst.base, edges=edges)))
     for step in trace.steps:
-        dist, arcs, bound = eng.dijkstra_forward(True)
+        _, arcs = eng.dijkstra_forward(True)
         if arcs != step.path_arcs:
             return LemmaCheck(
                 "exact_shortest_path", False, step.index,
                 f"exact search takes arcs {arcs or ()}",
             )
         eng.augment(arcs, step.length, INF)
-        eng.update_potentials(dist, bound)
     return LemmaCheck("exact_shortest_path", True)
 
 

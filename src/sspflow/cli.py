@@ -74,7 +74,12 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _flow_cost(instance: TransformedNetwork, values) -> float:
-    return math.fsum(f * e.cost for f, e in zip(values, instance.base.edges))
+    """The flow's cost; inf past float64, as costfn's profile prints it
+    (every term is nonnegative)."""
+    try:
+        return math.fsum(f * e.cost for f, e in zip(values, instance.base.edges))
+    except OverflowError:
+        return math.inf
 
 
 def _nonnegative(flag: str, value):

@@ -79,6 +79,11 @@ class FlowNetwork:
             raise InvariantError("node ids must be ints")
         if not (math.isfinite(cost_bound) and cost_bound >= 1.0):
             raise InvariantError(f"cost bound must be finite and >= 1, got {cost_bound}")
+        # n * cost_bound bounds every path length, potential and c + pi[u]
+        if math.isinf(len(node_set) * cost_bound):
+            raise InvariantError(
+                f"{len(node_set)} nodes times cost bound {cost_bound} overflows"
+            )
 
         pairs: set[tuple[int, int]] = set()
         for i, e in enumerate(edges):
@@ -114,8 +119,11 @@ class FlowNetwork:
             if not math.isfinite(b):
                 raise InvariantError(f"balance at node {v} must be finite")
             bal[v] = float(b)
-        total = math.fsum(bal.values())
-        scale = max(1.0, math.fsum(abs(b) for b in bal.values()))
+        try:
+            total = math.fsum(bal.values())
+            scale = max(1.0, math.fsum(abs(b) for b in bal.values()))
+        except OverflowError:
+            raise InvariantError("balance magnitudes sum past float64") from None
         if abs(total) > _BALANCE_RTOL * scale:
             raise BalanceMismatch(f"balances sum to {total}, expected 0")
 

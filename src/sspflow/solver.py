@@ -10,14 +10,15 @@ decrease and the value-vs-cost profile is convex piecewise linear.
 Shortest paths run Dijkstra over reduced costs with node potentials.
 A solve that records no distances stops each search once the sink is
 settled; one that records them searches the whole residual network.
-After each iteration every potential grows by min(dist[v], b), where b
-is the distance of the last node settled: the sink's after a stop, the
-largest finite one after a full search. Settled nodes grow by their
-exact distance and all others by b, which is at most their tentative
-distance, so every residual arc cost stays nonnegative (asserted with a
-1e-9 slack, or one relative to the magnitudes involved, for float
-rounding, then clamped). Path length is reported as the exact-rounded
-sum of raw arc costs.
+Each forward search ends by raising every potential by min(dist[v], b),
+where b is the distance of the last node settled: the sink's after a
+stop, the largest finite one after a full search. That keeps every
+residual arc's reduced cost nonnegative (see _Engine.dijkstra_forward;
+asserted with a 1e-9 slack, or 1e-12 of the largest term, for float
+rounding, then clamped); the worst-case family at phi = 2^20 misses the
+relative slack (1.00014e-12 of the largest term) after 131,072 steps of
+potential drift and exits 3. Path length is reported as the
+exact-rounded sum of raw arc costs.
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
@@ -34,7 +35,7 @@ have the same float length, so the arc sequence settles them and the
 solve may take the exactly longer route. analysis.exact_check replays
 a trace in exact arithmetic and flags such a step.
 
-The three loops (forward search, reverse search, potential update) also
+The two searches, forward with its potential raise and reverse, also
 exist in C, in _search.c: the engine calls them when every cost and
 capacity is a float or an int, reading its lists in place, and they
 repeat the Python loops float operation for float, so traces are
@@ -132,7 +133,8 @@ class _Engine:
     Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
     the same float operations, slack check and clamp everywhere. The
     forward search records each node's predecessor and predecessor arc
-    (see dijkstra_forward), and the sink's path is read back from them.
+    (see dijkstra_forward), reads the sink's path back from them and
+    raises pi for the next step; the reverse search leaves pi alone.
 
     augment builds the AugmentationStep record of every step, for
     run_ssp, for analysis.reference_solve, which runs this bookkeeping
@@ -170,16 +172,28 @@ class _Engine:
     # -- shortest paths -----------------------------------------------------
 
     def dijkstra_forward(self, stop_at_sink: bool):
-        """Reduced distances and the sink's path from the source.
+        """Reduced distances and the sink's path from the source; raises pi.
 
-        Returns (dist, arcs, bound): distances indexed by dense node
-        index, the arc sequence of the sink's path (None when the sink
-        is unreachable), and the distance of the last node settled. With
-        stop_at_sink the search ends when the sink is settled, whose
+        Returns (dist, arcs): distances indexed by dense node index and
+        the arc sequence of the sink's path (None when the sink is
+        unreachable). Let bound be the distance of the last node settled.
+        With stop_at_sink the search ends when the sink is settled, whose
         label is then final, and bound is dist[sink]; nodes left
         unsettled keep tentative distances of at least bound. Otherwise
         every reachable node is settled, and bound, as nodes settle in
         nondecreasing distance, is the largest finite distance.
+
+        The search ends by raising pi[v] by min(dist[v], bound), in one
+        pass. Settled nodes move by their distance, as usual. A residual
+        arc from a settled u to an unsettled v relaxed v to at most
+        dist[u] + rc, so its reduced cost rc moves by dist[u] - bound >=
+        -rc; an arc leaving an unsettled node moves by bound - min(...)
+        >= 0. So every reduced cost stays nonnegative, before and after
+        augmenting along the path, whose arcs all have reduced cost 0.
+        Unreachable nodes rise by bound too: left behind, their stale
+        potentials could turn reduced costs negative in the
+        reverse-direction search. After a full search every reached node
+        rises by exactly its distance.
 
         A label is (reduced dist, hops, arc sequence), compared
         lexicographically; the heap holds (dist, hops, node), and
@@ -193,10 +207,11 @@ class _Engine:
         With the compiled kernel, native.forward runs the same search.
         """
         if self.native is not None:
-            return self.native.forward(
+            dist, arcs, self.pi = self.native.forward(
                 self.out_adj, self.res, self.pi, self.s, self.t, stop_at_sink,
                 _check_reduced_cost, REDUCED_COST_SLACK,
             )
+            return dist, arcs
         n = self.n
         pi = self.pi
         res = self.res
@@ -252,7 +267,8 @@ class _Engine:
                 back.append(parc[v])
                 v = pred[v]
             arcs = tuple(reversed(back))
-        return dist, arcs, bound
+        self.pi = [p + (d if d < bound else bound) for p, d in zip(pi, dist)]
+        return dist, arcs
 
     def dijkstra_reverse(self):
         """Reduced distances to the sink (reverse graph, no tie-break)."""
@@ -289,9 +305,10 @@ class _Engine:
         return dist
 
     def actual_distances(self, dist_red: Sequence[float]) -> dict[int, float]:
-        """Map reduced source distances to actual ones, keyed by node id."""
+        """Actual source distances by node id, after the full forward search
+        that found dist_red: it raised each reached node's pi by dist_red."""
         return {
-            self.ids[i]: (dist_red[i] + self.pi[i] if dist_red[i] < INF else INF)
+            self.ids[i]: (self.pi[i] if dist_red[i] < INF else INF)
             for i in range(self.n)
         }
 
@@ -301,25 +318,6 @@ class _Engine:
             self.ids[i]: (dist_red[i] - self.pi[i] + pit if dist_red[i] < INF else INF)
             for i in range(self.n)
         }
-
-    def update_potentials(self, dist_red: Sequence[float], bound: float) -> None:
-        """Raise pi[v] by min(dist_red[v], bound), in one pass.
-
-        bound is dijkstra_forward's: every settled node has distance at
-        most bound, and every other node a tentative distance of at least
-        bound, or none. Settled nodes move by their distance, as usual.
-        A residual arc from a settled u to an unsettled v relaxed v to at
-        most dist_red[u] + rc, so its reduced cost rc moves by
-        dist_red[u] - bound >= -rc; an arc leaving an unsettled node
-        moves by bound - min(...) >= 0. So every reduced cost stays
-        nonnegative. Unreachable nodes rise by bound too: left behind,
-        their stale potentials could turn reduced costs negative in the
-        reverse-direction search.
-        """
-        if self.native is not None:
-            self.pi = self.native.raise_potentials(self.pi, dist_red, bound)
-            return
-        self.pi = [p + (d if d < bound else bound) for p, d in zip(self.pi, dist_red)]
 
     # -- augmentation ---------------------------------------------------------
 
@@ -408,10 +406,12 @@ def run_ssp(
         if not record_distances and eng.value == z:
             outcome = Outcome.REACHED_Z
             break
-        dist, arcs, bound = eng.dijkstra_forward(not record_distances)
+        if record_distances:
+            # First: the forward search raises pi for the next step.
+            dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
+        dist, arcs = eng.dijkstra_forward(not record_distances)
         if record_distances:
             d_act = eng.actual_distances(dist)
-            dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
             if steps:
                 steps[-1] = replace(
                     steps[-1], distances_from_s=d_act, distances_to_t=dp_act
@@ -435,7 +435,6 @@ def run_ssp(
         eng.augment(arcs, length, z)
         if retain_flows:
             flows.append(eng.snapshot())
-        eng.update_potentials(dist, bound)
 
     return AugmentationTrace(
         instance=instance,

@@ -56,6 +56,31 @@ def test_solve_malformed_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        # the balance magnitudes sum past float64
+        ("p min 2 1\nn 0 1e308\nn 1 -1e308\na 0 1 1e308 0.5\n", 1),
+        # n * cost_bound overflows, and with it the search distances
+        ("c costbound 1e308\np min 3 2\nn 0 1\nn 2 -1\n"
+         "a 0 1 1 1e308\na 1 2 1 1e308\n", 1),
+        # the solve is exact, but the flow's cost overflows
+        ("c costbound 1\np min 4 3\nn 0 8e307\nn 3 -8e307\n"
+         "a 0 1 1e308 1\na 1 2 1e308 1\na 2 3 1e308 1\n", 0),
+    ],
+    ids=["balances", "cost_bound", "flow_cost"],
+)
+def test_huge_magnitudes_never_traceback(text, code, tmp_path, capsys):
+    path = tmp_path / "huge.dimacs"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("error:") and not out
+    else:
+        assert out.startswith("reached_z steps=1 value=8e+307 cost=inf")
+
+
 def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/x.dimacs"]) == 1
 

@@ -91,6 +91,18 @@ class TestConstruction:
         with pytest.raises(BalanceMismatch):
             FlowNetwork([Edge(0, 1, 1.0, 0.1)], {0: 2.0, 1: -1.0})
 
+    def test_balance_magnitudes_past_float64_rejected(self):
+        # their fsum overflows: an input error, not an OverflowError
+        with pytest.raises(InvariantError, match="past float64"):
+            FlowNetwork([Edge(0, 1, 1e308, 0.5)], {0: 1e308, 1: -1e308})
+
+    def test_path_length_bound_past_float64_rejected(self):
+        # n * cost_bound bounds every path length and potential
+        edges = [Edge(0, 1, 1.0, 5e307), Edge(1, 2, 1.0, 5e307)]
+        with pytest.raises(InvariantError, match="3 nodes times cost bound"):
+            FlowNetwork(edges, {0: 1.0, 2: -1.0}, cost_bound=1e308)
+        FlowNetwork(edges, {0: 1.0, 2: -1.0}, cost_bound=5e307)
+
     def test_balance_tolerates_float_noise(self):
         b = {0: 0.1 + 0.2, 1: -0.3}  # off by one ulp-ish amount
         net = FlowNetwork([Edge(0, 1, 1.0, 0.1)], b)

@@ -319,12 +319,11 @@ class TestPotentialUpdate:
             inst = random_instance(seed, n=10, m=30, capacities=capacities)
             eng = _Engine(inst)
             while eng.value < inst.z:
-                dist, arcs, bound = eng.dijkstra_forward(True)
+                dist, arcs = eng.dijkstra_forward(True)
                 if dist[eng.t] == math.inf:
                     break
-                cut_short += any(d > bound for d in dist)
+                cut_short += any(d > dist[eng.t] for d in dist)
                 eng.augment(arcs, eng.path_length(arcs), inst.z)
-                eng.update_potentials(dist, bound)
                 pi = eng.pi
                 for u, adj in enumerate(eng.out_adj):
                     for a, v, c in adj:
@@ -624,7 +623,7 @@ class TestReducedCostTolerance:
         eng = _Engine(transform(single_edge_network()))
         a, v, c = eng.out_adj[eng.s][0]
         eng.pi[v] = c + 5.0
-        dist, arcs, bound = eng.dijkstra_forward(True)
+        dist, arcs = eng.dijkstra_forward(True)
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
         assert dist[v] == 0.0 and arcs is not None
         calls.clear()
@@ -710,6 +709,25 @@ def int_instance(seed):
     return transform(FlowNetwork(edges, dict(topo.balance), topo.nodes, 10.0))
 
 
+def potentials_trail(inst, stop_at_sink, native):
+    """repr of pi after each forward search of a solve toward inst.z, on
+    the compiled kernel or the Python loops, then any error raised."""
+    eng = _Engine(inst)
+    if not native:
+        eng.native = None
+    trail = []
+    try:
+        while eng.value < inst.z:
+            _, arcs = eng.dijkstra_forward(stop_at_sink)
+            trail.append(repr(eng.pi))
+            if arcs is None:
+                break
+            eng.augment(arcs, eng.path_length(arcs), inst.z)
+    except Exception as exc:
+        trail.append((type(exc), str(exc)))
+    return trail
+
+
 def lockstep_instances():
     yield from (
         random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
@@ -743,3 +761,8 @@ def test_backends_agree_in_lockstep(monkeypatch):
             assert _Engine(inst).native is None
             python = [full_trace(inst, **mode) for mode in modes]
         assert native == python
+        # both search tails raise the potentials: bit for bit, and a
+        # float stays a float (repr tells 1 from 1.0)
+        for stop_at_sink in (True, False):
+            trail = potentials_trail(inst, stop_at_sink, native=True)
+            assert trail == potentials_trail(inst, stop_at_sink, native=False)
