@@ -1,4 +1,5 @@
-/* Compiled Dijkstra loops of sspflow.solver._Engine.
+/* Compiled inner loops of sspflow.solver._Engine: the two Dijkstra
+ * searches and the exact-saturation push.
  *
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
@@ -14,6 +15,15 @@
  * hops) compares arc sequences with path_less. Its last pass over the nodes
  * builds the distances and the raised potentials pi[v] + min(dist[v],
  * bound) together, bound being the distance of the last node settled.
+ *
+ * push_path is network.push operation for operation, which stays its
+ * oracle. It serves augment (bottleneck, push and res refresh of one
+ * engine step) and replay (one trace-CSV row: the good-arc test before
+ * the push, then the push). Both take it only when every f, cap and res
+ * item the path reads, and the amount, is an exact float, and check that
+ * before they write anything; otherwise they return None and the caller
+ * runs network.push, since Python compares an int with a float exactly
+ * and a C double cannot.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -448,18 +458,167 @@ done:
     return result;
 }
 
+/* -- the exact-saturation push ------------------------------------------ */
+
+/* Arc i of a path tuple; it must be an int, whose edge a >> 1 indexes the
+ * m edges. An int past Py_ssize_t is out of range too, as a list index. */
+static int
+path_arc(PyObject *arcs, Py_ssize_t i, Py_ssize_t m, Py_ssize_t *a)
+{
+    *a = PyLong_AsSsize_t(PyTuple_GET_ITEM(arcs, i));
+    if (*a == -1 && PyErr_Occurred()) {
+        if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+            return -1;
+        PyErr_Clear();
+    }
+    if (*a < 0 || *a >> 1 >= m) {
+        PyErr_SetString(PyExc_IndexError, "arc index out of range");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+float_at(PyObject *list, Py_ssize_t i)
+{
+    return PyFloat_CheckExact(PyList_GET_ITEM(list, i));
+}
+
+/* network.push(f, cap, arcs, amount) on a path whose arcs path_arc has
+ * checked and whose f and cap items are exact floats: the number of arcs
+ * it saturates, or -1 with an exception set. A saturated forward arc
+ * takes the cap item itself, as f[e] = cap[e] does. */
+static Py_ssize_t
+push_path(PyObject *f, PyObject *cap, PyObject *arcs, double amount)
+{
+    Py_ssize_t saturated = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
+        Py_ssize_t a = PyLong_AsSsize_t(PyTuple_GET_ITEM(arcs, i)), e = a >> 1;
+        double fe = PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, e));
+        PyObject *ce = PyList_GET_ITEM(cap, e), *x;
+        if (a & 1) {
+            if (fe == amount) {
+                saturated++;
+                x = PyFloat_FromDouble(0.0);
+            } else {
+                x = PyFloat_FromDouble(fe - amount);
+            }
+        } else if (PyFloat_AS_DOUBLE(ce) - fe == amount) {
+            saturated++;
+            Py_INCREF(ce);
+            x = ce;
+        } else {
+            fe += amount;
+            if (fe == PyFloat_AS_DOUBLE(ce)) /* the sum rounded onto the capacity */
+                saturated++;
+            x = PyFloat_FromDouble(fe);
+        }
+        if (!x)
+            return -1;
+        PyList_SetItem(f, e, x); /* the old item is a float: no code runs */
+    }
+    return saturated;
+}
+
+/* One step of _Engine.augment: the amount is the smallest of headroom
+ * (z - value) and res[a] over the path, first one on a tie; it is pushed,
+ * then res[2e] = cap[e] - f[e] and res[2e + 1] = f[e] for each edge e on
+ * the path. Returns the amount, or None, with nothing written, when an
+ * item read is not an exact float. */
+static PyObject *
+augment(PyObject *self, PyObject *args)
+{
+    PyObject *f, *cap, *res, *arcs, *headroom;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O:augment", &PyList_Type, &f, &PyList_Type,
+                          &cap, &PyList_Type, &res, &PyTuple_Type, &arcs, &headroom))
+        return NULL;
+    Py_ssize_t m = Py_MIN(Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)),
+                          PyList_GET_SIZE(res) / 2);
+    int exact = PyFloat_CheckExact(headroom);
+    double amount = exact ? PyFloat_AS_DOUBLE(headroom) : 0.0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
+        Py_ssize_t a;
+        if (path_arc(arcs, i, m, &a) < 0)
+            return NULL;
+        if (!exact || !float_at(f, a >> 1) || !float_at(cap, a >> 1) || !float_at(res, a)) {
+            exact = 0;
+            continue;
+        }
+        double r = PyFloat_AS_DOUBLE(PyList_GET_ITEM(res, a));
+        if (r < amount)
+            amount = r;
+    }
+    if (!exact)
+        Py_RETURN_NONE;
+    if (push_path(f, cap, arcs, amount) < 0)
+        return NULL;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
+        Py_ssize_t e = PyLong_AsSsize_t(PyTuple_GET_ITEM(arcs, i)) >> 1;
+        PyObject *fe = PyList_GET_ITEM(f, e);
+        PyObject *r = PyFloat_FromDouble(
+            PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, e)) - PyFloat_AS_DOUBLE(fe));
+        if (!r)
+            return NULL;
+        PyList_SetItem(res, 2 * e, r);
+        Py_INCREF(fe);
+        PyList_SetItem(res, 2 * e + 1, fe);
+    }
+    return PyFloat_FromDouble(amount);
+}
+
+/* One trace-CSV row: good is 1 when an arc of the path is empty under f
+ * (forward with f[e] == 0.0, backward with f[e] == cap[e]) and original[e]
+ * is nonzero, tested before the push; then the push of amount, whose
+ * saturated arcs are counted. Returns (n_saturated, good), or None, with
+ * nothing written, when amount or an item read is not an exact float. */
+static PyObject *
+replay(PyObject *self, PyObject *args)
+{
+    PyObject *f, *cap, *arcs, *amount;
+    const char *original;
+    Py_ssize_t m;
+    if (!PyArg_ParseTuple(args, "O!O!y#O!O:replay", &PyList_Type, &f, &PyList_Type,
+                          &cap, &original, &m, &PyTuple_Type, &arcs, &amount))
+        return NULL;
+    m = Py_MIN(m, Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)));
+    int exact = PyFloat_CheckExact(amount), good = 0;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
+        Py_ssize_t a;
+        if (path_arc(arcs, i, m, &a) < 0)
+            return NULL;
+        Py_ssize_t e = a >> 1;
+        if (!exact || !float_at(f, e) || !float_at(cap, e)) {
+            exact = 0;
+            continue;
+        }
+        double empty = a & 1 ? PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, e)) : 0.0;
+        if (original[e] && PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, e)) == empty)
+            good = 1;
+    }
+    if (!exact)
+        Py_RETURN_NONE;
+    Py_ssize_t saturated = push_path(f, cap, arcs, PyFloat_AS_DOUBLE(amount));
+    if (saturated < 0)
+        return NULL;
+    return Py_BuildValue("(ni)", saturated, good);
+}
+
 static PyMethodDef methods[] = {
     {"forward", forward, METH_VARARGS,
      "forward(out_adj, res, pi, s, t, stop_at_sink, check, slack)"
      " -> (dist, path_arcs | None, [p + min(d, bound)])"},
     {"reverse", reverse, METH_VARARGS,
      "reverse(out_adj, res, pi, t, check, slack) -> dist"},
+    {"augment", augment, METH_VARARGS,
+     "augment(f, cap, res, path_arcs, headroom) -> amount | None"},
+    {"replay", replay, METH_VARARGS,
+     "replay(f, cap, original, path_arcs, amount) -> (n_saturated, good) | None"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_search",
-    "Compiled Dijkstra loops of sspflow.solver._Engine.", -1, methods,
+    "Compiled inner loops of sspflow.solver._Engine.", -1, methods,
 };
 
 PyMODINIT_FUNC

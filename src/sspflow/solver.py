@@ -48,7 +48,14 @@ Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
 exact. A step's saturated and good arcs (network.good_arcs) follow from
 replaying the paths with push; trace_csv_rows derives them.
-The reached target value equals z bit-for-bit.
+The reached target value equals z bit-for-bit. The same C file holds
+push's operation-for-operation twin: with the kernel loaded, augment
+does the bottleneck, the push and the res refresh of a step in one
+call, and trace_csv_rows tests a row's good arcs and pushes in one. It
+serves a call only when every f, cap and res item the path reads, and
+the amount, is an exact float (Python compares an int with a float
+exactly, a C double cannot); any other call runs network.push, so
+number types, traces and CSVs are the same either way.
 """
 
 from __future__ import annotations
@@ -139,7 +146,10 @@ class _Engine:
     augment builds the AugmentationStep record of every step, for
     run_ssp, for analysis.reference_solve, which runs this bookkeeping
     around its own path search, and for analysis.exact_check, which
-    runs the whole engine over Fraction costs.
+    runs the whole engine over Fraction costs. With the compiled kernel,
+    native.augment pushes a step whose f, cap and res items are exact
+    floats; other steps, and every step without the kernel, run
+    network.push.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -324,21 +334,31 @@ class _Engine:
     def path_length(self, arcs: Iterable[int]) -> float:
         return math.fsum(map(self.signed_cost.__getitem__, arcs))
 
-    def augment(self, arcs: Sequence[int], length: float, z: float) -> None:
+    def augment(self, arcs: tuple[int, ...], length: float, z: float) -> None:
         """Push the bottleneck amount along arcs, whose raw cost sum is
-        length, and append the step's record to steps."""
+        length, and append the step's record to steps.
+
+        With the compiled kernel, native.augment does the bottleneck, the
+        push and the res refresh in one call when every number it reads is
+        an exact float; it returns None, having written nothing, otherwise.
+        """
         f, cap, res = self.f, self.cap, self.res
-        amount = z - self.value
-        for a in arcs:
-            r = res[a]
-            if r < amount:
-                amount = r
-        push(f, cap, arcs, amount)
-        for a in arcs:
-            e = a >> 1
-            res[2 * e] = cap[e] - f[e]
-            res[2 * e + 1] = f[e]
-        self.value = z if z - self.value == amount else self.value + amount
+        headroom = z - self.value
+        amount = None
+        if self.native is not None:
+            amount = self.native.augment(f, cap, res, arcs, headroom)
+        if amount is None:
+            amount = headroom
+            for a in arcs:
+                r = res[a]
+                if r < amount:
+                    amount = r
+            push(f, cap, arcs, amount)
+            for a in arcs:
+                e = a >> 1
+                res[2 * e] = cap[e] - f[e]
+                res[2 * e + 1] = f[e]
+        self.value = z if headroom == amount else self.value + amount
         self.steps.append(
             AugmentationStep(
                 index=len(self.steps) + 1,
@@ -523,17 +543,25 @@ COSTFN_CSV_HEADER = "x,y,slope_right"
 
 def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
     """One row per step; n_saturated and good_arc (network.good_arcs) come
-    from pushing the steps again from the zero flow, as the solve did."""
+    from pushing the steps again from the zero flow, as the solve did.
+
+    With the compiled kernel, native.replay tests the good arcs and
+    pushes in one call when the step's numbers are exact floats, and
+    returns None, having written nothing, otherwise."""
     net = trace.instance.base
     cap = [e.capacity for e in net.edges]
     f = [0.0] * net.m
+    original = bytes(map(net.is_original, range(net.m)))
+    native = _native.load()
     rows = [TRACE_CSV_HEADER]
     for s in trace.steps:
-        good = int(bool(good_arcs(net, f, cap, s.path_arcs)))
-        saturated = push(f, cap, s.path_arcs, s.amount)
+        row = native.replay(f, cap, original, s.path_arcs, s.amount) if native else None
+        if row is None:
+            good = int(bool(good_arcs(net, f, cap, s.path_arcs)))
+            row = len(push(f, cap, s.path_arcs, s.amount)), good
         rows.append(
             f"{s.index},{s.length!r},{s.amount!r},{s.flow_value_after!r},"
-            f"{len(saturated)},{good}"
+            f"{row[0]},{row[1]}"
         )
     return rows
 

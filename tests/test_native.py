@@ -1,4 +1,6 @@
 import logging
+import math
+import random
 import shutil
 import subprocess
 import sysconfig
@@ -11,6 +13,7 @@ import pytest
 
 from sspflow import Edge, FlowNetwork, run_ssp, transform
 from sspflow import _native
+from sspflow.network import empty_arcs, push
 from sspflow.solver import _Engine
 
 from conftest import random_instance, two_path_network
@@ -90,3 +93,92 @@ def test_kernel_compiles_without_warnings(tmp_path):
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def two_edges():
+    """f, cap and res of a full edge 0 and an idle edge 1."""
+    return [2.0, 0.0], [2.0, 3.0], [0.0, 2.0, 3.0, 0.0]
+
+
+def push_calls():
+    f, cap, res = two_edges()
+    return {
+        "augment": (f, cap, res, (1, 2), 5.0),
+        "replay": (f, cap, b"\1\1", (1, 2), 1.0),
+    }
+
+
+BAD_PUSH_CALLS = [
+    # an arc past the edges, below zero, or past the mask or res
+    (IndexError, "augment", {3: (1, 4)}),
+    (IndexError, "augment", {3: (-1,)}),
+    (IndexError, "augment", {3: (1 << 70,)}),
+    (IndexError, "augment", {2: [0.0, 2.0]}),
+    (IndexError, "replay", {3: (2,), 2: b"\1"}),
+    (IndexError, "replay", {3: (1, 5)}),
+    # arcs that are not a tuple of ints, lists that are not lists
+    (TypeError, "augment", {3: [1, 2]}),
+    (TypeError, "augment", {3: (1, 2.0)}),
+    (TypeError, "replay", {3: (np.int64(1),)}),
+    (TypeError, "augment", {0: (2.0, 0.0)}),
+    (TypeError, "augment", {2: None}),
+    (TypeError, "replay", {1: np.array([2.0, 3.0])}),
+    (TypeError, "replay", {2: "\1\1"}),
+    (TypeError, "replay", {2: [1, 1]}),
+]
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+@pytest.mark.parametrize("error, name, changes", BAD_PUSH_CALLS)
+def test_push_entry_points_reject_bad_input(error, name, changes):
+    args = list(push_calls()[name])
+    for i, x in changes.items():
+        args[i] = x
+    before = repr(args)
+    with pytest.raises(error):
+        getattr(_native.load(), name)(*args)
+    assert repr(args) == before
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+@pytest.mark.parametrize("name, i, j", [
+    ("augment", 0, 1), ("augment", 1, 1), ("augment", 2, 2), ("augment", 4, None),
+    ("replay", 0, 0), ("replay", 1, 0), ("replay", 4, None),
+])
+def test_push_entry_points_fall_back_on_other_numbers(name, i, j):
+    # Python compares an int with a float exactly, a C double cannot: an
+    # int or a float subclass the path reads, or as the amount, is left
+    # to network.push, and nothing is written
+    args = list(push_calls()[name])
+    if j is None:
+        args[i] = int(args[i])
+    else:
+        args[i][j] = np.float64(args[i][j]) if i else int(args[i][j])
+    items = [list(x) if isinstance(x, list) else x for x in args]
+    assert getattr(_native.load(), name)(*args) is None
+    assert all(
+        y is x for got, want in zip(args, items) if isinstance(want, list)
+        for x, y in zip(want, got)
+    )
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_replay_repeats_network_push():
+    # f, cap and amounts from a small set, or a residual on the path or
+    # the float below it, so that a push often meets a residual exactly
+    # or rounds onto a capacity (0.7 + 0.3 == 1.0, while 1.0 - 0.7 != 0.3)
+    kernel = _native.load()
+    rng = random.Random(0)
+    values = [0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5, 1.423, 1.077]
+    for _ in range(2000):
+        cap = [rng.choice(values[1:]) for _ in range(5)]
+        f = [rng.choice([0.0, c, *values]) for c in cap]
+        arcs = tuple(2 * e + rng.randrange(2) for e in rng.sample(range(5), 3))
+        residuals = [f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1] for a in arcs]
+        amount = rng.choice([*values, *residuals, *(math.nextafter(r, 0.0) for r in residuals)])
+        original = bytes(rng.randrange(2) for _ in range(5))
+        mine = list(f)
+        got = kernel.replay(mine, cap, original, arcs, amount)
+        good = any(original[a >> 1] for a in empty_arcs(f, cap, arcs))
+        assert got == (len(push(f, cap, arcs, amount)), good)
+        assert repr(mine) == repr(f)

@@ -37,8 +37,8 @@ from sspflow.solver import (
     trace_csv_rows,
 )
 
-from sspflow import _native
-from sspflow.network import empty_arcs, push
+from sspflow import _native, solver
+from sspflow.network import check_feasible, empty_arcs, push
 
 from conftest import random_instance, single_edge_network, uniform_instance
 
@@ -492,6 +492,22 @@ def scaled_costs(inst, factor):
     return as_transformed(scaled, inst.source, inst.sink)
 
 
+def scaled_capacities(inst, factor):
+    """The instance with every capacity and balance multiplied by factor."""
+    net = inst.base
+    edges = [Edge(e.tail, e.head, e.capacity * factor, e.cost, e.kind) for e in net.edges]
+    balance = {v: b * factor for v, b in net.balance.items()}
+    scaled = FlowNetwork(edges, balance, net.nodes, net.cost_bound)
+    return as_transformed(scaled, inst.source, inst.sink)
+
+
+def csv_columns(trace, *names):
+    """The named columns of the trace CSV, row by row."""
+    rows = [row.split(",") for row in trace_csv_rows(trace)]
+    picked = [rows[0].index(name) for name in names]
+    return [[row[i] for i in picked] for row in rows[1:]]
+
+
 def relabelled(inst, seed):
     """The instance with node ids permuted (and spread out), edge order kept."""
     net = inst.base
@@ -592,6 +608,27 @@ class TestMetamorphic:
             assert [s.length for s in b.steps] == [
                 factor * s.length for s in a.steps
             ], seed
+            columns = ("amount", "value_after", "n_saturated", "good_arc")
+            assert csv_columns(b, *columns) == csv_columns(a, *columns), seed
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_power_of_two_capacity_scaling(self, k):
+        # capacities, balances, amounts, flows and residuals all scale by
+        # 2**k exactly, so every saturation test comes out the same
+        factor = 2.0**k
+        for seed in range(40):
+            inst = random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
+            a = solve(inst, record_distances=False)
+            b = solve(scaled_capacities(inst, factor), record_distances=False)
+            assert b.outcome is a.outcome, seed
+            assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
+            assert [s.length for s in b.steps] == [s.length for s in a.steps], seed
+            assert [(s.amount, s.flow_value_after) for s in b.steps] == [
+                (factor * s.amount, factor * s.flow_value_after) for s in a.steps
+            ], seed
+            assert b.final_flow.values == tuple(factor * x for x in a.final_flow.values)
+            columns = ("n_saturated", "good_arc")
+            assert csv_columns(b, *columns) == csv_columns(a, *columns), seed
 
     def test_node_relabelling(self):
         # tie-breaks and adjacency order depend on edge indices only
@@ -680,6 +717,8 @@ def full_trace(inst, **kwargs):
         trace = run_ssp(inst, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
+    value = check_feasible(inst, trace.final_flow.values)
+    assert value == pytest.approx(trace.final_flow.value, rel=1e-12, abs=1e-12)
 
     def dists(d):
         return None if d is None else repr(sorted(d.items()))
@@ -709,9 +748,10 @@ def int_instance(seed):
     return transform(FlowNetwork(edges, dict(topo.balance), topo.nodes, 10.0))
 
 
-def potentials_trail(inst, stop_at_sink, native):
-    """repr of pi after each forward search of a solve toward inst.z, on
-    the compiled kernel or the Python loops, then any error raised."""
+def engine_trail(inst, stop_at_sink, native):
+    """repr of pi after each forward search of a solve toward inst.z, and
+    of f, res and the flow value after each augmentation, on the compiled
+    kernel or the Python loops, then any error raised; and the engine."""
     eng = _Engine(inst)
     if not native:
         eng.native = None
@@ -723,9 +763,10 @@ def potentials_trail(inst, stop_at_sink, native):
             if arcs is None:
                 break
             eng.augment(arcs, eng.path_length(arcs), inst.z)
+            trail.append((repr(eng.f), repr(eng.res), repr(eng.value)))
     except Exception as exc:
         trail.append((type(exc), str(exc)))
-    return trail
+    return trail, eng
 
 
 def lockstep_instances():
@@ -745,8 +786,8 @@ def lockstep_instances():
 @pytest.mark.skipif(_native.load() is None, reason="the compiled search kernel is unavailable")
 def test_backends_agree_in_lockstep(monkeypatch):
     # the kernel repeats the Python loops float operation for float, so
-    # every step, distance and flow is bit-identical in every search
-    # mode, and a solve that raises raises the same error
+    # every step, distance, flow and CSV row is bit-identical in every
+    # search mode, and a solve that raises raises the same error
     modes = (
         {"record_distances": True},
         {"record_distances": False},
@@ -755,14 +796,22 @@ def test_backends_agree_in_lockstep(monkeypatch):
     )
     for inst in lockstep_instances():
         assert _Engine(inst).native is not None
-        native = [full_trace(inst, **mode) for mode in modes]
+        ints = any(type(e.capacity) is int for e in inst.base.edges)
+        pushes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+            native = [full_trace(inst, **mode) for mode in modes]
+        # the compiled push serves every exact-float step, in the solve
+        # and in its CSV; int capacities take network.push on every step
+        assert bool(pushes) == ints
         with monkeypatch.context() as patch:
             patch.setattr(_native, "load", lambda: None)
             assert _Engine(inst).native is None
             python = [full_trace(inst, **mode) for mode in modes]
         assert native == python
-        # both search tails raise the potentials: bit for bit, and a
-        # float stays a float (repr tells 1 from 1.0)
+        # pi after each search, f, res and the value after each push: bit
+        # for bit, and a float stays a float (repr tells 1 from 1.0)
         for stop_at_sink in (True, False):
-            trail = potentials_trail(inst, stop_at_sink, native=True)
-            assert trail == potentials_trail(inst, stop_at_sink, native=False)
+            trail, eng = engine_trail(inst, stop_at_sink, native=True)
+            assert trail == engine_trail(inst, stop_at_sink, native=False)[0]
+            assert any(type(x) is int for x in (*eng.f, *eng.res)) == ints
