@@ -16,14 +16,17 @@
  * builds the distances and the raised potentials pi[v] + min(dist[v],
  * bound) together, bound being the distance of the last node settled.
  *
+ * The searches read residual capacity from the flow and capacity lists,
+ * as the Python loops do: arc a over edge e = a >> 1 is present when
+ * cap[e] - f[e] > 0.0 (forward) or f[e] > 0.0 (backward).
+ *
  * push_path is network.push operation for operation, which stays its
- * oracle. It serves augment (bottleneck, push and res refresh of one
- * engine step) and replay (one trace-CSV row: the good-arc test before
- * the push, then the push). Both take it only when every f, cap and res
- * item the path reads, and the amount, is an exact float, and check that
- * before they write anything; otherwise they return None and the caller
- * runs network.push, since Python compares an int with a float exactly
- * and a C double cannot.
+ * oracle. It serves augment (bottleneck and push of one engine step) and
+ * replay (one trace-CSV row: the good-arc test before the push, then the
+ * push). Both take it only when every f and cap item the path reads, and
+ * the amount, is an exact float, and check that before they write
+ * anything; otherwise they return None and the caller runs network.push,
+ * since Python compares an int with a float exactly and a C double cannot.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -172,19 +175,26 @@ as_double(PyObject *o, double *out)
     return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* res[a] <= 0.0 as Python decides it: 1, 0, or -1 with an exception set.
- * An int res[a] rounds to a double of the same sign. */
+/* Whether arc a has no residual capacity, as Python decides f[e] <= 0.0
+ * (backward) or cap[e] - f[e] <= 0.0 (forward) for e = a >> 1: 1, 0, or
+ * -1 with an exception set. An int rounds to a double of the same sign;
+ * int - int is exact in Python, so two ints compare as ints. Out of line
+ * and called per arc scanned, so the float path calls nothing. */
 static int
-no_residual(PyObject *res, Py_ssize_t a)
+no_residual(PyObject *f, PyObject *cap, Py_ssize_t a)
 {
-    if (a < 0 || a >= PyList_GET_SIZE(res)) {
+    Py_ssize_t e = a >> 1;
+    if (e < 0 || e >= PyList_GET_SIZE(f) || (!(a & 1) && e >= PyList_GET_SIZE(cap))) {
         PyErr_SetString(PyExc_IndexError, "arc index out of range");
         return -1;
     }
-    double r;
-    if (as_double(PyList_GET_ITEM(res, a), &r) < 0)
+    PyObject *fi = PyList_GET_ITEM(f, e), *ci = a & 1 ? NULL : PyList_GET_ITEM(cap, e);
+    double fe, ce = 0.0;
+    if (ci && PyLong_CheckExact(ci) && PyLong_CheckExact(fi))
+        return PyObject_RichCompareBool(ci, fi, Py_LE);
+    if (as_double(fi, &fe) < 0 || (ci && as_double(ci, &ce) < 0))
         return -1;
-    return r <= 0.0;
+    return (ci ? ce - fe : fe) <= 0.0;
 }
 
 static int
@@ -290,13 +300,13 @@ fail:
 static PyObject *
 forward(PyObject *self, PyObject *args)
 {
-    PyObject *out_adj, *res, *pi, *check;
+    PyObject *out_adj, *f, *cap, *pi, *check;
     Py_ssize_t s, t;
     int stop_at_sink;
     double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!nnpOd:forward", &PyList_Type, &out_adj,
-                          &PyList_Type, &res, &PyList_Type, &pi, &s, &t,
-                          &stop_at_sink, &check, &slack))
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nnpOd:forward", &PyList_Type, &out_adj,
+                          &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
+                          &s, &t, &stop_at_sink, &check, &slack))
         return NULL;
     Py_ssize_t n = PyList_GET_SIZE(out_adj);
     if (s < 0 || s >= n || t < 0 || t >= n) {
@@ -336,7 +346,7 @@ forward(PyObject *self, PyObject *args)
             Py_ssize_t a, v;
             if (adj_entry(entry, n, &a, &v) < 0)
                 goto done;
-            int skip = no_residual(res, a);
+            int skip = no_residual(f, cap, a);
             if (skip < 0)
                 goto done;
             if (skip || st.done[v])
@@ -395,11 +405,12 @@ done:
 static PyObject *
 reverse(PyObject *self, PyObject *args)
 {
-    PyObject *out_adj, *res, *pi, *check;
+    PyObject *out_adj, *f, *cap, *pi, *check;
     Py_ssize_t t;
     double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!nOd:reverse", &PyList_Type, &out_adj,
-                          &PyList_Type, &res, &PyList_Type, &pi, &t, &check, &slack))
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nOd:reverse", &PyList_Type, &out_adj,
+                          &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
+                          &t, &check, &slack))
         return NULL;
     Py_ssize_t n = PyList_GET_SIZE(out_adj);
     if (t < 0 || t >= n) {
@@ -431,7 +442,7 @@ reverse(PyObject *self, PyObject *args)
             if (adj_entry(entry, n, &b, &u) < 0)
                 goto done;
             Py_ssize_t a = b ^ 1; /* from u into v, at cost -c (exact) */
-            int skip = no_residual(res, a);
+            int skip = no_residual(f, cap, a);
             if (skip < 0)
                 goto done;
             if (skip || st.done[u])
@@ -521,30 +532,29 @@ push_path(PyObject *f, PyObject *cap, PyObject *arcs, double amount)
 }
 
 /* One step of _Engine.augment: the amount is the smallest of headroom
- * (z - value) and res[a] over the path, first one on a tie; it is pushed,
- * then res[2e] = cap[e] - f[e] and res[2e + 1] = f[e] for each edge e on
- * the path. Returns the amount, or None, with nothing written, when an
- * item read is not an exact float. */
+ * (z - value) and the residuals over the path, f[e] backward and cap[e] -
+ * f[e] forward, first one on a tie; it is pushed. Returns the amount, or
+ * None, with nothing written, when an item read is not an exact float. */
 static PyObject *
 augment(PyObject *self, PyObject *args)
 {
-    PyObject *f, *cap, *res, *arcs, *headroom;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!O:augment", &PyList_Type, &f, &PyList_Type,
-                          &cap, &PyList_Type, &res, &PyTuple_Type, &arcs, &headroom))
+    PyObject *f, *cap, *arcs, *headroom;
+    if (!PyArg_ParseTuple(args, "O!O!O!O:augment", &PyList_Type, &f, &PyList_Type,
+                          &cap, &PyTuple_Type, &arcs, &headroom))
         return NULL;
-    Py_ssize_t m = Py_MIN(Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)),
-                          PyList_GET_SIZE(res) / 2);
+    Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
     int exact = PyFloat_CheckExact(headroom);
     double amount = exact ? PyFloat_AS_DOUBLE(headroom) : 0.0;
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
         Py_ssize_t a;
         if (path_arc(arcs, i, m, &a) < 0)
             return NULL;
-        if (!exact || !float_at(f, a >> 1) || !float_at(cap, a >> 1) || !float_at(res, a)) {
+        if (!exact || !float_at(f, a >> 1) || !float_at(cap, a >> 1)) {
             exact = 0;
             continue;
         }
-        double r = PyFloat_AS_DOUBLE(PyList_GET_ITEM(res, a));
+        double fe = PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, a >> 1));
+        double r = a & 1 ? fe : PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, a >> 1)) - fe;
         if (r < amount)
             amount = r;
     }
@@ -552,17 +562,6 @@ augment(PyObject *self, PyObject *args)
         Py_RETURN_NONE;
     if (push_path(f, cap, arcs, amount) < 0)
         return NULL;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
-        Py_ssize_t e = PyLong_AsSsize_t(PyTuple_GET_ITEM(arcs, i)) >> 1;
-        PyObject *fe = PyList_GET_ITEM(f, e);
-        PyObject *r = PyFloat_FromDouble(
-            PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, e)) - PyFloat_AS_DOUBLE(fe));
-        if (!r)
-            return NULL;
-        PyList_SetItem(res, 2 * e, r);
-        Py_INCREF(fe);
-        PyList_SetItem(res, 2 * e + 1, fe);
-    }
     return PyFloat_FromDouble(amount);
 }
 
@@ -605,12 +604,12 @@ replay(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"forward", forward, METH_VARARGS,
-     "forward(out_adj, res, pi, s, t, stop_at_sink, check, slack)"
+     "forward(out_adj, f, cap, pi, s, t, stop_at_sink, check, slack)"
      " -> (dist, path_arcs | None, [p + min(d, bound)])"},
     {"reverse", reverse, METH_VARARGS,
-     "reverse(out_adj, res, pi, t, check, slack) -> dist"},
+     "reverse(out_adj, f, cap, pi, t, check, slack) -> dist"},
     {"augment", augment, METH_VARARGS,
-     "augment(f, cap, res, path_arcs, headroom) -> amount | None"},
+     "augment(f, cap, path_arcs, headroom) -> amount | None"},
     {"replay", replay, METH_VARARGS,
      "replay(f, cap, original, path_arcs, amount) -> (n_saturated, good) | None"},
     {NULL, NULL, 0, NULL},

@@ -327,6 +327,7 @@ def _check_distance_monotonicity(trace) -> LemmaCheck:
             prev, nxt = snapshots[i], snapshots[i + 1]
             if prev is None or nxt is None:
                 continue
+            scale = None
             for v, d in prev.items():
                 dn = nxt[v]
                 if d == INF:
@@ -336,10 +337,17 @@ def _check_distance_monotonicity(trace) -> LemmaCheck:
                             f"node {v} became reachable ({name})",
                         )
                 elif dn < d - _CHECK_SLACK:
-                    return LemmaCheck(
-                        cid, False, i + 1,
-                        f"node {v} distance dropped {d} -> {dn} ({name})",
-                    )
+                    # distances pass through potentials as large as the
+                    # largest distance, whose rounding grows with them
+                    if scale is None:
+                        scale = max([1.0] + [
+                            abs(x) for x in (*prev.values(), *nxt.values()) if x != INF
+                        ])
+                    if dn < d - _CHECK_SLACK * scale:
+                        return LemmaCheck(
+                            cid, False, i + 1,
+                            f"node {v} distance dropped {d} -> {dn} ({name})",
+                        )
     return LemmaCheck(cid, True)
 
 
@@ -559,8 +567,11 @@ def harvest_reconstruction_cases(
             continue
         good = good_arcs(net, flows[j].values, cap, step.path_arcs)
         thresholds = [lo, (lo + hi) / 2]
-        if hi - 1e-9 > lo:
-            thresholds.append(hi - 1e-9)
+        # the float just below hi; a fixed offset such as 1e-9 rounds back
+        # to hi from 2^24 up
+        top = math.nextafter(hi, lo)
+        if top > lo:
+            thresholds.append(top)
         for a in good[:_CASE_ARCS_PER_STEP]:
             for d in thresholds:
                 cases.append(ReconstructionCase(a, d, flows[j], step.index))

@@ -10,9 +10,10 @@
     sspflow verify INSTANCE [--out lemmas.csv]
     sspflow reconstruct-check INSTANCE [--max-cases N]
 
-Exit codes: 0 success, 1 input error (a bad flag value or an unreadable
-file), 2 infeasible demand, 3 internal invariant violation. Every
-package error carries its code as exit_code (see errors).
+Exit codes: 0 success, 1 input error (a bad flag value, an unreadable
+file, or a size past the memory at hand), 2 infeasible demand, 3
+internal invariant violation. Every package error carries its code as
+exit_code (see errors).
 
 All commands are deterministic under fixed seeds. The experiment
 runtime column stays empty unless --timings is given, keeping default
@@ -393,8 +394,8 @@ def main(argv=None) -> int:
     except FlowError as exc:
         print(f"{_LABELS[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

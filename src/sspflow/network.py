@@ -20,10 +20,12 @@ augmentation assigns saturated values exactly, so f == 0 and f == u
 stay meaningful predicates. residual_arcs (the arcs present under a
 flow), push (exact saturation), empty_arcs (the empty arcs of a path)
 and good_arcs (those of them on original edges) are the package's one
-implementation of these rules; the solver's flat-array engine inlines
-the first as res[a] > 0. The compiled kernel (_search.c) repeats push,
-and the good-arc test of trace_csv_rows, operation for operation on
-exact floats; push stays its oracle, and runs every call it declines.
+implementation of these rules. The solver's flat-array engine and its
+compiled kernel (_search.c) inline the first as cap - f > 0 (forward)
+and f > 0 (backward) over the same flow and capacity lists. The kernel
+repeats push, and the good-arc test of trace_csv_rows, operation for
+operation on exact floats; push stays its oracle, and runs every call
+it declines.
 """
 
 from __future__ import annotations

@@ -50,12 +50,12 @@ exact. A step's saturated and good arcs (network.good_arcs) follow from
 replaying the paths with push; trace_csv_rows derives them.
 The reached target value equals z bit-for-bit. The same C file holds
 push's operation-for-operation twin: with the kernel loaded, augment
-does the bottleneck, the push and the res refresh of a step in one
-call, and trace_csv_rows tests a row's good arcs and pushes in one. It
-serves a call only when every f, cap and res item the path reads, and
-the amount, is an exact float (Python compares an int with a float
-exactly, a C double cannot); any other call runs network.push, so
-number types, traces and CSVs are the same either way.
+does the bottleneck and the push of a step in one call, and
+trace_csv_rows tests a row's good arcs and pushes in one. It serves a
+call only when every f and cap item the path reads, and the amount, is
+an exact float (Python compares an int with a float exactly, a C double
+cannot); any other call runs network.push, so number types, traces and
+CSVs are the same either way.
 """
 
 from __future__ import annotations
@@ -133,9 +133,11 @@ class _Engine:
       residual arc leaving u, in edge order. Presence is re-checked at
       relax time. The reverse search reads the same lists: an entry
       (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c.
-    * res[a] is the residual capacity of arc a: cap - f for a forward
-      arc, f for a backward one. augment refreshes it for the edges on
-      the path, so both Dijkstra loops test res[a] <= 0.0 inline.
+    * f and cap, by edge, are the only residual state: arc a over edge
+      e = a >> 1 is absent when cap[e] - f[e] <= 0.0 (forward) or
+      f[e] <= 0.0 (backward), network.residual_arcs' rule with cap - f
+      rounded (f < cap differs only for int capacities past 2^53). Both
+      Dijkstra loops and augment's bottleneck test it inline.
 
     Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
     the same float operations, slack check and clamp everywhere. The
@@ -147,7 +149,7 @@ class _Engine:
     run_ssp, for analysis.reference_solve, which runs this bookkeeping
     around its own path search, and for analysis.exact_check, which
     runs the whole engine over Fraction costs. With the compiled kernel,
-    native.augment pushes a step whose f, cap and res items are exact
+    native.augment pushes a step whose f and cap items are exact
     floats; other steps, and every step without the kernel, run
     network.push.
     """
@@ -168,7 +170,6 @@ class _Engine:
             self.out_adj[u].append((2 * e, v, c))
             self.out_adj[v].append((2 * e + 1, u, -c))
         self.signed_cost = [x for c in cost for x in (c, -c)]
-        self.res = [r for c in self.cap for r in (c, 0.0)]
         self.f = [0.0] * net.m
         self.value = 0.0
         self.steps: list[AugmentationStep] = []
@@ -218,13 +219,13 @@ class _Engine:
         """
         if self.native is not None:
             dist, arcs, self.pi = self.native.forward(
-                self.out_adj, self.res, self.pi, self.s, self.t, stop_at_sink,
+                self.out_adj, self.f, self.cap, self.pi, self.s, self.t, stop_at_sink,
                 _check_reduced_cost, REDUCED_COST_SLACK,
             )
             return dist, arcs
         n = self.n
         pi = self.pi
-        res = self.res
+        f, cap = self.f, self.cap
         out_adj = self.out_adj
         dist = [INF] * n
         hops = [0] * n
@@ -248,7 +249,7 @@ class _Engine:
             hv = hu + 1
             piu = pi[u]
             for a, v, c in out_adj[u]:
-                if res[a] <= 0.0 or done[v]:
+                if (f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]) <= 0.0 or done[v]:
                     continue
                 rc = (c + piu) - pi[v]
                 if rc < 0.0:
@@ -284,11 +285,11 @@ class _Engine:
         """Reduced distances to the sink (reverse graph, no tie-break)."""
         if self.native is not None:
             return self.native.reverse(
-                self.out_adj, self.res, self.pi, self.t,
+                self.out_adj, self.f, self.cap, self.pi, self.t,
                 _check_reduced_cost, REDUCED_COST_SLACK,
             )
         pi = self.pi
-        res = self.res
+        f, cap = self.f, self.cap
         out_adj = self.out_adj
         dist = [INF] * self.n
         done = [False] * self.n
@@ -301,7 +302,7 @@ class _Engine:
             done[v] = True
             piv = pi[v]
             for b, u, c in out_adj[v]:
-                if res[b ^ 1] <= 0.0 or done[u]:
+                if (cap[b >> 1] - f[b >> 1] if b & 1 else f[b >> 1]) <= 0.0 or done[u]:
                     continue
                 rc = (-c + pi[u]) - piv
                 if rc < 0.0:
@@ -338,26 +339,22 @@ class _Engine:
         """Push the bottleneck amount along arcs, whose raw cost sum is
         length, and append the step's record to steps.
 
-        With the compiled kernel, native.augment does the bottleneck, the
-        push and the res refresh in one call when every number it reads is
-        an exact float; it returns None, having written nothing, otherwise.
+        With the compiled kernel, native.augment does the bottleneck and
+        the push in one call when every number it reads is an exact float;
+        it returns None, having written nothing, otherwise.
         """
-        f, cap, res = self.f, self.cap, self.res
+        f, cap = self.f, self.cap
         headroom = z - self.value
         amount = None
         if self.native is not None:
-            amount = self.native.augment(f, cap, res, arcs, headroom)
+            amount = self.native.augment(f, cap, arcs, headroom)
         if amount is None:
             amount = headroom
             for a in arcs:
-                r = res[a]
+                r = f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]
                 if r < amount:
                     amount = r
             push(f, cap, arcs, amount)
-            for a in arcs:
-                e = a >> 1
-                res[2 * e] = cap[e] - f[e]
-                res[2 * e + 1] = f[e]
         self.value = z if headroom == amount else self.value + amount
         self.steps.append(
             AugmentationStep(

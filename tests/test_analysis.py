@@ -12,6 +12,7 @@ from sspflow import (
     InfeasibleFlow,
     LowerBoundParams,
     Outcome,
+    SmoothedCostSpec,
     adversarial_spec,
     bipartite_topology,
     build_hard_instance,
@@ -22,6 +23,7 @@ from sspflow import (
     exact_check,
     harvest_reconstruction_cases,
     reconstruct,
+    random_topology,
     reference_solve,
     replay_flows,
     residual_arcs,
@@ -450,6 +452,26 @@ class TestLemmaSuite:
         # skipped counts as not-failed
         assert report.all_passed
 
+    def test_distance_monotonicity_scales_with_distances(self):
+        # costs near 1e8 round a distance that holds in exact arithmetic
+        # down by more than 1e-9; a drop of 1e-6 relative still fails
+        topo = random_topology(6, 14, "bipartite", 0)
+        inst = transform(sample_costs(topo, SmoothedCostSpec(1e8, "phi"), 0))
+        trace = solve(inst, retain_flows=True)
+        check = check_lemmas(trace).checks[0]
+        assert check.check_id == "distance_monotonicity" and check.passed
+        prev = trace.initial_distances_to_t
+        v = max((d, v) for v, d in prev.items() if d < math.inf)[1]
+        assert prev[v] > 1e7
+        lowered = {**trace.steps[0].distances_to_t, v: prev[v] * (1 - 1e-6)}
+        doctored = dataclasses.replace(trace, steps=(
+            dataclasses.replace(trace.steps[0], distances_to_t=lowered),
+            *trace.steps[1:],
+        ))
+        check = check_lemmas(doctored).checks[0]
+        assert not check.passed and check.first_violation_step == 1
+        assert check.detail.startswith(f"node {v} distance dropped")
+
     def test_distance_fields_optional(self):
         # lemma suite works from a distance-free trace: the distance
         # check reports skipped instead of failing
@@ -498,13 +520,21 @@ class TestReconstruction:
         assert total >= 40  # the pool must actually exercise the claim
 
     def test_harvest_thresholds_inside_window(self):
-        inst = random_instance(1, n=6, m=10)
-        trace = solve(inst, retain_flows=True)
-        lengths = [s.length for s in trace.steps]
-        for case in harvest_reconstruction_cases(trace):
-            hi = lengths[case.step_index - 1]
-            lo = lengths[case.step_index - 2] if case.step_index >= 2 else 0.0
-            assert lo <= case.threshold < hi
+        # the second instance's one path is 2^24 + 0.5 long, where a
+        # float's half ulp exceeds 1e-9
+        big = FlowNetwork(
+            [Edge(1, 2, 1.0, 2.0**24), Edge(2, 3, 1.0, 0.5)],
+            {1: 1.0, 3: -1.0}, cost_bound=2.0**24,
+        )
+        for inst in (random_instance(1, n=6, m=10), transform(big)):
+            trace = solve(inst, retain_flows=True)
+            lengths = [s.length for s in trace.steps]
+            cases = harvest_reconstruction_cases(trace)
+            assert cases
+            for case in cases:
+                hi = lengths[case.step_index - 1]
+                lo = lengths[case.step_index - 2] if case.step_index >= 2 else 0.0
+                assert lo <= case.threshold < hi
 
 
 def demo_instance():

@@ -289,6 +289,18 @@ def test_reconstruct_check(instance_file, capsys):
     assert "reconstructions exact" in out
 
 
+def test_reconstruct_check_at_large_lengths(tmp_path, capsys):
+    # the path is 2^24 + 0.5 long: its top threshold must still fall
+    # below that length, which hi - 1e-9 rounds back to
+    path = tmp_path / "long.dimacs"
+    path.write_text(
+        "c costbound 16777216\np min 3 2\nn 1 1\nn 2 0\nn 3 -1\n"
+        "a 1 2 1 16777216\na 2 3 1 0.5\n"
+    )
+    assert main(["reconstruct-check", str(path)]) == 0
+    assert capsys.readouterr().out == "6/6 reconstructions exact\n"
+
+
 EXPERIMENT = ["experiment", "--ns", "3", "--ms", "6", "--phis", "2", "--trials", "1"]
 
 
@@ -398,3 +410,15 @@ def test_error_exit_code_and_label(cls, instance_file, monkeypatch, capsys):
     code, label = EXIT_CODES[cls]
     assert main(["costfn", instance_file]) == code
     assert capsys.readouterr().err == f"{label}: boom\n"
+
+
+def test_exhausted_memory_exits_1_without_traceback(monkeypatch, capsys):
+    # generate --shape layered --n 100000 --m 1 asks numpy for 2.2e9 slot
+    # indices; the command is replaced so that nothing is allocated
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    argv = ["generate", "--shape", "layered", "--n", "100000", "--m", "1", "--seed", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"

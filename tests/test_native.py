@@ -14,7 +14,7 @@ import pytest
 from sspflow import Edge, FlowNetwork, run_ssp, transform
 from sspflow import _native
 from sspflow.network import empty_arcs, push
-from sspflow.solver import _Engine
+from sspflow.solver import _Engine, _check_reduced_cost
 
 from conftest import random_instance, two_path_network
 
@@ -96,32 +96,51 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 def two_edges():
-    """f, cap and res of a full edge 0 and an idle edge 1."""
-    return [2.0, 0.0], [2.0, 3.0], [0.0, 2.0, 3.0, 0.0]
+    """out_adj, f and cap of a full edge 0 from node 0 to 1 and an idle
+    edge 1 from node 1 to 2, both of cost 0."""
+    out_adj = [[(0, 1, 0.0)], [(1, 0, -0.0), (2, 2, 0.0)], [(3, 1, -0.0)]]
+    return out_adj, [2.0, 0.0], [2.0, 3.0]
 
 
-def push_calls():
-    f, cap, res = two_edges()
+def kernel_calls():
+    out_adj, f, cap = two_edges()
+    pi = [0.0] * 3
     return {
-        "augment": (f, cap, res, (1, 2), 5.0),
+        # both searches read every f and cap item: forward from node 1,
+        # reverse into node 2
+        "forward": (out_adj, f, cap, pi, 1, 2, False, _check_reduced_cost, 1e-9),
+        "reverse": (out_adj, f, cap, pi, 2, _check_reduced_cost, 1e-9),
+        "augment": (f, cap, (1, 2), 5.0),
         "replay": (f, cap, b"\1\1", (1, 2), 1.0),
     }
 
 
+def call_rejects(error, name, changes):
+    """Call the kernel's name with kernel_calls()[name], changed at the
+    given positions; it must raise error and write nothing."""
+    args = list(kernel_calls()[name])
+    for i, x in changes.items():
+        args[i] = x
+    before = repr(args)
+    with pytest.raises(error):
+        getattr(_native.load(), name)(*args)
+    assert repr(args) == before
+
+
 BAD_PUSH_CALLS = [
-    # an arc past the edges, below zero, or past the mask or res
-    (IndexError, "augment", {3: (1, 4)}),
-    (IndexError, "augment", {3: (-1,)}),
-    (IndexError, "augment", {3: (1 << 70,)}),
-    (IndexError, "augment", {2: [0.0, 2.0]}),
+    # an arc past the edges, below zero, or past the mask or cap
+    (IndexError, "augment", {2: (1, 4)}),
+    (IndexError, "augment", {2: (-1,)}),
+    (IndexError, "augment", {2: (1 << 70,)}),
+    (IndexError, "augment", {1: [2.0]}),
     (IndexError, "replay", {3: (2,), 2: b"\1"}),
     (IndexError, "replay", {3: (1, 5)}),
     # arcs that are not a tuple of ints, lists that are not lists
-    (TypeError, "augment", {3: [1, 2]}),
-    (TypeError, "augment", {3: (1, 2.0)}),
+    (TypeError, "augment", {2: [1, 2]}),
+    (TypeError, "augment", {2: (1, 2.0)}),
     (TypeError, "replay", {3: (np.int64(1),)}),
     (TypeError, "augment", {0: (2.0, 0.0)}),
-    (TypeError, "augment", {2: None}),
+    (TypeError, "augment", {1: None}),
     (TypeError, "replay", {1: np.array([2.0, 3.0])}),
     (TypeError, "replay", {2: "\1\1"}),
     (TypeError, "replay", {2: [1, 1]}),
@@ -131,25 +150,61 @@ BAD_PUSH_CALLS = [
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 @pytest.mark.parametrize("error, name, changes", BAD_PUSH_CALLS)
 def test_push_entry_points_reject_bad_input(error, name, changes):
-    args = list(push_calls()[name])
-    for i, x in changes.items():
-        args[i] = x
-    before = repr(args)
-    with pytest.raises(error):
-        getattr(_native.load(), name)(*args)
-    assert repr(args) == before
+    call_rejects(error, name, changes)
+
+
+BAD_SEARCH_CALLS = [
+    # f or cap not a list
+    (TypeError, "forward", {1: (2.0, 0.0)}),
+    (TypeError, "forward", {2: None}),
+    (TypeError, "reverse", {1: None}),
+    (TypeError, "reverse", {2: np.array([2.0, 3.0])}),
+    # f or cap too short for edge 1
+    (IndexError, "forward", {1: [2.0]}),
+    (IndexError, "forward", {2: [2.0]}),
+    (IndexError, "reverse", {1: [2.0]}),
+    (IndexError, "reverse", {2: [2.0]}),
+    # an item that is not a number
+    (TypeError, "forward", {1: [2.0, "0"]}),
+    (TypeError, "forward", {2: [2.0, None]}),
+    (TypeError, "reverse", {1: [2.0, None]}),
+    (TypeError, "reverse", {2: [2.0, "3"]}),
+]
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+@pytest.mark.parametrize("error, name, changes", BAD_SEARCH_CALLS)
+def test_search_entry_points_reject_bad_input(error, name, changes):
+    call_rejects(error, name, changes)
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_searches_compare_int_residuals_exactly():
+    # cap - f of two ints is exact in Python, while both round to 2^53 as
+    # doubles: edge 1 keeps a residual of 1, so node 1 reaches node 2
+    kernel = _native.load()
+    out_adj, f, cap = two_edges()
+    big = 2**53
+    for flow, reach in ((big, True), (big + 1, False)):
+        f[1], cap[1] = flow, big + 1
+        _, arcs, _ = kernel.forward(
+            out_adj, f, cap, [0.0] * 3, 1, 2, True, _check_reduced_cost, 1e-9
+        )
+        assert (arcs == (2,)) == reach
+        dist = kernel.reverse(out_adj, f, cap, [0.0] * 3, 2, _check_reduced_cost, 1e-9)
+        assert (dist[1] < math.inf) == reach
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 @pytest.mark.parametrize("name, i, j", [
-    ("augment", 0, 1), ("augment", 1, 1), ("augment", 2, 2), ("augment", 4, None),
+    ("augment", 0, 1), ("augment", 1, 1), ("augment", 3, None),
     ("replay", 0, 0), ("replay", 1, 0), ("replay", 4, None),
 ])
 def test_push_entry_points_fall_back_on_other_numbers(name, i, j):
     # Python compares an int with a float exactly, a C double cannot: an
     # int or a float subclass the path reads, or as the amount, is left
     # to network.push, and nothing is written
-    args = list(push_calls()[name])
+    args = list(kernel_calls()[name])
     if j is None:
         args[i] = int(args[i])
     else:

@@ -38,7 +38,7 @@ from sspflow.solver import (
 )
 
 from sspflow import _native, solver
-from sspflow.network import check_feasible, empty_arcs, push
+from sspflow.network import check_feasible, empty_arcs, push, residual_arcs
 
 from conftest import random_instance, single_edge_network, uniform_instance
 
@@ -324,12 +324,10 @@ class TestPotentialUpdate:
                     break
                 cut_short += any(d > dist[eng.t] for d in dist)
                 eng.augment(arcs, eng.path_length(arcs), inst.z)
-                pi = eng.pi
-                for u, adj in enumerate(eng.out_adj):
-                    for a, v, c in adj:
-                        if eng.res[a] > 0.0:
-                            rc = (c + pi[u]) - pi[v]
-                            assert rc >= -REDUCED_COST_SLACK, (seed, len(eng.steps), a)
+                pi = dict(zip(eng.ids, eng.pi))
+                for a, u, v, c in residual_arcs(inst.base, eng.f):
+                    rc = (c + pi[u]) - pi[v]
+                    assert rc >= -REDUCED_COST_SLACK, (seed, len(eng.steps), a)
                 steps += 1
         # most searches stop with nodes left unsettled
         assert steps > 300 and cut_short > steps // 2
@@ -750,7 +748,7 @@ def int_instance(seed):
 
 def engine_trail(inst, stop_at_sink, native):
     """repr of pi after each forward search of a solve toward inst.z, and
-    of f, res and the flow value after each augmentation, on the compiled
+    of f and the flow value after each augmentation, on the compiled
     kernel or the Python loops, then any error raised; and the engine."""
     eng = _Engine(inst)
     if not native:
@@ -763,7 +761,7 @@ def engine_trail(inst, stop_at_sink, native):
             if arcs is None:
                 break
             eng.augment(arcs, eng.path_length(arcs), inst.z)
-            trail.append((repr(eng.f), repr(eng.res), repr(eng.value)))
+            trail.append((repr(eng.f), repr(eng.value)))
     except Exception as exc:
         trail.append((type(exc), str(exc)))
     return trail, eng
@@ -794,6 +792,7 @@ def test_backends_agree_in_lockstep(monkeypatch):
         {"z": math.inf, "record_distances": False},
         {"record_distances": False, "iteration_cap": 3},
     )
+    int_flows = 0
     for inst in lockstep_instances():
         assert _Engine(inst).native is not None
         ints = any(type(e.capacity) is int for e in inst.base.edges)
@@ -809,9 +808,14 @@ def test_backends_agree_in_lockstep(monkeypatch):
             assert _Engine(inst).native is None
             python = [full_trace(inst, **mode) for mode in modes]
         assert native == python
-        # pi after each search, f, res and the value after each push: bit
+        # pi after each search, f and the value after each push: bit
         # for bit, and a float stays a float (repr tells 1 from 1.0)
         for stop_at_sink in (True, False):
             trail, eng = engine_trail(inst, stop_at_sink, native=True)
             assert trail == engine_trail(inst, stop_at_sink, native=False)[0]
-            assert any(type(x) is int for x in (*eng.f, *eng.res)) == ints
+            int_flow = any(type(x) is int for x in eng.f)
+            assert ints or not int_flow
+            int_flows += int_flow
+    # an int capacity enters f when a step saturates its forward arc,
+    # which most of the 20 int instances do in both search modes
+    assert int_flows > 30
