@@ -13,7 +13,10 @@ compares them against what the production solver reports:
   pass from a labelled node to an unlabelled one, costs at least -slack
   per arc among labelled nodes, and among unlabelled nodes is left to
   Bellman-Ford. A rejected arc, or no distances, falls back to a full
-  Bellman-Ford.
+  Bellman-Ford. The pass runs as array operations over float64 columns
+  that each instance builds once, the same float operations as the
+  exact Python loop, which stays for numbers float64 does not hold
+  exactly (Fractions, ints past 2^52) and as the columns' test oracle.
 * check_lemmas: executable structural properties of a solver trace
   (monotone distances, nondecreasing path lengths, convex profile,
   empty arcs on every path, the bad-step bound, per-step optimality,
@@ -29,7 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     AuxiliaryArc,
@@ -40,6 +46,7 @@ from .errors import (
 from .network import (
     Flow,
     TransformedNetwork,
+    _exact_float64,
     empty_arcs,
     good_arcs,
     push,
@@ -208,13 +215,27 @@ def verify_optimality(
     nor math.inf, or dist is None, the verdict is a full Bellman-Ford
     over the residual arcs, so it never rests on trusting dist. A flow
     with other than m values raises InfeasibleFlow.
+
+    The pass is computed over the instance's cached columns (tails and
+    heads as node indices, costs and capacities as float64), with the
+    flow and the labels as float64 arrays: present arcs are x < cap and
+    x > 0.0, the certificate test is d[u] + c < d[v] - _CYCLE_SLACK,
+    the relative slack is applied only to the arcs that test flags, and
+    the arcs between unlabelled nodes come back as the same tuples in
+    arc order. Those are the exact loop's float operations, so the
+    verdict is too, as long as Python's arithmetic on every number is
+    float64's. numpy's type discovery guards that, once per instance
+    for the columns and in O(1) Python steps per flow: a Fraction, an
+    int past 2^52 among the labels, costs or capacities, or anything
+    numpy types as an object sends the pass to the exact loop,
+    _unlabelled_arcs.
     """
     net = instance.base
     values = flow.values
     if len(values) != net.m:
         raise InfeasibleFlow(f"expected {net.m} edge values, got {len(values)}")
     if dist is not None:
-        free = _unlabelled_arcs(net, values, dist)
+        free = _free_arcs(instance, values, dist)
         if free is not None:
             labels = {}
             for _, u, v, _ in free:
@@ -225,9 +246,52 @@ def verify_optimality(
     )
 
 
+def _free_arcs(instance, values, dist) -> list[tuple] | None:
+    """_unlabelled_arcs(instance.base, values, dist), over the instance's
+    float64 columns when they hold every number it reads exactly."""
+    cols = instance._columns
+    if cols is not None:
+        x = _exact_float64(values)
+        if x is not None:
+            d = _exact_float64(list(map(dist.get, instance.base.nodes, repeat(math.nan))))
+            if d is not None:
+                return _dense_unlabelled_arcs(instance.base, cols, x, d)
+    return _unlabelled_arcs(instance.base, values, dist)
+
+
+def _dense_unlabelled_arcs(net, cols, x, d) -> list[tuple] | None:
+    """_unlabelled_arcs by array operations: x holds the flow by edge and
+    d the labels by node index, both float64, which makes each test the
+    same float operation as the loop's."""
+    tail, head, cost, cap = cols
+    du, dv = d[tail], d[head]
+    fwd, bwd = x < cap, x > 0.0
+    # an arc leaving an unlabelled node passes: INF + c < y is False
+    for e in (fwd & (du + cost < dv - _CYCLE_SLACK)).nonzero()[0].tolist():
+        if _beyond_rounding(float(du[e]), net.edges[e].cost, float(dv[e])):
+            return None
+    for e in (bwd & (dv - cost < du - _CYCLE_SLACK)).nonzero()[0].tolist():
+        if _beyond_rounding(float(dv[e]), -net.edges[e].cost, float(du[e])):
+            return None
+    unlabelled = (du == INF) & (dv == INF)
+    free_arc = np.empty(2 * len(x), dtype=bool)
+    free_arc[0::2] = fwd & unlabelled
+    free_arc[1::2] = bwd & unlabelled
+    free = []
+    for a in free_arc.nonzero()[0].tolist():
+        edge = net.edges[a >> 1]
+        if a & 1:
+            free.append((a, edge.head, edge.tail, -edge.cost))
+        else:
+            free.append((a, edge.tail, edge.head, edge.cost))
+    return free
+
+
 def _unlabelled_arcs(net, values, dist) -> list[tuple] | None:
     """The residual arcs between unlabelled nodes, in arc order, or None
-    when dist is no certificate for the rest (see verify_optimality)."""
+    when dist is no certificate for the rest (see verify_optimality).
+    One exact Python comparison per arc: the route for numbers that
+    float64 does not hold exactly, and the oracle of _free_arcs."""
     for w in net.nodes:
         x = dist.get(w, math.nan)
         if x != INF and not math.isfinite(x):

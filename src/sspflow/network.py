@@ -15,6 +15,13 @@ Conventions used throughout the package:
   reverse is absent; an empty arc over a non-auxiliary edge is a
   *good* arc.
 
+FlowNetwork validates every edge and balance it is built from. Derived
+networks validate only what they change: with_edge_cost checks the new
+cost, and transform the auxiliary edges, the balances {s: z, t: -z} and
+the grown node count's path-length bound, each with the constructor's
+own checks and messages; the rest was validated when the network it
+derives from was built.
+
 Comparisons on flow values are strict float comparisons, no epsilons:
 augmentation assigns saturated values exactly, so f == 0 and f == u
 stay meaningful predicates. residual_arcs (the arcs present under a
@@ -32,8 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import BalanceMismatch, InfeasibleFlow, InvariantError
 
@@ -44,6 +54,9 @@ AUXILIARY = "aux"
 # balance magnitude (at least 1). File input gets the same check:
 # dimacs parses balances as floats.
 _BALANCE_RTOL = 1e-9
+# Python compares and adds ints exactly; float64 holds an int, and the sum
+# of two, exactly only below this magnitude.
+_EXACT_LIMIT = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -83,30 +96,11 @@ class FlowNetwork:
             raise InvariantError("node ids must be ints")
         if not (math.isfinite(cost_bound) and cost_bound >= 1.0):
             raise InvariantError(f"cost bound must be finite and >= 1, got {cost_bound}")
-        # n * cost_bound bounds every path length, potential and c + pi[u]
-        if math.isinf(len(node_set) * cost_bound):
-            raise InvariantError(
-                f"{len(node_set)} nodes times cost bound {cost_bound} overflows"
-            )
+        _check_size(len(node_set), cost_bound)
 
         pairs: set[tuple[int, int]] = set()
         for i, e in enumerate(edges):
-            if e.tail == e.head:
-                raise InvariantError(f"edge {i}: self-loop at node {e.tail}")
-            if not (math.isfinite(e.capacity) and e.capacity >= 0):
-                raise InvariantError(f"edge {i}: capacity must be finite and >= 0")
-            if not math.isfinite(e.cost):
-                raise InvariantError(f"edge {i}: cost must be finite")
-            if e.kind == AUXILIARY:
-                if e.cost != 0.0:
-                    raise InvariantError(f"edge {i}: auxiliary edges must cost 0")
-            elif e.kind == ORIGINAL:
-                if not 0.0 <= e.cost <= cost_bound:
-                    raise InvariantError(
-                        f"edge {i}: cost {e.cost} outside [0, {cost_bound}]"
-                    )
-            else:
-                raise InvariantError(f"edge {i}: unknown kind {e.kind!r}")
+            _check_edge(i, e, cost_bound)
             key = (e.tail, e.head)
             if key in pairs:
                 raise InvariantError(f"edge {i}: duplicate edge {key}")
@@ -116,25 +110,28 @@ class FlowNetwork:
                 )
             pairs.add(key)
 
-        bal = {v: 0.0 for v in node_set}
-        for v, b in self.balance.items():
-            if v not in node_set:
-                raise InvariantError(f"balance given for unknown node {v}")
-            if not math.isfinite(b):
-                raise InvariantError(f"balance at node {v} must be finite")
-            bal[v] = float(b)
-        try:
-            total = math.fsum(bal.values())
-            scale = max(1.0, math.fsum(abs(b) for b in bal.values()))
-        except OverflowError:
-            raise InvariantError("balance magnitudes sum past float64") from None
-        if abs(total) > _BALANCE_RTOL * scale:
-            raise BalanceMismatch(f"balances sum to {total}, expected 0")
+        self._assign(
+            edges,
+            _balances(node_set, self.balance),
+            tuple(sorted(node_set)),
+            float(cost_bound),
+        )
 
-        object.__setattr__(self, "nodes", tuple(sorted(node_set)))
+    def _assign(self, edges, balance, nodes, cost_bound) -> None:
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "balance", MappingProxyType(bal))
-        object.__setattr__(self, "cost_bound", float(cost_bound))
+        object.__setattr__(self, "balance", balance)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "cost_bound", cost_bound)
+
+    @classmethod
+    def _derived(cls, edges, balance, nodes, cost_bound) -> "FlowNetwork":
+        """A network from parts in the form __post_init__ leaves them (an
+        edge tuple, a read-only balance over every node, sorted nodes, a
+        float cost bound) that the caller has validated, without
+        validating them again."""
+        net = object.__new__(cls)
+        net._assign(edges, balance, nodes, cost_bound)
+        return net
 
     @property
     def n(self) -> int:
@@ -148,14 +145,64 @@ class FlowNetwork:
         return self.edges[e].kind == ORIGINAL
 
     def with_edge_cost(self, e: int, cost: float) -> "FlowNetwork":
-        """Copy of this network with edge e's cost replaced."""
-        edges = list(self.edges)
-        old = edges[e]
-        edges[e] = Edge(old.tail, old.head, old.capacity, cost, old.kind)
-        return FlowNetwork(edges, dict(self.balance), self.nodes, self.cost_bound)
+        """Copy of this network with edge e's cost replaced. Only the new
+        cost is validated, by the constructor's rules and messages."""
+        if not 0 <= e < self.m:
+            raise IndexError(f"edge {e} outside 0..{self.m - 1}")
+        old = self.edges[e]
+        edge = Edge(old.tail, old.head, old.capacity, cost, old.kind)
+        _check_edge(e, edge, self.cost_bound)
+        edges = self.edges[:e] + (edge,) + self.edges[e + 1:]
+        return FlowNetwork._derived(edges, self.balance, self.nodes, self.cost_bound)
 
     def __repr__(self):
         return f"FlowNetwork(n={self.n}, m={self.m}, cost_bound={self.cost_bound})"
+
+
+def _check_size(n: int, cost_bound: float) -> None:
+    # n * cost_bound bounds every path length, potential and c + pi[u]
+    if math.isinf(n * cost_bound):
+        raise InvariantError(f"{n} nodes times cost bound {cost_bound} overflows")
+
+
+def _check_edge(i: int, e: Edge, cost_bound: float) -> None:
+    """The constructor's checks on edge i alone (the pair checks aside)."""
+    if e.tail == e.head:
+        raise InvariantError(f"edge {i}: self-loop at node {e.tail}")
+    if not (math.isfinite(e.capacity) and e.capacity >= 0):
+        raise InvariantError(f"edge {i}: capacity must be finite and >= 0")
+    if not math.isfinite(e.cost):
+        raise InvariantError(f"edge {i}: cost must be finite")
+    if e.kind == AUXILIARY:
+        if e.cost != 0.0:
+            raise InvariantError(f"edge {i}: auxiliary edges must cost 0")
+    elif e.kind == ORIGINAL:
+        if not 0.0 <= e.cost <= cost_bound:
+            raise InvariantError(
+                f"edge {i}: cost {e.cost} outside [0, {cost_bound}]"
+            )
+    else:
+        raise InvariantError(f"edge {i}: unknown kind {e.kind!r}")
+
+
+def _balances(nodes: Iterable[int], balance: Mapping[int, float]) -> Mapping[int, float]:
+    """Read-only balance of every node, 0.0 where balance names none,
+    after the constructor's checks: known nodes, finite values, zero sum."""
+    bal = dict.fromkeys(nodes, 0.0)
+    for v, b in balance.items():
+        if v not in bal:
+            raise InvariantError(f"balance given for unknown node {v}")
+        if not math.isfinite(b):
+            raise InvariantError(f"balance at node {v} must be finite")
+        bal[v] = float(b)
+    try:
+        total = math.fsum(bal.values())
+        scale = max(1.0, math.fsum(abs(b) for b in bal.values()))
+    except OverflowError:
+        raise InvariantError("balance magnitudes sum past float64") from None
+    if abs(total) > _BALANCE_RTOL * scale:
+        raise BalanceMismatch(f"balances sum to {total}, expected 0")
+    return MappingProxyType(bal)
 
 
 def transform(network: FlowNetwork) -> "TransformedNetwork":
@@ -173,11 +220,19 @@ def transform(network: FlowNetwork) -> "TransformedNetwork":
     demands = [(v, -b) for v, b in sorted(network.balance.items()) if b < 0]
     s = max(network.nodes) + 1
     t = s + 1
-    edges = list(network.edges)
-    edges += [Edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
-    edges += [Edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
+    aux = [Edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
+    aux += [Edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
+    for i, edge in enumerate(aux, start=network.m):
+        _check_edge(i, edge, network.cost_bound)
     z = math.fsum(b for _, b in supplies)
-    base = FlowNetwork(edges, {s: z, t: -z}, network.nodes + (s, t), network.cost_bound)
+    nodes = network.nodes + (s, t)
+    _check_size(len(nodes), network.cost_bound)
+    base = FlowNetwork._derived(
+        network.edges + tuple(aux),
+        _balances(nodes, {s: z, t: -z}),
+        nodes,
+        network.cost_bound,
+    )
     return TransformedNetwork(base, s, t, z)
 
 
@@ -214,6 +269,37 @@ class TransformedNetwork:
     @property
     def m(self) -> int:
         return self.base.m
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...] | None:
+        """(tail, head, cost, capacity) of base's edges as arrays, tails
+        and heads as indices into base.nodes, the rest float64; built on
+        first use. None unless _exact_float64 takes every cost and
+        capacity."""
+        edges = self.base.edges
+        cost = _exact_float64([e.cost for e in edges])
+        cap = _exact_float64([e.capacity for e in edges])
+        if cost is None or cap is None:
+            return None
+        idx = {v: i for i, v in enumerate(self.base.nodes)}
+        tail = np.array([idx[e.tail] for e in edges], dtype=np.intp)
+        head = np.array([idx[e.head] for e in edges], dtype=np.intp)
+        return tail, head, cost, cap
+
+
+def _exact_float64(values: Sequence) -> np.ndarray | None:
+    """values as a float64 array, or None unless float64 arithmetic on
+    them repeats Python's: each must be math.inf, or a float or an int
+    below _EXACT_LIMIT in magnitude. numpy's own type discovery decides
+    it in O(1) Python steps: a Fraction, a Decimal or an int past int64
+    makes the array object-typed, and an int past _EXACT_LIMIT fails the
+    magnitude test as the float it rounds to. NaN and -inf fail it too."""
+    a = np.array(values)
+    if a.dtype != np.float64 and a.dtype != np.int64:
+        return None
+    if not np.abs(a[a != math.inf]).max(initial=0.0) < _EXACT_LIMIT:
+        return None
+    return a.astype(np.float64, copy=False)
 
 
 def as_transformed(network: FlowNetwork, source: int, sink: int) -> TransformedNetwork:

@@ -175,7 +175,7 @@ class _Engine:
         self.steps: list[AugmentationStep] = []
         # The compiled loops compute in C doubles; other number types keep
         # their own arithmetic in Python, from c - c (0.0 + Fraction is float).
-        native = all(type(x) in (float, int) for x in (*cost, *self.cap))
+        native = {*map(type, cost), *map(type, self.cap)} <= {float, int}
         self.native = _native.load() if native else None
         self.zero = 0.0 if native else cost[0] - cost[0]
         self.pi = [self.zero] * self.n

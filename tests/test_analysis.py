@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sspflow import analysis
@@ -85,6 +86,18 @@ def recorded_distances(trace):
     ]
 
 
+def certificate_instances():
+    """150 small instances, a third of them with real capacities."""
+    return (
+        [uniform_instance(seed) for seed in range(50)]
+        + [random_instance(seed, n=10, m=30) for seed in range(50)]
+        + [
+            random_instance(seed, n=8, m=20, capacities="real")
+            for seed in range(50)
+        ]
+    )
+
+
 @pytest.fixture
 def full_bellman_ford(monkeypatch):
     """Counts verify_optimality's full Bellman-Ford runs: only they
@@ -124,16 +137,8 @@ class TestCertificate:
     hold sends it to the full Bellman-Ford."""
 
     def test_same_verdict_as_full_bellman_ford(self, full_bellman_ford):
-        instances = (
-            [uniform_instance(seed) for seed in range(50)]
-            + [random_instance(seed, n=10, m=30) for seed in range(50)]
-            + [
-                random_instance(seed, n=8, m=20, capacities="real")
-                for seed in range(50)
-            ]
-        )
         flows_checked = with_unlabelled = 0
-        for inst in instances:
+        for inst in certificate_instances():
             trace = solve(inst)
             for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
                 full = verify_optimality(inst, flow)
@@ -152,11 +157,9 @@ class TestCertificate:
         trace = solve(inst)
         pairs = list(zip(replay_flows(trace), recorded_distances(trace)))
         assert len(pairs) == 1025
-        rejected = sum(
-            analysis._unlabelled_arcs(inst.base, flow.values, dist) is None
-            for flow, dist in pairs
-        )
-        assert rejected == 0
+        for route in (dense_route, loop_route):
+            rejected = sum(route(inst, flow.values, dist) is None for flow, dist in pairs)
+            assert rejected == 0, route.__name__
 
     def test_doctored_flow_same_verdict(self):
         inst = transform(slack_network())
@@ -263,6 +266,136 @@ class TestCertificate:
         check_lemmas(solve(inst, record_distances=False))
         check_lemmas(reference_solve(inst))
         assert seen and all(d is None for d in seen)
+
+
+def loop_route(inst, values, dist):
+    """The certificate pass as an exact Python loop: the oracle."""
+    return analysis._unlabelled_arcs(inst.base, values, dist)
+
+
+def dense_route(inst, values, dist):
+    """The certificate pass verify_optimality runs."""
+    return analysis._free_arcs(inst, values, dist)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the certificate passes that ran over float64 columns."""
+    calls = []
+    dense = analysis._dense_unlabelled_arcs
+
+    def counted(*args):
+        calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(analysis, "_dense_unlabelled_arcs", counted)
+    return calls
+
+
+def distance_variants(trace, dist):
+    """dist, and mutations of it that the certificate must judge as the
+    loop does: a labelled node nudged either way or set to inf, -inf or
+    NaN, or missing; every node unlabelled."""
+    yield dist
+    src = trace.instance.source
+    labelled = [v for v, d in dist.items() if v != src and d < math.inf]
+    for v in labelled[:2]:
+        for value in (dist[v] + 0.5, dist[v] - 0.5, dist[v] + 1e-13,
+                      math.inf, -math.inf, math.nan):
+            yield {**dist, v: value}
+        yield {w: d for w, d in dist.items() if w != v}
+    yield dict.fromkeys(dist, math.inf)
+
+
+class TestDenseCertificate:
+    """verify_optimality's certificate pass over per-instance float64
+    columns returns what the exact loop returns, None or the same list,
+    and keeps the loop for numbers float64 does not hold exactly."""
+
+    def test_same_answer_as_loop(self, dense_calls):
+        answers = []
+        well_formed = 0
+        for inst in certificate_instances():
+            trace = solve(inst)
+            for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
+                for d in distance_variants(trace, dist):
+                    want = loop_route(inst, flow.values, d)
+                    assert repr(dense_route(inst, flow.values, d)) == repr(want)
+                    answers.append(want)
+                    well_formed += all(
+                        d.get(v, math.nan) == math.inf or math.isfinite(d.get(v, math.nan))
+                        for v in inst.base.nodes
+                    )
+        # every outcome occurs; a missing, NaN or -inf label goes to the
+        # loop, which rejects it at once, and the columns take the rest
+        assert sum(a is None for a in answers) > 1000
+        assert sum(a == [] for a in answers) > 500
+        assert sum(bool(a) for a in answers) > 500
+        assert len(dense_calls) == well_formed > 5000
+
+    def test_exact_numbers_keep_the_loop(self, dense_calls):
+        inst = uniform_instance(4)
+        trace = solve(inst)
+        flow, dist = trace.final_flow, trace.steps[-1].distances_from_s
+        assert inst._columns is not None
+        cases = [
+            # Fractions: exact comparisons, and exact sums with a label
+            (tuple(map(Fraction, flow.values)), dist),
+            (flow.values, {v: Fraction(d) if d < math.inf else d for v, d in dist.items()}),
+            # ints past 2^53, which float64 rounds, as labels and flows
+            (flow.values, {**dist, inst.source: 2**53 + 1}),
+            (flow.values, dict.fromkeys(dist, 2**53 + 1)),
+            ((2**53 + 1,) + flow.values[1:], dist),
+            ((-(2**62 + 1),) + flow.values[1:], dist),
+            ((2**64,) + flow.values[1:], dist),
+        ]
+        for values, d in cases:
+            assert repr(dense_route(inst, values, d)) == repr(loop_route(inst, values, d))
+        assert not dense_calls
+        # an all-int flow makes an int64 array, held exactly
+        ints = tuple(int(x) for x in flow.values)
+        assert ints == flow.values and any(ints)
+        assert repr(dense_route(inst, ints, dist)) == repr(loop_route(inst, ints, dist))
+        assert len(dense_calls) == 1
+
+    def test_fraction_flow_below_capacity_by_less_than_rounding(self, dense_calls):
+        # 1 - 10^-30 rounds to the capacity 1.0: only exact comparison
+        # sees the forward arc present, and its free arc between
+        # unlabelled nodes
+        net = FlowNetwork([Edge(0, 1, 1.0, 0.5), Edge(2, 3, 1.0, 0.5)], {0: 1.0, 1: -1.0})
+        inst = transform(net)
+        nearly = Fraction(1) - Fraction(1, 10**30)
+        values = (0.0, nearly, 0.0, 0.0)
+        dist = {4: 0.0, 0: 0.0, 1: 0.5, 5: 0.5, 2: math.inf, 3: math.inf}
+        want = loop_route(inst, values, dist)
+        assert [a for a, *_ in want] == [2, 3]
+        assert repr(dense_route(inst, values, dist)) == repr(want)
+        assert not dense_calls
+        rounded = analysis._dense_unlabelled_arcs(
+            inst.base, inst._columns, np.array(values, dtype=float),
+            np.array([dist[v] for v in inst.base.nodes]),
+        )
+        assert [a for a, *_ in rounded] == [3]
+
+    def test_instances_without_columns(self, dense_calls):
+        # Fraction costs (exact_check's copy) and an int capacity of
+        # 2^53 + 1 take the loop for every flow
+        fractional = transform(FlowNetwork(
+            [Edge(0, 1, 2.0, Fraction(1, 3)), Edge(1, 2, 2.0, 0.5)], {0: 1.0, 2: -1.0}
+        ))
+        wide = transform(FlowNetwork(
+            [Edge(0, 1, 2**53 + 1, 0.5), Edge(1, 2, 3, 0.25)], {0: 1.0, 2: -1.0}
+        ))
+        for inst in (fractional, wide):
+            assert inst._columns is None
+            trace = solve(inst)
+            for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
+                assert verify_optimality(inst, flow, dist)
+                for d in distance_variants(trace, dist):
+                    assert repr(dense_route(inst, flow.values, d)) == repr(
+                        loop_route(inst, flow.values, d)
+                    )
+        assert not dense_calls
 
 
 class TestReferenceSolve:

@@ -54,6 +54,25 @@ def test_missing_compiler_warns_once_and_falls_back(monkeypatch, caplog, tmp_pat
     assert list(tmp_path.iterdir()) == []  # no temporary build left behind
 
 
+class _Float(float):
+    pass
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+@pytest.mark.parametrize("cap_type", [float, int, bool, _Float, np.float64])
+@pytest.mark.parametrize("cost_type", [float, int, _Float, Fraction])
+def test_kernel_exactly_for_float_and_int_types(cost_type, cap_type):
+    # exact types: a bool or a float subclass takes the Python loops too
+    net = two_path_network()
+    edges = [
+        Edge(e.tail, e.head, cap_type(e.capacity), cost_type(round(e.cost)), e.kind)
+        for e in net.edges
+    ]
+    inst = transform(FlowNetwork(edges, {0: 1.0, 3: -1.0}, net.nodes, net.cost_bound))
+    native = {cost_type, cap_type} <= {float, int}
+    assert (_Engine(inst).native is not None) is native
+
+
 @pytest.mark.parametrize("number", [Fraction, np.float64])
 def test_costs_of_other_types_take_the_python_loops(number):
     # the kernel reads costs as C doubles, exact only for float and int

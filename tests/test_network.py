@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 
@@ -10,11 +12,17 @@ from sspflow import (
     FlowNetwork,
     InfeasibleFlow,
     InvariantError,
+    SmoothedCostSpec,
     TransformedNetwork,
+    adversarial_spec,
     as_transformed,
     check_feasible,
+    layered_topology,
+    perturbed_integer,
+    random_topology,
     residual_arcs,
     run_ssp,
+    sample_costs,
     transform,
 )
 
@@ -127,6 +135,132 @@ class TestConstruction:
         assert net2.edges[0].cost == 0.9
         assert net.edges[0].cost == 0.5
         assert net2 != net
+
+    def test_with_edge_cost_rejects_edge_outside_range(self):
+        # -1 used to replace the last edge through negative indexing
+        net = single_edge_network()
+        for e in (-1, -2, 1):
+            with pytest.raises(IndexError, match=f"edge {e} outside 0..0"):
+                net.with_edge_cost(e, 0.25)
+
+
+def golden_networks():
+    """Networks over the topologies whose digests tests/test_generators.py
+    pins, through both cost models, plus sample_costs' wider bound."""
+    seeds = (0, 1, 5, 2**63 - 1)
+    topos = [
+        random_topology(n, m, "erdos", seed, capacities=caps)
+        for n, m in ((2, 1), (6, 15), (8, 14), (40, 780))
+        for caps in ("int", "real")
+        for seed in seeds
+    ] + [
+        layered_topology(n, m, seed, layers=layers, capacities=caps)
+        for n, m, layers in ((6, 9, 2), (9, 12, 3), (40, 150, 5))
+        for caps in ("int", "real")
+        for seed in seeds
+    ]
+    for i, topo in enumerate(topos):
+        yield sample_costs(topo, SmoothedCostSpec(1.0), i)
+        yield sample_costs(topo, adversarial_spec(topo, 8.0), i)
+        yield perturbed_integer(topo, 16, i)[0]
+
+
+def constructed(net, edges=None):
+    """The full constructor over net's parts, its edges perhaps replaced."""
+    return FlowNetwork(
+        net.edges if edges is None else edges,
+        dict(net.balance),
+        net.nodes,
+        net.cost_bound,
+    )
+
+
+def same_network(a, b):
+    """Equal, and with the same value types and balance items too."""
+    return a == b and repr(
+        (a.edges, sorted(a.balance.items()), a.nodes, a.cost_bound)
+    ) == repr((b.edges, sorted(b.balance.items()), b.nodes, b.cost_bound))
+
+
+def reference_transform(net):
+    """transform as the full constructor builds it, every edge checked."""
+    supplies = [(v, b) for v, b in sorted(net.balance.items()) if b > 0]
+    demands = [(v, -b) for v, b in sorted(net.balance.items()) if b < 0]
+    s = max(net.nodes) + 1
+    t = s + 1
+    edges = list(net.edges)
+    edges += [Edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
+    edges += [Edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
+    z = math.fsum(b for _, b in supplies)
+    return FlowNetwork(edges, {s: z, t: -z}, net.nodes + (s, t), net.cost_bound)
+
+
+def raised(fn, *args):
+    """The exception fn(*args) raises, as (type, message)."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestDerivedNetworks:
+    """with_edge_cost and transform validate only what they change, and
+    build what the full constructor builds from the same parts."""
+
+    def test_transform_matches_constructor(self):
+        count = 0
+        for net in golden_networks():
+            inst = transform(net)
+            assert same_network(inst.base, reference_transform(net))
+            assert same_network(inst.base, constructed(inst.base))
+            count += 1
+        assert count == 3 * 4 * 2 * (4 + 3)
+
+    def test_with_edge_cost_matches_constructor(self):
+        rng = random.Random(7)
+        count = 0
+        for net in golden_networks():
+            for base in (net, transform(net).base):
+                for _ in range(2):
+                    e = rng.randrange(base.m)
+                    old = base.edges[e]
+                    if old.kind == AUXILIARY:
+                        cost = 0.0
+                    else:
+                        cost = rng.choice(
+                            (0.0, base.cost_bound, rng.uniform(0.0, base.cost_bound))
+                        )
+                    edges = list(base.edges)
+                    edges[e] = Edge(old.tail, old.head, old.capacity, cost, old.kind)
+                    got = base.with_edge_cost(e, cost)
+                    assert same_network(got, constructed(base, edges))
+                    assert got.edges[e].cost == cost and base.edges[e] == old
+                    count += 1
+        assert count == 2 * 2 * 3 * 4 * 2 * (4 + 3)
+
+    @pytest.mark.parametrize(
+        "cost", [math.nan, math.inf, -math.inf, -0.5, 1.5, 0.25]
+    )
+    def test_with_edge_cost_rejects_as_constructor(self, cost):
+        net = transform(single_edge_network())
+        base = net.base
+        for e in range(base.m):
+            edges = list(base.edges)
+            old = edges[e]
+            edges[e] = Edge(old.tail, old.head, old.capacity, cost, old.kind)
+            if old.kind == ORIGINAL and 0.0 <= cost <= base.cost_bound:
+                assert same_network(base.with_edge_cost(e, cost), constructed(base, edges))
+                continue
+            want = raised(constructed, base, edges)
+            assert want[0] is InvariantError
+            assert raised(base.with_edge_cost, e, cost) == want
+
+    def test_transform_rejects_size_as_constructor(self):
+        # n * cost_bound fits, (n + 2) * cost_bound does not
+        cost_bound = sys.float_info.max / 3
+        net = FlowNetwork([Edge(0, 1, 1.0, 0.5)], {0: 1.0, 1: -1.0}, cost_bound=cost_bound)
+        want = raised(reference_transform, net)
+        assert want == (InvariantError, f"4 nodes times cost bound {cost_bound} overflows")
+        assert raised(transform, net) == want
 
 
 class TestTransform:
