@@ -4,8 +4,7 @@ load() compiles the source with gcc into this package's __pycache__,
 under a name that hashes the source, the compiler flags and the
 interpreter's extension suffix, so a changed source or interpreter never
 loads a stale build and an unchanged one compiles once; a new build
-deletes the older ones for the same suffix, and those named _forward-*.so
-by the kernel's first naming scheme. The build goes to a temporary
+deletes the older ones for the same suffix. The build goes to a temporary
 file that os.replace moves into place, so concurrent processes never
 load a half-written library. Any failure (no compiler, no Python.h, a
 read-only package directory) logs one warning, and the solver runs its
@@ -40,8 +39,7 @@ def _build() -> Path:
     target = _CACHE_DIR / f"_search.{tag}{suffix}"
     if not target.is_file():
         _compile(target)
-        stale = {*_CACHE_DIR.glob(f"_search.*{suffix}"), *_CACHE_DIR.glob("_forward-*.so")}
-        for old in stale - {target}:
+        for old in set(_CACHE_DIR.glob(f"_search.*{suffix}")) - {target}:
             old.unlink(missing_ok=True)
     return target
 

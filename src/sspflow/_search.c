@@ -5,7 +5,10 @@
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
  * clamp, the same comparisons, so the settle order, the distances and the
  * chosen paths are bit-identical. The engine's lists are read in place
- * through the C API; nothing is converted.
+ * through the C API; nothing is converted. The engine calls the searches
+ * only when every cost and capacity is a float, and every number they
+ * read must be one: a float, or a float subclass, is a double exactly,
+ * and anything else raises TypeError, so no int is ever rounded.
  *
  * forward keeps per node the dist, hops, pred and parc (predecessor arc) of
  * its label and orders its heap by (dist, hops, node). A label is only ever
@@ -26,7 +29,8 @@
  * push). Both take it only when every f and cap item the path reads, and
  * the amount, is an exact float, and check that before they write
  * anything; otherwise they return None and the caller runs network.push,
- * since Python compares an int with a float exactly and a C double cannot.
+ * which keeps every other number type's own arithmetic (an int capacity
+ * enters f as an int, a numpy float64 amount sums to numpy float64s).
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -164,22 +168,22 @@ pop(State *st)
 
 /* -- reading the engine's lists ------------------------------------------ */
 
+/* The double a float (or a float subclass) holds; anything else, an int
+ * included, raises TypeError rather than round. */
 static int
 as_double(PyObject *o, double *out)
 {
-    if (PyFloat_CheckExact(o)) {
-        *out = PyFloat_AS_DOUBLE(o);
-        return 0;
+    if (!PyFloat_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "expected a float, got %.200s", Py_TYPE(o)->tp_name);
+        return -1;
     }
-    *out = PyFloat_AsDouble(o);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+    *out = PyFloat_AS_DOUBLE(o);
+    return 0;
 }
 
 /* Whether arc a has no residual capacity, as Python decides f[e] <= 0.0
  * (backward) or cap[e] - f[e] <= 0.0 (forward) for e = a >> 1: 1, 0, or
- * -1 with an exception set. An int rounds to a double of the same sign;
- * int - int is exact in Python, so two ints compare as ints. Out of line
- * and called per arc scanned, so the float path calls nothing. */
+ * -1 with an exception set. */
 static int
 no_residual(PyObject *f, PyObject *cap, Py_ssize_t a)
 {
@@ -188,13 +192,11 @@ no_residual(PyObject *f, PyObject *cap, Py_ssize_t a)
         PyErr_SetString(PyExc_IndexError, "arc index out of range");
         return -1;
     }
-    PyObject *fi = PyList_GET_ITEM(f, e), *ci = a & 1 ? NULL : PyList_GET_ITEM(cap, e);
     double fe, ce = 0.0;
-    if (ci && PyLong_CheckExact(ci) && PyLong_CheckExact(fi))
-        return PyObject_RichCompareBool(ci, fi, Py_LE);
-    if (as_double(fi, &fe) < 0 || (ci && as_double(ci, &ce) < 0))
+    if (as_double(PyList_GET_ITEM(f, e), &fe) < 0
+        || (!(a & 1) && as_double(PyList_GET_ITEM(cap, e), &ce) < 0))
         return -1;
-    return (ci ? ce - fe : fe) <= 0.0;
+    return (a & 1 ? fe : ce - fe) <= 0.0;
 }
 
 static int
@@ -605,9 +607,11 @@ replay(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"forward", forward, METH_VARARGS,
      "forward(out_adj, f, cap, pi, s, t, stop_at_sink, check, slack)"
-     " -> (dist, path_arcs | None, [p + min(d, bound)])"},
+     " -> (dist, path_arcs | None, [p + min(d, bound)]); costs, f, cap and pi"
+     " hold floats"},
     {"reverse", reverse, METH_VARARGS,
-     "reverse(out_adj, f, cap, pi, t, check, slack) -> dist"},
+     "reverse(out_adj, f, cap, pi, t, check, slack) -> dist; costs, f, cap"
+     " and pi hold floats"},
     {"augment", augment, METH_VARARGS,
      "augment(f, cap, path_arcs, headroom) -> amount | None"},
     {"replay", replay, METH_VARARGS,

@@ -23,9 +23,9 @@ compares them against what the production solver reports:
   reversed-path optimality).
 * reconstruct: recover an intermediate flow from one residual arc and
   a length threshold, never reading the arc's original cost.
-* exact_check: every step replayed by the solver's engine over exact
-  Fraction costs; the recorded path must be the exact shortest one,
-  ties settled by the same lexicographic rule.
+* exact_check: every step replayed by the solver's engine over the
+  costs scaled to exact ints; the recorded path must be the exact
+  shortest one, ties settled by the same lexicographic rule.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
 )
 from .network import (
     Flow,
+    FlowNetwork,
     TransformedNetwork,
     _exact_float64,
     empty_arcs,
@@ -544,21 +545,25 @@ def exact_check(trace: AugmentationTrace) -> LemmaCheck:
     """Replay every step in exact arithmetic: the recorded path must be
     the exact shortest one.
 
-    Every float is a dyadic rational, so Fraction holds each cost
-    exactly. The solver's own engine runs over a copy of the instance
-    with Fraction costs (capacities stay the trace's floats), and each
-    step's search must return the recorded path_arcs. One comparison
-    covers both an exactly shortest path and an exact tie settled by
-    the lexicographic (hops, arc sequence) rule. The engine pushes
-    toward math.inf: a target that binds ends the solve, so it cuts
-    only the last step's amount, which no search follows. Not part of
-    check_lemmas, whose report verify prints.
-    """
-    from fractions import Fraction  # loads decimal; kept off import time
+    Every cost is multiplied by scale, the lcm of the denominators of
+    the costs' as_integer_ratio(), which makes each an exact int. Int
+    sums and comparisons are exact, and one positive factor scales
+    every path length and reduced cost alike, so it keeps every order
+    and every tie. Float denominators are powers of two, so scale is
+    the largest of them (a Fraction cost stays exact too). Tiny
+    exponents make it large: 5e-324 is 2^-1074, so costs become ints
+    of about 1,100 bits, still exact, only slower.
 
-    inst = trace.instance
-    edges = [replace(e, cost=Fraction(e.cost)) for e in inst.base.edges]
-    eng = _Engine(replace(inst, base=replace(inst.base, edges=edges)))
+    The solver's own engine runs over that copy (_int_costs; capacities
+    stay the trace's floats), on its Python loops in int arithmetic,
+    and each step's search must return the recorded path_arcs. One
+    comparison covers both an exactly shortest path and an exact tie
+    settled by the lexicographic (hops, arc sequence) rule. The engine
+    pushes toward math.inf: a target that binds ends the solve, so it
+    cuts only the last step's amount, which no search follows. Not part
+    of check_lemmas, whose report verify prints.
+    """
+    eng = _Engine(_int_costs(trace.instance))
     for step in trace.steps:
         _, arcs = eng.dijkstra_forward(True)
         if arcs != step.path_arcs:
@@ -568,6 +573,22 @@ def exact_check(trace: AugmentationTrace) -> LemmaCheck:
             )
         eng.augment(arcs, step.length, INF)
     return LemmaCheck("exact_shortest_path", True)
+
+
+def _int_costs(instance: TransformedNetwork) -> TransformedNetwork:
+    """instance with every cost times the lcm of the costs'
+    as_integer_ratio() denominators, as exact ints (see exact_check).
+    The copy skips validation, and its costs pass its unscaled
+    cost_bound, so it serves the replay only.
+    """
+    base = instance.base
+    ratios = [e.cost.as_integer_ratio() for e in base.edges]
+    scale = math.lcm(*(den for _, den in ratios))
+    edges = tuple(
+        replace(e, cost=num * (scale // den)) for e, (num, den) in zip(base.edges, ratios)
+    )
+    net = FlowNetwork._derived(edges, base.balance, base.nodes, base.cost_bound)
+    return replace(instance, base=net)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,15 @@ solve may take the exactly longer route. analysis.exact_check replays
 a trace in exact arithmetic and flags such a step.
 
 The two searches, forward with its potential raise and reverse, also
-exist in C, in _search.c: the engine calls them when every cost and
-capacity is a float or an int, reading its lists in place, and they
-repeat the Python loops float operation for float, so traces are
-bit-identical with or without them. _native compiles that file with gcc
-on the first engine build and caches the library in __pycache__; when
-no build is possible it logs one warning and the Python loops run.
-Other number types run the Python loops from their own zero, c - c.
+exist in C, in _search.c, which computes in doubles: the engine calls
+them exactly when every cost and capacity is a float, reading its lists
+in place, and they repeat the Python loops float operation for float,
+so traces are bit-identical with or without them. _native compiles that
+file with gcc on the first engine build and caches the library in
+__pycache__; when no build is possible it logs one warning and the
+Python loops run. Every other number type (int, bool, a float subclass,
+Fraction) runs the Python loops in its own arithmetic, from its own
+zero, c - c.
 
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
@@ -53,9 +55,9 @@ push's operation-for-operation twin: with the kernel loaded, augment
 does the bottleneck and the push of a step in one call, and
 trace_csv_rows tests a row's good arcs and pushes in one. It serves a
 call only when every f and cap item the path reads, and the amount, is
-an exact float (Python compares an int with a float exactly, a C double
-cannot); any other call runs network.push, so number types, traces and
-CSVs are the same either way.
+an exact float; any other call (an int capacity, a numpy float64 target)
+runs network.push in those numbers' own arithmetic, so number types,
+traces and CSVs are the same either way.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ class _Engine:
     augment builds the AugmentationStep record of every step, for
     run_ssp, for analysis.reference_solve, which runs this bookkeeping
     around its own path search, and for analysis.exact_check, which
-    runs the whole engine over Fraction costs. With the compiled kernel,
-    native.augment pushes a step whose f and cap items are exact
-    floats; other steps, and every step without the kernel, run
+    runs the whole engine over costs scaled to ints. With the compiled
+    kernel, native.augment pushes a step whose f and cap items are
+    exact floats; other steps, and every step without the kernel, run
     network.push.
     """
 
@@ -173,9 +175,10 @@ class _Engine:
         self.f = [0.0] * net.m
         self.value = 0.0
         self.steps: list[AugmentationStep] = []
-        # The compiled loops compute in C doubles; other number types keep
-        # their own arithmetic in Python, from c - c (0.0 + Fraction is float).
-        native = {*map(type, cost), *map(type, self.cap)} <= {float, int}
+        # The compiled loops compute in C doubles, which hold a float
+        # exactly; every other number type keeps its own arithmetic in
+        # Python, from c - c (0.0 + Fraction is float).
+        native = {*map(type, cost), *map(type, self.cap)} <= {float}
         self.native = _native.load() if native else None
         self.zero = 0.0 if native else cost[0] - cost[0]
         self.pi = [self.zero] * self.n

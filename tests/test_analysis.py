@@ -726,6 +726,22 @@ class TestExactCheck:
         assert (check.passed, check.first_violation_step) == (False, 1)
         assert str(trace.steps[1].path_arcs) in check.detail
 
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_tiny_costs_stay_exact(self, tiny):
+        # 1 + tiny rounds to 1.0: the float solve takes the lower arc
+        # sequence, exactly the longer route when tiny is on it; the
+        # replay's ints run to about 1,100 bits (5e-324 is 2^-1074)
+        for route_a, route_b, passed in (
+            ((1.0, tiny), (1.0, 0.0), False),
+            ((1.0, 0.0), (1.0, tiny), True),
+            ((tiny, tiny), (2 * tiny, 0.0), True),
+        ):
+            trace = solve(transform(two_route_network(route_a, route_b)))
+            check = exact_check(trace)
+            assert (check.passed, check.first_violation_step) == (
+                (True, None) if passed else (False, 1)
+            ), (route_a, route_b)
+
     def test_random_pool(self):
         for seed in range(100):
             for capacities in ("int", "real"):
@@ -778,29 +794,32 @@ class TestExactCheck:
 
     @pytest.mark.parametrize(
         "side, edges, phi",
-        [(4, 4, 64.0), (4, 4, 256.0), (4, 4, 1024.0), (8, 16, 64.0)],
+        [(4, 4, 64.0), (4, 4, 256.0), (4, 4, 1024.0), (4, 4, 4096.0),
+         (8, 16, 64.0), (8, 16, 256.0)],
     )
     def test_worst_case_family(self, side, edges, phi):
         inst = build_hard_instance(LowerBoundParams(side, edges, phi), 0).instance
         assert exact_check(solve(inst, record_distances=False)).passed
 
     def test_engine_keeps_the_number_type(self):
-        # 0.0 + Fraction(1) is a float: one float seed anywhere would
-        # turn the replay inexact without failing it
+        # 0.0 + Fraction(1) is a float, and the kernel would read an int
+        # as a double: one float seed anywhere, or an int past 2^53
+        # rounded, would turn the replay inexact without failing it
         inst = demo_instance()
         edges = [dataclasses.replace(e, cost=Fraction(e.cost)) for e in inst.base.edges]
-        exact = dataclasses.replace(inst, base=dataclasses.replace(inst.base, edges=edges))
-        for stop_at_sink in (True, False):
-            eng = _Engine(exact)
-            assert eng.native is None
-            for _ in range(4):
-                dist, arcs = eng.dijkstra_forward(stop_at_sink)
-                labels = [d for d in (*dist, *eng.dijkstra_reverse()) if d != math.inf]
-                assert len(labels) > eng.n
-                for x in (*labels, *eng.pi):
-                    assert type(x) is Fraction, (stop_at_sink, x)
-                eng.augment(arcs, eng.path_length(arcs), inst.z)
-            assert all(type(p) is Fraction for p in eng.pi)
+        fractions = dataclasses.replace(inst, base=dataclasses.replace(inst.base, edges=edges))
+        for exact, number in ((fractions, Fraction), (analysis._int_costs(inst), int)):
+            for stop_at_sink in (True, False):
+                eng = _Engine(exact)
+                assert eng.native is None
+                for _ in range(4):
+                    dist, arcs = eng.dijkstra_forward(stop_at_sink)
+                    labels = [d for d in (*dist, *eng.dijkstra_reverse()) if d != math.inf]
+                    assert len(labels) > eng.n
+                    for x in (*labels, *eng.pi):
+                        assert type(x) is number, (stop_at_sink, x)
+                    eng.augment(arcs, eng.path_length(arcs), inst.z)
+                assert all(type(p) is number for p in eng.pi)
 
 
 def midway_length(inst):

@@ -62,40 +62,47 @@ class _Float(float):
 @pytest.mark.parametrize("cap_type", [float, int, bool, _Float, np.float64])
 @pytest.mark.parametrize("cost_type", [float, int, _Float, Fraction])
 def test_kernel_exactly_for_float_and_int_types(cost_type, cap_type):
-    # exact types: a bool or a float subclass takes the Python loops too
+    # the kernel is chosen exactly for all-float instances: an int, a
+    # bool or a float subclass takes the Python loops, as a Fraction does
     net = two_path_network()
     edges = [
         Edge(e.tail, e.head, cap_type(e.capacity), cost_type(round(e.cost)), e.kind)
         for e in net.edges
     ]
     inst = transform(FlowNetwork(edges, {0: 1.0, 3: -1.0}, net.nodes, net.cost_bound))
-    native = {cost_type, cap_type} <= {float, int}
+    native = {cost_type, cap_type} <= {float}
     assert (_Engine(inst).native is not None) is native
 
 
-@pytest.mark.parametrize("number", [Fraction, np.float64])
+@pytest.mark.parametrize("number", [Fraction, np.float64, int])
 def test_costs_of_other_types_take_the_python_loops(number):
-    # the kernel reads costs as C doubles, exact only for float and int
+    # the kernel computes in C doubles, so it takes floats only
     net = two_path_network()
-    edges = [Edge(e.tail, e.head, e.capacity, number(e.cost), e.kind) for e in net.edges]
-    other = transform(FlowNetwork(edges, dict(net.balance), net.nodes, net.cost_bound))
+    if number is int:  # costs 1, 2, 3, 4 keep the float costs' order
+        edges = [Edge(e.tail, e.head, int(e.capacity), round(10 * e.cost)) for e in net.edges]
+        cost_bound = 10.0
+    else:
+        edges = [Edge(e.tail, e.head, e.capacity, number(e.cost)) for e in net.edges]
+        cost_bound = net.cost_bound
+    other = transform(FlowNetwork(edges, dict(net.balance), net.nodes, cost_bound))
     assert _Engine(other).native is None
     want = run_ssp(transform(net))
     got = run_ssp(other)
     assert [s.path_arcs for s in got.steps] == [s.path_arcs for s in want.steps]
     assert got.final_flow == want.final_flow
+    if number is int:
+        # both routes saturate, and each original edge's flow is its int
+        # capacity, assigned as such by network.push
+        assert [type(x) for x in got.final_flow.values[:4]] == [int] * 4
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_a_new_build_deletes_older_ones(monkeypatch, tmp_path):
-    # builds of an older source pile up in the cache otherwise, as do
-    # those of the kernel's first naming scheme; those of another
-    # interpreter may still be in use
+    # builds of an older source pile up in the cache otherwise; those of
+    # another interpreter may still be in use
     stale = tmp_path / f"_search.0123456789ab{EXTENSION_SUFFIXES[0]}"
-    legacy = tmp_path / "_forward-0123456789abcdef.so"
     foreign = tmp_path / "_search.0123456789ab.cpython-0-other.so"
     stale.touch()
-    legacy.touch()
     foreign.touch()
     monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path)
     target = _native._build()
@@ -188,6 +195,10 @@ BAD_SEARCH_CALLS = [
     (TypeError, "forward", {2: [2.0, None]}),
     (TypeError, "reverse", {1: [2.0, None]}),
     (TypeError, "reverse", {2: [2.0, "3"]}),
+    # an int item, which a double would round past 2^53
+    (TypeError, "forward", {1: [2.0, 0]}),
+    (TypeError, "reverse", {2: [2.0, 3]}),
+    (TypeError, "forward", {3: [0.0, 0, 0.0]}),
 ]
 
 
@@ -198,31 +209,14 @@ def test_search_entry_points_reject_bad_input(error, name, changes):
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
-def test_searches_compare_int_residuals_exactly():
-    # cap - f of two ints is exact in Python, while both round to 2^53 as
-    # doubles: edge 1 keeps a residual of 1, so node 1 reaches node 2
-    kernel = _native.load()
-    out_adj, f, cap = two_edges()
-    big = 2**53
-    for flow, reach in ((big, True), (big + 1, False)):
-        f[1], cap[1] = flow, big + 1
-        _, arcs, _ = kernel.forward(
-            out_adj, f, cap, [0.0] * 3, 1, 2, True, _check_reduced_cost, 1e-9
-        )
-        assert (arcs == (2,)) == reach
-        dist = kernel.reverse(out_adj, f, cap, [0.0] * 3, 2, _check_reduced_cost, 1e-9)
-        assert (dist[1] < math.inf) == reach
-
-
-@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 @pytest.mark.parametrize("name, i, j", [
     ("augment", 0, 1), ("augment", 1, 1), ("augment", 3, None),
     ("replay", 0, 0), ("replay", 1, 0), ("replay", 4, None),
 ])
 def test_push_entry_points_fall_back_on_other_numbers(name, i, j):
-    # Python compares an int with a float exactly, a C double cannot: an
-    # int or a float subclass the path reads, or as the amount, is left
-    # to network.push, and nothing is written
+    # network.push keeps other number types' own arithmetic: an int or a
+    # float subclass the path reads, or as the amount, is left to it,
+    # and nothing is written
     args = list(kernel_calls()[name])
     if j is None:
         args[i] = int(args[i])
