@@ -7,8 +7,9 @@ no residual negative cycles appear, reversed path arcs are themselves
 optimal, and auxiliary edges are never traversed backwards. The checks
 are the executable versions of the facts the linear smoothed bound
 rests on; a single failure anywhere would invalidate the analysis. The
-detailed instance is also replayed in exact rational arithmetic, which
-tells whether float rounding changed any path choice.
+detailed instance is also replayed in exact arithmetic, over its costs
+scaled to ints by one common factor, which tells whether float rounding
+changed any path choice.
 
 Run:  python3 demos/lemma_audit.py
 """

@@ -9,6 +9,9 @@ file that os.replace moves into place, so concurrent processes never
 load a half-written library. Any failure (no compiler, no Python.h, a
 read-only package directory) logs one warning, and the solver runs its
 Python loops instead; both give identical traces.
+
+kernel_for() is the one rule for using the kernel, applied once per
+solve and once per trace replay.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import tempfile
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from typing import Iterable
 
 _SOURCE = Path(__file__).with_name("_search.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -84,3 +88,12 @@ def load():
             "compiled search unavailable, using the Python loops: %s", exc
         )
         return None
+
+
+def kernel_for(numbers: Iterable):
+    """The compiled kernel when every number is an exact float, else None
+    (None too when it cannot be built). It computes in C doubles, which
+    hold a float exactly; every other number type (int, bool, a float
+    subclass such as numpy's float64, Fraction) keeps its own arithmetic
+    in the Python loops."""
+    return load() if set(map(type, numbers)) <= {float} else None

@@ -5,10 +5,13 @@
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
  * clamp, the same comparisons, so the settle order, the distances and the
  * chosen paths are bit-identical. The engine's lists are read in place
- * through the C API; nothing is converted. The engine calls the searches
- * only when every cost and capacity is a float, and every number they
- * read must be one: a float, or a float subclass, is a double exactly,
- * and anything else raises TypeError, so no int is ever rounded.
+ * through the C API; nothing is converted. Every number a function reads
+ * must be an exact float, which a double holds exactly; anything else (an
+ * int, a float subclass such as numpy's float64) raises TypeError before
+ * anything is written, so nothing is ever rounded. The callers choose the
+ * kernel once, by sspflow._native.kernel_for: _Engine when every cost and
+ * capacity is a float, the trace replay when every capacity and recorded
+ * amount is, so the check is memory safety, not a decision.
  *
  * forward keeps per node the dist, hops, pred and parc (predecessor arc) of
  * its label and orders its heap by (dist, hops, node). A label is only ever
@@ -16,8 +19,9 @@
  * one, rc >= 0 and fl(d + rc) >= d. So a node is settled after every
  * relaxation that can set its label, and a relaxation that ties in (dist,
  * hops) compares arc sequences with path_less. Its last pass over the nodes
- * builds the distances and the raised potentials pi[v] + min(dist[v],
- * bound) together, bound being the distance of the last node settled.
+ * builds the raised potentials pi[v] + min(dist[v], bound), bound being the
+ * distance of the last node settled, and after a full search the distances
+ * too; a sink-stop search returns None for them, which no caller reads.
  *
  * The searches read residual capacity from the flow and capacity lists,
  * as the Python loops do: arc a over edge e = a >> 1 is present when
@@ -25,12 +29,9 @@
  *
  * push_path is network.push operation for operation, which stays its
  * oracle. It serves augment (bottleneck and push of one engine step) and
- * replay (one trace-CSV row: the good-arc test before the push, then the
- * push). Both take it only when every f and cap item the path reads, and
- * the amount, is an exact float, and check that before they write
- * anything; otherwise they return None and the caller runs network.push,
- * which keeps every other number type's own arithmetic (an int capacity
- * enters f as an int, a numpy float64 amount sums to numpy float64s).
+ * replay (one step of the trace replay: the good-arc test before the
+ * push, then the push), which read every f and cap item of the path, and
+ * the amount, before they write anything.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -168,12 +169,12 @@ pop(State *st)
 
 /* -- reading the engine's lists ------------------------------------------ */
 
-/* The double a float (or a float subclass) holds; anything else, an int
- * included, raises TypeError rather than round. */
+/* The double an exact float holds; anything else, an int or a float
+ * subclass included, raises TypeError. */
 static int
 as_double(PyObject *o, double *out)
 {
-    if (!PyFloat_Check(o)) {
+    if (!PyFloat_CheckExact(o)) {
         PyErr_Format(PyExc_TypeError, "expected a float, got %.200s", Py_TYPE(o)->tp_name);
         return -1;
     }
@@ -265,22 +266,26 @@ reduced_cost(PyObject *check, double slack, Py_ssize_t a, double c, double pu,
     return 0;
 }
 
-/* The distances as a list. With pi, *raised also gets [pi[i] +
- * min(dist[i], bound)] over the first min(len(pi), n) nodes, as zip
- * pairs them in the Python loop, built in the same pass. */
-static PyObject *
-dist_list(const State *st, PyObject *pi, double bound, PyObject **raised)
+/* Lists over the nodes, built in one pass: with dist, the distances;
+ * with raised, [pi[i] + min(dist[i], bound)] over the first min(len(pi),
+ * n) nodes, as zip pairs them in the Python loop. 0, or -1 with an
+ * exception set and nothing built. */
+static int
+node_lists(const State *st, PyObject *pi, double bound, PyObject **dist,
+           PyObject **raised)
 {
-    Py_ssize_t np = pi ? Py_MIN(PyList_GET_SIZE(pi), st->n) : 0;
-    PyObject *out = PyList_New(st->n), *up = pi ? PyList_New(np) : NULL;
-    if (!out || (pi && !up))
+    Py_ssize_t np = raised ? Py_MIN(PyList_GET_SIZE(pi), st->n) : 0;
+    PyObject *out = dist ? PyList_New(st->n) : NULL, *up = raised ? PyList_New(np) : NULL;
+    if ((dist && !out) || (raised && !up))
         goto fail;
     for (Py_ssize_t i = 0; i < st->n; i++) {
         double d = st->dist[i], p;
-        PyObject *x = PyFloat_FromDouble(d);
-        if (!x)
-            goto fail;
-        PyList_SET_ITEM(out, i, x);
+        PyObject *x;
+        if (out) {
+            if (!(x = PyFloat_FromDouble(d)))
+                goto fail;
+            PyList_SET_ITEM(out, i, x);
+        }
         if (i >= np)
             continue;
         if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
@@ -288,13 +293,15 @@ dist_list(const State *st, PyObject *pi, double bound, PyObject **raised)
             goto fail;
         PyList_SET_ITEM(up, i, x);
     }
-    if (pi)
+    if (dist)
+        *dist = out;
+    if (raised)
         *raised = up;
-    return out;
+    return 0;
 fail:
     Py_XDECREF(out);
     Py_XDECREF(up);
-    return NULL;
+    return -1;
 }
 
 /* -- the searches --------------------------------------------------------- */
@@ -393,8 +400,8 @@ forward(PyObject *self, PyObject *args)
         Py_INCREF(Py_None);
         path = Py_None;
     }
-    if ((dist = dist_list(&st, pi, bound, &raised)))
-        result = PyTuple_Pack(3, dist, path, raised);
+    if (node_lists(&st, pi, bound, stop_at_sink ? NULL : &dist, &raised) == 0)
+        result = PyTuple_Pack(3, dist ? dist : Py_None, path, raised);
 done:
     Py_XDECREF(adj);
     Py_XDECREF(dist);
@@ -464,7 +471,7 @@ reverse(PyObject *self, PyObject *args)
         }
         Py_CLEAR(adj);
     }
-    result = dist_list(&st, NULL, 0.0, NULL);
+    node_lists(&st, NULL, 0.0, &result, NULL);
 done:
     Py_XDECREF(adj);
     state_free(&st);
@@ -491,14 +498,18 @@ path_arc(PyObject *arcs, Py_ssize_t i, Py_ssize_t m, Py_ssize_t *a)
     return 0;
 }
 
+/* f[e] and cap[e] as doubles, for an e that path_arc has checked: 0, or
+ * -1 with TypeError set when either is not an exact float. */
 static int
-float_at(PyObject *list, Py_ssize_t i)
+edge_doubles(PyObject *f, PyObject *cap, Py_ssize_t e, double *fe, double *ce)
 {
-    return PyFloat_CheckExact(PyList_GET_ITEM(list, i));
+    if (as_double(PyList_GET_ITEM(f, e), fe) < 0)
+        return -1;
+    return as_double(PyList_GET_ITEM(cap, e), ce);
 }
 
 /* network.push(f, cap, arcs, amount) on a path whose arcs path_arc has
- * checked and whose f and cap items are exact floats: the number of arcs
+ * checked and whose f and cap items edge_doubles has read: the number of arcs
  * it saturates, or -1 with an exception set. A saturated forward arc
  * takes the cap item itself, as f[e] = cap[e] does. */
 static Py_ssize_t
@@ -535,87 +546,76 @@ push_path(PyObject *f, PyObject *cap, PyObject *arcs, double amount)
 
 /* One step of _Engine.augment: the amount is the smallest of headroom
  * (z - value) and the residuals over the path, f[e] backward and cap[e] -
- * f[e] forward, first one on a tie; it is pushed. Returns the amount, or
- * None, with nothing written, when an item read is not an exact float. */
+ * f[e] forward, first one on a tie; it is pushed, and returned. */
 static PyObject *
 augment(PyObject *self, PyObject *args)
 {
     PyObject *f, *cap, *arcs, *headroom;
+    double amount;
     if (!PyArg_ParseTuple(args, "O!O!O!O:augment", &PyList_Type, &f, &PyList_Type,
-                          &cap, &PyTuple_Type, &arcs, &headroom))
+                          &cap, &PyTuple_Type, &arcs, &headroom)
+        || as_double(headroom, &amount) < 0)
         return NULL;
     Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
-    int exact = PyFloat_CheckExact(headroom);
-    double amount = exact ? PyFloat_AS_DOUBLE(headroom) : 0.0;
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
         Py_ssize_t a;
-        if (path_arc(arcs, i, m, &a) < 0)
+        double fe, ce;
+        if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
             return NULL;
-        if (!exact || !float_at(f, a >> 1) || !float_at(cap, a >> 1)) {
-            exact = 0;
-            continue;
-        }
-        double fe = PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, a >> 1));
-        double r = a & 1 ? fe : PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, a >> 1)) - fe;
+        double r = a & 1 ? fe : ce - fe;
         if (r < amount)
             amount = r;
     }
-    if (!exact)
-        Py_RETURN_NONE;
     if (push_path(f, cap, arcs, amount) < 0)
         return NULL;
     return PyFloat_FromDouble(amount);
 }
 
-/* One trace-CSV row: good is 1 when an arc of the path is empty under f
- * (forward with f[e] == 0.0, backward with f[e] == cap[e]) and original[e]
- * is nonzero, tested before the push; then the push of amount, whose
- * saturated arcs are counted. Returns (n_saturated, good), or None, with
- * nothing written, when amount or an item read is not an exact float. */
+/* One step of the trace replay: good is True when an arc of the path is
+ * empty under f (forward with f[e] == 0.0, backward with f[e] == cap[e])
+ * and original[e] is nonzero, tested before the push; then the push of
+ * amount, whose saturated arcs are counted. Returns (n_saturated, good). */
 static PyObject *
 replay(PyObject *self, PyObject *args)
 {
-    PyObject *f, *cap, *arcs, *amount;
+    PyObject *f, *cap, *arcs, *x;
     const char *original;
     Py_ssize_t m;
+    double amount;
     if (!PyArg_ParseTuple(args, "O!O!y#O!O:replay", &PyList_Type, &f, &PyList_Type,
-                          &cap, &original, &m, &PyTuple_Type, &arcs, &amount))
+                          &cap, &original, &m, &PyTuple_Type, &arcs, &x)
+        || as_double(x, &amount) < 0)
         return NULL;
     m = Py_MIN(m, Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)));
-    int exact = PyFloat_CheckExact(amount), good = 0;
+    int good = 0;
     for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
         Py_ssize_t a;
-        if (path_arc(arcs, i, m, &a) < 0)
+        double fe, ce;
+        if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
             return NULL;
-        Py_ssize_t e = a >> 1;
-        if (!exact || !float_at(f, e) || !float_at(cap, e)) {
-            exact = 0;
-            continue;
-        }
-        double empty = a & 1 ? PyFloat_AS_DOUBLE(PyList_GET_ITEM(cap, e)) : 0.0;
-        if (original[e] && PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, e)) == empty)
+        if (original[a >> 1] && fe == (a & 1 ? ce : 0.0))
             good = 1;
     }
-    if (!exact)
-        Py_RETURN_NONE;
-    Py_ssize_t saturated = push_path(f, cap, arcs, PyFloat_AS_DOUBLE(amount));
+    Py_ssize_t saturated = push_path(f, cap, arcs, amount);
     if (saturated < 0)
         return NULL;
-    return Py_BuildValue("(ni)", saturated, good);
+    return Py_BuildValue("(nN)", saturated, PyBool_FromLong(good));
 }
 
 static PyMethodDef methods[] = {
     {"forward", forward, METH_VARARGS,
      "forward(out_adj, f, cap, pi, s, t, stop_at_sink, check, slack)"
-     " -> (dist, path_arcs | None, [p + min(d, bound)]); costs, f, cap and pi"
-     " hold floats"},
+     " -> (dist | None, path_arcs | None, [p + min(d, bound)]); dist is None"
+     " after a sink stop; costs, f, cap and pi hold floats"},
     {"reverse", reverse, METH_VARARGS,
      "reverse(out_adj, f, cap, pi, t, check, slack) -> dist; costs, f, cap"
      " and pi hold floats"},
     {"augment", augment, METH_VARARGS,
-     "augment(f, cap, path_arcs, headroom) -> amount | None"},
+     "augment(f, cap, path_arcs, headroom) -> amount; f, cap and headroom"
+     " hold floats"},
     {"replay", replay, METH_VARARGS,
-     "replay(f, cap, original, path_arcs, amount) -> (n_saturated, good) | None"},
+     "replay(f, cap, original, path_arcs, amount) -> (n_saturated, good); f,"
+     " cap and amount hold floats"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -50,13 +50,13 @@ from .network import (
     _exact_float64,
     empty_arcs,
     good_arcs,
-    push,
     residual_arcs,
 )
 from .solver import (
     AugmentationTrace,
     Outcome,
     _Engine,
+    _replay,
     cost_function_from_steps,
     run_ssp,
 )
@@ -82,20 +82,15 @@ _CASE_ARCS_PER_STEP = 2
 # Flow replay
 
 def replay_flows(trace: AugmentationTrace) -> tuple[Flow, ...]:
-    """Rebuild f_0 .. f_N from the recorded paths and amounts.
-
-    Pushes with the solver's own exact-saturation rule (network.push),
-    so the result is bit-identical to flows retained at solve time.
+    """f_0 .. f_N: the flows retained at solve time, or else rebuilt from
+    the recorded paths and amounts by the solver's own replay, _replay,
+    which pushes with network.push's exact-saturation rule, so they are
+    bit-identical to the retained ones.
     """
     if trace.intermediate_flows is not None:
         return trace.intermediate_flows
-    net = trace.instance.base
-    cap = [e.capacity for e in net.edges]
-    f = [0.0] * net.m
-    flows = [Flow(tuple(f), 0.0)]
-    for step in trace.steps:
-        push(f, cap, step.path_arcs, step.amount)
-        flows.append(Flow(tuple(f), step.flow_value_after))
+    flows = [Flow((0.0,) * trace.instance.m, 0.0)]
+    flows += (Flow(tuple(f), s.flow_value_after) for s, f, _, _ in _replay(trace))
     return tuple(flows)
 
 
@@ -328,18 +323,12 @@ def _beyond_rounding(x: float, c: float, y: float) -> bool:
 # Step classification
 
 def classify(trace: AugmentationTrace) -> tuple[int, ...]:
-    """Indices (from 1) of the bad steps, from replayed flows.
+    """Indices (from 1) of the bad steps, from the solver's replay.
 
     A step is good when its path has good arcs (network.good_arcs: empty
     arcs over original edges) under the flow before the step.
     """
-    net = trace.instance.base
-    cap = [e.capacity for e in net.edges]
-    return tuple(
-        step.index
-        for step, pre in zip(trace.steps, replay_flows(trace))
-        if not good_arcs(net, pre.values, cap, step.path_arcs)
-    )
+    return tuple(s.index for s, _, _, good in _replay(trace) if not good)
 
 
 # ---------------------------------------------------------------------------

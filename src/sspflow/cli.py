@@ -297,11 +297,11 @@ def cmd_reconstruct_check(args) -> int:
     max_cases = _nonnegative("--max-cases", args.max_cases)
     instance = load_instance(args.instance)
     trace = solve(instance, retain_flows=True, record_distances=False)
-    cases = harvest_reconstruction_cases(trace)[:max_cases]
+    cases = harvest_reconstruction_cases(trace)
     if not cases:
         print("no reconstructable steps harvested")
         return 0
-    results = check_reconstruction(instance, cases)
+    results = check_reconstruction(instance, cases[:max_cases])
     bad = [case for case, ok in results if not ok]
     print(f"{len(results) - len(bad)}/{len(results)} reconstructions exact")
     if bad:

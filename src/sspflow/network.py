@@ -28,13 +28,13 @@ stay meaningful predicates. residual_arcs (the arcs present under a
 flow), push (exact saturation), empty_arcs (the empty arcs of a path)
 and good_arcs (those of them on original edges) are the package's one
 implementation of these rules. The solver's flat-array engine and its
-compiled kernel (_search.c, which reads floats only and so serves only
-instances whose costs and capacities are all floats) inline the first
-as cap - f > 0 (forward) and f > 0 (backward) over the same flow and
-capacity lists. The kernel
-repeats push, and the good-arc test of trace_csv_rows, operation for
-operation on exact floats; push stays its oracle, and runs every call
-it declines.
+compiled kernel (_search.c) inline the first as cap - f > 0 (forward)
+and f > 0 (backward) over the same flow and capacity lists. The kernel
+also repeats push, and good_arcs' test in the solver's trace replay,
+operation for operation. It reads exact floats only, so the solver
+uses it only for solves and replays whose numbers are all floats
+(_native.kernel_for); push stays its oracle and runs every other one,
+in its numbers' own arithmetic.
 """
 
 from __future__ import annotations

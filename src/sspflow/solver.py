@@ -35,29 +35,26 @@ have the same float length, so the arc sequence settles them and the
 solve may take the exactly longer route. analysis.exact_check replays
 a trace in exact arithmetic and flags such a step.
 
-The two searches, forward with its potential raise and reverse, also
-exist in C, in _search.c, which computes in doubles: the engine calls
-them exactly when every cost and capacity is a float, reading its lists
-in place, and they repeat the Python loops float operation for float,
-so traces are bit-identical with or without them. _native compiles that
-file with gcc on the first engine build and caches the library in
-__pycache__; when no build is possible it logs one warning and the
-Python loops run. Every other number type (int, bool, a float subclass,
-Fraction) runs the Python loops in its own arithmetic, from its own
-zero, c - c.
-
 Augmentation runs network.push, which assigns saturated arcs exactly
 (f := u or f := 0), so emptiness predicates f == 0 and f == u remain
-exact. A step's saturated and good arcs (network.good_arcs) follow from
-replaying the paths with push; trace_csv_rows derives them.
-The reached target value equals z bit-for-bit. The same C file holds
-push's operation-for-operation twin: with the kernel loaded, augment
-does the bottleneck and the push of a step in one call, and
-trace_csv_rows tests a row's good arcs and pushes in one. It serves a
-call only when every f and cap item the path reads, and the amount, is
-an exact float; any other call (an int capacity, a numpy float64 target)
-runs network.push in those numbers' own arithmetic, so number types,
-traces and CSVs are the same either way.
+exact. The reached target value equals z bit-for-bit. A step's
+saturated and good arcs (network.good_arcs) follow from replaying the
+paths with push from the zero flow; _replay does that once per trace,
+for trace_csv_rows and for analysis.replay_flows and classify.
+
+The two searches, forward with its potential raise and reverse, and
+push also exist in C, in _search.c, which computes in doubles and
+repeats the Python loops float operation for float, so traces are
+bit-identical with or without it. One rule, _native.kernel_for, picks
+it: a solve uses it when every cost and capacity is a float, and a
+replay when every capacity and recorded amount is one. Inside those
+every number it meets is a float (the headroom z - value is computed
+as a float), so no call decides again. Every other number type (int,
+bool, a float subclass, Fraction) runs the Python loops and
+network.push in its own arithmetic, from its own zero, c - c. _native
+compiles the file with gcc on first use and caches the library in
+__pycache__; when no build is possible it logs one warning and the
+Python loops run.
 """
 
 from __future__ import annotations
@@ -150,10 +147,13 @@ class _Engine:
     augment builds the AugmentationStep record of every step, for
     run_ssp, for analysis.reference_solve, which runs this bookkeeping
     around its own path search, and for analysis.exact_check, which
-    runs the whole engine over costs scaled to ints. With the compiled
-    kernel, native.augment pushes a step whose f and cap items are
-    exact floats; other steps, and every step without the kernel, run
-    network.push.
+    runs the whole engine over costs scaled to ints.
+
+    native is the compiled kernel when _native.kernel_for grants it for
+    the costs and capacities, else None. It then runs both searches and
+    every push: f holds floats from the zero flow on, since a push
+    writes a float or a cap item, and augment computes the headroom as
+    a float.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -175,12 +175,10 @@ class _Engine:
         self.f = [0.0] * net.m
         self.value = 0.0
         self.steps: list[AugmentationStep] = []
-        # The compiled loops compute in C doubles, which hold a float
-        # exactly; every other number type keeps its own arithmetic in
-        # Python, from c - c (0.0 + Fraction is float).
-        native = {*map(type, cost), *map(type, self.cap)} <= {float}
-        self.native = _native.load() if native else None
-        self.zero = 0.0 if native else cost[0] - cost[0]
+        self.native = _native.kernel_for(cost + self.cap)
+        # Each number type keeps its own arithmetic from c - c (0.0 +
+        # Fraction is float); for floats that is 0.0.
+        self.zero = cost[0] - cost[0] if cost else 0.0
         self.pi = [self.zero] * self.n
 
     # -- shortest paths -----------------------------------------------------
@@ -188,9 +186,10 @@ class _Engine:
     def dijkstra_forward(self, stop_at_sink: bool):
         """Reduced distances and the sink's path from the source; raises pi.
 
-        Returns (dist, arcs): distances indexed by dense node index and
-        the arc sequence of the sink's path (None when the sink is
-        unreachable). Let bound be the distance of the last node settled.
+        Returns (dist, arcs): distances indexed by dense node index, or
+        None after a sink stop, whose distances nothing reads, and the arc
+        sequence of the sink's path (None when the sink is unreachable).
+        Let bound be the distance of the last node settled.
         With stop_at_sink the search ends when the sink is settled, whose
         label is then final, and bound is dist[sink]; nodes left
         unsettled keep tentative distances of at least bound. Otherwise
@@ -282,7 +281,7 @@ class _Engine:
                 v = pred[v]
             arcs = tuple(reversed(back))
         self.pi = [p + (d if d < bound else bound) for p, d in zip(pi, dist)]
-        return dist, arcs
+        return (None if stop_at_sink else dist), arcs
 
     def dijkstra_reverse(self):
         """Reduced distances to the sink (reverse graph, no tie-break)."""
@@ -342,16 +341,16 @@ class _Engine:
         """Push the bottleneck amount along arcs, whose raw cost sum is
         length, and append the step's record to steps.
 
-        With the compiled kernel, native.augment does the bottleneck and
-        the push in one call when every number it reads is an exact float;
-        it returns None, having written nothing, otherwise.
+        The headroom float(z) - value is a float whatever z is (int - float
+        and Fraction - float round to one too), so a numpy float64 target
+        keeps the kernel's numbers floats. With the kernel, native.augment
+        does the bottleneck and the push in one call.
         """
         f, cap = self.f, self.cap
-        headroom = z - self.value
-        amount = None
+        headroom = float(z) - self.value
         if self.native is not None:
             amount = self.native.augment(f, cap, arcs, headroom)
-        if amount is None:
+        else:
             amount = headroom
             for a in arcs:
                 r = f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]
@@ -541,27 +540,39 @@ TRACE_CSV_HEADER = "iter,length,amount,value_after,n_saturated,good_arc"
 COSTFN_CSV_HEADER = "x,y,slope_right"
 
 
-def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
-    """One row per step; n_saturated and good_arc (network.good_arcs) come
-    from pushing the steps again from the zero flow, as the solve did.
+def _replay(trace: AugmentationTrace):
+    """Push the trace's steps again from the zero flow, as the solve did.
 
-    With the compiled kernel, native.replay tests the good arcs and
-    pushes in one call when the step's numbers are exact floats, and
-    returns None, having written nothing, otherwise."""
+    Yields (step, f, n_saturated, good) per step: f is the flow list
+    after the step's push, updated in place, n_saturated the number of
+    arcs the push saturated, and good whether the path had good arcs
+    (network.good_arcs) under the flow before it. With the compiled
+    kernel, which _native.kernel_for grants when every capacity and
+    amount is a float, native.replay does the test and the push of a
+    step in one call; otherwise network.push runs in the numbers' own
+    arithmetic (an int capacity enters f as an int).
+    """
     net = trace.instance.base
     cap = [e.capacity for e in net.edges]
     f = [0.0] * net.m
-    original = bytes(map(net.is_original, range(net.m)))
-    native = _native.load()
-    rows = [TRACE_CSV_HEADER]
+    native = _native.kernel_for(cap + [s.amount for s in trace.steps])
+    if native is not None:
+        original = bytes(map(net.is_original, range(net.m)))
+        for s in trace.steps:
+            yield (s, f, *native.replay(f, cap, original, s.path_arcs, s.amount))
+        return
     for s in trace.steps:
-        row = native.replay(f, cap, original, s.path_arcs, s.amount) if native else None
-        if row is None:
-            good = int(bool(good_arcs(net, f, cap, s.path_arcs)))
-            row = len(push(f, cap, s.path_arcs, s.amount)), good
+        good = bool(good_arcs(net, f, cap, s.path_arcs))
+        yield s, f, len(push(f, cap, s.path_arcs, s.amount)), good
+
+
+def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
+    """One row per step; n_saturated and good_arc come from _replay."""
+    rows = [TRACE_CSV_HEADER]
+    for s, _, n_saturated, good in _replay(trace):
         rows.append(
             f"{s.index},{s.length!r},{s.amount!r},{s.flow_value_after!r},"
-            f"{row[0]},{row[1]}"
+            f"{n_saturated},{good:d}"
         )
     return rows
 

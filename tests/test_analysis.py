@@ -814,8 +814,13 @@ class TestExactCheck:
                 assert eng.native is None
                 for _ in range(4):
                     dist, arcs = eng.dijkstra_forward(stop_at_sink)
-                    labels = [d for d in (*dist, *eng.dijkstra_reverse()) if d != math.inf]
-                    assert len(labels) > eng.n
+                    # a sink-stop search returns no distances; its labels
+                    # show their type in the raised pi
+                    assert (dist is None) is stop_at_sink
+                    labels = [
+                        d for d in (*(dist or ()), *eng.dijkstra_reverse()) if d != math.inf
+                    ]
+                    assert len(labels) > (0 if stop_at_sink else eng.n)
                     for x in (*labels, *eng.pi):
                         assert type(x) is number, (stop_at_sink, x)
                     eng.augment(arcs, eng.path_length(arcs), inst.z)

@@ -289,6 +289,13 @@ def test_reconstruct_check(instance_file, capsys):
     assert "reconstructions exact" in out
 
 
+def test_reconstruct_check_of_no_cases(instance_file, capsys):
+    # steps were harvested, and none asked for: nothing to check, and
+    # nothing wrong
+    assert main(["reconstruct-check", instance_file, "--max-cases", "0"]) == 0
+    assert capsys.readouterr().out == "0/0 reconstructions exact\n"
+
+
 def test_reconstruct_check_at_large_lengths(tmp_path, capsys):
     # the path is 2^24 + 0.5 long: its top threshold must still fall
     # below that length, which hi - 1e-9 rounds back to

@@ -1,5 +1,6 @@
 import logging
 import math
+import operator
 import random
 import shutil
 import subprocess
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 from sspflow import Edge, FlowNetwork, run_ssp, transform
-from sspflow import _native
+from sspflow import _native, solver
 from sspflow.network import empty_arcs, push
-from sspflow.solver import _Engine, _check_reduced_cost
+from sspflow.solver import _Engine, _check_reduced_cost, trace_csv_rows
 
 from conftest import random_instance, two_path_network
 
@@ -143,14 +144,18 @@ def kernel_calls():
 
 def call_rejects(error, name, changes):
     """Call the kernel's name with kernel_calls()[name], changed at the
-    given positions; it must raise error and write nothing."""
+    given positions; it must raise error and write nothing: every list
+    keeps the very items it held."""
     args = list(kernel_calls()[name])
     for i, x in changes.items():
         args[i] = x
     before = repr(args)
+    items = [list(x) if isinstance(x, list) else None for x in args]
     with pytest.raises(error):
         getattr(_native.load(), name)(*args)
     assert repr(args) == before
+    for got, want in zip(args, items):
+        assert want is None or all(map(operator.is_, got, want))
 
 
 BAD_PUSH_CALLS = [
@@ -170,6 +175,19 @@ BAD_PUSH_CALLS = [
     (TypeError, "replay", {1: np.array([2.0, 3.0])}),
     (TypeError, "replay", {2: "\1\1"}),
     (TypeError, "replay", {2: [1, 1]}),
+    # a number that is not an exact float, on the path's last edge or as
+    # the amount: an int, a float subclass, numpy's float64. No caller
+    # passes one (_native.kernel_for), so this is memory safety
+    (TypeError, "augment", {0: [2.0, 0]}),
+    (TypeError, "augment", {1: [2.0, np.float64(3.0)]}),
+    (TypeError, "augment", {3: 5}),
+    (TypeError, "replay", {0: [2, 0.0]}),
+    (TypeError, "replay", {1: [np.float64(2.0), 3.0]}),
+    (TypeError, "replay", {4: 1}),
+    (TypeError, "augment", {0: [2.0, _Float(0.0)]}),
+    (TypeError, "augment", {3: np.float64(5.0)}),
+    (TypeError, "replay", {1: [2.0, _Float(3.0)]}),
+    (TypeError, "replay", {4: np.float64(1.0)}),
 ]
 
 
@@ -199,6 +217,14 @@ BAD_SEARCH_CALLS = [
     (TypeError, "forward", {1: [2.0, 0]}),
     (TypeError, "reverse", {2: [2.0, 3]}),
     (TypeError, "forward", {3: [0.0, 0, 0.0]}),
+    # a float subclass item, numpy's float64 included, in f, cap, pi or
+    # a cost
+    (TypeError, "forward", {1: [2.0, np.float64(0.0)]}),
+    (TypeError, "reverse", {2: [_Float(2.0), 3.0]}),
+    (TypeError, "forward", {3: [0.0, np.float64(0.0), 0.0]}),
+    (TypeError, "reverse", {3: [0.0, _Float(0.0), 0.0]}),
+    (TypeError, "forward", {0: [[(0, 1, 0.0)], [(1, 0, np.float64(-0.0)), (2, 2, 0.0)],
+                                [(3, 1, -0.0)]]}),
 ]
 
 
@@ -209,25 +235,28 @@ def test_search_entry_points_reject_bad_input(error, name, changes):
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
-@pytest.mark.parametrize("name, i, j", [
-    ("augment", 0, 1), ("augment", 1, 1), ("augment", 3, None),
-    ("replay", 0, 0), ("replay", 1, 0), ("replay", 4, None),
-])
-def test_push_entry_points_fall_back_on_other_numbers(name, i, j):
-    # network.push keeps other number types' own arithmetic: an int or a
-    # float subclass the path reads, or as the amount, is left to it,
-    # and nothing is written
-    args = list(kernel_calls()[name])
-    if j is None:
-        args[i] = int(args[i])
-    else:
-        args[i][j] = np.float64(args[i][j]) if i else int(args[i][j])
-    items = [list(x) if isinstance(x, list) else x for x in args]
-    assert getattr(_native.load(), name)(*args) is None
-    assert all(
-        y is x for got, want in zip(args, items) if isinstance(want, list)
-        for x, y in zip(want, got)
-    )
+def test_numpy_target_runs_on_the_kernel(monkeypatch):
+    # the headroom float(z) - value is a float, so a numpy float64 target
+    # gives the float target's steps, in floats, and the kernel serves
+    # every push of the solve and of its replay
+    pushes = []
+    monkeypatch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+    binding = 0
+    for seed in range(20):
+        inst = random_instance(seed, capacities="real")
+        z = 0.6 * inst.z
+        want = run_ssp(inst, z=z)
+        got = run_ssp(inst, z=np.float64(z))
+        assert _Engine(inst).native is not None
+        assert [(s.path_arcs, repr(s.length), repr(s.amount)) for s in got.steps] == [
+            (s.path_arcs, repr(s.length), repr(s.amount)) for s in want.steps
+        ]
+        assert got.final_flow == want.final_flow and got.outcome is want.outcome
+        assert all(type(x) is float for x in got.final_flow.values)
+        assert len(trace_csv_rows(got)) == len(got.steps) + 1
+        binding += got.final_flow.value == z
+    assert not pushes
+    assert binding > 10  # the target cuts the last step's amount
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")

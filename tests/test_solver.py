@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sspflow import (
     perturbed_integer,
     random_topology,
     reference_solve,
+    replay_flows,
     run_ssp,
     sample_costs,
     solve,
@@ -38,9 +41,9 @@ from sspflow.solver import (
 )
 
 from sspflow import _native, solver
-from sspflow.network import check_feasible, empty_arcs, push, residual_arcs
+from sspflow.network import Flow, check_feasible, empty_arcs, good_arcs, push, residual_arcs
 
-from conftest import random_instance, single_edge_network, uniform_instance
+from conftest import random_instance, single_edge_network, two_path_network, uniform_instance
 
 
 @pytest.fixture
@@ -319,10 +322,15 @@ class TestPotentialUpdate:
             inst = random_instance(seed, n=10, m=30, capacities=capacities)
             eng = _Engine(inst)
             while eng.value < inst.z:
-                dist, arcs = eng.dijkstra_forward(True)
-                if dist[eng.t] == math.inf:
-                    break
+                # a full search on a shallow copy, which reassigns only
+                # the copy's pi, finds the nodes a sink stop leaves
+                # unsettled: those farther than the sink
+                dist, _ = copy.copy(eng).dijkstra_forward(False)
                 cut_short += any(d > dist[eng.t] for d in dist)
+                stopped, arcs = eng.dijkstra_forward(True)
+                assert stopped is None
+                if arcs is None:
+                    break
                 eng.augment(arcs, eng.path_length(arcs), inst.z)
                 pi = dict(zip(eng.ids, eng.pi))
                 for a, u, v, c in residual_arcs(inst.base, eng.f):
@@ -434,6 +442,28 @@ class TestCsv:
             "4,1.0,1.0,4.0,4,0",
         ]
         assert classify(trace) == (4,)
+
+    def test_trace_csv_int_capacities(self, monkeypatch):
+        # int capacities are not floats, so the replay runs network.push,
+        # once per row, and a saturated forward arc takes its int capacity
+        net = two_path_network()
+        edges = [Edge(e.tail, e.head, int(e.capacity), e.cost) for e in net.edges]
+        trace = solve(transform(FlowNetwork(edges, dict(net.balance))))
+        pushes = []
+        monkeypatch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+        assert trace_csv_rows(trace) == [
+            TRACE_CSV_HEADER,
+            "1,0.30000000000000004,2.0,2.0,2,1",
+            "2,0.7,3.0,5.0,4,1",
+        ]
+        assert len(pushes) == 2
+        assert repr(replay_flows(replace(trace, intermediate_flows=None))) == (
+            "(Flow(values=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), value=0.0), "
+            "Flow(values=(2, 2, 0.0, 0.0, 2.0, 2.0), value=2.0), "
+            "Flow(values=(2, 2, 3, 3, 5.0, 5.0), value=5.0))"
+        )
+        assert classify(trace) == ()
+        assert len(pushes) == 6
 
     def test_costfn_csv_shape(self, profile_network):
         rows = cost_function_csv_rows(cost_function(transform(profile_network)))
@@ -660,7 +690,9 @@ class TestReducedCostTolerance:
         eng.pi[v] = c + 5.0
         dist, arcs = eng.dijkstra_forward(True)
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
-        assert dist[v] == 0.0 and arcs is not None
+        # a sink stop returns no distances: pi[v] rose by min(dist[v],
+        # bound), which is the clamped 0.0 (-5.0 would lower it)
+        assert dist is None and eng.pi[v] == c + 5.0 and arcs is not None
         calls.clear()
         eng = _Engine(transform(single_edge_network()))
         b, u, c = eng.out_adj[eng.t][0]  # the reverse search reads it backward
@@ -798,3 +830,54 @@ def test_backends_agree_in_lockstep(monkeypatch):
         for stop_at_sink in (True, False):
             want = engine_trail(inst, stop_at_sink, native=False)
             assert engine_trail(inst, stop_at_sink, native=True) == want
+
+
+def replay_oracle(trace):
+    """The flows f_0 .. f_N and the bad steps, by network.push and
+    network.good_arcs over each step in turn, in the trace's numbers."""
+    net = trace.instance.base
+    cap = [e.capacity for e in net.edges]
+    f = [0.0] * net.m
+    flows = [Flow(tuple(f), 0.0)]
+    bad = []
+    for step in trace.steps:
+        if not good_arcs(net, f, cap, step.path_arcs):
+            bad.append(step.index)
+        push(f, cap, step.path_arcs, step.amount)
+        flows.append(Flow(tuple(f), step.flow_value_after))
+    return repr(tuple(flows)), tuple(bad)
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
+def test_replay_flows_and_classify_match_the_step_loop(monkeypatch, native):
+    # replay_flows and classify read one replay walk: with the kernel it
+    # serves every step, and either way the flows and the bad steps are
+    # those of pushing each step in turn
+    if native and _native.load() is None:
+        pytest.skip("the compiled search kernel is unavailable")
+    if not native:
+        monkeypatch.setattr(_native, "load", lambda: None)
+    pushes = []
+    monkeypatch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+    for inst in lockstep_instances():
+        kept = run_ssp(inst, retain_flows=True, record_distances=False)
+        trace = replace(kept, intermediate_flows=None)
+        flows, bad = replay_oracle(trace)
+        assert repr(kept.intermediate_flows) == flows
+        assert replay_flows(kept) is kept.intermediate_flows
+        assert repr(replay_flows(trace)) == flows
+        assert classify(trace) == classify(kept) == bad
+    assert bool(pushes) is not native
+
+
+def test_replay_of_other_amounts_runs_network_push(monkeypatch):
+    # the replay's kernel rule reads the recorded amounts too: a Fraction
+    # amount keeps its own exact comparisons, over float capacities
+    kept = run_ssp(random_instance(0, capacities="real"), record_distances=False)
+    trace = replace(kept, steps=tuple(replace(s, amount=Fraction(s.amount)) for s in kept.steps))
+    pushes = []
+    monkeypatch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+    flows, bad = replay_oracle(trace)
+    assert repr(replay_flows(trace)) == flows
+    assert classify(trace) == bad
+    assert len(pushes) == 2 * len(trace.steps) > 0
