@@ -99,9 +99,6 @@ def integers(seed: int, tag: int, stop: int, c: int) -> list[int]:
     """
     if c < 1:
         raise ValueError(f"integer bound must be >= 1, got {c}")
-    if c == 1:
-        _check_seed(seed)
-        return [1] * stop
     if c >= 1 << 32:
         redo = range(stop)
         values = [0] * stop

@@ -1,14 +1,15 @@
 /* Compiled inner loops of sspflow.solver._Engine: the two Dijkstra
- * searches and the exact-saturation push.
+ * searches and the push step with its exact-saturation push.
  *
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
  * clamp, the same comparisons, so the settle order, the distances and the
- * chosen paths are bit-identical. The engine's lists are read in place
- * through the C API; nothing is converted. Every number a function reads
- * must be an exact float, which a double holds exactly; anything else (an
- * int, a float subclass such as numpy's float64) raises TypeError before
- * anything is written, so nothing is ever rounded. The callers choose the
+ * chosen paths are bit-identical. The lists (the instance's arrays, which
+ * stay read-only, and the engine's f and pi) are read in place through the
+ * C API; nothing is converted. Every number a function reads must be an
+ * exact float, which a double holds exactly; anything else (an int, a
+ * float subclass such as numpy's float64) raises TypeError before anything
+ * is written, so nothing is ever rounded. The callers choose the
  * kernel once, by sspflow._native.kernel_for: _Engine when every cost and
  * capacity is a float, the trace replay when every capacity and recorded
  * amount is, so the check is memory safety, not a decision.
@@ -28,10 +29,11 @@
  * cap[e] - f[e] > 0.0 (forward) or f[e] > 0.0 (backward).
  *
  * push_path is network.push operation for operation, which stays its
- * oracle. It serves augment (bottleneck and push of one engine step) and
- * replay (one step of the trace replay: the good-arc test before the
- * push, then the push), which read every f and cap item of the path, and
- * the amount, before they write anything.
+ * oracle. It serves push_step, the one push step of both a solve and the
+ * trace replay: the bottleneck under a limit and the good-arc test, under
+ * the flow before the push, then the push. It reads every f and cap item
+ * of the path, the mask and the limit before it writes anything, and it
+ * writes nothing but f.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -544,47 +546,24 @@ push_path(PyObject *f, PyObject *cap, PyObject *arcs, double amount)
     return saturated;
 }
 
-/* One step of _Engine.augment: the amount is the smallest of headroom
- * (z - value) and the residuals over the path, f[e] backward and cap[e] -
- * f[e] forward, first one on a tie; it is pushed, and returned. */
+/* One push step, of a solve (_Engine.augment, with its headroom z - value
+ * as limit) or of the trace replay (with the recorded amount as limit);
+ * solver._push_step is its Python mirror. The amount is the smallest of
+ * limit and the residuals over the path, f[e] backward and cap[e] - f[e]
+ * forward, first one on a tie. good is 1 when an arc of the path is empty
+ * under f before the push (forward with f[e] == 0.0, backward with f[e] ==
+ * cap[e]) and original[e] is nonzero. Then the amount is pushed. Returns
+ * (amount, n_saturated, good). */
 static PyObject *
-augment(PyObject *self, PyObject *args)
+push_step(PyObject *self, PyObject *args)
 {
-    PyObject *f, *cap, *arcs, *headroom;
-    double amount;
-    if (!PyArg_ParseTuple(args, "O!O!O!O:augment", &PyList_Type, &f, &PyList_Type,
-                          &cap, &PyTuple_Type, &arcs, &headroom)
-        || as_double(headroom, &amount) < 0)
-        return NULL;
-    Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
-        Py_ssize_t a;
-        double fe, ce;
-        if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
-            return NULL;
-        double r = a & 1 ? fe : ce - fe;
-        if (r < amount)
-            amount = r;
-    }
-    if (push_path(f, cap, arcs, amount) < 0)
-        return NULL;
-    return PyFloat_FromDouble(amount);
-}
-
-/* One step of the trace replay: good is True when an arc of the path is
- * empty under f (forward with f[e] == 0.0, backward with f[e] == cap[e])
- * and original[e] is nonzero, tested before the push; then the push of
- * amount, whose saturated arcs are counted. Returns (n_saturated, good). */
-static PyObject *
-replay(PyObject *self, PyObject *args)
-{
-    PyObject *f, *cap, *arcs, *x;
+    PyObject *f, *cap, *arcs, *limit;
     const char *original;
     Py_ssize_t m;
     double amount;
-    if (!PyArg_ParseTuple(args, "O!O!y#O!O:replay", &PyList_Type, &f, &PyList_Type,
-                          &cap, &original, &m, &PyTuple_Type, &arcs, &x)
-        || as_double(x, &amount) < 0)
+    if (!PyArg_ParseTuple(args, "O!O!y#O!O:push_step", &PyList_Type, &f, &PyList_Type,
+                          &cap, &original, &m, &PyTuple_Type, &arcs, &limit)
+        || as_double(limit, &amount) < 0)
         return NULL;
     m = Py_MIN(m, Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)));
     int good = 0;
@@ -593,13 +572,16 @@ replay(PyObject *self, PyObject *args)
         double fe, ce;
         if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
             return NULL;
+        double r = a & 1 ? fe : ce - fe;
+        if (r < amount)
+            amount = r;
         if (original[a >> 1] && fe == (a & 1 ? ce : 0.0))
             good = 1;
     }
     Py_ssize_t saturated = push_path(f, cap, arcs, amount);
     if (saturated < 0)
         return NULL;
-    return Py_BuildValue("(nN)", saturated, PyBool_FromLong(good));
+    return Py_BuildValue("(dnN)", amount, saturated, PyBool_FromLong(good));
 }
 
 static PyMethodDef methods[] = {
@@ -610,12 +592,9 @@ static PyMethodDef methods[] = {
     {"reverse", reverse, METH_VARARGS,
      "reverse(out_adj, f, cap, pi, t, check, slack) -> dist; costs, f, cap"
      " and pi hold floats"},
-    {"augment", augment, METH_VARARGS,
-     "augment(f, cap, path_arcs, headroom) -> amount; f, cap and headroom"
-     " hold floats"},
-    {"replay", replay, METH_VARARGS,
-     "replay(f, cap, original, path_arcs, amount) -> (n_saturated, good); f,"
-     " cap and amount hold floats"},
+    {"push_step", push_step, METH_VARARGS,
+     "push_step(f, cap, original, path_arcs, limit) -> (amount, n_saturated,"
+     " good); f, cap and limit hold floats"},
     {NULL, NULL, 0, NULL},
 };
 

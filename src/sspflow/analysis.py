@@ -85,7 +85,8 @@ def replay_flows(trace: AugmentationTrace) -> tuple[Flow, ...]:
     """f_0 .. f_N: the flows retained at solve time, or else rebuilt from
     the recorded paths and amounts by the solver's own replay, _replay,
     which pushes with network.push's exact-saturation rule, so they are
-    bit-identical to the retained ones.
+    bit-identical to the retained ones. A recorded amount that its path
+    cannot carry raises InternalInvariantError.
     """
     if trace.intermediate_flows is not None:
         return trace.intermediate_flows
@@ -443,7 +444,7 @@ def _check_empty_arc_on_path(trace, flows) -> LemmaCheck:
     exact tie in path length, which the paper's noise rules out with
     probability 1, can fail it on an optimal solve (TestCsv's bad step)."""
     cid = "empty_arc_on_path"
-    cap = [e.capacity for e in trace.instance.base.edges]
+    cap = trace.instance._arrays.cap
     for j, step in enumerate(trace.steps):
         if not empty_arcs(flows[j].values, cap, step.path_arcs):
             return LemmaCheck(cid, False, step.index, "no empty arc on path")
@@ -632,7 +633,7 @@ def harvest_reconstruction_cases(
     """
     flows = replay_flows(trace)
     net = trace.instance.base
-    cap = [e.capacity for e in net.edges]
+    cap = trace.instance._arrays.cap
     cases = []
     for j, step in enumerate(trace.steps):
         lo = trace.steps[j - 1].length if j > 0 else 0.0

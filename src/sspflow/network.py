@@ -29,12 +29,18 @@ flow), push (exact saturation), empty_arcs (the empty arcs of a path)
 and good_arcs (those of them on original edges) are the package's one
 implementation of these rules. The solver's flat-array engine and its
 compiled kernel (_search.c) inline the first as cap - f > 0 (forward)
-and f > 0 (backward) over the same flow and capacity lists. The kernel
-also repeats push, and good_arcs' test in the solver's trace replay,
-operation for operation. It reads exact floats only, so the solver
-uses it only for solves and replays whose numbers are all floats
-(_native.kernel_for); push stays its oracle and runs every other one,
-in its numbers' own arithmetic.
+and f > 0 (backward) over the same flow and capacity lists. Its one
+push step, which serves every solve and trace replay, tests good arcs
+by empty_arcs and the original-edge mask, and the kernel repeats that
+test and push operation for operation. The kernel reads exact floats
+only, so the solver uses it only for solves and replays whose numbers
+are all floats (_native.kernel_for); push stays its oracle and runs
+every other one, in its numbers' own arithmetic.
+
+TransformedNetwork._arrays holds an instance's edges as dense-index
+lists (_Arrays), built once per instance: the engine, the kernel, the
+trace replay, the lemma checks' capacities and the certificate's numpy
+columns (_columns) all read them, and none writes to them.
 """
 
 from __future__ import annotations
@@ -273,20 +279,66 @@ class TransformedNetwork:
         return self.base.m
 
     @cached_property
+    def _arrays(self) -> _Arrays:
+        """base's edges in dense-index lists (see _Arrays), built on
+        first use."""
+        net = self.base
+        edges = net.edges
+        idx = {v: i for i, v in enumerate(net.nodes)}
+        tail = [idx[e.tail] for e in edges]
+        head = [idx[e.head] for e in edges]
+        cost = [e.cost for e in edges]
+        out_adj: list[list[tuple]] = [[] for _ in net.nodes]
+        for e, (u, v, c) in enumerate(zip(tail, head, cost)):
+            out_adj[u].append((2 * e, v, c))
+            out_adj[v].append((2 * e + 1, u, -c))
+        return _Arrays(
+            net.nodes, idx[self.source], idx[self.sink], tail, head, cost,
+            [e.capacity for e in edges], bytes([e.kind == ORIGINAL for e in edges]),
+            out_adj, [x for c in cost for x in (c, -c)],
+        )
+
+    @cached_property
     def _columns(self) -> tuple[np.ndarray, ...] | None:
-        """(tail, head, cost, capacity) of base's edges as arrays, tails
-        and heads as indices into base.nodes, the rest float64; built on
-        first use. None unless _exact_float64 takes every cost and
-        capacity."""
-        edges = self.base.edges
-        cost = _exact_float64([e.cost for e in edges])
-        cap = _exact_float64([e.capacity for e in edges])
+        """(tail, head, cost, capacity) of _arrays as numpy arrays, tails
+        and heads as intp, the rest float64; built on first use. None
+        unless _exact_float64 takes every cost and capacity."""
+        arrays = self._arrays
+        cost = _exact_float64(arrays.cost)
+        cap = _exact_float64(arrays.cap)
         if cost is None or cap is None:
             return None
-        idx = {v: i for i, v in enumerate(self.base.nodes)}
-        tail = np.array([idx[e.tail] for e in edges], dtype=np.intp)
-        head = np.array([idx[e.head] for e in edges], dtype=np.intp)
+        tail = np.array(arrays.tail, dtype=np.intp)
+        head = np.array(arrays.head, dtype=np.intp)
         return tail, head, cost, cap
+
+
+@dataclass(frozen=True, slots=True)
+class _Arrays:
+    """A TransformedNetwork's edges by dense index, the layout that the
+    solver's engine, its compiled kernel, the trace replay and the
+    certificate's columns read. Nodes are indices into nodes (base.nodes)
+    and edges indices into base.edges; costs and capacities keep their
+    own number types.
+
+    Read-only by contract: every solve and replay of the instance shares
+    these lists, and neither network.push nor the kernel's push writes
+    anything but the flow list it is given.
+    """
+
+    nodes: tuple[int, ...]
+    s: int  # the source's index
+    t: int  # the sink's index
+    tail: list[int]  # by edge
+    head: list[int]
+    cost: list
+    cap: list
+    original: bytes  # 1 at each original edge, 0 at each auxiliary one
+    # out_adj[u] lists (arc, the node it enters, signed cost) for every
+    # potential residual arc leaving u, in edge order: arc 2e along edge e,
+    # 2e + 1 against it
+    out_adj: list[list[tuple]]
+    signed_cost: list  # by arc: c for 2e, -c for 2e + 1
 
 
 def _exact_float64(values: Sequence) -> np.ndarray | None:

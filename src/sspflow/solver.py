@@ -35,26 +35,33 @@ have the same float length, so the arc sequence settles them and the
 solve may take the exactly longer route. analysis.exact_check replays
 a trace in exact arithmetic and flags such a step.
 
-Augmentation runs network.push, which assigns saturated arcs exactly
-(f := u or f := 0), so emptiness predicates f == 0 and f == u remain
-exact. The reached target value equals z bit-for-bit. A step's
-saturated and good arcs (network.good_arcs) follow from replaying the
-paths with push from the zero flow; _replay does that once per trace,
-for trace_csv_rows and for analysis.replay_flows and classify.
+Every augmentation, and every step of a trace's replay, is one push
+step (_push_step, or the kernel's push_step): the bottleneck under a
+limit, the good-arc test (network.good_arcs' rule) under the flow
+before the push, then network.push, which assigns saturated arcs
+exactly (f := u or f := 0), so emptiness predicates f == 0 and f == u
+remain exact. A solve's limit is its headroom, and the reached target
+value equals z (a float subclass or numpy float as its float). A step's
+saturated and good arcs follow from replaying the paths from the zero
+flow, with each recorded amount as the limit; _replay does that once
+per trace, for trace_csv_rows and for analysis.replay_flows and
+classify, and raises on a recorded amount that the path cannot carry.
 
-The two searches, forward with its potential raise and reverse, and
-push also exist in C, in _search.c, which computes in doubles and
-repeats the Python loops float operation for float, so traces are
-bit-identical with or without it. One rule, _native.kernel_for, picks
-it: a solve uses it when every cost and capacity is a float, and a
-replay when every capacity and recorded amount is one. Inside those
-every number it meets is a float (the headroom z - value is computed
-as a float), so no call decides again. Every other number type (int,
-bool, a float subclass, Fraction) runs the Python loops and
-network.push in its own arithmetic, from its own zero, c - c. _native
-compiles the file with gcc on first use and caches the library in
-__pycache__; when no build is possible it logs one warning and the
-Python loops run.
+The searches and the push step read the instance's _arrays (network
+_Arrays), built once per instance and shared, read-only, by every
+solve and replay of it. The two searches, forward with its potential
+raise and reverse, and the push step also exist in C, in _search.c,
+which computes in doubles and repeats the Python loops float operation
+for float, so traces are bit-identical with or without it. One rule,
+_native.kernel_for, picks it: a solve uses it when every cost and
+capacity is a float, and a replay when every capacity and recorded
+amount is one. Inside those every number it meets is a float (the
+headroom z - value is computed as a float), so no call decides again.
+Every other number type (int, bool, a float subclass, Fraction) runs
+the Python loops and network.push in its own arithmetic, from its own
+zero, c - c. _native compiles the file with gcc on first use and caches
+the library in __pycache__; when no build is possible it logs one
+warning and the Python loops run.
 """
 
 from __future__ import annotations
@@ -63,11 +70,12 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 from . import _native
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import Flow, TransformedNetwork, good_arcs, push
+from .network import Flow, TransformedNetwork, empty_arcs, push
 
 INF = math.inf
 
@@ -126,17 +134,23 @@ class AugmentationTrace:
 class _Engine:
     """Mutable solver state over one transformed instance, in flat lists.
 
-    Nodes are dense indices 0..n-1. Built once per solve:
+    Nodes are dense indices 0..n-1. The instance's _arrays (network
+    _Arrays, built once per instance and shared by every solve and
+    replay of it, read-only) give the layout:
 
     * out_adj[u] lists (arc, head, signed cost) for every potential
       residual arc leaving u, in edge order. Presence is re-checked at
       relax time. The reverse search reads the same lists: an entry
       (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c.
-    * f and cap, by edge, are the only residual state: arc a over edge
-      e = a >> 1 is absent when cap[e] - f[e] <= 0.0 (forward) or
-      f[e] <= 0.0 (backward), network.residual_arcs' rule with cap - f
-      rounded (f < cap differs only for int capacities past 2^53). Both
-      Dijkstra loops and augment's bottleneck test it inline.
+    * f, by edge, and the capacities cap are the only residual state:
+      arc a over edge e = a >> 1 is absent when cap[e] - f[e] <= 0.0
+      (forward) or f[e] <= 0.0 (backward), network.residual_arcs' rule
+      with cap - f rounded (f < cap differs only for int capacities past
+      2^53). Both Dijkstra loops and the push step's bottleneck test it
+      inline.
+
+    Besides its reference to them, arrays, the engine holds per-solve
+    state only: f, pi, value, steps, zero and native.
 
     Reduced costs (c + pi[u]) - pi[v] are inlined into both loops with
     the same float operations, slack check and clamp everywhere. The
@@ -151,35 +165,22 @@ class _Engine:
 
     native is the compiled kernel when _native.kernel_for grants it for
     the costs and capacities, else None. It then runs both searches and
-    every push: f holds floats from the zero flow on, since a push
+    every push step: f holds floats from the zero flow on, since a push
     writes a float or a cap item, and augment computes the headroom as
     a float.
     """
 
     def __init__(self, instance: TransformedNetwork):
-        net = instance.base
-        self.ids = net.nodes
-        idx = {v: i for i, v in enumerate(net.nodes)}
-        self.n = len(net.nodes)
-        tail = [idx[e.tail] for e in net.edges]
-        head = [idx[e.head] for e in net.edges]
-        cost = [e.cost for e in net.edges]
-        self.cap = [e.capacity for e in net.edges]
-        self.s = idx[instance.source]
-        self.t = idx[instance.sink]
-        self.out_adj: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
-        for e, (u, v, c) in enumerate(zip(tail, head, cost)):
-            self.out_adj[u].append((2 * e, v, c))
-            self.out_adj[v].append((2 * e + 1, u, -c))
-        self.signed_cost = [x for c in cost for x in (c, -c)]
-        self.f = [0.0] * net.m
+        self.arrays = arrays = instance._arrays
+        cost = arrays.cost
+        self.f = [0.0] * len(cost)
         self.value = 0.0
         self.steps: list[AugmentationStep] = []
-        self.native = _native.kernel_for(cost + self.cap)
+        self.native = _native.kernel_for(cost + arrays.cap)
         # Each number type keeps its own arithmetic from c - c (0.0 +
         # Fraction is float); for floats that is 0.0.
         self.zero = cost[0] - cost[0] if cost else 0.0
-        self.pi = [self.zero] * self.n
+        self.pi = [self.zero] * len(arrays.nodes)
 
     # -- shortest paths -----------------------------------------------------
 
@@ -219,23 +220,23 @@ class _Engine:
 
         With the compiled kernel, native.forward runs the same search.
         """
+        arrays = self.arrays
+        f, cap, out_adj = self.f, arrays.cap, arrays.out_adj
+        s, t = arrays.s, arrays.t
         if self.native is not None:
             dist, arcs, self.pi = self.native.forward(
-                self.out_adj, self.f, self.cap, self.pi, self.s, self.t, stop_at_sink,
+                out_adj, f, cap, self.pi, s, t, stop_at_sink,
                 _check_reduced_cost, REDUCED_COST_SLACK,
             )
             return dist, arcs
-        n = self.n
+        n = len(arrays.nodes)
         pi = self.pi
-        f, cap = self.f, self.cap
-        out_adj = self.out_adj
         dist = [INF] * n
         hops = [0] * n
         pred = [-1] * n
         parc = [-1] * n
         done = [False] * n
-        s = self.s
-        stop = self.t if stop_at_sink else -1
+        stop = t if stop_at_sink else -1
         dist[s] = bound = self.zero
         heap: list = [(bound, 0, s)]
         while heap:
@@ -273,7 +274,7 @@ class _Engine:
                 parc[v] = a
                 heappush(heap, (cand, hv, v))
         arcs = None
-        v = self.t
+        v = t
         if dist[v] < INF:
             back = []
             while v != s:
@@ -285,18 +286,18 @@ class _Engine:
 
     def dijkstra_reverse(self):
         """Reduced distances to the sink (reverse graph, no tie-break)."""
+        arrays = self.arrays
+        f, cap, out_adj, t = self.f, arrays.cap, arrays.out_adj, arrays.t
         if self.native is not None:
             return self.native.reverse(
-                self.out_adj, self.f, self.cap, self.pi, self.t,
-                _check_reduced_cost, REDUCED_COST_SLACK,
+                out_adj, f, cap, self.pi, t, _check_reduced_cost, REDUCED_COST_SLACK,
             )
         pi = self.pi
-        f, cap = self.f, self.cap
-        out_adj = self.out_adj
-        dist = [INF] * self.n
-        done = [False] * self.n
-        dist[self.t] = self.zero
-        heap: list = [(self.zero, self.t)]
+        n = len(arrays.nodes)
+        dist = [INF] * n
+        done = [False] * n
+        dist[t] = self.zero
+        heap: list = [(self.zero, t)]
         while heap:
             d, v = heappop(heap)
             if done[v]:
@@ -321,43 +322,44 @@ class _Engine:
         """Actual source distances by node id, after the full forward search
         that found dist_red: it raised each reached node's pi by dist_red."""
         return {
-            self.ids[i]: (self.pi[i] if dist_red[i] < INF else INF)
-            for i in range(self.n)
+            v: (p if d < INF else INF)
+            for v, p, d in zip(self.arrays.nodes, self.pi, dist_red)
         }
 
     def actual_distances_to_sink(self, dist_red: Sequence[float]) -> dict[int, float]:
-        pit = self.pi[self.t]
+        pit = self.pi[self.arrays.t]
         return {
-            self.ids[i]: (dist_red[i] - self.pi[i] + pit if dist_red[i] < INF else INF)
-            for i in range(self.n)
+            v: (d - p + pit if d < INF else INF)
+            for v, p, d in zip(self.arrays.nodes, self.pi, dist_red)
         }
 
     # -- augmentation ---------------------------------------------------------
 
     def path_length(self, arcs: Iterable[int]) -> float:
-        return math.fsum(map(self.signed_cost.__getitem__, arcs))
+        return math.fsum(map(self.arrays.signed_cost.__getitem__, arcs))
 
     def augment(self, arcs: tuple[int, ...], length: float, z: float) -> None:
         """Push the bottleneck amount along arcs, whose raw cost sum is
         length, and append the step's record to steps.
 
-        The headroom float(z) - value is a float whatever z is (int - float
-        and Fraction - float round to one too), so a numpy float64 target
-        keeps the kernel's numbers floats. With the kernel, native.augment
-        does the bottleneck and the push in one call.
+        The push step (the kernel's push_step, or _push_step) takes the
+        headroom float(z) - value as its limit. That is a float whatever
+        z is (int - float and Fraction - float round to one too), so a
+        numpy float64 target keeps the kernel's numbers floats. The step
+        that binds reaches z itself. A z that equals its float and is no
+        Rational (a float subclass, a numpy float) is held as that float,
+        which would otherwise leak into flow_value_after and the trace
+        CSV; an int or a Fraction keeps its exact value and type.
         """
-        f, cap = self.f, self.cap
+        step = _push_step if self.native is None else self.native.push_step
+        arrays = self.arrays
         headroom = float(z) - self.value
-        if self.native is not None:
-            amount = self.native.augment(f, cap, arcs, headroom)
+        amount, _, _ = step(self.f, arrays.cap, arrays.original, arcs, headroom)
+        if headroom == amount:
+            v = float(z)
+            self.value = v if v == z and not isinstance(z, Rational) else z
         else:
-            amount = headroom
-            for a in arcs:
-                r = f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]
-                if r < amount:
-                    amount = r
-            push(f, cap, arcs, amount)
-        self.value = z if headroom == amount else self.value + amount
+            self.value += amount
         self.steps.append(
             AugmentationStep(
                 index=len(self.steps) + 1,
@@ -391,6 +393,22 @@ def _check_reduced_cost(rc: float, a: int, c: float, pu: float, pv: float) -> No
         raise InternalInvariantError(
             f"reduced cost {rc} on arc {a} below tolerance"
         )
+
+
+def _push_step(f, cap, original, arcs, limit):
+    """One push step, the kernel's push_step in the numbers' own
+    arithmetic: the amount is the smallest of limit and the residuals
+    along arcs under f, the first one on a tie; good is whether the path
+    has an empty arc (network.empty_arcs) over an edge that original
+    marks, under f before the push; then network.push of the amount.
+    Returns (amount, n_saturated, good)."""
+    amount = limit
+    for a in arcs:
+        r = f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]
+        if r < amount:
+            amount = r
+    good = any(original[a >> 1] for a in empty_arcs(f, cap, arcs))
+    return amount, len(push(f, cap, arcs, amount)), good
 
 
 def run_ssp(
@@ -546,28 +564,35 @@ def _replay(trace: AugmentationTrace):
     Yields (step, f, n_saturated, good) per step: f is the flow list
     after the step's push, updated in place, n_saturated the number of
     arcs the push saturated, and good whether the path had good arcs
-    (network.good_arcs) under the flow before it. With the compiled
-    kernel, which _native.kernel_for grants when every capacity and
-    amount is a float, native.replay does the test and the push of a
-    step in one call; otherwise network.push runs in the numbers' own
-    arithmetic (an int capacity enters f as an int).
+    (network.good_arcs) under the flow before it. Each step runs the
+    solve's push step (the kernel's, which _native.kernel_for grants
+    when every capacity and amount is a float, or else _push_step in the
+    numbers' own arithmetic: an int capacity enters f as an int) with
+    the recorded amount as its limit.
+
+    The replayed flows equal the solve's bit for bit, and each recorded
+    amount was the smallest of the headroom and the path's residuals
+    under them, so no residual falls below it. One that does marks a
+    malformed trace, and raises InternalInvariantError naming the step.
     """
-    net = trace.instance.base
-    cap = [e.capacity for e in net.edges]
-    f = [0.0] * net.m
+    arrays = trace.instance._arrays
+    cap, original = arrays.cap, arrays.original
+    f = [0.0] * len(cap)
     native = _native.kernel_for(cap + [s.amount for s in trace.steps])
-    if native is not None:
-        original = bytes(map(net.is_original, range(net.m)))
-        for s in trace.steps:
-            yield (s, f, *native.replay(f, cap, original, s.path_arcs, s.amount))
-        return
+    step = _push_step if native is None else native.push_step
     for s in trace.steps:
-        good = bool(good_arcs(net, f, cap, s.path_arcs))
-        yield s, f, len(push(f, cap, s.path_arcs, s.amount)), good
+        amount, n_saturated, good = step(f, cap, original, s.path_arcs, s.amount)
+        if amount < s.amount:
+            raise InternalInvariantError(
+                f"step {s.index}: recorded amount {s.amount!r} exceeds the path's"
+                f" bottleneck {amount!r}"
+            )
+        yield s, f, n_saturated, good
 
 
 def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
-    """One row per step; n_saturated and good_arc come from _replay."""
+    """One row per step; n_saturated and good_arc come from _replay,
+    which raises InternalInvariantError on a malformed trace."""
     rows = [TRACE_CSV_HEADER]
     for s, _, n_saturated, good in _replay(trace):
         rows.append(

@@ -820,7 +820,7 @@ class TestExactCheck:
                     labels = [
                         d for d in (*(dist or ()), *eng.dijkstra_reverse()) if d != math.inf
                     ]
-                    assert len(labels) > (0 if stop_at_sink else eng.n)
+                    assert len(labels) > (0 if stop_at_sink else exact.n)
                     for x in (*labels, *eng.pi):
                         assert type(x) is number, (stop_at_sink, x)
                     eng.augment(arcs, eng.path_length(arcs), inst.z)

@@ -130,45 +130,58 @@ def two_edges():
 
 
 def kernel_calls():
+    """The kernel entry point and arguments of each call that the bad-input
+    cases change: the two searches, and the one push step as
+    _Engine.augment calls it, with the headroom as its limit, and as the
+    trace replay does, with a recorded amount."""
     out_adj, f, cap = two_edges()
     pi = [0.0] * 3
     return {
         # both searches read every f and cap item: forward from node 1,
         # reverse into node 2
-        "forward": (out_adj, f, cap, pi, 1, 2, False, _check_reduced_cost, 1e-9),
-        "reverse": (out_adj, f, cap, pi, 2, _check_reduced_cost, 1e-9),
-        "augment": (f, cap, (1, 2), 5.0),
-        "replay": (f, cap, b"\1\1", (1, 2), 1.0),
+        "forward": ("forward", (out_adj, f, cap, pi, 1, 2, False, _check_reduced_cost, 1e-9)),
+        "reverse": ("reverse", (out_adj, f, cap, pi, 2, _check_reduced_cost, 1e-9)),
+        "augment": ("push_step", (f, cap, b"\1\1", (1, 2), 5.0)),
+        "replay": ("push_step", (f, cap, b"\1\1", (1, 2), 1.0)),
     }
 
 
 def call_rejects(error, name, changes):
-    """Call the kernel's name with kernel_calls()[name], changed at the
+    """Make the call kernel_calls()[name], its arguments changed at the
     given positions; it must raise error and write nothing: every list
     keeps the very items it held."""
-    args = list(kernel_calls()[name])
+    entry, args = kernel_calls()[name]
+    args = list(args)
     for i, x in changes.items():
         args[i] = x
     before = repr(args)
     items = [list(x) if isinstance(x, list) else None for x in args]
     with pytest.raises(error):
-        getattr(_native.load(), name)(*args)
+        getattr(_native.load(), entry)(*args)
     assert repr(args) == before
     for got, want in zip(args, items):
         assert want is None or all(map(operator.is_, got, want))
 
 
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_the_kernel_has_one_push_step():
+    # the solve and the trace replay push through the same entry point
+    names = {name for name in vars(_native.load()) if not name.startswith("__")}
+    assert names == {"forward", "reverse", "push_step"}
+
+
 BAD_PUSH_CALLS = [
     # an arc past the edges, below zero, or past the mask or cap
-    (IndexError, "augment", {2: (1, 4)}),
-    (IndexError, "augment", {2: (-1,)}),
-    (IndexError, "augment", {2: (1 << 70,)}),
+    (IndexError, "augment", {3: (1, 4)}),
+    (IndexError, "augment", {3: (-1,)}),
+    (IndexError, "augment", {3: (1 << 70,)}),
     (IndexError, "augment", {1: [2.0]}),
     (IndexError, "replay", {3: (2,), 2: b"\1"}),
     (IndexError, "replay", {3: (1, 5)}),
-    # arcs that are not a tuple of ints, lists that are not lists
-    (TypeError, "augment", {2: [1, 2]}),
-    (TypeError, "augment", {2: (1, 2.0)}),
+    # arcs that are not a tuple of ints, lists that are not lists, a
+    # mask that is not bytes
+    (TypeError, "augment", {3: [1, 2]}),
+    (TypeError, "augment", {3: (1, 2.0)}),
     (TypeError, "replay", {3: (np.int64(1),)}),
     (TypeError, "augment", {0: (2.0, 0.0)}),
     (TypeError, "augment", {1: None}),
@@ -176,16 +189,16 @@ BAD_PUSH_CALLS = [
     (TypeError, "replay", {2: "\1\1"}),
     (TypeError, "replay", {2: [1, 1]}),
     # a number that is not an exact float, on the path's last edge or as
-    # the amount: an int, a float subclass, numpy's float64. No caller
+    # the limit: an int, a float subclass, numpy's float64. No caller
     # passes one (_native.kernel_for), so this is memory safety
     (TypeError, "augment", {0: [2.0, 0]}),
     (TypeError, "augment", {1: [2.0, np.float64(3.0)]}),
-    (TypeError, "augment", {3: 5}),
+    (TypeError, "augment", {4: 5}),
     (TypeError, "replay", {0: [2, 0.0]}),
     (TypeError, "replay", {1: [np.float64(2.0), 3.0]}),
     (TypeError, "replay", {4: 1}),
     (TypeError, "augment", {0: [2.0, _Float(0.0)]}),
-    (TypeError, "augment", {3: np.float64(5.0)}),
+    (TypeError, "augment", {4: np.float64(5.0)}),
     (TypeError, "replay", {1: [2.0, _Float(3.0)]}),
     (TypeError, "replay", {4: np.float64(1.0)}),
 ]
@@ -261,21 +274,31 @@ def test_numpy_target_runs_on_the_kernel(monkeypatch):
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_replay_repeats_network_push():
-    # f, cap and amounts from a small set, or a residual on the path or
-    # the float below it, so that a push often meets a residual exactly
-    # or rounds onto a capacity (0.7 + 0.3 == 1.0, while 1.0 - 0.7 != 0.3)
+    # the kernel's push step and its Python mirror, in lockstep, against
+    # network.push. f, cap and limits from a small set, or a residual on
+    # the path or the float below it, so that a push often meets a
+    # residual exactly or rounds onto a capacity (0.7 + 0.3 == 1.0, while
+    # 1.0 - 0.7 != 0.3); limits above the residuals are the solve's case
     kernel = _native.load()
     rng = random.Random(0)
     values = [0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 2.5, 1.423, 1.077]
+    cut = 0
     for _ in range(2000):
         cap = [rng.choice(values[1:]) for _ in range(5)]
         f = [rng.choice([0.0, c, *values]) for c in cap]
         arcs = tuple(2 * e + rng.randrange(2) for e in rng.sample(range(5), 3))
         residuals = [f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1] for a in arcs]
-        amount = rng.choice([*values, *residuals, *(math.nextafter(r, 0.0) for r in residuals)])
+        limit = rng.choice([*values, *residuals, *(math.nextafter(r, 0.0) for r in residuals)])
         original = bytes(rng.randrange(2) for _ in range(5))
-        mine = list(f)
-        got = kernel.replay(mine, cap, original, arcs, amount)
+        amount = limit
+        for r in residuals:  # the first one on a tie
+            if r < amount:
+                amount = r
+        cut += amount < limit
         good = any(original[a >> 1] for a in empty_arcs(f, cap, arcs))
-        assert got == (len(push(f, cap, arcs, amount)), good)
-        assert repr(mine) == repr(f)
+        mine, mirror = list(f), list(f)
+        got = kernel.push_step(mine, cap, original, arcs, limit)
+        assert repr(got) == repr(solver._push_step(mirror, cap, original, arcs, limit))
+        assert repr(got) == repr((amount, len(push(f, cap, arcs, amount)), good))
+        assert repr(mine) == repr(mirror) == repr(f)
+    assert 1000 < cut < 1800  # the limit binds on the rest

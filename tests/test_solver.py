@@ -17,6 +17,7 @@ from sspflow import (
     adversarial_spec,
     as_transformed,
     build_hard_instance,
+    check_lemmas,
     classify,
     cost_function,
     cost_function_from_steps,
@@ -326,13 +327,13 @@ class TestPotentialUpdate:
                 # the copy's pi, finds the nodes a sink stop leaves
                 # unsettled: those farther than the sink
                 dist, _ = copy.copy(eng).dijkstra_forward(False)
-                cut_short += any(d > dist[eng.t] for d in dist)
+                cut_short += any(d > dist[eng.arrays.t] for d in dist)
                 stopped, arcs = eng.dijkstra_forward(True)
                 assert stopped is None
                 if arcs is None:
                     break
                 eng.augment(arcs, eng.path_length(arcs), inst.z)
-                pi = dict(zip(eng.ids, eng.pi))
+                pi = dict(zip(eng.arrays.nodes, eng.pi))
                 for a, u, v, c in residual_arcs(inst.base, eng.f):
                     rc = (c + pi[u]) - pi[v]
                     assert rc >= -REDUCED_COST_SLACK, (seed, len(eng.steps), a)
@@ -686,7 +687,7 @@ class TestReducedCostTolerance:
             "sspflow.solver._check_reduced_cost", lambda *terms: calls.append(terms)
         )
         eng = _Engine(transform(single_edge_network()))
-        a, v, c = eng.out_adj[eng.s][0]
+        a, v, c = eng.arrays.out_adj[eng.arrays.s][0]
         eng.pi[v] = c + 5.0
         dist, arcs = eng.dijkstra_forward(True)
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
@@ -695,22 +696,22 @@ class TestReducedCostTolerance:
         assert dist is None and eng.pi[v] == c + 5.0 and arcs is not None
         calls.clear()
         eng = _Engine(transform(single_edge_network()))
-        b, u, c = eng.out_adj[eng.t][0]  # the reverse search reads it backward
+        b, u, c = eng.arrays.out_adj[eng.arrays.t][0]  # the reverse search reads it backward
         a, c = b ^ 1, -c
-        eng.pi[eng.t] = c + 5.0
+        eng.pi[eng.arrays.t] = c + 5.0
         assert eng.dijkstra_reverse()[u] == 0.0
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
 
     def test_engine_raises_past_tolerance(self):
         eng = _Engine(transform(single_edge_network()))
-        a, v, c = eng.out_adj[eng.s][0]
+        a, v, c = eng.arrays.out_adj[eng.arrays.s][0]
         eng.pi[v] = c + 5.0
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
             eng.dijkstra_forward(False)
         eng = _Engine(transform(single_edge_network()))
-        b, u, c = eng.out_adj[eng.t][0]
+        b, u, c = eng.arrays.out_adj[eng.arrays.t][0]
         a, c = b ^ 1, -c
-        eng.pi[eng.t] = c + 5.0
+        eng.pi[eng.arrays.t] = c + 5.0
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
             eng.dijkstra_reverse()
 
@@ -881,3 +882,64 @@ def test_replay_of_other_amounts_runs_network_push(monkeypatch):
     assert repr(replay_flows(trace)) == flows
     assert classify(trace) == bad
     assert len(pushes) == 2 * len(trace.steps) > 0
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["kernel", "python"])
+def test_replay_rejects_an_amount_above_the_bottleneck(monkeypatch, native):
+    # the replay pushes each step with its recorded amount as the limit;
+    # a residual below it can only come from a malformed trace
+    if native and _native.load() is None:
+        pytest.skip("the compiled search kernel is unavailable")
+    if not native:
+        monkeypatch.setattr(_native, "load", lambda: None)
+    for inst in (random_instance(0, capacities="real"), random_instance(1)):
+        trace = run_ssp(inst, record_distances=False)
+        s = trace.steps[1]  # a residual, not the target, bounds it
+        assert s.flow_value_after < inst.z
+        steps = list(trace.steps)
+        steps[1] = replace(s, amount=math.nextafter(s.amount, math.inf))
+        bad = replace(trace, steps=tuple(steps))
+        for read in (trace_csv_rows, replay_flows, classify):
+            with pytest.raises(InternalInvariantError, match="^step 2: recorded amount"):
+                read(bad)
+
+
+class _Float(float):
+    pass
+
+
+def test_non_float_targets_are_held_as_floats():
+    # a numpy scalar or a float subclass as z reaches z as a float, so no
+    # numpy repr lands in the trace CSV; an int or a Fraction keeps its type
+    inst = random_instance(1, capacities="real")
+    for solve_for in (run_ssp, reference_solve):
+        for z in (np.float64(0.6 * inst.z), np.float32(0.5), _Float(0.6 * inst.z)):
+            trace = solve_for(inst, z=z)
+            assert trace.final_flow.value == z and type(trace.final_flow.value) is float
+            assert type(trace.steps[-1].flow_value_after) is float
+            for row in trace_csv_rows(trace)[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row.split(","))
+        for z in (1, Fraction(1, 2)):
+            trace = solve_for(inst, z=z)
+            assert trace.final_flow.value == z and type(trace.final_flow.value) is type(z)
+
+
+def test_solves_and_replays_share_the_instance_arrays(monkeypatch):
+    # every solve and replay of an instance reads one build of its arrays,
+    # and none of them writes to it
+    for inst in lockstep_instances():
+        first = full_trace(inst)
+        arrays = inst._arrays
+        trace = run_ssp(inst)
+        run_ssp(inst, record_distances=False)
+        reference_solve(inst)
+        exact_check(trace)
+        trace_csv_rows(trace)
+        check_lemmas(trace)  # its certificate builds _columns from the arrays
+        assert inst._arrays is arrays
+        assert repr(arrays) == repr(type(inst)._arrays.func(inst))
+        assert full_trace(inst) == first
+        # the arrays are built, yet the kernel is still chosen per solve
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "load", lambda: None)
+            assert _Engine(inst).native is None
