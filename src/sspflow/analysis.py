@@ -17,6 +17,9 @@ compares them against what the production solver reports:
   that each instance builds once, the same float operations as the
   exact Python loop, which stays for numbers float64 does not hold
   exactly (Fractions, ints past 2^52) and as the columns' test oracle.
+  check_lemmas streams each flow to it as a float64 array: consecutive
+  flows differ on one path's edges, so each array is the previous one
+  with those entries replaced (_flow_columns).
 * check_lemmas: executable structural properties of a solver trace
   (monotone distances, nondecreasing path lengths, convex profile,
   empty arcs on every path, the bad-step bound, per-step optimality,
@@ -47,6 +50,7 @@ from .network import (
     Flow,
     FlowNetwork,
     TransformedNetwork,
+    _EXACT_LIMIT,
     _exact_float64,
     empty_arcs,
     good_arcs,
@@ -212,6 +216,11 @@ def verify_optimality(
     nor math.inf, or dist is None, the verdict is a full Bellman-Ford
     over the residual arcs, so it never rests on trusting dist. A flow
     with other than m values raises InfeasibleFlow.
+
+    flow.values may be any sequence of m numbers: a tuple, as Flow
+    holds them, a list or a numpy array. A float64 array skips numpy's
+    per-item type discovery, which a tuple costs once per call;
+    check_lemmas passes its flows so (_flow_columns).
 
     The pass is computed over the instance's cached columns (tails and
     heads as node indices, costs and capacities as float64), with the
@@ -466,13 +475,67 @@ def _check_no_negative_cycle(trace, flows) -> LemmaCheck:
     dists = [trace.initial_distances_from_s] + [
         s.distances_from_s for s in trace.steps
     ]
-    for j, (flow, dist) in enumerate(zip(flows, dists)):
+    columns = _flow_columns(trace, flows)
+    for j, (flow, dist, x) in enumerate(zip(flows, dists, columns)):
+        if x is not None:
+            flow = Flow(x, flow.value)
         if not verify_optimality(trace.instance, flow, dist):
             return LemmaCheck(
                 cid, False, j if j > 0 else None,
                 f"negative residual cycle at flow {j}",
             )
     return LemmaCheck(cid, True)
+
+
+def _flow_columns(trace, flows):
+    """Yields, for each of flows (f_0 .. f_N of trace), its values as a
+    new float64 array, or None where the certificate's columns do not
+    serve: the instance has none, or _exact_float64 takes no array.
+
+    Flow j + 1 differs from flow j only on the edges of step j + 1's
+    path, so its array is flow j's with those entries replaced, as long
+    as that is what the two tuples show: flow j + 1's tuple equals flow
+    j's with the entries replaced, and each new entry is an exact float
+    that _exact_float64 takes. Any other flow (a hand-built or altered
+    trace, a list, a wrong length) is converted afresh by _exact_float64,
+    so the certificate sees the same numbers either way. Only the
+    previous flow's tuple and array are held."""
+    steps, m = trace.steps, trace.instance.m
+    if trace.instance._columns is None:
+        yield from repeat(None, len(flows))
+        return
+    prev = x = None
+    for j, flow in enumerate(flows):
+        values = flow.values
+        if type(values) is not tuple or len(values) != m:
+            prev = x = None
+            yield None
+            continue
+        if x is not None and j <= len(steps):
+            x = _patched_column(prev, x, values, [a >> 1 for a in steps[j - 1].path_arcs])
+        if x is None:
+            x = _exact_float64(values)
+        prev = values
+        yield x
+
+
+def _patched_column(prev, x, values, edges) -> np.ndarray | None:
+    """A copy of x, the float64 array of the tuple prev, with the entries
+    at edges taken from the tuple values, or None unless values is prev
+    with exactly those entries replaced by floats _exact_float64 takes."""
+    if not all(0 <= e < len(x) for e in edges):
+        return None
+    new = [values[e] for e in edges]
+    if not all(type(v) is float and abs(v) < _EXACT_LIMIT for v in new):
+        return None
+    expect = list(prev)
+    for e, v in zip(edges, new):
+        expect[e] = v
+    if tuple(expect) != values:
+        return None
+    x = x.copy()
+    x[edges] = new
+    return x
 
 
 def _check_reverse_path(trace, flows) -> LemmaCheck:
@@ -590,7 +653,9 @@ def reconstruct(instance: TransformedNetwork, arc: int, threshold: float) -> Flo
     Replaces the cost of the arc's edge (cost bound if the arc is
     forward, 0 if backward), reruns the solver on the modified
     instance, and stops before augmenting along any path longer than
-    the threshold. The arc's original cost is never read.
+    the threshold. The arc's original cost is never read. The modified
+    instance patches the instance's arrays where the one cost changes
+    them (TransformedNetwork._with_edge_cost) instead of building its own.
     """
     e = arc >> 1
     if not 0 <= e < instance.m:
@@ -598,12 +663,7 @@ def reconstruct(instance: TransformedNetwork, arc: int, threshold: float) -> Flo
     if not instance.base.is_original(e):
         raise AuxiliaryArc(f"arc {arc} lies on an auxiliary edge")
     new_cost = 0.0 if arc & 1 else instance.base.cost_bound
-    modified = TransformedNetwork(
-        instance.base.with_edge_cost(e, new_cost),
-        instance.source,
-        instance.sink,
-        instance.z,
-    )
+    modified = instance._with_edge_cost(e, new_cost)
     trace = run_ssp(
         modified, stop_above_length=threshold, record_distances=False
     )

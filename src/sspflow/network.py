@@ -40,14 +40,18 @@ every other one, in its numbers' own arithmetic.
 TransformedNetwork._arrays holds an instance's edges as dense-index
 lists (_Arrays), built once per instance: the engine, the kernel, the
 trace replay, the lemma checks' capacities and the certificate's numpy
-columns (_columns) all read them, and none writes to them.
+columns (_columns) all read them, and none writes to them. An instance
+that _with_edge_cost derives from another patches the other's lists
+where the one cost changes them and shares the rest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -298,6 +302,35 @@ class TransformedNetwork:
             out_adj, [x for c in cost for x in (c, -c)],
         )
 
+    def _with_edge_cost(self, e: int, cost: float) -> "TransformedNetwork":
+        """This instance with edge e's cost replaced, validated (and
+        rejected) as FlowNetwork.with_edge_cost does; the source, sink, z
+        and balances are this instance's, so they are not checked again.
+        Its _arrays derive from this instance's: cost, signed_cost, the
+        outer out_adj list and the two rows holding arcs 2e and 2e + 1
+        are copies with those entries replaced, in place, and every other
+        list and row is shared (see _Arrays)."""
+        base = self.base.with_edge_cost(e, cost)
+        arrays = self._arrays
+        costs = arrays.cost.copy()
+        costs[e] = cost
+        signed_cost = arrays.signed_cost.copy()
+        signed_cost[2 * e] = cost
+        signed_cost[2 * e + 1] = -cost
+        out_adj = arrays.out_adj.copy()
+        u, v = arrays.tail[e], arrays.head[e]
+        for row, entry in ((u, (2 * e, v, cost)), (v, (2 * e + 1, u, -cost))):
+            arcs = out_adj[row] = out_adj[row].copy()
+            # a row lists its arcs in increasing order, once each
+            arcs[bisect_left(arcs, entry[0], key=itemgetter(0))] = entry
+        # frozen: the fields and the cached _arrays go straight into __dict__
+        derived = object.__new__(type(self))
+        vars(derived).update(
+            base=base, source=self.source, sink=self.sink, z=self.z,
+            _arrays=replace(arrays, cost=costs, out_adj=out_adj, signed_cost=signed_cost),
+        )
+        return derived
+
     @cached_property
     def _columns(self) -> tuple[np.ndarray, ...] | None:
         """(tail, head, cost, capacity) of _arrays as numpy arrays, tails
@@ -323,7 +356,9 @@ class _Arrays:
 
     Read-only by contract: every solve and replay of the instance shares
     these lists, and neither network.push nor the kernel's push writes
-    anything but the flow list it is given.
+    anything but the flow list it is given. That is what lets an instance
+    derived by TransformedNetwork._with_edge_cost share every list and
+    out_adj row that the new cost leaves alone with its parent's.
     """
 
     nodes: tuple[int, ...]

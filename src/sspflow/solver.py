@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _native
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import Flow, TransformedNetwork, empty_arcs, push
+from .network import Flow, TransformedNetwork, push
 
 INF = math.inf
 
@@ -399,15 +399,25 @@ def _push_step(f, cap, original, arcs, limit):
     """One push step, the kernel's push_step in the numbers' own
     arithmetic: the amount is the smallest of limit and the residuals
     along arcs under f, the first one on a tie; good is whether the path
-    has an empty arc (network.empty_arcs) over an edge that original
-    marks, under f before the push; then network.push of the amount.
+    has an empty arc (network.empty_arcs' rule) over an edge that
+    original marks, under f before the push, tested in the same loop
+    with one compare per arc; then network.push of the amount.
     Returns (amount, n_saturated, good)."""
     amount = limit
+    good = False
     for a in arcs:
-        r = f[a >> 1] if a & 1 else cap[a >> 1] - f[a >> 1]
+        e = a >> 1
+        fe = f[e]
+        if a & 1:
+            r = fe
+            empty = fe == cap[e]
+        else:
+            r = cap[e] - fe
+            empty = fe == 0.0
         if r < amount:
             amount = r
-    good = any(original[a >> 1] for a in empty_arcs(f, cap, arcs))
+        if empty and original[e]:
+            good = True
     return amount, len(push(f, cap, arcs, amount)), good
 
 
@@ -592,11 +602,17 @@ def _replay(trace: AugmentationTrace):
 
 def trace_csv_rows(trace: AugmentationTrace) -> list[str]:
     """One row per step; n_saturated and good_arc come from _replay,
-    which raises InternalInvariantError on a malformed trace."""
+    which raises InternalInvariantError on a malformed trace.
+
+    Numbers are written by str: for a float that is its repr, which
+    round-trips, and another number (an exact target, a Fraction
+    amount) gets one cell without its type's name, 1/2 for
+    Fraction(1, 2) and 1 for np.int64(1), where its repr could add a
+    comma."""
     rows = [TRACE_CSV_HEADER]
     for s, _, n_saturated, good in _replay(trace):
         rows.append(
-            f"{s.index},{s.length!r},{s.amount!r},{s.flow_value_after!r},"
+            f"{s.index},{s.length!s},{s.amount!s},{s.flow_value_after!s},"
             f"{n_saturated},{good:d}"
         )
     return rows

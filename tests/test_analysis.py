@@ -35,7 +35,7 @@ from sspflow import (
     verify_optimality,
 )
 
-from sspflow.network import Flow
+from sspflow.network import Flow, _exact_float64
 from sspflow.solver import _Engine, trace_csv_rows
 
 from conftest import random_instance, uniform_instance
@@ -396,6 +396,118 @@ class TestDenseCertificate:
                         loop_route(inst, flow.values, d)
                     )
         assert not dense_calls
+
+
+def column_oracle(inst, flow):
+    """What _flow_columns must yield for flow: a fresh _exact_float64 of a
+    tuple of m values, or None."""
+    values = flow.values
+    if inst._columns is None or type(values) is not tuple or len(values) != inst.m:
+        return None
+    return _exact_float64(values)
+
+
+def assert_streamed(trace, flows):
+    """Every streamed column equals the fresh conversion of its flow, and
+    is an array of its own."""
+    prev = None
+    for flow, x in zip(flows, analysis._flow_columns(trace, flows), strict=True):
+        want = column_oracle(trace.instance, flow)
+        if want is None:
+            assert x is None
+        else:
+            assert x.dtype == np.float64 and np.array_equal(x, want)
+            assert prev is None or not np.shares_memory(x, prev)
+        prev = x
+
+
+class TestStreamedColumns:
+    """check_lemmas hands verify_optimality each flow as a float64 column,
+    patched from the previous flow's on the step's path edges."""
+
+    def test_solver_traces(self, monkeypatch):
+        conversions = []
+
+        def counted(values):
+            conversions.append(values)
+            return _exact_float64(values)
+
+        monkeypatch.setattr(analysis, "_exact_float64", counted)
+        flows_seen = 0
+        for inst in certificate_instances():
+            for kept in (solve(inst, retain_flows=True), solve(inst)):
+                flows = replay_flows(kept)
+                conversions.clear()
+                assert_streamed(kept, flows)
+                # only f_0 is converted afresh
+                assert [c for c in conversions if c is not None] == [flows[0].values]
+                flows_seen += len(flows)
+        assert flows_seen > 1000
+
+    def test_no_columns(self):
+        inst = transform(FlowNetwork(
+            [Edge(0, 1, 2.0, Fraction(1, 3)), Edge(1, 2, 2.0, 0.5)], {0: 1.0, 2: -1.0}
+        ))
+        trace = solve(inst, retain_flows=True)
+        assert list(analysis._flow_columns(trace, replay_flows(trace))) == [None] * 2
+
+    @staticmethod
+    def altered_traces(trace):
+        """trace with one retained flow j + 1 changed: off step j + 1's
+        path (a Fraction entry, a changed float, the next flow swapped
+        in), on it (a Fraction, an int, a float past 2^52, NaN), a list
+        or a wrong length."""
+        flows = trace.intermediate_flows
+        for j, step in enumerate(trace.steps[:-1]):
+            on = {a >> 1 for a in step.path_arcs}
+            off = min(set(range(trace.instance.m)) - on)
+            e = min(on)
+            values = flows[j + 1].values
+
+            def altered(k, value):
+                return Flow(values[:k] + (value,) + values[k + 1:], flows[j + 1].value)
+
+            for flow in (
+                altered(off, Fraction(1, 3)),
+                altered(off, values[off] + 0.25),
+                flows[j + 2],
+                altered(e, Fraction(1, 3)),
+                altered(e, Fraction(values[e])),
+                altered(e, 1),
+                altered(e, 2.0**53),
+                altered(e, math.nan),
+                Flow(list(values), flows[j + 1].value),
+                Flow(values[:-1], flows[j + 1].value),
+            ):
+                yield dataclasses.replace(
+                    trace, intermediate_flows=flows[:j + 1] + (flow,) + flows[j + 2:]
+                )
+
+    def test_altered_traces(self, monkeypatch):
+        # the stream converts an altered flow afresh, and the certificate
+        # gives the verdict it gives the flows as they are
+        count = 0
+        for seed in range(10):
+            for inst in (uniform_instance(seed), random_instance(seed, n=10, m=30),
+                         random_instance(seed, capacities="real")):
+                kept = solve(inst, retain_flows=True)
+                for trace in self.altered_traces(kept):
+                    flows = trace.intermediate_flows
+                    assert_streamed(trace, flows)
+                    try:
+                        streamed = analysis._check_no_negative_cycle(trace, flows)
+                    except InfeasibleFlow as exc:
+                        streamed = str(exc)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(analysis, "_flow_columns",
+                                      lambda trace, flows: [None] * len(flows))
+                        try:
+                            want = analysis._check_no_negative_cycle(trace, flows)
+                        except InfeasibleFlow as exc:
+                            want = str(exc)
+                    assert streamed == want
+                    count += 1
+        assert count > 500
 
 
 class TestReferenceSolve:

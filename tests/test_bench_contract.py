@@ -13,10 +13,19 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sspflow.analysis
-from sspflow import AugmentationStep, AugmentationTrace, check_lemmas, run_ssp
+from sspflow import (
+    AugmentationStep,
+    AugmentationTrace,
+    check_lemmas,
+    check_reconstruction,
+    harvest_reconstruction_cases,
+    replay_flows,
+    run_ssp,
+)
 
 from conftest import uniform_instance
 
@@ -90,3 +99,32 @@ def test_check_lemmas_calls_verify_optimality_per_flow(tracing, monkeypatch):
     assert trace.initial_distances_from_s is not None
     assert check_lemmas(trace).all_passed
     assert len(calls) == len(trace.steps) + 1
+    # each call sees its flow's values, whatever sequence carries them
+    for (_, flow, _), kept in zip(calls, replay_flows(trace)):
+        assert np.array_equal(flow.values, kept.values)
+
+
+def test_check_reconstruction_calls_reconstruct_per_case(tracing, monkeypatch):
+    # reconstruct-check's traced analysis.reconstruct span sees one call
+    # per case, and each reaches the solver through analysis.run_ssp
+    for target in (("sspflow.analysis", "reconstruct", "analysis.reconstruct"),
+                   ("sspflow.analysis", "run_ssp", "solver.run_ssp")):
+        assert target in tracing.TARGETS
+    calls = []
+
+    def counted(name):
+        original = getattr(sspflow.analysis, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sspflow.analysis, name, call)
+
+    counted("reconstruct")
+    counted("run_ssp")
+    inst = uniform_instance(3)
+    cases = harvest_reconstruction_cases(run_ssp(inst, retain_flows=True))
+    assert cases and not calls
+    assert all(ok for _, ok in check_reconstruction(inst, cases))
+    assert calls == ["reconstruct", "run_ssp"] * len(cases)

@@ -2,12 +2,14 @@ import copy
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sspflow import (
+    AuxiliaryArc,
     Edge,
     FlowNetwork,
     InternalInvariantError,
@@ -24,6 +26,7 @@ from sspflow import (
     exact_check,
     perturbed_integer,
     random_topology,
+    reconstruct,
     reference_solve,
     replay_flows,
     run_ssp,
@@ -42,7 +45,15 @@ from sspflow.solver import (
 )
 
 from sspflow import _native, solver
-from sspflow.network import Flow, check_feasible, empty_arcs, good_arcs, push, residual_arcs
+from sspflow.network import (
+    Flow,
+    TransformedNetwork,
+    check_feasible,
+    empty_arcs,
+    good_arcs,
+    push,
+    residual_arcs,
+)
 
 from conftest import random_instance, single_edge_network, two_path_network, uniform_instance
 
@@ -924,6 +935,25 @@ def test_non_float_targets_are_held_as_floats():
             assert trace.final_flow.value == z and type(trace.final_flow.value) is type(z)
 
 
+def test_other_numbers_are_one_csv_cell_each():
+    # a target that the solve keeps as its own object reaches the binding
+    # row, and a Fraction amount its own row; each is written by str, as
+    # one cell, while floats keep their repr
+    inst = random_instance(1, capacities="real")
+    for z in (Fraction(1, 2), np.int64(1), Decimal("0.1")):
+        trace = run_ssp(inst, z=z)
+        assert trace.final_flow.value == z and type(trace.final_flow.value) is type(z)
+        rows = [row.split(",") for row in trace_csv_rows(trace)]
+        assert all(len(row) == 6 for row in rows)
+        assert rows[-1][3] == str(z)
+        assert all(cell == repr(float(cell)) for row in rows[1:] for cell in row[1:3])
+    kept = run_ssp(inst, record_distances=False)
+    trace = replace(kept, steps=tuple(replace(s, amount=Fraction(s.amount)) for s in kept.steps))
+    rows = [row.split(",") for row in trace_csv_rows(trace)]
+    assert all(len(row) == 6 for row in rows)
+    assert [row[2] for row in rows[1:]] == [str(s.amount) for s in trace.steps]
+
+
 def test_solves_and_replays_share_the_instance_arrays(monkeypatch):
     # every solve and replay of an instance reads one build of its arrays,
     # and none of them writes to it
@@ -943,3 +973,76 @@ def test_solves_and_replays_share_the_instance_arrays(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(_native, "load", lambda: None)
             assert _Engine(inst).native is None
+
+
+def test_derived_instances_patch_the_parent_arrays():
+    # an instance with one edge cost replaced builds its arrays from its
+    # parent's: they equal a fresh build, and only the lists and rows that
+    # the cost reaches are copies
+    fresh = TransformedNetwork._arrays.func
+    derived_count = 0
+    for inst in lockstep_instances():
+        arrays = inst._arrays
+        before = repr(arrays)
+        net = inst.base
+        for e in range(inst.m):
+            if not net.is_original(e):
+                continue
+            for cost in (0.0, net.cost_bound, net.cost_bound / 2):
+                derived = inst._with_edge_cost(e, cost)
+                assert derived == TransformedNetwork(
+                    net.with_edge_cost(e, cost), inst.source, inst.sink, inst.z
+                )
+                got = derived._arrays
+                assert repr(got) == repr(fresh(derived))
+                for name in ("nodes", "tail", "head", "cap", "original"):
+                    assert getattr(got, name) is getattr(arrays, name)
+                for name in ("cost", "signed_cost", "out_adj"):
+                    assert getattr(got, name) is not getattr(arrays, name)
+                ends = {arrays.tail[e], arrays.head[e]}
+                assert [r is not p for r, p in zip(got.out_adj, arrays.out_adj)] == [
+                    u in ends for u in range(len(arrays.nodes))
+                ]
+                derived_count += 1
+        assert inst._arrays is arrays and repr(arrays) == before
+    assert derived_count > 3000
+
+
+def test_solving_derived_instances_leaves_the_parent_alone():
+    # the derived instance solves as a fresh one does, and neither its
+    # solves nor reconstruct's write to the arrays it shares
+    rejected = 0
+    for inst in lockstep_instances():
+        before = repr(inst._arrays)
+        net = inst.base
+        original = [e for e in range(inst.m) if net.is_original(e)]
+        for e in original[:3]:
+            derived = inst._with_edge_cost(e, net.cost_bound)
+            rebuilt = TransformedNetwork(derived.base, inst.source, inst.sink, inst.z)
+            for mode in ({"record_distances": True}, {"record_distances": False}):
+                assert full_trace(derived, **mode) == full_trace(rebuilt, **mode)
+            reconstruct(inst, 2 * e, math.inf)
+            reconstruct(inst, 2 * e + 1, 0.5)
+        assert repr(inst._arrays) == before
+        auxiliary = [e for e in range(inst.m) if not net.is_original(e)]
+        for e in auxiliary[:1]:
+            with pytest.raises(AuxiliaryArc):
+                reconstruct(inst, 2 * e, 1.0)
+        rejected += bool(auxiliary)
+    assert rejected > 40
+
+
+@pytest.mark.parametrize("e, cost", [(-1, 0.5), (None, 0.5), (0, math.nan), (0, -0.5),
+                                     (0, 2.0), ("aux", 0.5)])
+def test_derived_instances_reject_as_with_edge_cost(e, cost):
+    inst = transform(FlowNetwork(
+        [Edge(0, 1, 2.0, 0.25), Edge(1, 2, 2.0, 0.5)], {0: 1.0, 2: -1.0}
+    ))
+    e = {None: inst.m, "aux": inst.m - 1}.get(e, e)
+
+    def raised(fn):
+        with pytest.raises(Exception) as info:
+            fn(e, cost)
+        return type(info.value), str(info.value)
+
+    assert raised(inst._with_edge_cost) == raised(inst.base.with_edge_cost)
