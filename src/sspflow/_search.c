@@ -9,10 +9,10 @@
  * C API; nothing is converted. Every number a function reads must be an
  * exact float, which a double holds exactly; anything else (an int, a
  * float subclass such as numpy's float64) raises TypeError before anything
- * is written, so nothing is ever rounded. The callers choose the
- * kernel once, by sspflow._native.kernel_for: _Engine when every cost and
- * capacity is a float, the trace replay when every capacity and recorded
- * amount is, so the check is memory safety, not a decision.
+ * is written, so nothing is ever rounded. sspflow.network._floats picks
+ * the kernel: _Engine's once per instance, for all-float costs and
+ * capacities, the trace replay's for all-float capacities and amounts.
+ * So the check is memory safety, not a decision.
  *
  * forward keeps per node the dist, hops, pred and parc (predecessor arc) of
  * its label and orders its heap by (dist, hops, node). A label is only ever

@@ -15,8 +15,8 @@ compares them against what the production solver reports:
   Bellman-Ford. A rejected arc, or no distances, falls back to a full
   Bellman-Ford. The pass runs as array operations over float64 columns
   that each instance builds once, the same float operations as the
-  exact Python loop, which stays for numbers float64 does not hold
-  exactly (Fractions, ints past 2^52) and as the columns' test oracle.
+  exact Python loop, which stays for numbers that are not floats
+  (network._floats) and as the columns' test oracle.
   check_lemmas streams each flow to it as a float64 array: consecutive
   flows differ on one path's edges, so each array is the previous one
   with those entries replaced (_flow_columns).
@@ -50,8 +50,7 @@ from .network import (
     Flow,
     FlowNetwork,
     TransformedNetwork,
-    _EXACT_LIMIT,
-    _exact_float64,
+    _floats,
     empty_arcs,
     good_arcs,
     residual_arcs,
@@ -121,7 +120,7 @@ def _bf_labels(n_ids, arcs, source):
             if du == INF:
                 continue
             e = a >> 1
-            if any(x >> 1 == e for x in su):
+            if 2 * e in su or 2 * e + 1 in su:
                 continue
             cand = (du + c, hu + 1, su + (a,))
             if cand < labels[v]:
@@ -229,12 +228,11 @@ def verify_optimality(
     the relative slack is applied only to the arcs that test flags, and
     the arcs between unlabelled nodes come back as the same tuples in
     arc order. Those are the exact loop's float operations, so the
-    verdict is too, as long as Python's arithmetic on every number is
-    float64's. numpy's type discovery guards that, once per instance
-    for the columns and in O(1) Python steps per flow: a Fraction, an
-    int past 2^52 among the labels, costs or capacities, or anything
-    numpy types as an object sends the pass to the exact loop,
-    _unlabelled_arcs.
+    verdict is too while every number is a float, which float64 holds
+    exactly at any size (network._floats): the costs and capacities,
+    decided once per instance (_columns), the flow, unless it is a
+    float64 array, and the labels, each also finite or math.inf. Any
+    other number sends the pass to the exact loop, _unlabelled_arcs.
     """
     net = instance.base
     values = flow.values
@@ -254,15 +252,24 @@ def verify_optimality(
 
 def _free_arcs(instance, values, dist) -> list[tuple] | None:
     """_unlabelled_arcs(instance.base, values, dist), over the instance's
-    float64 columns when they hold every number it reads exactly."""
+    float64 columns when every number it reads is a float (see
+    verify_optimality)."""
     cols = instance._columns
     if cols is not None:
-        x = _exact_float64(values)
-        if x is not None:
-            d = _exact_float64(list(map(dist.get, instance.base.nodes, repeat(math.nan))))
-            if d is not None:
-                return _dense_unlabelled_arcs(instance.base, cols, x, d)
+        x = _float_column(values)
+        d = _float_column(list(map(dist.get, instance.base.nodes, repeat(math.nan))))
+        # a NaN or -inf label fails the loop's precondition: it rejects dist
+        if x is not None and d is not None and (d > -INF).all():
+            return _dense_unlabelled_arcs(instance.base, cols, x, d)
     return _unlabelled_arcs(instance.base, values, dist)
+
+
+def _float_column(values) -> np.ndarray | None:
+    """values if they are a float64 array, else as a new one when
+    network._floats holds for them, else None."""
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
+    return np.array(values, dtype=np.float64) if _floats(values) else None
 
 
 def _dense_unlabelled_arcs(net, cols, x, d) -> list[tuple] | None:
@@ -296,8 +303,8 @@ def _dense_unlabelled_arcs(net, cols, x, d) -> list[tuple] | None:
 def _unlabelled_arcs(net, values, dist) -> list[tuple] | None:
     """The residual arcs between unlabelled nodes, in arc order, or None
     when dist is no certificate for the rest (see verify_optimality).
-    One exact Python comparison per arc: the route for numbers that
-    float64 does not hold exactly, and the oracle of _free_arcs."""
+    One exact Python comparison per arc: the route for numbers that are
+    not floats, and the oracle of _free_arcs."""
     for w in net.nodes:
         x = dist.get(w, math.nan)
         if x != INF and not math.isfinite(x):
@@ -490,16 +497,16 @@ def _check_no_negative_cycle(trace, flows) -> LemmaCheck:
 def _flow_columns(trace, flows):
     """Yields, for each of flows (f_0 .. f_N of trace), its values as a
     new float64 array, or None where the certificate's columns do not
-    serve: the instance has none, or _exact_float64 takes no array.
+    serve: the instance has none, or _float_column takes no tuple.
 
     Flow j + 1 differs from flow j only on the edges of step j + 1's
     path, so its array is flow j's with those entries replaced, as long
     as that is what the two tuples show: flow j + 1's tuple equals flow
-    j's with the entries replaced, and each new entry is an exact float
-    that _exact_float64 takes. Any other flow (a hand-built or altered
-    trace, a list, a wrong length) is converted afresh by _exact_float64,
-    so the certificate sees the same numbers either way. Only the
-    previous flow's tuple and array are held."""
+    j's with the entries replaced, and each new entry is a float. Any
+    other flow (a hand-built or altered trace, a list, a wrong length)
+    is converted afresh by _float_column, so the certificate sees the
+    same numbers either way. Only the previous flow's tuple and array
+    are held."""
     steps, m = trace.steps, trace.instance.m
     if trace.instance._columns is None:
         yield from repeat(None, len(flows))
@@ -514,7 +521,7 @@ def _flow_columns(trace, flows):
         if x is not None and j <= len(steps):
             x = _patched_column(prev, x, values, [a >> 1 for a in steps[j - 1].path_arcs])
         if x is None:
-            x = _exact_float64(values)
+            x = _float_column(values)
         prev = values
         yield x
 
@@ -522,11 +529,11 @@ def _flow_columns(trace, flows):
 def _patched_column(prev, x, values, edges) -> np.ndarray | None:
     """A copy of x, the float64 array of the tuple prev, with the entries
     at edges taken from the tuple values, or None unless values is prev
-    with exactly those entries replaced by floats _exact_float64 takes."""
+    with exactly those entries replaced by floats."""
     if not all(0 <= e < len(x) for e in edges):
         return None
     new = [values[e] for e in edges]
-    if not all(type(v) is float and abs(v) < _EXACT_LIMIT for v in new):
+    if not _floats(new):
         return None
     expect = list(prev)
     for e, v in zip(edges, new):

@@ -32,17 +32,18 @@ compiled kernel (_search.c) inline the first as cap - f > 0 (forward)
 and f > 0 (backward) over the same flow and capacity lists. Its one
 push step, which serves every solve and trace replay, tests good arcs
 by empty_arcs and the original-edge mask, and the kernel repeats that
-test and push operation for operation. The kernel reads exact floats
-only, so the solver uses it only for solves and replays whose numbers
-are all floats (_native.kernel_for); push stays its oracle and runs
-every other one, in its numbers' own arithmetic.
+test and push operation for operation. One rule, _floats, decides
+where numbers leave Python arithmetic, for the kernel and the
+certificate's float64 columns alike; every other number keeps its own
+arithmetic in the Python loops, where push stays the kernel's oracle.
 
 TransformedNetwork._arrays holds an instance's edges as dense-index
 lists (_Arrays), built once per instance: the engine, the kernel, the
 trace replay, the lemma checks' capacities and the certificate's numpy
-columns (_columns) all read them, and none writes to them. An instance
-that _with_edge_cost derives from another patches the other's lists
-where the one cost changes them and shares the rest.
+columns (_columns) all read them, and none writes to them; its floats
+flag answers _floats for the costs and capacities. An instance that
+_with_edge_cost derives from another patches the other's lists where
+the one cost changes them and shares the rest.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ AUXILIARY = "aux"
 # balance magnitude (at least 1). File input gets the same check:
 # dimacs parses balances as floats.
 _BALANCE_RTOL = 1e-9
-# Python compares and adds ints exactly; float64 holds an int, and the sum
-# of two, exactly only below this magnitude.
-_EXACT_LIMIT = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -296,10 +294,11 @@ class TransformedNetwork:
         for e, (u, v, c) in enumerate(zip(tail, head, cost)):
             out_adj[u].append((2 * e, v, c))
             out_adj[v].append((2 * e + 1, u, -c))
+        cap = [e.capacity for e in edges]
         return _Arrays(
-            net.nodes, idx[self.source], idx[self.sink], tail, head, cost,
-            [e.capacity for e in edges], bytes([e.kind == ORIGINAL for e in edges]),
-            out_adj, [x for c in cost for x in (c, -c)],
+            net.nodes, idx[self.source], idx[self.sink], tail, head, cost, cap,
+            bytes([e.kind == ORIGINAL for e in edges]),
+            out_adj, [x for c in cost for x in (c, -c)], _floats(cost) and _floats(cap),
         )
 
     def _with_edge_cost(self, e: int, cost: float) -> "TransformedNetwork":
@@ -309,7 +308,8 @@ class TransformedNetwork:
         Its _arrays derive from this instance's: cost, signed_cost, the
         outer out_adj list and the two rows holding arcs 2e and 2e + 1
         are copies with those entries replaced, in place, and every other
-        list and row is shared (see _Arrays)."""
+        list and row is shared (see _Arrays). Its floats flag is this
+        instance's and the new cost's."""
         base = self.base.with_edge_cost(e, cost)
         arrays = self._arrays
         costs = arrays.cost.copy()
@@ -327,7 +327,8 @@ class TransformedNetwork:
         derived = object.__new__(type(self))
         vars(derived).update(
             base=base, source=self.source, sink=self.sink, z=self.z,
-            _arrays=replace(arrays, cost=costs, out_adj=out_adj, signed_cost=signed_cost),
+            _arrays=replace(arrays, cost=costs, out_adj=out_adj, signed_cost=signed_cost,
+                            floats=arrays.floats and _floats((cost,))),
         )
         return derived
 
@@ -335,15 +336,13 @@ class TransformedNetwork:
     def _columns(self) -> tuple[np.ndarray, ...] | None:
         """(tail, head, cost, capacity) of _arrays as numpy arrays, tails
         and heads as intp, the rest float64; built on first use. None
-        unless _exact_float64 takes every cost and capacity."""
+        exactly when _arrays.floats is False."""
         arrays = self._arrays
-        cost = _exact_float64(arrays.cost)
-        cap = _exact_float64(arrays.cap)
-        if cost is None or cap is None:
+        if not arrays.floats:
             return None
         tail = np.array(arrays.tail, dtype=np.intp)
         head = np.array(arrays.head, dtype=np.intp)
-        return tail, head, cost, cap
+        return tail, head, np.array(arrays.cost), np.array(arrays.cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,21 +373,14 @@ class _Arrays:
     # 2e + 1 against it
     out_adj: list[list[tuple]]
     signed_cost: list  # by arc: c for 2e, -c for 2e + 1
+    floats: bool  # _floats of every cost and capacity
 
 
-def _exact_float64(values: Sequence) -> np.ndarray | None:
-    """values as a float64 array, or None unless float64 arithmetic on
-    them repeats Python's: each must be math.inf, or a float or an int
-    below _EXACT_LIMIT in magnitude. numpy's own type discovery decides
-    it in O(1) Python steps: a Fraction, a Decimal or an int past int64
-    makes the array object-typed, and an int past _EXACT_LIMIT fails the
-    magnitude test as the float it rounds to. NaN and -inf fail it too."""
-    a = np.array(values)
-    if a.dtype != np.float64 and a.dtype != np.int64:
-        return None
-    if not np.abs(a[a != math.inf]).max(initial=0.0) < _EXACT_LIMIT:
-        return None
-    return a.astype(np.float64, copy=False)
+def _floats(numbers: Iterable) -> bool:
+    """Whether every number's type is exactly float, which a C double and
+    a float64 hold exactly at any size; any other type (int, bool, a
+    float subclass such as numpy's float64, Fraction) is not."""
+    return set(map(type, numbers)) <= {float}
 
 
 def as_transformed(network: FlowNetwork, source: int, sink: int) -> TransformedNetwork:

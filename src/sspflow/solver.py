@@ -53,15 +53,15 @@ solve and replay of it. The two searches, forward with its potential
 raise and reverse, and the push step also exist in C, in _search.c,
 which computes in doubles and repeats the Python loops float operation
 for float, so traces are bit-identical with or without it. One rule,
-_native.kernel_for, picks it: a solve uses it when every cost and
-capacity is a float, and a replay when every capacity and recorded
-amount is one. Inside those every number it meets is a float (the
-headroom z - value is computed as a float), so no call decides again.
-Every other number type (int, bool, a float subclass, Fraction) runs
-the Python loops and network.push in its own arithmetic, from its own
-zero, c - c. _native compiles the file with gcc on first use and caches
-the library in __pycache__; when no build is possible it logs one
-warning and the Python loops run.
+network._floats, picks it: a solve when its instance's _Arrays.floats
+holds, and a replay when every capacity and recorded amount is a float.
+Inside those every number it meets is a float (the headroom z - value
+is computed as a float), so no call decides again. Every other number
+type (int, bool, a float subclass, Fraction) runs the Python loops and
+network.push in its own arithmetic, from its own zero, c - c. _native
+compiles the file with gcc on first use and caches the library in
+__pycache__; when no build is possible it logs one warning and the
+Python loops run.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import _native
 from .errors import InternalInvariantError, IterationCapExceeded
-from .network import Flow, TransformedNetwork, push
+from .network import Flow, TransformedNetwork, _floats, push
 
 INF = math.inf
 
@@ -163,11 +163,11 @@ class _Engine:
     around its own path search, and for analysis.exact_check, which
     runs the whole engine over costs scaled to ints.
 
-    native is the compiled kernel when _native.kernel_for grants it for
-    the costs and capacities, else None. It then runs both searches and
-    every push step: f holds floats from the zero flow on, since a push
-    writes a float or a cap item, and augment computes the headroom as
-    a float.
+    native is the compiled kernel when arrays.floats holds (every cost
+    and capacity is a float, network._floats, decided once per
+    instance), else None. It then runs both searches and every push
+    step: f holds floats from the zero flow on, since a push writes a
+    float or a cap item, and augment computes the headroom as a float.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -176,7 +176,7 @@ class _Engine:
         self.f = [0.0] * len(cost)
         self.value = 0.0
         self.steps: list[AugmentationStep] = []
-        self.native = _native.kernel_for(cost + arrays.cap)
+        self.native = _native.load() if arrays.floats else None
         # Each number type keeps its own arithmetic from c - c (0.0 +
         # Fraction is float); for floats that is 0.0.
         self.zero = cost[0] - cost[0] if cost else 0.0
@@ -575,10 +575,10 @@ def _replay(trace: AugmentationTrace):
     after the step's push, updated in place, n_saturated the number of
     arcs the push saturated, and good whether the path had good arcs
     (network.good_arcs) under the flow before it. Each step runs the
-    solve's push step (the kernel's, which _native.kernel_for grants
-    when every capacity and amount is a float, or else _push_step in the
-    numbers' own arithmetic: an int capacity enters f as an int) with
-    the recorded amount as its limit.
+    solve's push step (the kernel's when network._floats holds for every
+    capacity and recorded amount, or else _push_step in the numbers' own
+    arithmetic: an int capacity enters f as an int) with the recorded
+    amount as its limit.
 
     The replayed flows equal the solve's bit for bit, and each recorded
     amount was the smallest of the headroom and the path's residuals
@@ -588,7 +588,8 @@ def _replay(trace: AugmentationTrace):
     arrays = trace.instance._arrays
     cap, original = arrays.cap, arrays.original
     f = [0.0] * len(cap)
-    native = _native.kernel_for(cap + [s.amount for s in trace.steps])
+    floats = _floats(cap) and _floats(s.amount for s in trace.steps)
+    native = _native.load() if floats else None
     step = _push_step if native is None else native.push_step
     for s in trace.steps:
         amount, n_saturated, good = step(f, cap, original, s.path_arcs, s.amount)

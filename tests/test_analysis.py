@@ -35,7 +35,8 @@ from sspflow import (
     verify_optimality,
 )
 
-from sspflow.network import Flow, _exact_float64
+from sspflow.analysis import _float_column
+from sspflow.network import Flow, as_transformed
 from sspflow.solver import _Engine, trace_csv_rows
 
 from conftest import random_instance, uniform_instance
@@ -86,8 +87,36 @@ def recorded_distances(trace):
     ]
 
 
+def with_capacity(inst, e, capacity):
+    """inst with edge e's capacity replaced."""
+    net = inst.base
+    edges = list(net.edges)
+    edges[e] = dataclasses.replace(edges[e], capacity=capacity)
+    return as_transformed(
+        FlowNetwork(edges, net.balance, net.nodes, net.cost_bound), inst.source, inst.sink
+    )
+
+
+def scaled_up(inst, scale=2.0**60):
+    """inst with every cost, capacity and balance and the cost bound
+    times scale, a power of two, so the copy is exact and its numbers lie
+    far past 2^53."""
+    net = inst.base
+    edges = [
+        dataclasses.replace(e, capacity=e.capacity * scale, cost=e.cost * scale)
+        for e in net.edges
+    ]
+    balance = {v: b * scale for v, b in net.balance.items()}
+    return as_transformed(
+        FlowNetwork(edges, balance, net.nodes, net.cost_bound * scale),
+        inst.source, inst.sink,
+    )
+
+
 def certificate_instances():
-    """150 small instances, a third of them with real capacities."""
+    """180 small instances, a third of the first 150 with real
+    capacities; the last 30 hold floats past 2^53: one capacity of 2^53
+    or 1e18, or every cost and capacity times 2^60."""
     return (
         [uniform_instance(seed) for seed in range(50)]
         + [random_instance(seed, n=10, m=30) for seed in range(50)]
@@ -95,6 +124,9 @@ def certificate_instances():
             random_instance(seed, n=8, m=20, capacities="real")
             for seed in range(50)
         ]
+        + [with_capacity(uniform_instance(seed), 0, 2.0**53) for seed in range(10)]
+        + [with_capacity(random_instance(seed, n=10, m=30), 1, 1e18) for seed in range(10)]
+        + [scaled_up(random_instance(seed, capacities="real")) for seed in range(10)]
     )
 
 
@@ -351,12 +383,25 @@ class TestDenseCertificate:
         ]
         for values, d in cases:
             assert repr(dense_route(inst, values, d)) == repr(loop_route(inst, values, d))
-        assert not dense_calls
-        # an all-int flow makes an int64 array, held exactly
+        # an all-int flow is no float flow, so it takes the loop too
         ints = tuple(int(x) for x in flow.values)
         assert ints == flow.values and any(ints)
         assert repr(dense_route(inst, ints, dist)) == repr(loop_route(inst, ints, dist))
-        assert len(dense_calls) == 1
+        assert not dense_calls
+
+    @pytest.mark.parametrize("capacity", [2.0**53, 1e18])
+    def test_huge_float_capacity_keeps_the_columns(self, dense_calls, monkeypatch, capacity):
+        # a float of any size is held exactly by float64, so one huge
+        # capacity (a stand-in for an uncapacitated edge) keeps every
+        # flow's certificate on the columns
+        inst = with_capacity(uniform_instance(2), 0, capacity)
+        assert inst._columns is not None
+        trace = solve(inst)
+        report = check_lemmas(trace)
+        assert len(dense_calls) == len(trace.steps) + 1
+        monkeypatch.setattr(analysis, "_free_arcs", loop_route)
+        assert check_lemmas(trace) == report
+        assert report.all_passed
 
     def test_fraction_flow_below_capacity_by_less_than_rounding(self, dense_calls):
         # 1 - 10^-30 rounds to the capacity 1.0: only exact comparison
@@ -399,12 +444,12 @@ class TestDenseCertificate:
 
 
 def column_oracle(inst, flow):
-    """What _flow_columns must yield for flow: a fresh _exact_float64 of a
+    """What _flow_columns must yield for flow: a fresh _float_column of a
     tuple of m values, or None."""
     values = flow.values
     if inst._columns is None or type(values) is not tuple or len(values) != inst.m:
         return None
-    return _exact_float64(values)
+    return _float_column(values)
 
 
 def assert_streamed(trace, flows):
@@ -416,7 +461,7 @@ def assert_streamed(trace, flows):
         if want is None:
             assert x is None
         else:
-            assert x.dtype == np.float64 and np.array_equal(x, want)
+            assert x.dtype == np.float64 and np.array_equal(x, want, equal_nan=True)
             assert prev is None or not np.shares_memory(x, prev)
         prev = x
 
@@ -430,9 +475,9 @@ class TestStreamedColumns:
 
         def counted(values):
             conversions.append(values)
-            return _exact_float64(values)
+            return _float_column(values)
 
-        monkeypatch.setattr(analysis, "_exact_float64", counted)
+        monkeypatch.setattr(analysis, "_float_column", counted)
         flows_seen = 0
         for inst in certificate_instances():
             for kept in (solve(inst, retain_flows=True), solve(inst)):

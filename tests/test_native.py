@@ -64,7 +64,8 @@ class _Float(float):
 @pytest.mark.parametrize("cost_type", [float, int, _Float, Fraction])
 def test_kernel_exactly_for_float_and_int_types(cost_type, cap_type):
     # the kernel is chosen exactly for all-float instances: an int, a
-    # bool or a float subclass takes the Python loops, as a Fraction does
+    # bool or a float subclass takes the Python loops, as a Fraction does,
+    # and the certificate's columns follow the same rule
     net = two_path_network()
     edges = [
         Edge(e.tail, e.head, cap_type(e.capacity), cost_type(round(e.cost)), e.kind)
@@ -72,7 +73,23 @@ def test_kernel_exactly_for_float_and_int_types(cost_type, cap_type):
     ]
     inst = transform(FlowNetwork(edges, {0: 1.0, 3: -1.0}, net.nodes, net.cost_bound))
     native = {cost_type, cap_type} <= {float}
+    assert inst._arrays.floats is native
     assert (_Engine(inst).native is not None) is native
+    assert (inst._columns is not None) is native
+
+
+def test_derived_instance_with_an_int_cost_takes_the_python_loops():
+    # a derived instance's flag is its parent's and its new cost's
+    inst = transform(two_path_network())
+    assert inst._arrays.floats
+    with_int = inst._with_edge_cost(2, 0)
+    with_float = inst._with_edge_cost(2, 0.0)
+    assert with_int._arrays.floats is False and with_float._arrays.floats
+    assert _Engine(with_int).native is None and with_int._columns is None
+    assert with_int._with_edge_cost(2, 0.3)._arrays.floats is False
+    got, want = run_ssp(with_int), run_ssp(with_float)
+    assert [s.path_arcs for s in got.steps] == [s.path_arcs for s in want.steps]
+    assert got.final_flow == want.final_flow
 
 
 @pytest.mark.parametrize("number", [Fraction, np.float64, int])
@@ -190,7 +207,7 @@ BAD_PUSH_CALLS = [
     (TypeError, "replay", {2: [1, 1]}),
     # a number that is not an exact float, on the path's last edge or as
     # the limit: an int, a float subclass, numpy's float64. No caller
-    # passes one (_native.kernel_for), so this is memory safety
+    # passes one (network._floats decides), so this is memory safety
     (TypeError, "augment", {0: [2.0, 0]}),
     (TypeError, "augment", {1: [2.0, np.float64(3.0)]}),
     (TypeError, "augment", {4: 5}),
