@@ -4,12 +4,13 @@
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
  * clamp, the same comparisons, so the settle order, the distances and the
- * chosen paths are bit-identical. The lists (the instance's arrays, which
- * stay read-only, and the engine's f and pi) are read in place through the
- * C API; nothing is converted. Every number a function reads must be an
- * exact float, which a double holds exactly; anything else (an int, a
- * float subclass such as numpy's float64) raises TypeError before anything
- * is written, so nothing is ever rounded. sspflow.network._floats picks
+ * chosen paths are bit-identical. The instance's arrays (the adjacency, a
+ * tuple of per-node tuples, and the capacity list, which stays read-only)
+ * and the engine's f and pi are read in place through the C API; nothing
+ * is converted. Every number a function reads must be an exact float,
+ * which a double holds exactly; anything else (an int, a float subclass
+ * such as numpy's float64) raises TypeError before anything is written,
+ * so nothing is ever rounded. sspflow.network._floats picks
  * the kernel: _Engine's once per instance, for all-float costs and
  * capacities, the trace replay's for all-float capacities and amounts.
  * So the check is memory safety, not a decision.
@@ -212,17 +213,16 @@ item_double(PyObject *list, Py_ssize_t i, double *out)
     return as_double(PyList_GET_ITEM(list, i), out);
 }
 
-/* Row v of an adjacency list, as a new reference: the row stays alive
- * while it is scanned, whatever the check callback does. */
+/* Row v of the adjacency tuple, borrowed: a tuple's rows cannot be
+ * replaced, so it stays alive whatever the check callback does. */
 static PyObject *
 adj_row(PyObject *adj, Py_ssize_t v)
 {
     PyObject *row;
-    if (v >= PyList_GET_SIZE(adj) || !PyList_Check(row = PyList_GET_ITEM(adj, v))) {
-        PyErr_SetString(PyExc_TypeError, "adjacency rows must be lists");
+    if (v >= PyTuple_GET_SIZE(adj) || !PyTuple_Check(row = PyTuple_GET_ITEM(adj, v))) {
+        PyErr_SetString(PyExc_TypeError, "adjacency rows must be tuples");
         return NULL;
     }
-    Py_INCREF(row);
     return row;
 }
 
@@ -315,11 +315,11 @@ forward(PyObject *self, PyObject *args)
     Py_ssize_t s, t;
     int stop_at_sink;
     double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nnpOd:forward", &PyList_Type, &out_adj,
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nnpOd:forward", &PyTuple_Type, &out_adj,
                           &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
                           &s, &t, &stop_at_sink, &check, &slack))
         return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(out_adj);
+    Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
     if (s < 0 || s >= n || t < 0 || t >= n) {
         PyErr_SetString(PyExc_IndexError, "source or sink out of range");
         return NULL;
@@ -352,8 +352,8 @@ forward(PyObject *self, PyObject *args)
             goto done;
         if (!(adj = adj_row(out_adj, u)))
             goto done;
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(adj); i++) {
-            PyObject *entry = PyList_GET_ITEM(adj, i);
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
+            PyObject *entry = PyTuple_GET_ITEM(adj, i);
             Py_ssize_t a, v;
             if (adj_entry(entry, n, &a, &v) < 0)
                 goto done;
@@ -386,7 +386,6 @@ forward(PyObject *self, PyObject *args)
             if (push(&st, e) < 0)
                 goto done;
         }
-        Py_CLEAR(adj);
     }
 
     if (st.dist[t] < Py_HUGE_VAL) {
@@ -405,7 +404,6 @@ forward(PyObject *self, PyObject *args)
     if (node_lists(&st, pi, bound, stop_at_sink ? NULL : &dist, &raised) == 0)
         result = PyTuple_Pack(3, dist ? dist : Py_None, path, raised);
 done:
-    Py_XDECREF(adj);
     Py_XDECREF(dist);
     Py_XDECREF(raised);
     Py_XDECREF(path);
@@ -419,11 +417,11 @@ reverse(PyObject *self, PyObject *args)
     PyObject *out_adj, *f, *cap, *pi, *check;
     Py_ssize_t t;
     double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nOd:reverse", &PyList_Type, &out_adj,
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nOd:reverse", &PyTuple_Type, &out_adj,
                           &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
                           &t, &check, &slack))
         return NULL;
-    Py_ssize_t n = PyList_GET_SIZE(out_adj);
+    Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
     if (t < 0 || t >= n) {
         PyErr_SetString(PyExc_IndexError, "sink out of range");
         return NULL;
@@ -447,8 +445,8 @@ reverse(PyObject *self, PyObject *args)
             goto done;
         if (!(adj = adj_row(out_adj, v)))
             goto done;
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(adj); i++) {
-            PyObject *entry = PyList_GET_ITEM(adj, i);
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
+            PyObject *entry = PyTuple_GET_ITEM(adj, i);
             Py_ssize_t b, u;
             if (adj_entry(entry, n, &b, &u) < 0)
                 goto done;
@@ -471,11 +469,9 @@ reverse(PyObject *self, PyObject *args)
                     goto done;
             }
         }
-        Py_CLEAR(adj);
     }
     node_lists(&st, NULL, 0.0, &result, NULL);
 done:
-    Py_XDECREF(adj);
     state_free(&st);
     return result;
 }

@@ -23,10 +23,8 @@ output byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
-import os
 import sys
 import time
 
@@ -233,53 +231,39 @@ def cmd_experiment(args) -> int:
                 f"--seed {args.seed}: trial seeds reach {last}, past 2^63"
             )
     failures = 0
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        with out if args.out else contextlib.nullcontext():
-            out.write("cell,trial,steps,runtime,bound_2mnphi_plus_2n,ratio\n")
-            out.flush()
-            for cell_index, (model, n, m, phi) in enumerate(cells):
-                cell = f"model={model};shape={args.shape};n={n};m={m};phi={phi:g}"
-                steps_seen = []
-                bound = None
-                for trial in range(trials):
-                    seed = _trial_seed(args.seed, cell_index, trial)
-                    started = time.perf_counter()
-                    try:
-                        instance = _experiment_instance(
-                            model, args.shape, n, m, phi, seed
-                        )
-                        trace = run_ssp(instance, record_distances=False)
-                    except FlowError as exc:
-                        # Bad parameters fail every trial alike and end the run
-                        # with their own exit code; only a failed self-check
-                        # becomes a per-trial error row.
-                        if exc.exit_code != 3:
-                            raise
-                        failures += 1
-                        out.write(f"{cell},{trial},error:{type(exc).__name__},,,\n")
-                        out.flush()
-                        continue
-                    elapsed = time.perf_counter() - started
-                    phi_eff = generators.effective_phi(model, phi)
-                    bound = 2 * instance.m * instance.n * phi_eff + 2 * instance.n
-                    steps = len(trace.steps)
-                    steps_seen.append(steps)
-                    runtime = f"{elapsed:.6f}" if args.timings else ""
-                    out.write(
-                        f"{cell},{trial},{steps},{runtime},{bound!r},{steps / bound!r}\n"
-                    )
-                    out.flush()
-                if steps_seen and bound is not None:
-                    mean = math.fsum(steps_seen) / len(steps_seen)
-                    out.write(f"{cell},mean,{mean!r},,{bound!r},{mean / bound!r}\n")
-                    out.flush()
-    except (FlowError, OSError):
-        # A run stopped by an error leaves no file that could pass for a
-        # finished grid.
-        if args.out and os.path.isfile(args.out):
-            os.remove(args.out)
-        raise
+    rows = ["cell,trial,steps,runtime,bound_2mnphi_plus_2n,ratio"]
+    for cell_index, (model, n, m, phi) in enumerate(cells):
+        cell = f"model={model};shape={args.shape};n={n};m={m};phi={phi:g}"
+        steps_seen = []
+        bound = None
+        for trial in range(trials):
+            seed = _trial_seed(args.seed, cell_index, trial)
+            started = time.perf_counter()
+            try:
+                instance = _experiment_instance(model, args.shape, n, m, phi, seed)
+                trace = run_ssp(instance, record_distances=False)
+            except FlowError as exc:
+                # Bad parameters fail every trial alike and end the run with
+                # their own exit code; only a failed self-check becomes a
+                # per-trial error row.
+                if exc.exit_code != 3:
+                    raise
+                failures += 1
+                rows.append(f"{cell},{trial},error:{type(exc).__name__},,,")
+                continue
+            elapsed = time.perf_counter() - started
+            phi_eff = generators.effective_phi(model, phi)
+            bound = 2 * instance.m * instance.n * phi_eff + 2 * instance.n
+            steps = len(trace.steps)
+            steps_seen.append(steps)
+            runtime = f"{elapsed:.6f}" if args.timings else ""
+            rows.append(f"{cell},{trial},{steps},{runtime},{bound!r},{steps / bound!r}")
+        if steps_seen and bound is not None:
+            mean = math.fsum(steps_seen) / len(steps_seen)
+            rows.append(f"{cell},mean,{mean!r},,{bound!r},{mean / bound!r}")
+    # Written once the grid is done, so a run that anything stops leaves
+    # --out as it found it.
+    _write_lines(args.out, rows)
     return 3 if failures else 0
 
 

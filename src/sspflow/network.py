@@ -40,10 +40,11 @@ arithmetic in the Python loops, where push stays the kernel's oracle.
 TransformedNetwork._arrays holds an instance's edges as dense-index
 lists (_Arrays), built once per instance: the engine, the kernel, the
 trace replay, the lemma checks' capacities and the certificate's numpy
-columns (_columns) all read them, and none writes to them; its floats
-flag answers _floats for the costs and capacities. An instance that
-_with_edge_cost derives from another patches the other's lists where
-the one cost changes them and shares the rest.
+columns (_columns) all read them, and none writes to them (the per-node
+arc lists are tuples); its floats flag answers _floats for the costs and
+capacities. An instance that _with_edge_cost derives from another
+patches the other's lists where the one cost changes them and shares
+the rest.
 """
 
 from __future__ import annotations
@@ -297,8 +298,8 @@ class TransformedNetwork:
         cap = [e.capacity for e in edges]
         return _Arrays(
             net.nodes, idx[self.source], idx[self.sink], tail, head, cost, cap,
-            bytes([e.kind == ORIGINAL for e in edges]),
-            out_adj, [x for c in cost for x in (c, -c)], _floats(cost) and _floats(cap),
+            bytes([e.kind == ORIGINAL for e in edges]), tuple(map(tuple, out_adj)),
+            [x for c in cost for x in (c, -c)], _floats(cost) and _floats(cap),
         )
 
     def _with_edge_cost(self, e: int, cost: float) -> "TransformedNetwork":
@@ -306,10 +307,10 @@ class TransformedNetwork:
         rejected) as FlowNetwork.with_edge_cost does; the source, sink, z
         and balances are this instance's, so they are not checked again.
         Its _arrays derive from this instance's: cost, signed_cost, the
-        outer out_adj list and the two rows holding arcs 2e and 2e + 1
-        are copies with those entries replaced, in place, and every other
-        list and row is shared (see _Arrays). Its floats flag is this
-        instance's and the new cost's."""
+        outer out_adj tuple and the two rows holding arcs 2e and 2e + 1
+        are copies with those entries replaced, and every other list and
+        row is shared (see _Arrays). Its floats flag is this instance's
+        and the new cost's."""
         base = self.base.with_edge_cost(e, cost)
         arrays = self._arrays
         costs = arrays.cost.copy()
@@ -317,17 +318,19 @@ class TransformedNetwork:
         signed_cost = arrays.signed_cost.copy()
         signed_cost[2 * e] = cost
         signed_cost[2 * e + 1] = -cost
-        out_adj = arrays.out_adj.copy()
+        out_adj = list(arrays.out_adj)
         u, v = arrays.tail[e], arrays.head[e]
         for row, entry in ((u, (2 * e, v, cost)), (v, (2 * e + 1, u, -cost))):
-            arcs = out_adj[row] = out_adj[row].copy()
+            arcs = list(out_adj[row])
             # a row lists its arcs in increasing order, once each
             arcs[bisect_left(arcs, entry[0], key=itemgetter(0))] = entry
+            out_adj[row] = tuple(arcs)
         # frozen: the fields and the cached _arrays go straight into __dict__
         derived = object.__new__(type(self))
         vars(derived).update(
             base=base, source=self.source, sink=self.sink, z=self.z,
-            _arrays=replace(arrays, cost=costs, out_adj=out_adj, signed_cost=signed_cost,
+            _arrays=replace(arrays, cost=costs, out_adj=tuple(out_adj),
+                            signed_cost=signed_cost,
                             floats=arrays.floats and _floats((cost,))),
         )
         return derived
@@ -353,11 +356,12 @@ class _Arrays:
     and edges indices into base.edges; costs and capacities keep their
     own number types.
 
-    Read-only by contract: every solve and replay of the instance shares
-    these lists, and neither network.push nor the kernel's push writes
-    anything but the flow list it is given. That is what lets an instance
-    derived by TransformedNetwork._with_edge_cost share every list and
-    out_adj row that the new cost leaves alone with its parent's.
+    Every solve and replay of the instance shares these arrays: out_adj
+    is a tuple of per-node tuples, which nothing can write to, and the
+    lists are read-only by contract (network.push and the kernel's push
+    write nothing but the flow list they are given). That is what lets
+    an instance derived by TransformedNetwork._with_edge_cost share every
+    list and out_adj row that the new cost leaves alone with its parent's.
     """
 
     nodes: tuple[int, ...]
@@ -368,10 +372,10 @@ class _Arrays:
     cost: list
     cap: list
     original: bytes  # 1 at each original edge, 0 at each auxiliary one
-    # out_adj[u] lists (arc, the node it enters, signed cost) for every
+    # out_adj[u] holds (arc, the node it enters, signed cost) for every
     # potential residual arc leaving u, in edge order: arc 2e along edge e,
     # 2e + 1 against it
-    out_adj: list[list[tuple]]
+    out_adj: tuple[tuple[tuple, ...], ...]
     signed_cost: list  # by arc: c for 2e, -c for 2e + 1
     floats: bool  # _floats of every cost and capacity
 

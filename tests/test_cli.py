@@ -366,6 +366,45 @@ def test_experiment_bad_params_exit_1(argv, tmp_path, capsys):
     assert not out.exists()  # no partial grid left behind
 
 
+def _memory_error_on_second_instance(monkeypatch):
+    real = cli._experiment_instance
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_experiment_instance", flaky)
+
+
+@pytest.mark.parametrize("memory_error", [False, True])
+def test_stopped_experiment_leaves_existing_out_as_it_was(
+    memory_error, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"an earlier grid\r\n")
+    if memory_error:
+        _memory_error_on_second_instance(monkeypatch)
+        argv = EXPERIMENT + ["--trials", "2"]
+    else:
+        argv = EXPERIMENT + ["--phis", "2,0.5"]  # the second cell is bad
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"an earlier grid\r\n"
+
+
+def test_experiment_stopped_by_memory_error_leaves_no_file(
+    tmp_path, monkeypatch, capsys
+):
+    _memory_error_on_second_instance(monkeypatch)
+    out = tmp_path / "rows.csv"
+    assert main(EXPERIMENT + ["--trials", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert not out.exists()
+
+
 def test_experiment_self_check_failure_is_a_row(tmp_path, monkeypatch):
     def fail(instance, **kwargs):
         raise InternalInvariantError("boom")

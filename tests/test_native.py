@@ -12,10 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sspflow import Edge, FlowNetwork, run_ssp, transform
+from sspflow import (
+    Edge,
+    FlowNetwork,
+    InternalInvariantError,
+    TransformedNetwork,
+    run_ssp,
+    transform,
+)
 from sspflow import _native, solver
-from sspflow.network import empty_arcs, push
-from sspflow.solver import _Engine, _check_reduced_cost, trace_csv_rows
+from sspflow.network import empty_arcs, push, residual_arcs
+from sspflow.solver import _Engine, _check_reduced_cost, _path_less, trace_csv_rows
 
 from conftest import random_instance, two_path_network
 
@@ -142,7 +149,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def two_edges():
     """out_adj, f and cap of a full edge 0 from node 0 to 1 and an idle
     edge 1 from node 1 to 2, both of cost 0."""
-    out_adj = [[(0, 1, 0.0)], [(1, 0, -0.0), (2, 2, 0.0)], [(3, 1, -0.0)]]
+    out_adj = (((0, 1, 0.0),), ((1, 0, -0.0), (2, 2, 0.0)), ((3, 1, -0.0),))
     return out_adj, [2.0, 0.0], [2.0, 3.0]
 
 
@@ -253,8 +260,12 @@ BAD_SEARCH_CALLS = [
     (TypeError, "reverse", {2: [_Float(2.0), 3.0]}),
     (TypeError, "forward", {3: [0.0, np.float64(0.0), 0.0]}),
     (TypeError, "reverse", {3: [0.0, _Float(0.0), 0.0]}),
-    (TypeError, "forward", {0: [[(0, 1, 0.0)], [(1, 0, np.float64(-0.0)), (2, 2, 0.0)],
-                                [(3, 1, -0.0)]]}),
+    (TypeError, "forward", {0: (((0, 1, 0.0),), ((1, 0, np.float64(-0.0)), (2, 2, 0.0)),
+                                ((3, 1, -0.0),))}),
+    # an adjacency or a row that is a list, not a tuple
+    (TypeError, "forward", {0: list(two_edges()[0])}),
+    (TypeError, "reverse", {0: (((0, 1, 0.0),), [(1, 0, -0.0), (2, 2, 0.0)],
+                                ((3, 1, -0.0),))}),
 ]
 
 
@@ -319,3 +330,80 @@ def test_replay_repeats_network_push():
         assert repr(got) == repr((amount, len(push(f, cap, arcs, amount)), good))
         assert repr(mine) == repr(mirror) == repr(f)
     assert 1000 < cut < 1800  # the limit binds on the rest
+
+
+def _search_outcome(inst, f, pi, search):
+    """repr of what one search returns and of pi after it, or the text of
+    the InternalInvariantError it raises, on the kernel and on the
+    Python loops, each from its own copy of the state."""
+    outcomes = []
+    for native in (True, False):
+        eng = _Engine(inst)
+        if not native:
+            eng.native = None
+        eng.f, eng.pi = list(f), list(pi)
+        try:
+            outcomes.append((repr(search(eng)), repr(eng.pi)))
+        except InternalInvariantError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _feasible_potentials(inst, f):
+    """Bellman-Ford distances from a virtual root over the arcs present
+    under f, by dense node index; None when they form a negative cycle."""
+    index = {v: i for i, v in enumerate(inst._arrays.nodes)}
+    arcs = [(index[u], index[v], c) for _, u, v, c in residual_arcs(inst.base, f)]
+    pi = [0.0] * len(index)
+    for _ in range(len(index)):
+        changed = False
+        for u, v, c in arcs:
+            if pi[u] + c < pi[v]:
+                pi[v] = pi[u] + c
+                changed = True
+        if not changed:
+            return pi
+    return None
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_searches_agree_on_arbitrary_states(monkeypatch):
+    # both searches of both backends from states that no solve reaches:
+    # flows at 0, at the capacity or in between, and costs on a coarse
+    # grid, so that labels tie in (dist, hops). Feasible potentials give
+    # the same distances, paths and raised pi; random ones raise the
+    # same reduced-cost error
+    ties = []
+    monkeypatch.setattr(
+        solver, "_path_less", lambda *args: ties.append(args) or _path_less(*args)
+    )
+    searches = (
+        lambda eng: eng.dijkstra_forward(True),
+        lambda eng: eng.dijkstra_forward(False),
+        lambda eng: eng.dijkstra_reverse(),
+    )
+    rng = random.Random(0)
+    feasible = raised = 0
+    for seed in range(40):
+        inst = random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
+        net, step = inst.base, (0.25, 0.5, 1.0)[seed % 3]
+        for e, edge in enumerate(net.edges):
+            if net.is_original(e):
+                net = net.with_edge_cost(e, edge.cost // step * step)
+        inst = TransformedNetwork(net, inst.source, inst.sink, inst.z)
+        assert _Engine(inst).native is not None
+        for _ in range(20):
+            f = [rng.choice([0.0, e.capacity, e.capacity / 2]) for e in net.edges]
+            pi = _feasible_potentials(inst, f)
+            if pi is not None:
+                for search in searches:
+                    native, python = _search_outcome(inst, f, pi, search)
+                    assert native == python and not isinstance(native, str)
+                    feasible += 1
+            pi = [rng.randrange(-8, 9) * step for _ in inst._arrays.nodes]
+            for search in searches:
+                native, python = _search_outcome(inst, f, pi, search)
+                assert native == python
+                raised += isinstance(native, str)
+    assert feasible > 600 and raised > 1500
+    assert len(ties) > 1000  # ties in (dist, hops), settled by arc sequence
