@@ -8,7 +8,7 @@ profile doubles as a readable summary of the whole run.
 Run:  python3 demos/cost_profile.py
 """
 
-from sspflow import Edge, FlowNetwork, cost_function, solve, transform
+from sspflow import Edge, FlowNetwork, cost_function, run_ssp, transform
 from sspflow.solver import cost_function_csv_rows, trace_csv_rows
 
 
@@ -31,7 +31,7 @@ def main():
     print(f"instance: {inst.n} nodes, {inst.m} edges, target value {inst.z}")
     print()
 
-    trace = solve(inst)
+    trace = run_ssp(inst)
     print(f"outcome: {trace.outcome.value} after {len(trace.steps)} augmentations")
     edges = inst.base.edges
     for step in trace.steps:

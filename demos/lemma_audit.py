@@ -21,8 +21,8 @@ from sspflow import (
     erdos_topology,
     exact_check,
     layered_topology,
+    run_ssp,
     sample_costs,
-    solve,
     transform,
 )
 
@@ -30,7 +30,7 @@ from sspflow import (
 def audit_one(verbose: bool):
     topo = bipartite_topology(4, 13)
     inst = transform(sample_costs(topo, adversarial_spec(topo, 10.0), 21))
-    trace = solve(inst, retain_flows=True)
+    trace = run_ssp(inst, retain_flows=True)
     report = check_lemmas(trace)
     if verbose:
         print(f"single instance, {len(trace.steps)} augmentations:")
@@ -53,7 +53,7 @@ def audit_pool(count: int):
             topo = layered_topology(6 + idx % 3, 7, idx)
         phi = (1.0, 10.0, 50.0)[idx % 3]
         inst = transform(sample_costs(topo, adversarial_spec(topo, phi), idx))
-        report = check_lemmas(solve(inst, retain_flows=True))
+        report = check_lemmas(run_ssp(inst, retain_flows=True))
         checked += 1
         passed += report.all_passed
     return passed, checked

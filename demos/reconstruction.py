@@ -16,8 +16,8 @@ from sspflow import (
     erdos_topology,
     harvest_reconstruction_cases,
     reconstruct,
+    run_ssp,
     sample_costs,
-    solve,
     transform,
 )
 
@@ -28,7 +28,7 @@ def main():
     inst = transform(sample_costs(topo, spec, seed=8))
     print(f"instance: {inst.n} nodes, {inst.m} edges, target {inst.z:g}")
 
-    trace = solve(inst, retain_flows=True)
+    trace = run_ssp(inst, retain_flows=True)
     print(f"solved in {len(trace.steps)} augmentations")
     print()
 

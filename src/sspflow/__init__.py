@@ -80,7 +80,6 @@ from .solver import (
     cost_function,
     cost_function_from_steps,
     run_ssp,
-    solve,
 )
 
 __version__ = "0.1.0"
@@ -138,7 +137,6 @@ __all__ = [
     "residual_arcs",
     "run_ssp",
     "sample_costs",
-    "solve",
     "stage_sequence",
     "transform",
     "verify_count",

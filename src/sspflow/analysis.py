@@ -23,7 +23,7 @@ compares them against what the production solver reports:
 * check_lemmas: executable structural properties of a solver trace
   (monotone distances, nondecreasing path lengths, convex profile,
   empty arcs on every path, the bad-step bound, per-step optimality,
-  reversed-path optimality).
+  reversed-path optimality, no backward auxiliary arc on a path).
 * reconstruct: recover an intermediate flow from one residual arc and
   a length threshold, never reading the arc's original cost.
 * exact_check: every step replayed by the solver's engine over the
@@ -138,7 +138,7 @@ def reference_solve(
 ) -> AugmentationTrace:
     """Same algorithm, independent search: Bellman-Ford on raw costs.
 
-    Produces the same step sequence as solve() (paths, lengths,
+    Produces the same step sequence as run_ssp() (paths, lengths,
     amounts) and serves as its oracle in tests. Only the path search is
     its own: it runs over network.residual_arcs of the current flow,
     while the bookkeeping (path length, bottleneck, push, flow value and

@@ -2,11 +2,14 @@
 
     sspflow solve INSTANCE [--z Z] [--out trace.csv] [--iteration-cap N]
     sspflow costfn INSTANCE [--out costfn.csv]
-    sspflow generate --model smoothed|perturbed --shape bipartite|erdos|layered
-                     --n N --m M --seed S [--phi PHI] [--cost-spec FILE] [--out FILE]
+    sspflow generate --model smoothed|perturbed|lowerbound
+                     --shape bipartite|erdos|layered --n N --m M --seed S
+                     [--phi PHI] [--cost-spec FILE]
+                     [--preset uniform|adversarial] [--out FILE]
     sspflow lowerbound --n N --m M --phi PHI --seed S [--out FILE] [--verify]
-    sspflow experiment --models LIST --ns LIST --ms LIST --phis LIST
-                       --trials T --seed S --out results.csv [--timings]
+    sspflow experiment --models LIST --shape bipartite|erdos|layered
+                       --ns LIST --ms LIST --phis LIST --trials T --seed S
+                       [--out results.csv] [--timings]
     sspflow verify INSTANCE [--out lemmas.csv]
     sspflow reconstruct-check INSTANCE [--max-cases N]
 
@@ -41,9 +44,12 @@ from .solver import (
     cost_function,
     cost_function_csv_rows,
     run_ssp,
-    solve,
     trace_csv_rows,
 )
+
+# perfbench/tracing.py's TARGETS resolves sspflow.cli.solve; nothing calls
+# it. It goes when ROADMAP item 1 drops that entry.
+solve = run_ssp
 
 MODELS = ("smoothed", "perturbed", "lowerbound")
 SHAPES = ("bipartite", "erdos", "layered")
@@ -118,7 +124,7 @@ def cmd_solve(args) -> int:
     z = _nonnegative("--z", args.z)
     cap = _nonnegative("--iteration-cap", args.iteration_cap)
     instance = load_instance(args.instance)
-    trace = solve(instance, z=z, record_distances=False, iteration_cap=cap)
+    trace = run_ssp(instance, z=z, record_distances=False, iteration_cap=cap)
     if args.out:
         _write_lines(args.out, trace_csv_rows(trace))
     final = trace.final_flow
@@ -269,7 +275,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
-    trace = solve(instance, retain_flows=True, record_distances=True)
+    trace = run_ssp(instance, retain_flows=True, record_distances=True)
     report = check_lemmas(trace)
     print(report.as_text())
     if args.out:
@@ -280,7 +286,7 @@ def cmd_verify(args) -> int:
 def cmd_reconstruct_check(args) -> int:
     max_cases = _nonnegative("--max-cases", args.max_cases)
     instance = load_instance(args.instance)
-    trace = solve(instance, retain_flows=True, record_distances=False)
+    trace = run_ssp(instance, retain_flows=True, record_distances=False)
     cases = harvest_reconstruction_cases(trace)
     if not cases:
         print("no reconstructable steps harvested")

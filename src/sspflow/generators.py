@@ -298,7 +298,7 @@ def random_topology(
 ) -> Topology:
     """Dispatch by shape name: bipartite | erdos | layered."""
     if shape == "bipartite":
-        return bipartite_topology(n, m)
+        return bipartite_topology(n, m, **kwargs)
     if shape == "erdos":
         return erdos_topology(n, m, seed, **kwargs)
     if shape == "layered":

@@ -430,11 +430,19 @@ def run_ssp(
     iteration_cap: int | None = None,
     stop_above_length: float | None = None,
 ) -> AugmentationTrace:
-    """Run successive shortest paths; the general entry point.
+    """Run successive shortest paths: the package's one solve entry point.
 
     z defaults to the instance target; math.inf computes a max flow.
     stop_above_length halts before augmenting along any path strictly
     longer than the given threshold (used by flow reconstruction).
+
+    What each mode costs per step: with record_distances (the default),
+    a full forward search plus a reverse search, and two n-entry dicts
+    stored as the step's distances_from_s and distances_to_t; without
+    it, one forward search that stops once the sink is settled.
+    retain_flows adds one m-tuple of flow values per step, kept as
+    intermediate_flows (analysis.replay_flows rebuilds the same flows
+    from the steps).
     """
     if z is None:
         z = instance.z
@@ -491,24 +499,6 @@ def run_ssp(
         initial_distances_from_s=initial_dist,
         initial_distances_to_t=initial_dist_to,
         intermediate_flows=tuple(flows) if retain_flows else None,
-    )
-
-
-def solve(
-    instance: TransformedNetwork,
-    *,
-    z: float | None = None,
-    retain_flows: bool = False,
-    record_distances: bool = True,
-    iteration_cap: int | None = None,
-) -> AugmentationTrace:
-    """Minimum-cost flow of value z (default: the instance target)."""
-    return run_ssp(
-        instance,
-        z=z,
-        retain_flows=retain_flows,
-        record_distances=record_distances,
-        iteration_cap=iteration_cap,
     )
 
 

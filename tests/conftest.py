@@ -70,6 +70,20 @@ def profile_fixture_network():
     )
 
 
+def tie_bad_step_network():
+    """Six nodes, four steps, found by random search: step 4 ties step 3
+    at length 1.0 and its path has no empty arc, so it is bad and zeroes
+    four arcs."""
+    edges = [
+        (2, 3, 2.0, 0.75), (1, 3, 1.0, 1.0), (1, 4, 1.0, 0.0),
+        (4, 2, 3.0, 0.75), (5, 0, 2.0, 0.5), (5, 1, 3.0, 0.75),
+        (3, 4, 1.0, 0.0), (3, 0, 2.0, 0.75), (0, 1, 1.0, 0.25),
+        (1, 2, 2.0, 1.0),
+    ]
+    balance = {0: -1.0, 1: -3.0, 2: 0.0, 3: 2.0, 4: 0.0, 5: 2.0}
+    return FlowNetwork([Edge(*e) for e in edges], balance)
+
+
 def random_instance(seed, n=6, m=12, phi=10.0, shape="erdos", capacities="int"):
     topo = random_topology(n, m, shape, seed, capacities=capacities)
     spec = adversarial_spec(topo, phi)

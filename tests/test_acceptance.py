@@ -30,7 +30,6 @@ from sspflow import (
     reference_solve,
     run_ssp,
     sample_costs,
-    solve,
     stage_sequence,
     transform,
     verify_count,
@@ -167,7 +166,7 @@ def test_criterion_5_lemma_suite_on_pool():
         inst = next(pool)
         if inst.n > 12:
             continue
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         rep = check_lemmas(trace)
         assert rep.all_passed, (count, rep.as_text())
         count += 1
@@ -190,7 +189,7 @@ def test_criterion_6_reconstruction_exact_and_cost_blind():
         topo = erdos_topology(6, 12, seed, capacities="int")
         spec = adversarial_spec(topo, 5.0)
         inst = transform(sample_costs(topo, spec, seed))
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         cases = harvest_reconstruction_cases(trace)
         for case, ok in check_reconstruction(inst, cases):
             assert ok, (seed, case.arc, case.threshold)
@@ -238,7 +237,7 @@ def test_criterion_7_reference_agreement():
         inst = transform(sample_costs(topo, spec, idx))
         if inst.n > 10:
             continue
-        a = solve(inst)
+        a = run_ssp(inst)
         b = reference_solve(inst)
         assert a.outcome == b.outcome, idx
         assert len(a.steps) == len(b.steps), idx

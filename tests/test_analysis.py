@@ -30,7 +30,6 @@ from sspflow import (
     residual_arcs,
     run_ssp,
     sample_costs,
-    solve,
     transform,
     verify_optimality,
 )
@@ -39,7 +38,12 @@ from sspflow.analysis import _float_column
 from sspflow.network import Flow, as_transformed
 from sspflow.solver import _Engine, trace_csv_rows
 
-from conftest import random_instance, uniform_instance
+from conftest import (
+    profile_fixture_network,
+    random_instance,
+    tie_bad_step_network,
+    uniform_instance,
+)
 
 
 def slack_network():
@@ -62,7 +66,7 @@ def slack_network():
 class TestOptimality:
     def test_solver_output_is_optimal(self):
         inst = transform(slack_network())
-        trace = solve(inst)
+        trace = run_ssp(inst)
         assert verify_optimality(inst, trace.final_flow)
 
     def test_suboptimal_flow_detected(self):
@@ -76,7 +80,7 @@ class TestOptimality:
     def test_random_pool_optimal(self):
         for seed in range(20):
             inst = uniform_instance(seed)
-            trace = solve(inst)
+            trace = run_ssp(inst)
             assert verify_optimality(inst, trace.final_flow), seed
 
 
@@ -155,7 +159,7 @@ def circulation_network():
         {0: 2.0, 3: -2.0},
     )
     inst = transform(net)
-    trace = solve(inst)
+    trace = run_ssp(inst)
     values = list(trace.final_flow.values)
     for e in (4, 5, 6):
         assert values[e] == 0.0
@@ -171,7 +175,7 @@ class TestCertificate:
     def test_same_verdict_as_full_bellman_ford(self, full_bellman_ford):
         flows_checked = with_unlabelled = 0
         for inst in certificate_instances():
-            trace = solve(inst)
+            trace = run_ssp(inst)
             for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
                 full = verify_optimality(inst, flow)
                 assert verify_optimality(inst, flow, dist) == full
@@ -186,7 +190,7 @@ class TestCertificate:
         # labels reach the thousands here, so float noise on an arc
         # exceeds the absolute slack; the relative test absorbs it
         inst = build_hard_instance(LowerBoundParams(8, 16, 256.0), 0).instance
-        trace = solve(inst)
+        trace = run_ssp(inst)
         pairs = list(zip(replay_flows(trace), recorded_distances(trace)))
         assert len(pairs) == 1025
         for route in (dense_route, loop_route):
@@ -197,7 +201,7 @@ class TestCertificate:
         inst = transform(slack_network())
         values = (0.0, 0.0, 2.0, 2.0, 2.0, 2.0)
         bad = Flow(values, check_feasible(inst, values))
-        optimal = solve(inst)
+        optimal = run_ssp(inst)
         for dist in (
             optimal.initial_distances_from_s,
             optimal.steps[-1].distances_from_s,
@@ -222,7 +226,7 @@ class TestCertificate:
     def test_nudged_distance_falls_back(self, full_bellman_ford):
         for seed in range(10):
             inst = uniform_instance(seed)
-            flow, dist, v = self.pick_labelled_node(solve(inst))
+            flow, dist, v = self.pick_labelled_node(run_ssp(inst))
             assert verify_optimality(inst, flow, dist)
             assert not full_bellman_ford
             dist[v] += 0.5
@@ -233,7 +237,7 @@ class TestCertificate:
     def test_reachable_node_set_to_inf_falls_back(self, full_bellman_ford):
         for seed in range(10):
             inst = uniform_instance(seed)
-            flow, dist, v = self.pick_labelled_node(solve(inst))
+            flow, dist, v = self.pick_labelled_node(run_ssp(inst))
             dist[v] = math.inf
             assert verify_optimality(inst, flow, dist)
             assert len(full_bellman_ford) == 1, seed
@@ -241,7 +245,7 @@ class TestCertificate:
 
     def test_label_neither_finite_nor_inf_falls_back(self, full_bellman_ford):
         inst = uniform_instance(0)
-        flow, dist, v = self.pick_labelled_node(solve(inst))
+        flow, dist, v = self.pick_labelled_node(run_ssp(inst))
         for bad in (math.nan, -math.inf):
             assert verify_optimality(inst, flow, {**dist, v: bad})
         del dist[v]
@@ -273,7 +277,7 @@ class TestCertificate:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_length_flow_rejected(self, delta):
         inst = uniform_instance(0)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         values = trace.final_flow.values
         values = values[:-1] if delta < 0 else values + (0.0,)
         wrong = Flow(values, trace.final_flow.value)
@@ -290,12 +294,12 @@ class TestCertificate:
 
         monkeypatch.setattr(analysis, "verify_optimality", spy)
         inst = uniform_instance(3)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         check_lemmas(trace)
         assert len(seen) == len(trace.steps) + 1
         assert all(a is b for a, b in zip(seen, recorded_distances(trace)))
         seen.clear()
-        check_lemmas(solve(inst, record_distances=False))
+        check_lemmas(run_ssp(inst, record_distances=False))
         check_lemmas(reference_solve(inst))
         assert seen and all(d is None for d in seen)
 
@@ -348,7 +352,7 @@ class TestDenseCertificate:
         answers = []
         well_formed = 0
         for inst in certificate_instances():
-            trace = solve(inst)
+            trace = run_ssp(inst)
             for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
                 for d in distance_variants(trace, dist):
                     want = loop_route(inst, flow.values, d)
@@ -367,7 +371,7 @@ class TestDenseCertificate:
 
     def test_exact_numbers_keep_the_loop(self, dense_calls):
         inst = uniform_instance(4)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         flow, dist = trace.final_flow, trace.steps[-1].distances_from_s
         assert inst._columns is not None
         cases = [
@@ -396,7 +400,7 @@ class TestDenseCertificate:
         # flow's certificate on the columns
         inst = with_capacity(uniform_instance(2), 0, capacity)
         assert inst._columns is not None
-        trace = solve(inst)
+        trace = run_ssp(inst)
         report = check_lemmas(trace)
         assert len(dense_calls) == len(trace.steps) + 1
         monkeypatch.setattr(analysis, "_free_arcs", loop_route)
@@ -433,7 +437,7 @@ class TestDenseCertificate:
         ))
         for inst in (fractional, wide):
             assert inst._columns is None
-            trace = solve(inst)
+            trace = run_ssp(inst)
             for flow, dist in zip(replay_flows(trace), recorded_distances(trace)):
                 assert verify_optimality(inst, flow, dist)
                 for d in distance_variants(trace, dist):
@@ -480,7 +484,7 @@ class TestStreamedColumns:
         monkeypatch.setattr(analysis, "_float_column", counted)
         flows_seen = 0
         for inst in certificate_instances():
-            for kept in (solve(inst, retain_flows=True), solve(inst)):
+            for kept in (run_ssp(inst, retain_flows=True), run_ssp(inst)):
                 flows = replay_flows(kept)
                 conversions.clear()
                 assert_streamed(kept, flows)
@@ -493,7 +497,7 @@ class TestStreamedColumns:
         inst = transform(FlowNetwork(
             [Edge(0, 1, 2.0, Fraction(1, 3)), Edge(1, 2, 2.0, 0.5)], {0: 1.0, 2: -1.0}
         ))
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         assert list(analysis._flow_columns(trace, replay_flows(trace))) == [None] * 2
 
     @staticmethod
@@ -535,7 +539,7 @@ class TestStreamedColumns:
         for seed in range(10):
             for inst in (uniform_instance(seed), random_instance(seed, n=10, m=30),
                          random_instance(seed, capacities="real")):
-                kept = solve(inst, retain_flows=True)
+                kept = run_ssp(inst, retain_flows=True)
                 for trace in self.altered_traces(kept):
                     flows = trace.intermediate_flows
                     assert_streamed(trace, flows)
@@ -561,7 +565,7 @@ class TestReferenceSolve:
             inst = uniform_instance(seed, n=6, m=10)
             b = reference_solve(inst)
             for record in (True, False):
-                a = solve(inst, record_distances=record)
+                a = run_ssp(inst, record_distances=record)
                 assert a.outcome == b.outcome, seed
                 assert len(a.steps) == len(b.steps), seed
                 for x, y in zip(a.steps, b.steps):
@@ -582,11 +586,11 @@ class TestReferenceSolve:
         # intermediate flow exactly, independently of the engine
         for seed in (2, 5, 9):
             inst = uniform_instance(seed, n=6, m=10)
-            trace = solve(inst, retain_flows=True)
+            trace = run_ssp(inst, retain_flows=True)
             if len(trace.steps) < 2:
                 continue
             mid = trace.steps[len(trace.steps) // 2]
-            fresh = solve(inst, z=mid.flow_value_after)
+            fresh = run_ssp(inst, z=mid.flow_value_after)
             assert fresh.final_flow.values == (
                 trace.intermediate_flows[mid.index].values
             )
@@ -649,7 +653,7 @@ class TestStepBookkeeping:
         for inst in instances:
             # at 0.6 z the remaining demand is the last step's bottleneck
             for z in (inst.z, 0.6 * inst.z):
-                for trace in (solve(inst, z=z), reference_solve(inst, z=z)):
+                for trace in (run_ssp(inst, z=z), reference_solve(inst, z=z)):
                     self.check_trace(inst, trace, z)
                     if z != inst.z and trace.final_flow.value == z:
                         partial_reached += 1
@@ -662,7 +666,7 @@ class TestReplayAndClassify:
             random_instance(seed, capacities="real") for seed in range(20)
         ]
         for inst in instances:
-            trace = solve(inst, retain_flows=True)
+            trace = run_ssp(inst, retain_flows=True)
             # without retained flows, replay pushes the recorded paths
             replayed = replay_flows(
                 dataclasses.replace(trace, intermediate_flows=None)
@@ -675,7 +679,7 @@ class TestReplayAndClassify:
     def test_classification_consistent(self):
         for seed in range(10):
             inst = uniform_instance(seed)
-            trace = solve(inst)
+            trace = run_ssp(inst)
             bad = classify(trace)
             rows = [row.split(",") for row in trace_csv_rows(trace)[1:]]
             assert bad == tuple(int(r[0]) for r in rows if r[5] == "0")
@@ -686,11 +690,11 @@ class TestLemmaSuite:
     def test_all_checks_pass_on_solved_pool(self):
         for seed in range(15):
             inst = uniform_instance(seed, n=6, m=10)
-            report = check_lemmas(solve(inst, retain_flows=True))
+            report = check_lemmas(run_ssp(inst, retain_flows=True))
             assert report.all_passed, (seed, report.as_text())
 
     def test_report_structure(self):
-        report = check_lemmas(solve(uniform_instance(1)))
+        report = check_lemmas(run_ssp(uniform_instance(1)))
         ids = [c.check_id for c in report.checks]
         assert ids == [
             "distance_monotonicity",
@@ -708,7 +712,7 @@ class TestLemmaSuite:
 
     def test_doctored_length_fails(self):
         inst = uniform_instance(3)
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         assert len(trace.steps) >= 2
         last = trace.steps[-1]
         doctored = dataclasses.replace(
@@ -724,7 +728,7 @@ class TestLemmaSuite:
 
     def test_bad_step_bound_fails_above_node_count(self, monkeypatch):
         inst = uniform_instance(3)
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         n = trace.instance.n
         monkeypatch.setattr(
             analysis, "classify", lambda trace: tuple(range(1, n + 2))
@@ -736,7 +740,7 @@ class TestLemmaSuite:
 
     def test_expensive_check_skipped_on_large_instance(self):
         inst = uniform_instance(0, n=14, m=20)
-        report = check_lemmas(solve(inst, retain_flows=True))
+        report = check_lemmas(run_ssp(inst, retain_flows=True))
         by_id = {c.check_id: c for c in report.checks}
         assert by_id["reverse_path_optimal"].skipped
         # skipped counts as not-failed
@@ -747,7 +751,7 @@ class TestLemmaSuite:
         # down by more than 1e-9; a drop of 1e-6 relative still fails
         topo = random_topology(6, 14, "bipartite", 0)
         inst = transform(sample_costs(topo, SmoothedCostSpec(1e8, "phi"), 0))
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         check = check_lemmas(trace).checks[0]
         assert check.check_id == "distance_monotonicity" and check.passed
         prev = trace.initial_distances_to_t
@@ -762,10 +766,81 @@ class TestLemmaSuite:
         assert not check.passed and check.first_violation_step == 1
         assert check.detail.startswith(f"node {v} distance dropped")
 
+    @staticmethod
+    def _failures(trace):
+        return {
+            c.check_id: (c.first_violation_step, c.detail)
+            for c in check_lemmas(trace).checks if not c.passed
+        }
+
+    def test_node_becoming_reachable_fails(self):
+        trace = run_ssp(uniform_instance(3), retain_flows=True)
+        d0 = trace.initial_distances_from_s
+        assert d0[0] < math.inf and trace.steps[0].distances_from_s[0] < math.inf
+        doctored = dataclasses.replace(trace, initial_distances_from_s={**d0, 0: math.inf})
+        assert self._failures(doctored) == {
+            "distance_monotonicity": (1, "node 0 became reachable (from_s)"),
+        }
+
+    def test_zero_amount_breakpoint_fails(self):
+        trace = run_ssp(uniform_instance(3), retain_flows=True)
+        assert len(trace.steps) == 2
+        last = dataclasses.replace(trace.steps[-1], amount=0.0)
+        doctored = dataclasses.replace(trace, steps=(*trace.steps[:-1], last))
+        assert self._failures(doctored) == {
+            "cost_function_shape": (None, "breakpoint 2 not advancing"),
+        }
+
+    def test_discontinuity_fails(self):
+        # x0 + 0.75 ulp(x0) rounds to x0 + ulp(x0): x advances a whole ulp
+        # while y rises by 0.75 ulp at slope 1e12, far past the slack
+        trace = run_ssp(uniform_instance(3), retain_flows=True)
+        x0 = trace.steps[0].flow_value_after
+        last = dataclasses.replace(
+            trace.steps[-1], length=1e12, amount=0.75 * math.ulp(x0)
+        )
+        doctored = dataclasses.replace(trace, steps=(*trace.steps[:-1], last))
+        failed = self._failures(doctored)
+        assert failed["cost_function_shape"] == (None, "discontinuity at breakpoint 2")
+
+    def test_empty_arc_fails_after_exact_tie(self):
+        # an exact tie in length, which the paper's noise rules out: the
+        # optimal solve's step 4 has no empty arc. Pinned as it stands; a
+        # SKIP for exact ties would change this test.
+        trace = run_ssp(transform(tie_bad_step_network()), retain_flows=True)
+        assert self._failures(trace) == {
+            "empty_arc_on_path": (4, "no empty arc on path"),
+        }
+
+    def test_reversed_path_absent_fails(self):
+        # the flow after the last step is taken as the one before it
+        trace = run_ssp(uniform_instance(3), retain_flows=True)
+        flows = trace.intermediate_flows
+        doctored = dataclasses.replace(trace, intermediate_flows=(*flows[:-1], flows[-2]))
+        assert self._failures(doctored) == {
+            "reverse_path_optimal": (2, "reversed path not present"),
+        }
+
+    def test_backward_auxiliary_arc_fails(self):
+        # step 2's path also runs back along its first, auxiliary, arc;
+        # step 1 left 2.0 on that edge, enough for step 2's 1.0
+        trace = run_ssp(transform(profile_fixture_network()), retain_flows=True)
+        second = trace.steps[1]
+        back = second.path_arcs[0] ^ 1
+        assert not trace.instance.base.is_original(back >> 1)
+        doctored = dataclasses.replace(trace, steps=(
+            trace.steps[0],
+            dataclasses.replace(second, path_arcs=(*second.path_arcs, back)),
+            *trace.steps[2:],
+        ))
+        assert self._failures(doctored) == {
+            "no_backward_aux_augmentation": (2, f"backward auxiliary arc {back} on path"),
+        }
+
     def test_distance_fields_optional(self):
         # lemma suite works from a distance-free trace: the distance
         # check reports skipped instead of failing
-        trace = solve(uniform_instance(2), record_distances=False)
+        trace = run_ssp(uniform_instance(2), record_distances=False)
         report = check_lemmas(trace)
         by_id = {c.check_id: c for c in report.checks}
         assert by_id["distance_monotonicity"].skipped
@@ -786,7 +861,7 @@ class TestReconstruction:
         modified = transform(
             slack_network().with_edge_cost(0, slack_network().cost_bound)
         )
-        want = solve(modified)
+        want = run_ssp(modified)
         assert got.values == want.final_flow.values
 
     def test_aux_arc_rejected(self):
@@ -801,7 +876,7 @@ class TestReconstruction:
         total = 0
         for seed in range(8):
             inst = random_instance(seed, n=6, m=10, phi=5.0)
-            trace = solve(inst, retain_flows=True)
+            trace = run_ssp(inst, retain_flows=True)
             cases = harvest_reconstruction_cases(trace)
             results = check_reconstruction(inst, cases)
             total += len(results)
@@ -817,7 +892,7 @@ class TestReconstruction:
             {1: 1.0, 3: -1.0}, cost_bound=2.0**24,
         )
         for inst in (random_instance(1, n=6, m=10), transform(big)):
-            trace = solve(inst, retain_flows=True)
+            trace = run_ssp(inst, retain_flows=True)
             lengths = [s.length for s in trace.steps]
             cases = harvest_reconstruction_cases(trace)
             assert cases
@@ -853,13 +928,13 @@ class TestExactCheck:
     exact ties settled by the (hops, arc sequence) rule."""
 
     def test_distinct_paths(self):
-        trace = solve(transform(slack_network()))
+        trace = run_ssp(transform(slack_network()))
         assert exact_check(trace) == analysis.LemmaCheck("exact_shortest_path", True)
 
     def test_exact_tie_takes_lexicographic_choice(self):
         # 0.2 + 0.2 on both routes: an exact tie, so the lower arc
         # sequence goes first
-        trace = solve(transform(two_route_network((0.2, 0.2), (0.2, 0.2))))
+        trace = run_ssp(transform(two_route_network((0.2, 0.2), (0.2, 0.2))))
         first, second = trace.steps
         assert first.length == second.length
         assert exact_check(trace).passed
@@ -877,7 +952,7 @@ class TestExactCheck:
         # 1 + 2**-53 rounds to 1.0, so the float solve sees a tie and
         # takes the lower arc sequence; exactly, that route is longer
         inst = transform(two_route_network((1.0, 2.0**-53), (1.0, 0.0)))
-        trace = solve(inst)
+        trace = run_ssp(inst)
         assert trace.steps[0].length == trace.steps[1].length == 1.0
         check = exact_check(trace)
         assert (check.passed, check.first_violation_step) == (False, 1)
@@ -893,7 +968,7 @@ class TestExactCheck:
             ((1.0, 0.0), (1.0, tiny), True),
             ((tiny, tiny), (2 * tiny, 0.0), True),
         ):
-            trace = solve(transform(two_route_network(route_a, route_b)))
+            trace = run_ssp(transform(two_route_network(route_a, route_b)))
             check = exact_check(trace)
             assert (check.passed, check.first_violation_step) == (
                 (True, None) if passed else (False, 1)
@@ -903,11 +978,11 @@ class TestExactCheck:
         for seed in range(100):
             for capacities in ("int", "real"):
                 inst = random_instance(seed, capacities=capacities)
-                trace = solve(inst, record_distances=False)
+                trace = run_ssp(inst, record_distances=False)
                 assert exact_check(trace).passed, (seed, capacities)
 
     def test_demo_instance_and_mutated_trace(self):
-        trace = solve(demo_instance(), retain_flows=True)
+        trace = run_ssp(demo_instance(), retain_flows=True)
         assert exact_check(trace).passed
         steps = list(trace.steps)
         steps[1] = dataclasses.replace(steps[1], path_arcs=steps[2].path_arcs)
@@ -956,7 +1031,7 @@ class TestExactCheck:
     )
     def test_worst_case_family(self, side, edges, phi):
         inst = build_hard_instance(LowerBoundParams(side, edges, phi), 0).instance
-        assert exact_check(solve(inst, record_distances=False)).passed
+        assert exact_check(run_ssp(inst, record_distances=False)).passed
 
     def test_engine_keeps_the_number_type(self):
         # 0.0 + Fraction(1) is a float, and the kernel would read an int
@@ -997,7 +1072,7 @@ class TestOutcomes:
         found = 0
         for seed in range(30):
             inst = uniform_instance(seed, n=5, m=7)
-            trace = solve(inst, retain_flows=True)
+            trace = run_ssp(inst, retain_flows=True)
             if trace.outcome is Outcome.MAX_FLOW_BELOW_Z:
                 found += 1
                 assert check_lemmas(trace).all_passed, seed

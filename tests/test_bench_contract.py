@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import sspflow.analysis
+import sspflow.cli
+import sspflow.solver
 from sspflow import (
     AugmentationStep,
     AugmentationTrace,
@@ -61,6 +63,14 @@ def test_every_target_resolves(tracing):
     for module_name, attr, _ in tracing.TARGETS:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_cli_solve_is_only_an_alias(tracing):
+    # TARGETS still resolves sspflow.cli.solve; it must stay the solver's
+    # run_ssp itself, not grow back into a wrapper
+    assert ("sspflow.cli", "solve", "solver.solve") in tracing.TARGETS
+    assert sspflow.cli.solve is sspflow.cli.run_ssp is sspflow.solver.run_ssp
+    assert not hasattr(sspflow.solver, "solve")
 
 
 def test_trace_types_have_every_digested_field(tracing):

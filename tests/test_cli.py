@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sspflow import (
@@ -14,11 +16,21 @@ from sspflow import (
     NoPath,
     ParseError,
     PredictionMismatch,
+    SmoothedCostSpec,
     build_hard_instance,
+    build_worstcase,
+    check_lemmas,
+    harvest_reconstruction_cases,
+    random_topology,
+    read_instance,
+    run_ssp,
+    sample_costs,
+    transform,
     write_instance,
 )
 from sspflow import analysis, cli, lowerbound
 from sspflow.cli import main
+from sspflow.solver import trace_csv_rows
 
 from conftest import single_edge_network, two_path_network
 
@@ -120,6 +132,52 @@ def test_generate_then_solve(tmp_path, capsys):
     assert "reached_z steps=6" in capsys.readouterr().out
 
 
+def test_generated_file_with_several_supplies_is_transformed(tmp_path, capsys):
+    # an erdos instance has several supply nodes, so load_instance runs
+    # transform; solve and verify match the library run on the same net
+    path, trace_csv = tmp_path / "e.dimacs", tmp_path / "trace.csv"
+    assert main([
+        "generate", "--shape", "erdos", "--n", "6", "--m", "14", "--phi", "4",
+        "--seed", "3", "--out", str(path),
+    ]) == 0
+    net = read_instance(path.read_text())
+    assert sum(b > 0 for b in net.balance.values()) > 1
+    capsys.readouterr()
+
+    assert main(["solve", str(path), "--out", str(trace_csv)]) == 0
+    inst = transform(net)
+    trace = run_ssp(inst, record_distances=False)
+    final = trace.final_flow
+    cost = math.fsum(f * e.cost for f, e in zip(final.values, inst.base.edges))
+    out = capsys.readouterr().out
+    assert out == f"reached_z steps=3 value={final.value!r} cost={cost!r}\n"
+    assert trace_csv.read_text().splitlines() == trace_csv_rows(trace)
+
+    assert main(["verify", str(path)]) == 0
+    report = check_lemmas(run_ssp(inst, retain_flows=True))
+    assert capsys.readouterr().out == report.as_text() + "\n"
+
+
+def test_generate_uniform_preset(tmp_path):
+    path = tmp_path / "u.dimacs"
+    assert main([
+        "generate", "--n", "4", "--m", "9", "--phi", "8", "--seed", "5",
+        "--preset", "uniform", "--out", str(path),
+    ]) == 0
+    topo = random_topology(4, 9, "bipartite", 5)
+    assert path.read_text() == write_instance(sample_costs(topo, SmoothedCostSpec(8.0), 5))
+
+
+def test_generate_lowerbound_model(tmp_path):
+    path = tmp_path / "lb.dimacs"
+    assert main([
+        "generate", "--model", "lowerbound", "--n", "4", "--m", "4", "--phi", "64",
+        "--seed", "2", "--out", str(path),
+    ]) == 0
+    built = build_worstcase(4, 4, 64.0, 2)
+    assert path.read_text() == write_instance(built.instance.base)
+
+
 def test_generate_with_cost_spec(tmp_path):
     spec = tmp_path / "spec.txt"
     spec.write_text("phi 10.0\ndefault-interval 0.0 0.1\n")
@@ -129,8 +187,6 @@ def test_generate_with_cost_spec(tmp_path):
         "--n", "3", "--m", "6", "--seed", "1",
         "--cost-spec", str(spec), "--out", str(out),
     ]) == 0
-    from sspflow import read_instance
-
     net = read_instance(out.read_text())
     assert all(0.0 <= e.cost <= 0.1 for e in net.edges)
 
@@ -294,6 +350,31 @@ def test_reconstruct_check_of_no_cases(instance_file, capsys):
     # nothing wrong
     assert main(["reconstruct-check", instance_file, "--max-cases", "0"]) == 0
     assert capsys.readouterr().out == "0/0 reconstructions exact\n"
+
+
+def test_reconstruct_check_of_no_harvestable_steps(tmp_path, capsys):
+    # the one step has length 0, so no threshold lies below it
+    path = tmp_path / "zero.dimacs"
+    path.write_text(write_instance(single_edge_network(cost=0.0)))
+    assert main(["reconstruct-check", str(path)]) == 0
+    assert capsys.readouterr().out == "no reconstructable steps harvested\n"
+
+
+def test_reconstruct_check_mismatch_exit_3(instance_file, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "check_reconstruction",
+        lambda instance, cases: [(case, False) for case in cases],
+    )
+    assert main(["reconstruct-check", instance_file]) == 3
+    trace = run_ssp(cli.load_instance(instance_file), retain_flows=True)
+    cases = harvest_reconstruction_cases(trace)
+    first = cases[0]
+    captured = capsys.readouterr()
+    assert captured.out == f"0/{len(cases)} reconstructions exact\n"
+    assert captured.err == (
+        f"first mismatch: arc {first.arc} threshold {first.threshold!r} "
+        f"(step {first.step_index})\n"
+    )
 
 
 def test_reconstruct_check_at_large_lengths(tmp_path, capsys):

@@ -326,6 +326,18 @@ class TestTopologies:
         with pytest.raises(InfeasibleShape, match="unknown shape"):
             random_topology(4, 8, "star", 0)
 
+    # every shape's builder receives the keywords, so one it lacks raises;
+    # bipartite topologies have unit capacities and take none
+    @pytest.mark.parametrize("shape, kwargs", [
+        ("bipartite", {"capacities": "real"}),
+        ("bipartite", {"bogus": 1}),
+        ("erdos", {"bogus": 1}),
+        ("layered", {"bogus": 1}),
+    ])
+    def test_dispatch_rejects_unknown_keywords(self, shape, kwargs):
+        with pytest.raises(TypeError):
+            random_topology(4, 8, shape, 0, **kwargs)
+
 
 class TestAdversarialSpec:
     def test_valid_at_declared_phi(self):

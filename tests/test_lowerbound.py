@@ -161,6 +161,17 @@ class TestExtension:
         assert all(final[e] == cap for e in outer_edges(stage))
 
 
+def _core_swapped(hard, step):
+    """step's path with the arcs into the core's two ends swapped in
+    order: the same entry and exit arcs, the core crossed the other way."""
+    head = [v for e in hard.instance.base.edges for v in (e.head, e.tail)]
+    arcs = step.path_arcs
+    into = {head[a]: a for a in arcs}
+    src, snk = into[hard.core_source], into[hard.core_sink]
+    middle = (src, snk) if arcs.index(snk) < arcs.index(src) else (snk, src)
+    return dataclasses.replace(step, path_arcs=(arcs[0], *middle, *arcs[-2:]))
+
+
 class TestFullConstruction:
     def test_reference_instance_verifies(self):
         trace = verify_count(build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0))
@@ -195,6 +206,214 @@ class TestFullConstruction:
     def test_exact_tie_fires(self, forced_tie):
         with pytest.raises(PredictionMismatch, match=r"^step 3: .* does not exceed"):
             verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+
+    # Each doctoring of the (4, 4, 64) seed-0 trace fails exactly one of
+    # verify_count's checks. Steps 1-4 cross the core forward (parity 0),
+    # steps 5-8 backward. verify_count reads only each arc's head, so a
+    # doctored path need not be a real one.
+    @staticmethod
+    def _verify_doctored(monkeypatch, doctor):
+        hard = build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0)
+
+        def doctored(instance, **kwargs):
+            trace = run_ssp(instance, **kwargs)
+            return dataclasses.replace(trace, steps=doctor(hard, trace.steps))
+
+        monkeypatch.setattr(lowerbound, "run_ssp", doctored)
+        verify_count(hard)
+
+    def test_count_check_fires(self, monkeypatch):
+        with pytest.raises(PredictionMismatch, match=(
+            r"^observed 31 augmentations, predicted 32; first divergence at step 32$"
+        )):
+            self._verify_doctored(monkeypatch, lambda hard, steps: steps[:-1])
+
+    @pytest.mark.parametrize("j, doctor, message", [
+        (2, lambda hard, s: dataclasses.replace(s, amount=0.5),
+         r"^step 3: amount 0.5, predicted 1.0$"),
+        # the first arc, the arc into the exit chain node d1, the last arc
+        (0, lambda hard, s: dataclasses.replace(
+            s, path_arcs=(s.path_arcs[0], *s.path_arcs[-2:])),
+         r"^step 1: path bypasses the core stage$"),
+        (0, _core_swapped, r"^step 1: core traversed backwards in a forward phase$"),
+        (4, _core_swapped, r"^step 5: core traversed forwards in a backward phase$"),
+        # above phase 1's forward window [69, 77], below step 5's length
+        (3, lambda hard, s: dataclasses.replace(s, length=80.0),
+         r"^step 4: length 80.0 outside \[69.0, 77.0\] for phase 1 parity 0$"),
+    ], ids=["amount", "bypass", "backwards", "forwards", "window"])
+    def test_step_check_fires(self, monkeypatch, j, doctor, message):
+        def one_step(hard, steps):
+            return (*steps[:j], doctor(hard, steps[j]), *steps[j + 1:])
+
+        with pytest.raises(PredictionMismatch, match=message):
+            self._verify_doctored(monkeypatch, one_step)
+
+    def test_deterministic(self):
+        a = stage_sequence(3, 7, 1, seed=5)[0]
+        b = stage_sequence(3, 7, 1, seed=5)[0]
+        assert a.instance.base == b.instance.base
+        c = stage_sequence(3, 7, 1, seed=6)[0]
+        assert a.instance.base != c.instance.base
+
+    def test_roles(self):
+        stage = stage_sequence(3, 7, 1, seed=0)[0]
+        roles = stage.roles
+        assert roles[stage.instance.source] == "s1"
+        assert roles[stage.instance.sink] == "t1"
+        assert sorted(r for r in roles.values() if r.startswith("u")) == [
+            "u1",
+            "u2",
+            "u3",
+        ]
+
+
+def outer_edges(stage: StageInstance):
+    """Indices of (feed_in, feed_out, bypass_in, bypass_out)."""
+    k = stage.instance.m - 4
+    return k, k + 1, k + 2, k + 3
+
+
+class TestExtension:
+    def test_step_counts_double(self):
+        seq = stage_sequence(4, 8, 5, seed=0)
+        for i, stage in enumerate(seq, start=1):
+            trace = run_ssp(stage.instance, record_distances=False)
+            assert trace.outcome is Outcome.REACHED_Z
+            assert len(trace.steps) == 8 * 2 ** (i - 1)
+            assert stage.predicted_steps == len(trace.steps)
+
+    def test_added_edge_cost_intervals(self):
+        seq = stage_sequence(4, 8, 4, seed=2)
+        for i, stage in enumerate(seq[1:], start=1):
+            # stage i+1 wraps stage i; its four outer edges come last
+            f_in, f_out, b_in, b_out = outer_edges(stage)
+            edges = stage.instance.base.edges
+            lo, hi = 2.0 ** (i + 3) - 1, 2.0 ** (i + 3) + 1
+            for e in (f_in, f_out):
+                assert 0.0 <= edges[e].cost <= 1.0
+            for e in (b_in, b_out):
+                assert lo <= edges[e].cost <= hi
+
+    def test_paths_never_mix_feeds_and_bypasses(self):
+        seq = stage_sequence(4, 8, 3, seed=0)
+        stage = seq[-1]
+        f_in, f_out, b_in, b_out = outer_edges(stage)
+        trace = run_ssp(stage.instance, record_distances=False)
+        for step in trace.steps:
+            edges_used = {a >> 1 for a in step.path_arcs}
+            through = f_in in edges_used or f_out in edges_used
+            reversing = b_in in edges_used or b_out in edges_used
+            if through:
+                assert {f_in, f_out} <= edges_used
+                assert not reversing
+            else:
+                assert {b_in, b_out} <= edges_used
+
+    def test_first_half_fills_second_half_drains(self):
+        seq = stage_sequence(4, 8, 2, seed=1)
+        stage = seq[-1]
+        f_in, f_out, b_in, b_out = outer_edges(stage)
+        trace = run_ssp(stage.instance, record_distances=False)
+        half = len(trace.steps) // 2
+        for j, step in enumerate(trace.steps):
+            edges_used = {a >> 1 for a in step.path_arcs}
+            if j < half:
+                assert f_in in edges_used
+            else:
+                assert b_in in edges_used
+
+    def test_final_interior_flow_zero(self):
+        seq = stage_sequence(4, 8, 3, seed=0)
+        stage = seq[-1]
+        trace = run_ssp(stage.instance, record_distances=False)
+        inner_m = stage.instance.m - 4
+        final = trace.final_flow.values
+        cap = float(stage.predicted_steps // 2)
+        assert all(final[e] == 0.0 for e in range(inner_m))
+        assert all(final[e] == cap for e in outer_edges(stage))
+
+
+def _core_swapped(hard, step):
+    """step's path with the arcs into the core's two ends swapped in
+    order: the same entry and exit arcs, the core crossed the other way."""
+    head = [v for e in hard.instance.base.edges for v in (e.head, e.tail)]
+    arcs = step.path_arcs
+    into = {head[a]: a for a in arcs}
+    src, snk = into[hard.core_source], into[hard.core_sink]
+    middle = (src, snk) if arcs.index(snk) < arcs.index(src) else (snk, src)
+    return dataclasses.replace(step, path_arcs=(arcs[0], *middle, *arcs[-2:]))
+
+
+class TestFullConstruction:
+    def test_reference_instance_verifies(self):
+        trace = verify_count(build_hard_instance(LowerBoundParams(8, 16, 64.0), seed=0))
+        assert len(trace.steps) == 256
+
+    def test_counts_match_prediction(self):
+        p = LowerBoundParams(8, 16, 64.0)
+        hard = build_hard_instance(p, seed=0)
+        assert hard.instance.n == p.predicted_nodes
+        assert hard.instance.m == p.predicted_edges
+        assert hard.instance.z == 2.0 * p.chain_length * p.stage_max_flow(
+            p.doubling_depth
+        )
+
+    def test_small_variant(self):
+        trace = verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+        assert len(trace.steps) == 32
+
+    def test_phase_check_fires(self, monkeypatch):
+        # Steps 1-4 route forward through the core, steps 5-8 back; step 2
+        # takes step 6's arcs and keeps its own length and amount.
+        def swapped(instance, **kwargs):
+            trace = run_ssp(instance, **kwargs)
+            steps = list(trace.steps)
+            steps[1] = dataclasses.replace(steps[1], path_arcs=steps[5].path_arcs)
+            return dataclasses.replace(trace, steps=tuple(steps))
+
+        monkeypatch.setattr(lowerbound, "run_ssp", swapped)
+        with pytest.raises(PredictionMismatch, match=r"^step 2: path enters b1 "):
+            verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+
+    def test_exact_tie_fires(self, forced_tie):
+        with pytest.raises(PredictionMismatch, match=r"^step 3: .* does not exceed"):
+            verify_count(build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0))
+
+    # Each doctoring of the (4, 4, 64) seed-0 trace fails exactly one of
+    # verify_count's checks. Steps 1-4 cross the core forward (parity 0),
+    # steps 5-8 backward. verify_count reads only each arc's head, so a
+    # doctored path need not be a real one.
+    @pytest.mark.parametrize("doctor, message", [
+        (lambda hard, steps: steps[:-1],
+         r"^observed 31 augmentations, predicted 32; first divergence at step 32$"),
+        (lambda hard, steps: [*steps[:2], dataclasses.replace(steps[2], amount=0.5),
+                              *steps[3:]],
+         r"^step 3: amount 0.5, predicted 1.0$"),
+        # the first arc, the arc into the exit chain node d1, the last arc
+        (lambda hard, steps: [dataclasses.replace(steps[0], path_arcs=(
+            steps[0].path_arcs[0], *steps[0].path_arcs[-2:])), *steps[1:]],
+         r"^step 1: path bypasses the core stage$"),
+        (lambda hard, steps: [_core_swapped(hard, steps[0]),
+                              *steps[1:]],
+         r"^step 1: core traversed backwards in a forward phase$"),
+        (lambda hard, steps: [*steps[:4], _core_swapped(hard, steps[4]),
+                              *steps[5:]],
+         r"^step 5: core traversed forwards in a backward phase$"),
+        # above phase 1's forward window [69, 77], below step 5's length
+        (lambda hard, steps: [*steps[:3], dataclasses.replace(steps[3], length=80.0),
+                              *steps[4:]],
+         r"^step 4: length 80.0 outside \[69.0, 77.0\] for phase 1 parity 0$"),
+    ], ids=["count", "amount", "bypass", "backwards", "forwards", "window"])
+    def test_each_check_fires(self, monkeypatch, doctor, message):
+        hard = build_hard_instance(LowerBoundParams(4, 4, 64.0), seed=0)
+
+        def doctored(instance, **kwargs):
+            trace = run_ssp(instance, **kwargs)
+            return dataclasses.replace(trace, steps=tuple(doctor(hard, list(trace.steps))))
+
+        monkeypatch.setattr(lowerbound, "run_ssp", doctored)
+        with pytest.raises(PredictionMismatch, match=message):
+            verify_count(hard)
 
     def test_deterministic(self):
         p = LowerBoundParams(4, 4, 64.0)

@@ -22,6 +22,14 @@ def test_all_has_no_duplicates():
     assert len(sspflow.__all__) == len(set(sspflow.__all__))
 
 
+def test_all_names_name_distinct_objects():
+    # an alias exported next to its original is a second name for one thing
+    by_id = {}
+    for name in sspflow.__all__:
+        by_id.setdefault(id(getattr(sspflow, name)), []).append(name)
+    assert [names for names in by_id.values() if len(names) > 1] == []
+
+
 def test_all_names_resolve():
     assert [name for name in sspflow.__all__ if not hasattr(sspflow, name)] == []
 

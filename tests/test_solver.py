@@ -31,7 +31,6 @@ from sspflow import (
     replay_flows,
     run_ssp,
     sample_costs,
-    solve,
     transform,
 )
 from sspflow.solver import (
@@ -55,7 +54,13 @@ from sspflow.network import (
     residual_arcs,
 )
 
-from conftest import random_instance, single_edge_network, two_path_network, uniform_instance
+from conftest import (
+    random_instance,
+    single_edge_network,
+    tie_bad_step_network,
+    two_path_network,
+    uniform_instance,
+)
 
 
 @pytest.fixture
@@ -80,7 +85,7 @@ def path_nodes(inst, arcs):
 class TestBasicSolves:
     def test_single_edge(self, single_edge):
         inst = transform(single_edge)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         assert trace.outcome is Outcome.REACHED_Z
         assert len(trace.steps) == 1
         step = trace.steps[0]
@@ -92,7 +97,7 @@ class TestBasicSolves:
 
     def test_two_paths_in_cost_order(self, two_paths):
         inst = transform(two_paths)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         assert trace.outcome is Outcome.REACHED_Z
         assert [s.amount for s in trace.steps] == [2.0, 3.0]
         lengths = [s.length for s in trace.steps]
@@ -102,7 +107,7 @@ class TestBasicSolves:
 
     def test_partial_target(self, single_edge):
         inst = transform(single_edge)
-        trace = solve(inst, z=1.5)
+        trace = run_ssp(inst, z=1.5)
         assert trace.outcome is Outcome.REACHED_Z
         assert len(trace.steps) == 1
         assert trace.steps[0].amount == 1.5
@@ -110,14 +115,14 @@ class TestBasicSolves:
 
     def test_zero_target(self, single_edge):
         inst = transform(single_edge)
-        trace = solve(inst, z=0.0)
+        trace = run_ssp(inst, z=0.0)
         assert trace.outcome is Outcome.REACHED_Z
         assert trace.steps == ()
         assert trace.final_flow.value == 0.0
 
     def test_target_above_max_flow(self, single_edge):
         inst = transform(single_edge)
-        trace = solve(inst, z=100.0)
+        trace = run_ssp(inst, z=100.0)
         assert trace.outcome is Outcome.MAX_FLOW_BELOW_Z
         assert trace.final_flow.value == 3.0  # aux capacity is the cut
 
@@ -128,7 +133,7 @@ class TestBasicSolves:
 
     def test_negative_target_rejected(self, single_edge):
         with pytest.raises(ValueError):
-            solve(transform(single_edge), z=-1.0)
+            run_ssp(transform(single_edge), z=-1.0)
 
     def test_nan_target_rejected(self):
         # a NaN amount would leave NaN residuals that never reach 0; the
@@ -145,7 +150,7 @@ class TestBasicSolves:
     def test_iteration_cap(self, profile_network):
         inst = transform(profile_network)
         with pytest.raises(IterationCapExceeded):
-            solve(inst, iteration_cap=2)
+            run_ssp(inst, iteration_cap=2)
 
     def test_stop_above_length(self, profile_network):
         inst = transform(profile_network)
@@ -169,7 +174,7 @@ class TestExactSaturation:
             {0: 0.1 + 0.2 + 1.0, 3: -(0.1 + 0.2 + 1.0)},
         )
         inst = transform(net)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         assert trace.outcome is Outcome.REACHED_Z
         f = trace.final_flow.values
         assert f[0] == net.edges[0].capacity  # bitwise equal, not approx
@@ -177,14 +182,14 @@ class TestExactSaturation:
 
     def test_final_value_assigned_exactly(self, single_edge):
         inst = transform(single_edge)
-        trace = solve(inst, z=3.0)
+        trace = run_ssp(inst, z=3.0)
         assert trace.final_flow.value == 3.0
 
 
 class TestStepRecords:
     def test_saturated_and_good_arcs(self, two_paths):
         inst = transform(two_paths)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         s1 = trace.steps[0]
         # the two route edges saturate; aux edges (cap 5) do not
         cap = [e.capacity for e in inst.base.edges]
@@ -196,7 +201,7 @@ class TestStepRecords:
 
     def test_distances_recorded(self, two_paths):
         inst = transform(two_paths)
-        trace = solve(inst, record_distances=True)
+        trace = run_ssp(inst, record_distances=True)
         assert trace.initial_distances_from_s[inst.source] == 0.0
         assert trace.initial_distances_from_s[inst.sink] == pytest.approx(0.3)
         assert trace.initial_distances_to_t[inst.sink] == 0.0
@@ -207,13 +212,13 @@ class TestStepRecords:
         assert trace.steps[-1].distances_from_s[inst.sink] == math.inf
 
     def test_distances_omitted_when_disabled(self, two_paths):
-        trace = solve(transform(two_paths), record_distances=False)
+        trace = run_ssp(transform(two_paths), record_distances=False)
         assert trace.steps[0].distances_from_s is None
         assert trace.initial_distances_from_s is None
 
     def test_intermediate_flows(self, two_paths):
         inst = transform(two_paths)
-        trace = solve(inst, retain_flows=True)
+        trace = run_ssp(inst, retain_flows=True)
         flows = trace.intermediate_flows
         assert len(flows) == len(trace.steps) + 1  # includes the zero flow
         assert flows[0].value == 0.0
@@ -221,7 +226,7 @@ class TestStepRecords:
 
     def test_path_arcs_consistent_with_nodes(self, two_paths):
         inst = transform(two_paths)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         for step in trace.steps:
             assert path_nodes(inst, step.path_arcs)[-1] == inst.sink
 
@@ -355,8 +360,8 @@ class TestPotentialUpdate:
 
 class TestDeterminism:
     def test_identical_traces(self):
-        a = solve(random_instance(11), retain_flows=True)
-        b = solve(random_instance(11), retain_flows=True)
+        a = run_ssp(random_instance(11), retain_flows=True)
+        b = run_ssp(random_instance(11), retain_flows=True)
         assert len(a.steps) == len(b.steps)
         for x, y in zip(a.steps, b.steps):
             assert x.path_arcs == y.path_arcs
@@ -365,8 +370,8 @@ class TestDeterminism:
         assert a.final_flow == b.final_flow
 
     def test_csv_stable(self):
-        a = trace_csv_rows(solve(random_instance(12)))
-        b = trace_csv_rows(solve(random_instance(12)))
+        a = trace_csv_rows(run_ssp(random_instance(12)))
+        b = trace_csv_rows(run_ssp(random_instance(12)))
         assert a == b
 
 
@@ -413,7 +418,7 @@ class TestCostFunction:
         inst = transform(profile_network)
         cf = cost_function(inst)
         for x in (1.0, 3.0, 6.5, 11.0):
-            trace = solve(inst, z=x)
+            trace = run_ssp(inst, z=x)
             cost = math.fsum(
                 f * e.cost
                 for f, e in zip(trace.final_flow.values, inst.base.edges)
@@ -428,7 +433,7 @@ class TestCsv:
             [Edge(0, 1, 2.0, 0.125), Edge(1, 2, 4.0, 0.25), Edge(0, 2, 4.0, 0.5)],
             {0: 4.0, 2: -4.0},
         )
-        trace = solve(transform(net))
+        trace = run_ssp(transform(net))
         assert trace_csv_rows(trace) == [
             TRACE_CSV_HEADER,
             "1,0.375,2.0,2.0,1,1",
@@ -436,16 +441,7 @@ class TestCsv:
         ]
 
     def test_trace_csv_bad_step(self):
-        # found by random search: step 4 ties step 3 at length 1.0 and
-        # its path has no empty arc, so it is bad and zeroes four arcs
-        edges = [
-            (2, 3, 2.0, 0.75), (1, 3, 1.0, 1.0), (1, 4, 1.0, 0.0),
-            (4, 2, 3.0, 0.75), (5, 0, 2.0, 0.5), (5, 1, 3.0, 0.75),
-            (3, 4, 1.0, 0.0), (3, 0, 2.0, 0.75), (0, 1, 1.0, 0.25),
-            (1, 2, 2.0, 1.0),
-        ]
-        balance = {0: -1.0, 1: -3.0, 2: 0.0, 3: 2.0, 4: 0.0, 5: 2.0}
-        trace = solve(transform(FlowNetwork([Edge(*e) for e in edges], balance)))
+        trace = run_ssp(transform(tie_bad_step_network()))
         assert trace_csv_rows(trace) == [
             TRACE_CSV_HEADER,
             "1,0.5,1.0,1.0,1,1",
@@ -460,7 +456,7 @@ class TestCsv:
         # once per row, and a saturated forward arc takes its int capacity
         net = two_path_network()
         edges = [Edge(e.tail, e.head, int(e.capacity), e.cost) for e in net.edges]
-        trace = solve(transform(FlowNetwork(edges, dict(net.balance))))
+        trace = run_ssp(transform(FlowNetwork(edges, dict(net.balance))))
         pushes = []
         monkeypatch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
         assert trace_csv_rows(trace) == [
@@ -578,7 +574,7 @@ class TestTieBreaks:
     def test_grid_golden(self, shape):
         inst = grid_instance(*shape)
         for record in (True, False):
-            trace = solve(inst, record_distances=record)
+            trace = run_ssp(inst, record_distances=record)
             assert trace.outcome is Outcome.REACHED_Z
             assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
         ref = reference_solve(inst)
@@ -588,7 +584,7 @@ class TestTieBreaks:
     def test_grid_relabelled(self, shape):
         inst = grid_instance(*shape)
         for seed in range(5):
-            trace = solve(relabelled(inst, seed))
+            trace = run_ssp(relabelled(inst, seed))
             assert tuple(s.path_arcs for s in trace.steps) == GRID_GOLDEN[shape]
 
     @pytest.mark.parametrize("shape", sorted(GRID_GOLDEN))
@@ -597,18 +593,18 @@ class TestTieBreaks:
         # replay settles them by the same arc-sequence rule
         inst = grid_instance(*shape)
         for moved in [inst] + [relabelled(inst, seed) for seed in range(5)]:
-            assert exact_check(solve(moved)).passed
+            assert exact_check(run_ssp(moved)).passed
 
     def test_fewer_hops_wins_an_exact_tie(self):
         inst = fewer_hops_instance()
         for record in (True, False):
-            trace = solve(inst, record_distances=record)
+            trace = run_ssp(inst, record_distances=record)
             assert [s.path_arcs for s in trace.steps] == [(6, 8)]
         assert [s.path_arcs for s in reference_solve(inst).steps] == [(6, 8)]
 
     def test_tie_on_71_arc_paths(self):
         inst = grid_instance(3, 70, 1.0)
-        trace = solve(inst)
+        trace = run_ssp(inst)
         ref = reference_solve(inst)
         assert len(trace.steps[0].path_arcs) > 64
         assert [s.path_arcs for s in trace.steps] == [s.path_arcs for s in ref.steps]
@@ -624,7 +620,7 @@ class TestTieBreaks:
             chain = [0, *range(first, first + length), sink]
             edges += [Edge(u, v, 1.0, 0.0) for u, v in zip(chain, chain[1:])]
         inst = transform(FlowNetwork(edges, {0: 2.0, sink: -2.0}))
-        trace = solve(inst, record_distances=False)
+        trace = run_ssp(inst, record_distances=False)
         aux = 2 * len(edges)
         assert [s.path_arcs for s in trace.steps] == [
             (aux, *range(0, 2 * (length + 1), 2), aux + 2),
@@ -640,8 +636,8 @@ class TestMetamorphic:
         factor = 2.0**k
         for seed in range(200):
             inst = random_instance(seed, n=8, m=20)
-            a = solve(inst, record_distances=False)
-            b = solve(scaled_costs(inst, factor), record_distances=False)
+            a = run_ssp(inst, record_distances=False)
+            b = run_ssp(scaled_costs(inst, factor), record_distances=False)
             assert b.outcome is a.outcome, seed
             assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
             assert [s.amount for s in b.steps] == [s.amount for s in a.steps], seed
@@ -658,8 +654,8 @@ class TestMetamorphic:
         factor = 2.0**k
         for seed in range(40):
             inst = random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
-            a = solve(inst, record_distances=False)
-            b = solve(scaled_capacities(inst, factor), record_distances=False)
+            a = run_ssp(inst, record_distances=False)
+            b = run_ssp(scaled_capacities(inst, factor), record_distances=False)
             assert b.outcome is a.outcome, seed
             assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
             assert [s.length for s in b.steps] == [s.length for s in a.steps], seed
@@ -674,8 +670,8 @@ class TestMetamorphic:
         # tie-breaks and adjacency order depend on edge indices only
         for seed in range(200):
             inst = random_instance(seed, n=8, m=20)
-            a = solve(inst, record_distances=False)
-            b = solve(relabelled(inst, seed), record_distances=False)
+            a = run_ssp(inst, record_distances=False)
+            b = run_ssp(relabelled(inst, seed), record_distances=False)
             assert b.outcome is a.outcome, seed
             assert [s.path_arcs for s in b.steps] == [s.path_arcs for s in a.steps], seed
 
