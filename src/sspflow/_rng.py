@@ -54,20 +54,26 @@ def stream(seed: int, tag: int, index: int = 0) -> Generator:
     return Generator(Philox(key=[seed, (tag << _TAG_SHIFT) | index]))
 
 
-def _first_words(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
+def _first_words(
+    seed: int, tag: int | tuple[int, ...], start: int, stop: int
+) -> np.ndarray:
     """Word 0 of the first Philox4x64-10 block of keys start..stop-1.
 
     numpy bumps the counter before its first block, so the block is the
     one at counter (1, 0, 0, 0). Rows hold counter words (0, 2) in x,
     (1, 3) in y and the key words; the 128-bit products are taken in
-    32-bit halves.
+    32-bit halves. A tuple of tags gives one row per tag, all keys
+    sharing the rounds, which costs less than a call per tag.
     """
     _check_seed(seed)
     if not 0 <= start <= stop <= _INDEX_LIMIT:
         raise ValueError("stream index out of range")
-    key = np.empty((2, stop - start), dtype=np.uint64)
+    tags = np.asarray(tag, dtype=np.uint64)[..., None]
+    shape = tags.shape[:-1] + (stop - start,)
+    key = np.empty((2,) + shape, dtype=np.uint64)
     key[0] = seed
-    key[1] = np.arange(start, stop, dtype=np.uint64) | np.uint64(tag << _TAG_SHIFT)
+    key[1] = np.arange(start, stop, dtype=np.uint64) | (tags << np.uint64(_TAG_SHIFT))
+    key = key.reshape(2, -1)
     # The first round at counter (1, 0, 0, 0) leaves x = key, y = (0, M0).
     x = key.copy()
     y = np.zeros_like(key)
@@ -80,13 +86,17 @@ def _first_words(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
         cross = (ll >> _S32) + (lh & _LOW32) + _MULT_HI * x_lo
         hi = _MULT_HI * x_hi + (lh >> _S32) + (cross >> _S32)
         x, y = hi[::-1] ^ y ^ key, (_MULT * x)[::-1]
-    return x[0]
+    return x[0].reshape(shape)
+
+
+def _unit_floats(words: np.ndarray) -> list[float]:
+    """Generator.random() of the streams whose first words these are."""
+    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
 
 
 def randoms(seed: int, tag: int, start: int, stop: int) -> list[float]:
     """stream(seed, tag, i).random() for every i in range(start, stop)."""
-    words = _first_words(seed, tag, start, stop)
-    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+    return _unit_floats(_first_words(seed, tag, start, stop))
 
 
 def integers(seed: int, tag: int, stop: int, c: int) -> list[int]:
@@ -100,12 +110,26 @@ def integers(seed: int, tag: int, stop: int, c: int) -> list[int]:
     if c < 1:
         raise ValueError(f"integer bound must be >= 1, got {c}")
     if c >= 1 << 32:
-        redo = range(stop)
-        values = [0] * stop
-    else:
-        scaled = (_first_words(seed, tag, 0, stop) & _LOW32) * np.uint64(c)
-        values = ((scaled >> _S32) + np.uint64(1)).tolist()
-        redo = np.flatnonzero((scaled & _LOW32) < np.uint64(c)).tolist()
-    for i in redo:
+        return [int(stream(seed, tag, i).integers(1, c + 1)) for i in range(stop)]
+    return _lemire(seed, tag, c, _first_words(seed, tag, 0, stop))
+
+
+def integers_and_randoms(
+    seed: int, int_tag: int, float_tag: int, stop: int, c: int
+) -> tuple[list[int], list[float]]:
+    """(integers(seed, int_tag, stop, c), randoms(seed, float_tag, 0, stop)),
+    from one _first_words pass over both tags' keys when c < 2^32."""
+    if not 1 <= c < 1 << 32:
+        return integers(seed, int_tag, stop, c), randoms(seed, float_tag, 0, stop)
+    int_words, float_words = _first_words(seed, (int_tag, float_tag), 0, stop)
+    return _lemire(seed, int_tag, c, int_words), _unit_floats(float_words)
+
+
+def _lemire(seed: int, tag: int, c: int, words: np.ndarray) -> list[int]:
+    """integers(seed, tag, len(words), c) for c < 2^32, from the keys'
+    first words."""
+    scaled = (words & _LOW32) * np.uint64(c)
+    values = ((scaled >> _S32) + np.uint64(1)).tolist()
+    for i in np.flatnonzero((scaled & _LOW32) < np.uint64(c)).tolist():
         values[i] = int(stream(seed, tag, i).integers(1, c + 1))
     return values

@@ -3,9 +3,11 @@
     sspflow solve INSTANCE [--z Z] [--out trace.csv] [--iteration-cap N]
     sspflow costfn INSTANCE [--out costfn.csv]
     sspflow generate --model smoothed|perturbed|lowerbound
-                     --shape bipartite|erdos|layered --n N --m M --seed S
+                     [--shape bipartite|erdos|layered] --n N --m M --seed S
                      [--phi PHI] [--cost-spec FILE]
                      [--preset uniform|adversarial] [--out FILE]
+      (--cost-spec and --preset only with --model smoothed, --shape
+      not with --model lowerbound)
     sspflow lowerbound --n N --m M --phi PHI --seed S [--out FILE] [--verify]
     sspflow experiment --models LIST --shape bipartite|erdos|layered
                        --ns LIST --ms LIST --phis LIST --trials T --seed S
@@ -151,8 +153,15 @@ def cmd_costfn(args) -> int:
 
 def cmd_generate(args) -> int:
     _seed(args.seed)
+    if args.model != "smoothed":
+        for flag, value in (("--cost-spec", args.cost_spec), ("--preset", args.preset)):
+            if value is not None:
+                raise ParseError(f"{flag} applies only to --model smoothed")
+    if args.model == "lowerbound" and args.shape is not None:
+        raise ParseError("--shape does not apply to --model lowerbound")
+    shape = args.shape or "bipartite"
     if args.model == "smoothed":
-        topo = generators.random_topology(args.n, args.m, args.shape, args.seed)
+        topo = generators.random_topology(args.n, args.m, shape, args.seed)
         if args.cost_spec:
             with open(args.cost_spec, "r", encoding="utf-8") as fh:
                 spec = generators.parse_cost_spec(fh.read())
@@ -162,7 +171,7 @@ def cmd_generate(args) -> int:
             spec = generators.SmoothedCostSpec(args.phi)
         net = generators.sample_costs(topo, spec, args.seed)
     elif args.model == "perturbed":
-        topo = generators.random_topology(args.n, args.m, args.shape, args.seed)
+        topo = generators.random_topology(args.n, args.m, shape, args.seed)
         c_bound = _cost_bound("--phi", args.phi)
         net, _scale = generators.perturbed_integer(topo, c_bound, args.seed)
     else:  # lowerbound
@@ -243,6 +252,9 @@ def cmd_experiment(args) -> int:
         steps_seen = []
         bound = None
         for trial in range(trials):
+            # dropped before the next trial's instance is built, so that
+            # one instance and its trace are alive at a time
+            instance = trace = None
             seed = _trial_seed(args.seed, cell_index, trial)
             started = time.perf_counter()
             try:
@@ -329,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a seeded instance file")
     p.add_argument("--model", choices=MODELS, default="smoothed")
-    p.add_argument("--shape", choices=SHAPES, default="bipartite")
+    # None when not given, so that a model which reads no shape rejects it
+    p.add_argument("--shape", choices=SHAPES, default=None,
+                   help="topology (default bipartite; not for --model lowerbound)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--phi", type=float, default=1.0,
@@ -337,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cost-spec", default=None,
                    help="interval spec file (smoothed model)")
-    p.add_argument("--preset", choices=["uniform", "adversarial"],
-                   default="uniform")
+    p.add_argument("--preset", choices=["uniform", "adversarial"], default=None,
+                   help="interval choice (smoothed model; default uniform)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lowerbound", help="exponential-family instance")

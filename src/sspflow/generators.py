@@ -17,6 +17,12 @@ with bulk numpy calls; one call of size k gives the values of k scalar
 calls. erdos_topology reads endpoints in blocks and may read past the
 last pair it accepts, so it draws the rest from a twin stream on the
 same key that first skips exactly the endpoint draws used.
+
+The cost models build their networks in list-wide passes: one keyed
+draw per model (perturbed_integer's integers and noise share one Philox
+pass), one comprehension from the draws to the costs and edges, made
+by network._edge, and then FlowNetwork's bulk checks, so that a bad
+topology raises what the constructor raises for it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Mapping, Sequence
 
 from . import _rng
 from .errors import InfeasibleShape, InvalidInterval, ParseError
-from .network import Edge, FlowNetwork
+from .network import FlowNetwork, _edge
 
 CONVENTIONS = ("unit", "phi")
 
@@ -49,8 +55,13 @@ class SmoothedCostSpec:
             raise InvalidInterval(f"unknown convention {self.convention!r}")
         if self.default_interval is not None:
             self._validate(self.default_interval, "default interval")
+        # Each interval object once (adversarial_spec shares two among all
+        # edges); checked keeps the objects alive, so no id is reused.
+        checked = {}
         for e, iv in self.intervals.items():
-            self._validate(iv, f"interval for edge {e}")
+            if id(iv) not in checked:
+                self._validate(iv, f"interval for edge {e}")
+                checked[id(iv)] = iv
 
     @property
     def min_length(self) -> float:
@@ -313,14 +324,16 @@ def sample_costs(
     topology: Topology, spec: SmoothedCostSpec, seed: int
 ) -> FlowNetwork:
     """Realize a topology into a network by drawing every edge cost."""
-    stray = sorted(e for e in spec.intervals if not 0 <= e < topology.m)
+    m = topology.m
+    stray = sorted(e for e in spec.intervals if not 0 <= e < m)
     if stray:
-        raise InvalidInterval(f"interval for edge {stray[0]}: no such edge in 0..{topology.m - 1}")
-    draws = _rng.randoms(seed, _rng.COSTS, 0, topology.m)
-    edges = []
-    for e, ((tail, head, cap), u) in enumerate(zip(topology.edges, draws)):
-        lo, hi = spec.interval_for(e)
-        edges.append(Edge(tail, head, cap, lo + (hi - lo) * u))
+        raise InvalidInterval(f"interval for edge {stray[0]}: no such edge in 0..{m - 1}")
+    draws = _rng.randoms(seed, _rng.COSTS, 0, m)
+    edges = [
+        _edge(tail, head, cap, lo + (hi - lo) * u)
+        for (tail, head, cap), (lo, hi), u
+        in zip(topology.edges, map(spec.interval_for, range(m)), draws)
+    ]
     return FlowNetwork(
         edges, dict(topology.balance), topology.nodes, spec.cost_bound
     )
@@ -336,13 +349,12 @@ def adversarial_spec(topology: Topology, phi: float) -> SmoothedCostSpec:
     """
     width = SmoothedCostSpec(phi).min_length
     endpoints = {v for v, b in topology.balance.items() if b != 0.0}
-    intervals = {}
     band_lo = min(0.7, 1.0 - width)
-    for e, (tail, head, _cap) in enumerate(topology.edges):
-        if tail in endpoints or head in endpoints:
-            intervals[e] = (0.0, width)
-        else:
-            intervals[e] = (band_lo, band_lo + width)
+    near_zero, band = (0.0, width), (band_lo, band_lo + width)
+    intervals = {
+        e: near_zero if tail in endpoints or head in endpoints else band
+        for e, (tail, head, _cap) in enumerate(topology.edges)
+    }
     return SmoothedCostSpec(phi, intervals=intervals)
 
 
@@ -352,9 +364,13 @@ def adversarial_spec(topology: Topology, phi: float) -> SmoothedCostSpec:
 def assign_integer_costs(topology: Topology, c_bound: int, seed: int) -> tuple[int, ...]:
     """Adversarial stand-in: keyed uniform integers in {1..C}, per edge;
     numpy draws them as int64, so C must lie in [1, 2^63 - 1]."""
+    _check_integer_bound(c_bound)
+    return tuple(_rng.integers(seed, _rng.INT_COSTS, topology.m, c_bound))
+
+
+def _check_integer_bound(c_bound: int) -> None:
     if not 1 <= c_bound < 1 << 63:
         raise InvalidInterval(f"integer cost bound must lie in [1, 2^63 - 1], got {c_bound}")
-    return tuple(_rng.integers(seed, _rng.INT_COSTS, topology.m, c_bound))
 
 
 def perturbed_integer(
@@ -366,13 +382,15 @@ def perturbed_integer(
     the raw k_e + noise values. The model's effective density bound is
     (C + 1) / 2.
     """
-    ints = assign_integer_costs(topology, c_bound, seed)
+    _check_integer_bound(c_bound)
+    ints, draws = _rng.integers_and_randoms(
+        seed, _rng.INT_COSTS, _rng.NOISE, topology.m, c_bound
+    )
     scale = float(c_bound + 1)
-    draws = _rng.randoms(seed, _rng.NOISE, 0, topology.m)
-    edges = []
-    for (tail, head, cap), k, u in zip(topology.edges, ints, draws):
-        noise = -1.0 + 2.0 * u
-        edges.append(Edge(tail, head, cap, (k + noise) / scale))
+    edges = [
+        _edge(tail, head, cap, (k + (-1.0 + 2.0 * u)) / scale)
+        for (tail, head, cap), k, u in zip(topology.edges, ints, draws)
+    ]
     net = FlowNetwork(edges, dict(topology.balance), topology.nodes, 1.0)
     return net, scale
 

@@ -15,12 +15,15 @@ Conventions used throughout the package:
   reverse is absent; an empty arc over a non-auxiliary edge is a
   *good* arc.
 
-FlowNetwork validates every edge and balance it is built from. Derived
-networks validate only what they change: with_edge_cost checks the new
-cost, and transform the auxiliary edges, the balances {s: z, t: -z} and
-the grown node count's path-length bound, each with the constructor's
-own checks and messages; the rest was validated when the network it
-derives from was built.
+FlowNetwork validates every edge and balance it is built from. Its edge
+checks run in bulk, one pass over each column (_edges_pass); only a
+network that fails them, or makes them raise, goes through the per-edge
+checks, which raise at the first bad edge. Derived networks validate
+only what they change: with_edge_cost checks the new cost, and
+transform the auxiliary edges, the balances {s: z, t: -z} and the grown
+node count's path-length bound, each with the constructor's own checks
+and messages; the rest was validated when the network it derives from
+was built.
 
 Comparisons on flow values are strict float comparisons, no epsilons:
 augmentation assigns saturated values exactly, so f == 0 and f == u
@@ -53,6 +56,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -96,10 +100,9 @@ class FlowNetwork:
     def __post_init__(self):
         edges = tuple(self.edges)
         cost_bound = self.cost_bound
+        ends = [(e.tail, e.head) for e in edges]
         node_set = set(self.nodes) if self.nodes is not None else set()
-        for e in edges:
-            node_set.add(e.tail)
-            node_set.add(e.head)
+        node_set.update(chain.from_iterable(ends))
         node_set.update(self.balance)
         if not node_set:
             raise InvariantError("network has no nodes")
@@ -108,18 +111,19 @@ class FlowNetwork:
         if not (math.isfinite(cost_bound) and cost_bound >= 1.0):
             raise InvariantError(f"cost bound must be finite and >= 1, got {cost_bound}")
         _check_size(len(node_set), cost_bound)
-
-        pairs: set[tuple[int, int]] = set()
-        for i, e in enumerate(edges):
-            _check_edge(i, e, cost_bound)
-            key = (e.tail, e.head)
-            if key in pairs:
-                raise InvariantError(f"edge {i}: duplicate edge {key}")
-            if (e.head, e.tail) in pairs:
-                raise InvariantError(
-                    f"edge {i}: antiparallel pair {key} forms a 2-cycle"
-                )
-            pairs.add(key)
+        if not _edges_pass(edges, ends, cost_bound):
+            # the per-edge checks, which raise at the first bad edge
+            pairs: set[tuple[int, int]] = set()
+            for i, e in enumerate(edges):
+                _check_edge(i, e, cost_bound)
+                key = (e.tail, e.head)
+                if key in pairs:
+                    raise InvariantError(f"edge {i}: duplicate edge {key}")
+                if (e.head, e.tail) in pairs:
+                    raise InvariantError(
+                        f"edge {i}: antiparallel pair {key} forms a 2-cycle"
+                    )
+                pairs.add(key)
 
         self._assign(
             edges,
@@ -176,6 +180,35 @@ def _check_size(n: int, cost_bound: float) -> None:
         raise InvariantError(f"{n} nodes times cost bound {cost_bound} overflows")
 
 
+def _edges_pass(edges: Sequence[Edge], ends: list[tuple], cost_bound: float) -> bool:
+    """Whether edges, with ends their (tail, head) pairs, pass every edge
+    check of the constructor, by one pass over each column (a pair meeting
+    its reverse covers self-loops too); False also where a check raises."""
+    try:
+        pairs = set(ends)
+        caps = [e.capacity for e in edges]
+        costs = [e.cost for e in edges]
+        return (
+            len(pairs) == len(ends)
+            and pairs.isdisjoint([(head, tail) for tail, head in ends])
+            and all(map(math.isfinite, caps))
+            and min(caps, default=0) >= 0
+            and all(map(math.isfinite, costs))
+            and min(costs, default=0.0) >= 0.0
+            and max(costs, default=0.0) <= cost_bound
+            and {e.kind for e in edges} <= {ORIGINAL}
+        )
+    except Exception:  # the per-edge loop raises it again, at its edge
+        return False
+
+
+def _edge(tail, head, capacity, cost, kind: str = ORIGINAL) -> Edge:
+    """Edge(...) without the frozen dataclass __init__'s setattr calls."""
+    edge = object.__new__(Edge)
+    edge.__dict__.update(tail=tail, head=head, capacity=capacity, cost=cost, kind=kind)
+    return edge
+
+
 def _check_edge(i: int, e: Edge, cost_bound: float) -> None:
     """The constructor's checks on edge i alone (the pair checks aside)."""
     if e.tail == e.head:
@@ -208,7 +241,7 @@ def _balances(nodes: Iterable[int], balance: Mapping[int, float]) -> Mapping[int
         bal[v] = float(b)
     try:
         total = math.fsum(bal.values())
-        scale = max(1.0, math.fsum(abs(b) for b in bal.values()))
+        scale = max(1.0, math.fsum(map(abs, bal.values())))
     except OverflowError:
         raise InvariantError("balance magnitudes sum past float64") from None
     if abs(total) > _BALANCE_RTOL * scale:
@@ -225,14 +258,14 @@ def transform(network: FlowNetwork) -> "TransformedNetwork":
     node. The target value z is the total supply. Original edges keep
     their indices; auxiliary edges follow in sorted node order.
     """
-    if any(e.kind == AUXILIARY for e in network.edges):
+    if AUXILIARY in [e.kind for e in network.edges]:
         raise InvariantError("network already contains auxiliary edges")
     supplies = [(v, b) for v, b in sorted(network.balance.items()) if b > 0]
     demands = [(v, -b) for v, b in sorted(network.balance.items()) if b < 0]
     s = max(network.nodes) + 1
     t = s + 1
-    aux = [Edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
-    aux += [Edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
+    aux = [_edge(s, v, b, 0.0, AUXILIARY) for v, b in supplies]
+    aux += [_edge(v, t, b, 0.0, AUXILIARY) for v, b in demands]
     for i, edge in enumerate(aux, start=network.m):
         _check_edge(i, edge, network.cost_bound)
     z = math.fsum(b for _, b in supplies)
@@ -291,15 +324,19 @@ class TransformedNetwork:
         tail = [idx[e.tail] for e in edges]
         head = [idx[e.head] for e in edges]
         cost = [e.cost for e in edges]
+        negated = [-c for c in cost]
+        arcs = range(2 * len(edges))
+        signed_cost: list = [0.0] * len(arcs)
+        signed_cost[::2], signed_cost[1::2] = cost, negated
         out_adj: list[list[tuple]] = [[] for _ in net.nodes]
-        for e, (u, v, c) in enumerate(zip(tail, head, cost)):
-            out_adj[u].append((2 * e, v, c))
-            out_adj[v].append((2 * e + 1, u, -c))
+        for a, b, u, v, c, nc in zip(arcs[::2], arcs[1::2], tail, head, cost, negated):
+            out_adj[u].append((a, v, c))
+            out_adj[v].append((b, u, nc))
         cap = [e.capacity for e in edges]
         return _Arrays(
             net.nodes, idx[self.source], idx[self.sink], tail, head, cost, cap,
             bytes([e.kind == ORIGINAL for e in edges]), tuple(map(tuple, out_adj)),
-            [x for c in cost for x in (c, -c)], _floats(cost) and _floats(cap),
+            signed_cost, _floats(cost) and _floats(cap),
         )
 
     def _with_edge_cost(self, e: int, cost: float) -> "TransformedNetwork":

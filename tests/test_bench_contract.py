@@ -138,3 +138,41 @@ def test_check_reconstruction_calls_reconstruct_per_case(tracing, monkeypatch):
     assert cases and not calls
     assert all(ok for _, ok in check_reconstruction(inst, cases))
     assert calls == ["reconstruct", "run_ssp"] * len(cases)
+
+
+def test_experiment_grid_records_its_layers(tracing, monkeypatch, tmp_path):
+    # The experiment-grid op must record these spans: generation or
+    # transform work moved into cli itself would lose them, and would
+    # count against run.py's cli self-time gate.
+    # run.py imports its neighbours calibrate and tracing by plain name
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    saved = {name: sys.modules.pop(name, None) for name in ("calibrate", "tracing")}
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", TRACING.with_name("run.py"))
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "perfbench_run", run)
+        spec.loader.exec_module(run)
+    finally:
+        for name, module in saved.items():
+            sys.modules.pop(name, None)
+            if module is not None:
+                sys.modules[name] = module
+
+    (op,) = run.experiment_grid(0, tmp_path).ops
+    wanted = {"generators.random_topology", "generators.sample_costs",
+              "generators.perturbed_integer", "network.transform",
+              "solver.run_ssp"}
+    assert wanted <= set(op.spans)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, spans = tracer.call(sspflow.cli.main, list(op.argv))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    recorded = {span.name for span in spans}
+    assert set(op.spans) <= recorded
+    # one span of each per instance: 2 models x 2 ns x 2 phis x 3 trials
+    for name in wanted - {"generators.sample_costs", "generators.perturbed_integer"}:
+        assert sum(span.name == name for span in spans) == 24, name

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -202,6 +203,54 @@ def test_generate_cost_spec_unknown_edge_exit_1(edge, tmp_path, capsys):
     ]) == 1  # the 4-by-5 bipartite topology has edges 0..12
     err = capsys.readouterr().err
     assert err.startswith(f"error: interval for edge {edge}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "4", "--m", "9", "--phi", "8", "--seed", "3"],
+     "32393df2f7146efeeead8114704ecdff3a7a3b97cdb931e12c44158a2b41755e"),
+    (["--model", "smoothed", "--shape", "erdos", "--n", "8", "--m", "14",
+      "--phi", "4", "--preset", "adversarial", "--seed", "2"],
+     "b3810ee13431e159545498702ada73b606b1bb354ab21b61ebcb7e7ed3e04216"),
+    (["--model", "smoothed", "--shape", "layered", "--n", "9", "--m", "12",
+      "--cost-spec", "{spec}", "--seed", "1"],
+     "d912e8653d186d5d00603c1b5fe2f6ef1282336ec7b23b6db746c7a37ecfc53c"),
+    (["--model", "perturbed", "--shape", "layered", "--n", "9", "--m", "12",
+      "--phi", "16", "--seed", "4"],
+     "872cb9ec800d58c4bf4702a630e4e6311b6266b2fa90010b7fb8be2dfd70e9e3"),
+    (["--model", "perturbed", "--n", "3", "--m", "6", "--phi", "4", "--seed", "0"],
+     "e45025bcab0e8114d6818e330e1824e0ee76afef352129d0eb3469fbfb527e6f"),
+    (["--model", "lowerbound", "--n", "4", "--m", "4", "--phi", "64", "--seed", "2"],
+     "0372dce0b02905338b59fbb7fea65757defd9601876266820d3584f59d4904b0"),
+])
+def test_generate_accepted_options_write_the_same_file(argv, digest, tmp_path):
+    # digests recorded before generate rejected options its model ignores
+    spec, out = tmp_path / "spec.txt", tmp_path / "out.dimacs"
+    spec.write_text("phi 4.0\ndefault-interval 0.25 0.75\ninterval 2 0.0 0.5\n")
+    argv = [a.format(spec=spec) for a in argv]
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("model, extra, flag", [
+    ("perturbed", ["--cost-spec", "{spec}"], "--cost-spec"),
+    ("perturbed", ["--preset", "adversarial"], "--preset"),
+    ("perturbed", ["--preset", "uniform"], "--preset"),
+    ("lowerbound", ["--cost-spec", "{spec}"], "--cost-spec"),
+    ("lowerbound", ["--preset", "adversarial"], "--preset"),
+    ("lowerbound", ["--shape", "layered"], "--shape"),
+    ("lowerbound", ["--shape", "bipartite"], "--shape"),
+    ("lowerbound", ["--cost-spec", "/nonexistent", "--preset", "adversarial",
+                    "--shape", "layered"], "--cost-spec"),
+])
+def test_generate_rejects_options_its_model_ignores(model, extra, flag, tmp_path, capsys):
+    spec, out = tmp_path / "spec.txt", tmp_path / "out.dimacs"
+    spec.write_text("phi 4.0\n")
+    argv = ["generate", "--model", model, "--n", "4", "--m", "4", "--phi", "64",
+            *[a.format(spec=spec) for a in extra], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,13 +1,18 @@
 import hashlib
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from sspflow import (
+    BalanceMismatch,
+    Edge,
+    FlowNetwork,
     InfeasibleShape,
     InvalidInterval,
+    InvariantError,
     ParseError,
     SmoothedCostSpec,
     adversarial_spec,
@@ -25,6 +30,9 @@ from sspflow import (
     transform,
 )
 from sspflow import _rng
+from sspflow.generators import Topology
+
+BAD_INTERVAL = (0.0, 0.1)
 
 
 class TestBulkDraws:
@@ -68,6 +76,22 @@ class TestBulkDraws:
                     for i in range(200)
                 ]
                 assert _rng.integers(seed, tag, 200, c) == want
+
+    @pytest.mark.parametrize("c", [1, 17, 2**31 + 1, 2**32 - 1, 2**32, 2**40])
+    def test_integers_and_randoms_draw_as_two_calls(self, c):
+        for seed in (0, self.LAST_SEED):
+            for stop in (0, 1, 150):
+                got = _rng.integers_and_randoms(seed, _rng.INT_COSTS, _rng.NOISE, stop, c)
+                assert got == (_rng.integers(seed, _rng.INT_COSTS, stop, c),
+                               _rng.randoms(seed, _rng.NOISE, 0, stop))
+        with pytest.raises(ValueError, match="integer bound"):
+            _rng.integers_and_randoms(0, _rng.INT_COSTS, _rng.NOISE, 3, 0)
+
+    def test_first_words_rows_per_tag(self):
+        got = _rng._first_words(9, (_rng.INT_COSTS, _rng.NOISE, _rng.COSTS), 5, 70)
+        assert got.shape == (3, 65)
+        for row, tag in zip(got, (_rng.INT_COSTS, _rng.NOISE, _rng.COSTS)):
+            assert np.array_equal(row, _rng._first_words(9, tag, 5, 70))
 
     def test_integers_half_rejected_bound(self):
         # At c = 2^31 + 1 the 32-bit leftover falls below c for about half
@@ -231,6 +255,145 @@ class TestSampling:
         )
         assert unit.cost_bound == 1.0
         assert wide.cost_bound == 4.0
+
+
+BAD_TOPOLOGIES = {
+    # name: (topology, (exception type, message)) from both cost models
+    "self-loop": (
+        Topology((0, 1, 2), ((0, 1, 1.0), (2, 2, 1.0)), {}),
+        (InvariantError, "edge 1: self-loop at node 2")),
+    "duplicate": (
+        Topology((0, 1, 2), ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)), {}),
+        (InvariantError, "edge 2: duplicate edge (0, 1)")),
+    "antiparallel": (
+        Topology((0, 1, 2), ((0, 1, 1.0), (1, 0, 1.0)), {}),
+        (InvariantError, "edge 1: antiparallel pair (1, 0) forms a 2-cycle")),
+    "nan capacity": (
+        Topology((0, 1, 2), ((0, 1, 1.0), (1, 2, math.nan)), {}),
+        (InvariantError, "edge 1: capacity must be finite and >= 0")),
+    "self-loop before huge capacity": (
+        Topology((0, 1, 2), ((1, 1, 1.0), (1, 2, 10**400)), {}),
+        (InvariantError, "edge 0: self-loop at node 1")),
+    "short edge": (
+        Topology((0, 1, 2), ((0, 1, 1.0), (1, 2)), {}),
+        (ValueError, "not enough values to unpack (expected 3, got 2)")),
+    "text node": (
+        Topology((0, 1, "x"), ((0, 1, 1.0), (1, 2, 1.0)), {}),
+        (InvariantError, "node ids must be ints")),
+    "balance at a node outside nodes": (
+        Topology((0, 1, 2), ((0, 1, 1.0),), {7: 1.0}),
+        (BalanceMismatch, "balances sum to 1.0, expected 0")),
+    "unbalanced": (
+        Topology((0, 1, 2), ((0, 1, 1.0),), {0: 1.0, 1: -2.0}),
+        (BalanceMismatch, "balances sum to -1.0, expected 0")),
+}
+
+
+def raised(fn, *args):
+    """The exception fn(*args) raises, as (type, message)."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestGeneratorValidation:
+    """The generators' networks pass the constructor's checks, so a bad
+    topology raises what FlowNetwork raises for its first bad edge
+    (recorded before the generators built from columns)."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_TOPOLOGIES))
+    def test_bad_topology(self, name):
+        topo, want = BAD_TOPOLOGIES[name]
+        assert raised(sample_costs, topo, SmoothedCostSpec(2.0), 0) == want
+        assert raised(perturbed_integer, topo, 4, 0) == want
+
+    @pytest.mark.parametrize(
+        "intervals, want",
+        [
+            # the same bad interval at edges 2 and 3: edge 2 comes first
+            ({5: (0.0, 0.5), 2: BAD_INTERVAL, 3: BAD_INTERVAL, 0: (0.0, 0.5)},
+             "interval for edge 2: length 0.1 below minimum 0.25"),
+            ({5: (0.0, 0.5), 2: [0.5, 2.0], 0: [0.5, 2.0]},
+             "interval for edge 2: [0.5, 2.0] outside [0, 1.0]"),
+            ({5: (0.0, 0.5), 2: (math.nan, 1.0), 0: (0.0, 0.1)},
+             "interval for edge 2: endpoints must be finite"),
+        ],
+    )
+    def test_spec_names_the_first_bad_edge(self, intervals, want):
+        assert raised(SmoothedCostSpec, 4.0, "unit", None, intervals) == (
+            InvalidInterval, want)
+
+    def test_spec_checks_intervals_made_on_the_fly(self):
+        # a mapping that builds a new tuple per lookup, so that a freed
+        # interval's id may come back for the next, bad one
+        class Made(Mapping):
+            def __getitem__(self, e):
+                return (0.0, 0.1 if e == 40 else 0.5 + e / 1000)
+
+            def __iter__(self):
+                return iter(range(50))
+
+            def __len__(self):
+                return 50
+
+        assert raised(SmoothedCostSpec, 4.0, "unit", None, Made()) == (
+            InvalidInterval, "interval for edge 40: length 0.1 below minimum 0.25")
+
+    def test_spec_checks_every_interval_object(self):
+        # equal values, but only one of the two intervals is well formed
+        good, bad = (0.0, 0.5), (0.0, 0.5, 1.0)
+        SmoothedCostSpec(4.0, intervals={0: good, 1: good, 2: [0.0, 0.5]})
+        assert raised(SmoothedCostSpec, 4.0, "unit", None, {0: good, 1: bad}) == (
+            ValueError, "too many values to unpack (expected 2)")
+
+
+def reference_sample_costs(topology, spec, seed):
+    """sample_costs as one Edge(...) per edge through the full constructor."""
+    draws = _rng.randoms(seed, _rng.COSTS, 0, topology.m)
+    edges = []
+    for e, ((tail, head, cap), u) in enumerate(zip(topology.edges, draws)):
+        lo, hi = spec.interval_for(e)
+        edges.append(Edge(tail, head, cap, lo + (hi - lo) * u))
+    return FlowNetwork(edges, dict(topology.balance), topology.nodes, spec.cost_bound)
+
+
+def reference_perturbed_integer(topology, c_bound, seed):
+    """perturbed_integer with each draw made on its own, Edge(...) per
+    edge, through the full constructor."""
+    ints = [int(_rng.stream(seed, _rng.INT_COSTS, e).integers(1, c_bound + 1))
+            for e in range(topology.m)]
+    draws = [_rng.stream(seed, _rng.NOISE, e).random() for e in range(topology.m)]
+    scale = float(c_bound + 1)
+    edges = [
+        Edge(tail, head, cap, (k + (-1.0 + 2.0 * u)) / scale)
+        for (tail, head, cap), k, u in zip(topology.edges, ints, draws)
+    ]
+    return FlowNetwork(edges, dict(topology.balance), topology.nodes, 1.0), scale
+
+
+def test_generators_match_constructor():
+    count = 0
+    for seed in range(40):
+        n = 6 + seed % 7
+        shape, m = (("erdos", 2 * n), ("layered", n))[seed % 2]
+        topo = random_topology(n, m, shape, seed,
+                               capacities=("int", "real")[seed // 2 % 2])
+        for spec in (SmoothedCostSpec(1.0), adversarial_spec(topo, 8.0),
+                     SmoothedCostSpec(3.0, "phi", (0.5, 2.0), {1: [0.0, 1.0]})):
+            got = sample_costs(topo, spec, seed)
+            want = reference_sample_costs(topo, spec, seed)
+            assert got == want and repr(got) == repr(want)
+            assert repr(got.edges) == repr(want.edges)
+            assert list(got.balance.items()) == list(want.balance.items())
+            count += 1
+        for c_bound in (1, 5, 2**33):
+            got, scale = perturbed_integer(topo, c_bound, seed)
+            want, want_scale = reference_perturbed_integer(topo, c_bound, seed)
+            assert repr(got.edges) == repr(want.edges) and got == want
+            assert list(got.balance.items()) == list(want.balance.items())
+            assert repr(scale) == repr(want_scale)
+            count += 1
+    assert count == 40 * 6
 
 
 class TestTopologies:
@@ -521,3 +684,122 @@ class TestTopologyGolden:
             for s in self.SEEDS
         ]
         self.check(topology_digest(topos), self.LAYERED[shape, capacities])
+
+
+def typed(x):
+    """x with every number's type and every container's type spelled out."""
+    if isinstance(x, (list, tuple)):
+        return [type(x).__name__, [typed(y) for y in x]]
+    return x, type(x).__name__
+
+
+def network_digest(pairs) -> str:
+    """sha256 over each (network, scale) pair: the network's edges, balance
+    items in order, nodes and cost bound, every field and out_adj row of
+    transform(network)._arrays, and the scale; each value with its type."""
+    facts = []
+    for net, scale in pairs:
+        facts.append(typed([
+            [[e.tail, e.head, e.capacity, e.cost, e.kind] for e in net.edges],
+            list(net.balance.items()),
+            net.nodes,
+            net.cost_bound,
+            scale,
+        ]))
+        arrays = transform(net)._arrays
+        facts.append(typed([
+            arrays.nodes, arrays.s, arrays.t, arrays.tail, arrays.head,
+            arrays.cost, arrays.cap, arrays.signed_cost, arrays.floats,
+        ]))
+        facts.append(repr(arrays.original))
+        facts.append(typed(arrays.out_adj))
+    return hashlib.sha256(repr(facts).encode()).hexdigest()
+
+
+class TestNetworkGolden:
+    """Digests of the networks sample_costs and perturbed_integer build, and
+    of their transforms' arrays, recorded under numpy 2.4.6 before the
+    generators built their networks from columns. As for the topologies,
+    a numpy upgrade that changes the draws fails here rather than
+    silently."""
+
+    RECORDED_NUMPY = "2.4.6"
+    SEEDS = (0, 1, 5, 2**63 - 1)
+    TOPOLOGIES = {
+        "erdos": lambda seed: erdos_topology(30, 120, seed),
+        "layered": lambda seed: layered_topology(30, 100, seed, capacities="real"),
+        "bipartite": lambda seed: bipartite_topology(8, 40),
+    }
+    MODELS = {
+        "uniform": lambda topo, seed: (
+            sample_costs(topo, SmoothedCostSpec(4.0), seed), None),
+        "adversarial": lambda topo, seed: (
+            sample_costs(topo, adversarial_spec(topo, 4.0), seed), None),
+        # per-edge intervals (one of them a list) over a default interval
+        "spec": lambda topo, seed: (sample_costs(topo, SmoothedCostSpec(
+            4.0, default_interval=(0.25, 0.75),
+            intervals={0: (0.0, 0.25), 3: [0.5, 1.0], 7: (0.0, 0.25)},
+        ), seed), None),
+        "phi": lambda topo, seed: (sample_costs(topo, SmoothedCostSpec(
+            8.0, convention="phi", intervals={1: (2.0, 3.5)},
+        ), seed), None),
+        "perturbed-4": lambda topo, seed: perturbed_integer(topo, 4, seed),
+        "perturbed-16": lambda topo, seed: perturbed_integer(topo, 16, seed),
+        # C >= 2^32 draws every integer through _rng.stream
+        "perturbed-2^40": lambda topo, seed: perturbed_integer(topo, 2**40, seed),
+    }
+    DIGESTS = {
+        ("uniform", "erdos"):
+            "1d57c96090eb098b8ba5ec47805f9c1af82bb9d75208221d1fbc3b222a12b2d6",
+        ("uniform", "layered"):
+            "2acc03a543cd6825498ecf032d959fec0f1469af4614c61633a24a32f80e8cc2",
+        ("uniform", "bipartite"):
+            "66330c2c1886bcab6156d616c96635dccc2a45bad43c3dea1d672480792f37fb",
+        ("adversarial", "erdos"):
+            "557aaf905626062843d4a721fb0f8f7c0fbed0c2aba4b84390f0289a06f9821a",
+        ("adversarial", "layered"):
+            "c9a78e30134d1258674740bbcc923e591a6615daf4a5c421c45974eebabc547d",
+        ("adversarial", "bipartite"):
+            "6b5deefa057cbab83fc378e1b244a69da260682b3dc7da6518ebe9db68a94882",
+        ("spec", "erdos"):
+            "893ee0c6b8283c681a763684657d322b0731a627240d94d6c1a7b085c456beab",
+        ("spec", "layered"):
+            "5573c480dee57c9c476be0ffa6672832f91b62f8478bd41b8b569cbcaa72fc41",
+        ("spec", "bipartite"):
+            "0011ed47192ce3d322f814908bf6b63356ebca0c9dbd546ead569133310baec1",
+        ("phi", "erdos"):
+            "02918222da7ecab7791ee8adebda2a6a3a44452d8b2acabcf261d2ea9781db9b",
+        ("phi", "layered"):
+            "3a11c430064563d967baedf9ccea0face5d297354b46b898421d8a636ea6384f",
+        ("phi", "bipartite"):
+            "47d36b7929cd4c98d23ef352f28b209fcb738138edb157631f8f2e349cf37076",
+        ("perturbed-4", "erdos"):
+            "944c2eb59417b28e602d0e6dff86b424c2fe1883570bda21e07458172387f1ae",
+        ("perturbed-4", "layered"):
+            "9c3f00a2d700c9a05062abb0c36daf3345e618e78be81e2f13cc8aa82753afce",
+        ("perturbed-4", "bipartite"):
+            "377a1f259af3e9baaa9c21d526f78bc214495ad0976938f660deca5e04bbee76",
+        ("perturbed-16", "erdos"):
+            "2582654e46780051036f76fc0a88c4e65ba16f0e15c6182b9001c86e5372f025",
+        ("perturbed-16", "layered"):
+            "539ca635503ab6190b32fab9a63a7c5aaeadd64155800ca285c3b45b3c61da4e",
+        ("perturbed-16", "bipartite"):
+            "400a6d355e56b050cd76dc82d1fc6d35ccd5d182bc5aaf96712bb7e4ab6a1481",
+        ("perturbed-2^40", "erdos"):
+            "ff1ede66d41b7dd233358e427d54a3a7f0adef94629c0190aab3235597e06937",
+        ("perturbed-2^40", "layered"):
+            "2d99f51b98fb114903ab17b11285a8fb24b405f28c0a020fe0be687af4c41910",
+        ("perturbed-2^40", "bipartite"):
+            "d3241316714affbc8e8fd868ba834cdaefec3ae2a4349a997cb28417cb3edc27",
+    }
+
+    @pytest.mark.parametrize("model, shape", sorted(DIGESTS))
+    def test_network(self, model, shape):
+        pairs = [
+            self.MODELS[model](self.TOPOLOGIES[shape](seed), seed)
+            for seed in self.SEEDS
+        ]
+        assert network_digest(pairs) == self.DIGESTS[model, shape], (
+            f"network digest differs under numpy {np.__version__}; the "
+            f"digests were recorded with numpy {self.RECORDED_NUMPY}"
+        )

@@ -1,6 +1,8 @@
 import math
 import random
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -261,6 +263,104 @@ class TestDerivedNetworks:
         want = raised(reference_transform, net)
         assert want == (InvariantError, f"4 nodes times cost bound {cost_bound} overflows")
         assert raised(transform, net) == want
+
+
+BAD_NETWORKS = {
+    # name: (edges, balance, (exception type, message) at the first bad edge)
+    "self-loop": (
+        [Edge(0, 1, 1.0, 0.1), Edge(2, 2, 1.0, 0.0)], None,
+        (InvariantError, "edge 1: self-loop at node 2")),
+    "nan capacity": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, math.nan, 0.1)], None,
+        (InvariantError, "edge 1: capacity must be finite and >= 0")),
+    "negative capacity": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, -0.5, 0.1)], None,
+        (InvariantError, "edge 1: capacity must be finite and >= 0")),
+    "infinite cost": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, math.inf)], None,
+        (InvariantError, "edge 1: cost must be finite")),
+    "cost above bound": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 1.5)], None,
+        (InvariantError, "edge 1: cost 1.5 outside [0, 1.0]")),
+    "negative cost": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, -0.0001)], None,
+        (InvariantError, "edge 1: cost -0.0001 outside [0, 1.0]")),
+    "auxiliary cost": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.5, AUXILIARY)], None,
+        (InvariantError, "edge 1: auxiliary edges must cost 0")),
+    "unknown kind": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.5, "extra")], None,
+        (InvariantError, "edge 1: unknown kind 'extra'")),
+    "unhashable kind": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.1, ["original"])], None,
+        (InvariantError, "edge 1: unknown kind ['original']")),
+    "duplicate": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.1), Edge(0, 1, 2.0, 0.2)], None,
+        (InvariantError, "edge 2: duplicate edge (0, 1)")),
+    "antiparallel": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 0.1), Edge(2, 1, 2.0, 0.2)], None,
+        (InvariantError, "edge 2: antiparallel pair (2, 1) forms a 2-cycle")),
+    "huge capacity": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 10**400, 0.1)], None,
+        (OverflowError, "int too large to convert to float")),
+    "huge cost": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, 10**400)], None,
+        (OverflowError, "int too large to convert to float")),
+    "text capacity": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, "1", 0.1)], None,
+        (TypeError, "must be real number, not str")),
+    "not an edge": (
+        [Edge(0, 1, 1.0, 0.1), (1, 2, 1.0, 0.1)], None,
+        (AttributeError, "'tuple' object has no attribute 'tail'")),
+    # the first bad edge names the error, whatever comes after it
+    "self-loop before huge capacity": (
+        [Edge(0, 0, 1.0, 0.1), Edge(1, 2, 10**400, 0.1)], None,
+        (InvariantError, "edge 0: self-loop at node 0")),
+    "self-loop before an edge without a kind": (
+        [Edge(0, 0, 1.0, 0.1), SimpleNamespace(tail=1, head=2, capacity=1.0, cost=0.1)],
+        None, (InvariantError, "edge 0: self-loop at node 0")),
+    "edge without a head": (
+        [Edge(0, 0, 1.0, 0.1), SimpleNamespace(tail=1, capacity=1.0, cost=0.1)], None,
+        (AttributeError, "'types.SimpleNamespace' object has no attribute 'head'")),
+    "nan cost before duplicate": (
+        [Edge(0, 1, 1.0, 0.1), Edge(1, 2, 1.0, math.nan), Edge(0, 1, 1.0, 0.2)], None,
+        (InvariantError, "edge 1: cost must be finite")),
+    # node ids are checked before the edges, and the edges before balances
+    "node ids before edges": (
+        [Edge(0, 1, 1.0, 0.1), Edge(0.5, 0.5, 1.0, 0.1)], None,
+        (InvariantError, "node ids must be ints")),
+    "edges before balances": (
+        [Edge(0, 1, 1.0, 2.0)], {0: 1.0, 1: 2.0},
+        (InvariantError, "edge 0: cost 2.0 outside [0, 1.0]")),
+    "unbalanced": (
+        [Edge(0, 1, 1.0, 0.5)], {0: 1.0, 1: 2.0},
+        (BalanceMismatch, "balances sum to 3.0, expected 0")),
+}
+
+
+class TestValidationFidelity:
+    """Each bad input raises the exception and message that the per-edge
+    checks give for its first bad edge, as recorded before FlowNetwork
+    checked its edges in bulk."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_NETWORKS))
+    def test_bad_network(self, name):
+        edges, balance, want = BAD_NETWORKS[name]
+        balance = {0: 0.0, 1: 0.0, 2: 0.0} if balance is None else balance
+        assert raised(FlowNetwork, edges, balance) == want
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [Edge(0, 1, 1.0, 0.0), Edge(1, 2, 2.0, 1.0)],
+            [Edge(0, 1, 1, 0), Edge(1, 2, 2, 1)],
+            [Edge(0, 1, Fraction(1, 3), Fraction(2, 3)), Edge(1, 2, 0.0, -0.0)],
+            [Edge(0, 1, 1.0, 0.5), Edge(1, 2, 1.0, 0.0, AUXILIARY)],
+        ],
+    )
+    def test_good_network_keeps_its_edges(self, edges):
+        net = FlowNetwork(edges, {0: 0.0, 1: 0.0, 2: 0.0})
+        assert repr(net.edges) == repr(tuple(edges))
 
 
 class TestTransform:
