@@ -1,5 +1,6 @@
 /* Compiled inner loops of sspflow.solver._Engine: the two Dijkstra
- * searches and the push step with its exact-saturation push.
+ * searches, the push step with its exact-saturation push, and a whole
+ * sink-stop solve over both.
  *
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
@@ -9,32 +10,40 @@
  * and the engine's f and pi are read in place through the C API; nothing
  * is converted. Every number a function reads must be an exact float,
  * which a double holds exactly; anything else (an int, a float subclass
- * such as numpy's float64) raises TypeError before anything is written,
- * so nothing is ever rounded. sspflow.network._floats picks
- * the kernel: _Engine's once per instance, for all-float costs and
+ * such as numpy's float64) raises TypeError before the step that meets
+ * it writes anything, so nothing is ever rounded. sspflow.network._floats
+ * picks the kernel: _Engine's once per instance, for all-float costs and
  * capacities, the trace replay's for all-float capacities and amounts.
  * So the check is memory safety, not a decision.
  *
- * forward keeps per node the dist, hops, pred and parc (predecessor arc) of
- * its label and orders its heap by (dist, hops, node). A label is only ever
- * built from a settled one with strictly smaller (dist, hops): hops grow by
- * one, rc >= 0 and fl(d + rc) >= d. So a node is settled after every
- * relaxation that can set its label, and a relaxation that ties in (dist,
- * hops) compares arc sequences with path_less. Its last pass over the nodes
- * builds the raised potentials pi[v] + min(dist[v], bound), bound being the
- * distance of the last node settled, and after a full search the distances
- * too; a sink-stop search returns None for them, which no caller reads.
+ * search, the forward search, keeps per node the dist, hops, pred and
+ * parc (predecessor arc) of its label and orders its heap by (dist, hops,
+ * node). A label is only ever built from a settled one with strictly
+ * smaller (dist, hops): hops grow by one, rc >= 0 and fl(d + rc) >= d.
+ * So a node is settled after every relaxation that can set its label,
+ * and a relaxation that ties in (dist, hops) compares arc sequences with
+ * path_less. A last pass over the nodes
+ * (node_lists) builds the raised potentials pi[v] + min(dist[v], bound),
+ * bound being the distance of the last node settled, and for forward after
+ * a full search the distances too; a sink-stop search returns None for
+ * them, which no caller reads.
  *
  * The searches read residual capacity from the flow and capacity lists,
  * as the Python loops do: arc a over edge e = a >> 1 is present when
  * cap[e] - f[e] > 0.0 (forward) or f[e] > 0.0 (backward).
  *
  * push_path is network.push operation for operation, which stays its
- * oracle. It serves push_step, the one push step of both a solve and the
- * trace replay: the bottleneck under a limit and the good-arc test, under
- * the flow before the push, then the push. It reads every f and cap item
- * of the path, the mask and the limit before it writes anything, and it
- * writes nothing but f.
+ * oracle. After bottleneck, the bottleneck under a limit and the good-arc
+ * test under the flow before the push, it makes push_step, the one push
+ * step of a per-step solve and of the trace replay. A push step reads
+ * every f and cap item of the path, the mask and the limit before it
+ * writes anything, and it writes nothing but f.
+ *
+ * solve runs a whole sink-stop solve in one call, run_ssp's loop with no
+ * Python call per step: the same search, potential raise, bottleneck
+ * under the headroom z - value and push_path, until the value reaches z,
+ * the sink is unreached or the step cap is hit. Its search reads the same
+ * lists as forward's, pi included, which it replaces after each step.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -71,11 +80,22 @@ state_free(State *st)
     PyMem_Free(st->heap);
 }
 
+/* Reset to no node reached and an empty heap, for the next search. */
+static void
+state_reset(State *st)
+{
+    st->len = 0;
+    for (Py_ssize_t i = 0; i < st->n; i++) {
+        st->dist[i] = Py_HUGE_VAL;
+        st->hops[i] = 0;
+        st->done[i] = 0;
+    }
+}
+
 static int
 state_init(State *st, Py_ssize_t n)
 {
     st->n = n;
-    st->len = 0;
     st->cap = 16;
     st->dist = PyMem_New(double, n);
     st->hops = PyMem_New(Py_ssize_t, n);
@@ -88,11 +108,7 @@ state_init(State *st, Py_ssize_t n)
         PyErr_NoMemory();
         return -1;
     }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        st->dist[i] = Py_HUGE_VAL;
-        st->hops[i] = 0;
-        st->done[i] = 0;
-    }
+    state_reset(st);
     return 0;
 }
 
@@ -308,13 +324,104 @@ fail:
 
 /* -- the searches --------------------------------------------------------- */
 
+/* The forward search from s over a reset st, to t and no further when
+ * stop_at_sink: labels in st, and *bound the distance of the last node
+ * settled. s and t must index the adjacency. 0, or -1 with an exception
+ * set. */
+static int
+search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
+       Py_ssize_t s, Py_ssize_t t, int stop_at_sink, PyObject *check, double slack,
+       double *bound)
+{
+    Py_ssize_t n = st->n, stop = stop_at_sink ? t : -1;
+    *bound = 0.0;
+    st->dist[s] = 0.0;
+    st->pred[s] = st->parc[s] = -1;
+    Entry root = {0.0, 0, s};
+    if (push(st, root) < 0)
+        return -1;
+    while (st->len) {
+        /* Labels only ever decrease, so the first entry popped for a
+         * node carries its current label; later ones are stale. */
+        Entry top = pop(st);
+        Py_ssize_t u = top.node;
+        if (st->done[u])
+            continue;
+        *bound = top.d;
+        if (u == stop)
+            break;
+        st->done[u] = 1;
+        Py_ssize_t hv = top.hops + 1;
+        double pu;
+        PyObject *adj;
+        if (item_double(pi, u, &pu) < 0 || !(adj = adj_row(out_adj, u)))
+            return -1;
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
+            PyObject *entry = PyTuple_GET_ITEM(adj, i);
+            Py_ssize_t a, v;
+            if (adj_entry(entry, n, &a, &v) < 0)
+                return -1;
+            int skip = no_residual(f, cap, a);
+            if (skip < 0)
+                return -1;
+            if (skip || st->done[v])
+                continue;
+            double pv, c, rc;
+            if (item_double(pi, v, &pv) < 0
+                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
+                || reduced_cost(check, slack, a, c, pu, pv, &rc) < 0)
+                return -1;
+            double cand = top.d + rc, dv = st->dist[v];
+            if (cand > dv)
+                continue;
+            if (cand == dv && hv >= st->hops[v]) {
+                /* the entry (dv, hv, v) is already in the heap */
+                if (hv == st->hops[v] && path_less(st, u, a, st->pred[v], st->parc[v])) {
+                    st->pred[v] = u;
+                    st->parc[v] = a;
+                }
+                continue;
+            }
+            st->dist[v] = cand;
+            st->hops[v] = hv;
+            st->pred[v] = u;
+            st->parc[v] = a;
+            Entry e = {cand, hv, v};
+            if (push(st, e) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* The arcs of t's path, read back from its predecessors, as a new tuple;
+ * None when t is unreached. NULL with an exception set. */
+static PyObject *
+path_to(const State *st, Py_ssize_t t)
+{
+    if (!(st->dist[t] < Py_HUGE_VAL))
+        Py_RETURN_NONE;
+    PyObject *path = PyTuple_New(st->hops[t]);
+    if (!path)
+        return NULL;
+    for (Py_ssize_t v = t, k = st->hops[t]; k > 0; v = st->pred[v]) {
+        PyObject *a = PyLong_FromSsize_t(st->parc[v]);
+        if (!a) {
+            Py_DECREF(path);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(path, --k, a);
+    }
+    return path;
+}
+
 static PyObject *
 forward(PyObject *self, PyObject *args)
 {
     PyObject *out_adj, *f, *cap, *pi, *check;
     Py_ssize_t s, t;
     int stop_at_sink;
-    double slack;
+    double slack, bound;
     if (!PyArg_ParseTuple(args, "O!O!O!O!nnpOd:forward", &PyTuple_Type, &out_adj,
                           &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
                           &s, &t, &stop_at_sink, &check, &slack))
@@ -327,83 +434,11 @@ forward(PyObject *self, PyObject *args)
     State st;
     if (state_init(&st, n) < 0)
         return NULL;
-    PyObject *adj = NULL, *result = NULL, *dist = NULL, *raised = NULL, *path = NULL;
-    Py_ssize_t stop = stop_at_sink ? t : -1;
-    double bound = 0.0;
-    st.dist[s] = 0.0;
-    st.pred[s] = st.parc[s] = -1;
-    Entry root = {0.0, 0, s};
-    if (push(&st, root) < 0)
-        goto done;
-    while (st.len) {
-        /* Labels only ever decrease, so the first entry popped for a
-         * node carries its current label; later ones are stale. */
-        Entry top = pop(&st);
-        Py_ssize_t u = top.node;
-        if (st.done[u])
-            continue;
-        bound = top.d;
-        if (u == stop)
-            break;
-        st.done[u] = 1;
-        Py_ssize_t hv = top.hops + 1;
-        double pu;
-        if (item_double(pi, u, &pu) < 0)
-            goto done;
-        if (!(adj = adj_row(out_adj, u)))
-            goto done;
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
-            PyObject *entry = PyTuple_GET_ITEM(adj, i);
-            Py_ssize_t a, v;
-            if (adj_entry(entry, n, &a, &v) < 0)
-                goto done;
-            int skip = no_residual(f, cap, a);
-            if (skip < 0)
-                goto done;
-            if (skip || st.done[v])
-                continue;
-            double pv, c, rc;
-            if (item_double(pi, v, &pv) < 0
-                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
-                || reduced_cost(check, slack, a, c, pu, pv, &rc) < 0)
-                goto done;
-            double cand = top.d + rc, dv = st.dist[v];
-            if (cand > dv)
-                continue;
-            if (cand == dv && hv >= st.hops[v]) {
-                /* the entry (dv, hv, v) is already in the heap */
-                if (hv == st.hops[v] && path_less(&st, u, a, st.pred[v], st.parc[v])) {
-                    st.pred[v] = u;
-                    st.parc[v] = a;
-                }
-                continue;
-            }
-            st.dist[v] = cand;
-            st.hops[v] = hv;
-            st.pred[v] = u;
-            st.parc[v] = a;
-            Entry e = {cand, hv, v};
-            if (push(&st, e) < 0)
-                goto done;
-        }
-    }
-
-    if (st.dist[t] < Py_HUGE_VAL) {
-        if (!(path = PyTuple_New(st.hops[t])))
-            goto done;
-        for (Py_ssize_t v = t, k = st.hops[t]; k > 0; v = st.pred[v]) {
-            PyObject *a = PyLong_FromSsize_t(st.parc[v]);
-            if (!a)
-                goto done;
-            PyTuple_SET_ITEM(path, --k, a);
-        }
-    } else {
-        Py_INCREF(Py_None);
-        path = Py_None;
-    }
-    if (node_lists(&st, pi, bound, stop_at_sink ? NULL : &dist, &raised) == 0)
+    PyObject *result = NULL, *dist = NULL, *raised = NULL, *path = NULL;
+    if (search(&st, out_adj, f, cap, pi, s, t, stop_at_sink, check, slack, &bound) == 0
+        && (path = path_to(&st, t))
+        && node_lists(&st, pi, bound, stop_at_sink ? NULL : &dist, &raised) == 0)
         result = PyTuple_Pack(3, dist ? dist : Py_None, path, raised);
-done:
     Py_XDECREF(dist);
     Py_XDECREF(raised);
     Py_XDECREF(path);
@@ -542,14 +577,37 @@ push_path(PyObject *f, PyObject *cap, PyObject *arcs, double amount)
     return saturated;
 }
 
+/* The bottleneck of a path under a limit, into *amount, which holds the
+ * limit: the smallest of the limit and the residuals over the path,
+ * f[e] backward and cap[e] - f[e] forward, first one on a tie. With
+ * original, *good is 1 when an arc of the path is empty under f (forward
+ * with f[e] == 0.0, backward with f[e] == cap[e]) and original[e] is
+ * nonzero; the mask covers the first m edges, which every arc must
+ * index. 0, or -1 with an exception set; it writes nothing to f. */
+static int
+bottleneck(PyObject *f, PyObject *cap, const char *original, Py_ssize_t m,
+           PyObject *arcs, double *amount, int *good)
+{
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
+        Py_ssize_t a;
+        double fe, ce;
+        if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
+            return -1;
+        double r = a & 1 ? fe : ce - fe;
+        if (r < *amount)
+            *amount = r;
+        if (original && original[a >> 1] && fe == (a & 1 ? ce : 0.0))
+            *good = 1;
+    }
+    return 0;
+}
+
 /* One push step, of a solve (_Engine.augment, with its headroom z - value
  * as limit) or of the trace replay (with the recorded amount as limit);
- * solver._push_step is its Python mirror. The amount is the smallest of
- * limit and the residuals over the path, f[e] backward and cap[e] - f[e]
- * forward, first one on a tie. good is 1 when an arc of the path is empty
- * under f before the push (forward with f[e] == 0.0, backward with f[e] ==
- * cap[e]) and original[e] is nonzero. Then the amount is pushed. Returns
- * (amount, n_saturated, good). */
+ * solver._push_step is its Python mirror. The amount is the bottleneck
+ * under the limit, and good whether the path has a good arc, both under
+ * the flow before the push. Then the amount is pushed. Returns (amount,
+ * n_saturated, good). */
 static PyObject *
 push_step(PyObject *self, PyObject *args)
 {
@@ -563,21 +621,85 @@ push_step(PyObject *self, PyObject *args)
         return NULL;
     m = Py_MIN(m, Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)));
     int good = 0;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(arcs); i++) {
-        Py_ssize_t a;
-        double fe, ce;
-        if (path_arc(arcs, i, m, &a) < 0 || edge_doubles(f, cap, a >> 1, &fe, &ce) < 0)
-            return NULL;
-        double r = a & 1 ? fe : ce - fe;
-        if (r < amount)
-            amount = r;
-        if (original[a >> 1] && fe == (a & 1 ? ce : 0.0))
-            good = 1;
-    }
+    if (bottleneck(f, cap, original, m, arcs, &amount, &good) < 0)
+        return NULL;
     Py_ssize_t saturated = push_path(f, cap, arcs, amount);
     if (saturated < 0)
         return NULL;
     return Py_BuildValue("(dnN)", amount, saturated, PyBool_FromLong(good));
+}
+
+/* -- a whole solve --------------------------------------------------------- */
+
+/* run_ssp's sink-stop loop toward a float target z, from the flow value
+ * value, in one call: while value != z, the forward search to the sink,
+ * the potential raise, and unless the sink is unreached or max_steps paths
+ * are taken, the bottleneck under the headroom z - value and push_path.
+ * A push that the headroom binds reaches z itself, as in
+ * solver._value_after. f is updated in place and pi is left alone.
+ * Returns (paths, amounts, pi, capped): the arcs and amount of each step,
+ * the raised potentials after the last search, and whether the loop
+ * stopped at max_steps with a path still to take. */
+static PyObject *
+solve(PyObject *self, PyObject *args)
+{
+    PyObject *out_adj, *f, *cap, *pi, *check;
+    Py_ssize_t s, t, max_steps;
+    double slack, z, value, bound;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nnOdddn:solve", &PyTuple_Type, &out_adj,
+                          &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
+                          &s, &t, &check, &slack, &z, &value, &max_steps))
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
+    if (s < 0 || s >= n || t < 0 || t >= n) {
+        PyErr_SetString(PyExc_IndexError, "source or sink out of range");
+        return NULL;
+    }
+    State st;
+    if (state_init(&st, n) < 0)
+        return NULL;
+    PyObject *paths = PyList_New(0), *amounts = PyList_New(0), *result = NULL;
+    int capped = 0;
+    Py_INCREF(pi);
+    if (!paths || !amounts)
+        goto done;
+    while (value != z) {
+        PyObject *raised, *path, *amount_obj;
+        if (PyErr_CheckSignals() < 0
+            || search(&st, out_adj, f, cap, pi, s, t, 1, check, slack, &bound) < 0
+            || node_lists(&st, pi, bound, NULL, &raised) < 0)
+            goto done;
+        Py_SETREF(pi, raised);
+        if (!(st.dist[t] < Py_HUGE_VAL))
+            break;
+        if (PyList_GET_SIZE(paths) >= max_steps) {
+            capped = 1;
+            break;
+        }
+        if (!(path = path_to(&st, t)))
+            goto done;
+        int appended = PyList_Append(paths, path);
+        Py_DECREF(path); /* paths holds it, unless the append failed */
+        double headroom = z - value, amount = headroom;
+        Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
+        if (appended < 0 || bottleneck(f, cap, NULL, m, path, &amount, NULL) < 0
+            || push_path(f, cap, path, amount) < 0
+            || !(amount_obj = PyFloat_FromDouble(amount)))
+            goto done;
+        appended = PyList_Append(amounts, amount_obj);
+        Py_DECREF(amount_obj);
+        if (appended < 0)
+            goto done;
+        value = headroom == amount ? z : value + amount;
+        state_reset(&st);
+    }
+    result = Py_BuildValue("(OOON)", paths, amounts, pi, PyBool_FromLong(capped));
+done:
+    Py_XDECREF(paths);
+    Py_XDECREF(amounts);
+    Py_DECREF(pi);
+    state_free(&st);
+    return result;
 }
 
 static PyMethodDef methods[] = {
@@ -591,6 +713,9 @@ static PyMethodDef methods[] = {
     {"push_step", push_step, METH_VARARGS,
      "push_step(f, cap, original, path_arcs, limit) -> (amount, n_saturated,"
      " good); f, cap and limit hold floats"},
+    {"solve", solve, METH_VARARGS,
+     "solve(out_adj, f, cap, pi, s, t, check, slack, z, value, max_steps)"
+     " -> (paths, amounts, pi, capped); costs, f, cap and pi hold floats"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,8 +6,9 @@
                      [--shape bipartite|erdos|layered] --n N --m M --seed S
                      [--phi PHI] [--cost-spec FILE]
                      [--preset uniform|adversarial] [--out FILE]
-      (--cost-spec and --preset only with --model smoothed, --shape
-      not with --model lowerbound)
+      (--cost-spec and --preset only with --model smoothed, --preset
+      and --phi not with --cost-spec, --shape not with --model
+      lowerbound)
     sspflow lowerbound --n N --m M --phi PHI --seed S [--out FILE] [--verify]
     sspflow experiment --models LIST --shape bipartite|erdos|layered
                        --ns LIST --ms LIST --phis LIST --trials T --seed S
@@ -157,25 +158,31 @@ def cmd_generate(args) -> int:
         for flag, value in (("--cost-spec", args.cost_spec), ("--preset", args.preset)):
             if value is not None:
                 raise ParseError(f"{flag} applies only to --model smoothed")
+    elif args.cost_spec is not None:
+        # the spec file gives every interval and phi
+        for flag, value in (("--preset", args.preset), ("--phi", args.phi)):
+            if value is not None:
+                raise ParseError(f"{flag} does not apply with --cost-spec")
     if args.model == "lowerbound" and args.shape is not None:
         raise ParseError("--shape does not apply to --model lowerbound")
     shape = args.shape or "bipartite"
+    phi = 1.0 if args.phi is None else args.phi
     if args.model == "smoothed":
         topo = generators.random_topology(args.n, args.m, shape, args.seed)
-        if args.cost_spec:
+        if args.cost_spec is not None:
             with open(args.cost_spec, "r", encoding="utf-8") as fh:
                 spec = generators.parse_cost_spec(fh.read())
         elif args.preset == "adversarial":
-            spec = generators.adversarial_spec(topo, args.phi)
+            spec = generators.adversarial_spec(topo, phi)
         else:
-            spec = generators.SmoothedCostSpec(args.phi)
+            spec = generators.SmoothedCostSpec(phi)
         net = generators.sample_costs(topo, spec, args.seed)
     elif args.model == "perturbed":
         topo = generators.random_topology(args.n, args.m, shape, args.seed)
-        c_bound = _cost_bound("--phi", args.phi)
+        c_bound = _cost_bound("--phi", phi)
         net, _scale = generators.perturbed_integer(topo, c_bound, args.seed)
     else:  # lowerbound
-        built = lowerbound.build_worstcase(args.n, args.m, args.phi, args.seed)
+        built = lowerbound.build_worstcase(args.n, args.m, phi, args.seed)
         net = built.instance.base
     _write_lines(args.out, dimacs.write_instance(net).splitlines())
     return 0
@@ -346,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="topology (default bipartite; not for --model lowerbound)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--phi", type=float, default=1.0,
-                   help="density bound; integer cost bound C for --model perturbed")
+    # None when not given, so that --cost-spec, whose file gives phi,
+    # rejects it
+    p.add_argument("--phi", type=float, default=None,
+                   help="density bound (default 1); integer cost bound C for"
+                        " --model perturbed; not with --cost-spec")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cost-spec", default=None,
                    help="interval spec file (smoothed model)")

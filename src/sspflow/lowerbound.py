@@ -314,54 +314,56 @@ def verify_count(built: HardInstance | StageInstance) -> AugmentationTrace:
     k = built.params.doubling_depth
     n_k = built.params.stage_max_flow(k)
     source = built.instance.source
+    core_source, core_sink = built.core_source, built.core_sink
+    roles = built.roles
     # Node each arc enters: arc 2e runs along edge e, arc 2e + 1 against it.
     head = [v for e in built.instance.base.edges for v in (e.head, e.tail)]
     previous = -math.inf
-    for j, step in enumerate(trace.steps):
-        block = j // n_k
-        phase = block // 2  # 0-based
-        parity = block % 2
+    # Blocks of n_k steps: phase i's forward block (parity 0), then its
+    # backward one; the fans and the window are fixed within a block.
+    for start in range(0, observed, n_k):
+        phase, parity = divmod(start // n_k, 2)  # phase is 0-based
         i = phase + 1
-        if step.amount != 1.0:
-            raise PredictionMismatch(
-                f"step {step.index}: amount {step.amount}, predicted 1.0"
-            )
-        nodes = [source, *map(head.__getitem__, step.path_arcs)]
-        second, penult = nodes[1], nodes[-2]
         if parity == 0:
             want_in, want_out = built.fan_a[phase], built.fan_d[phase]
         else:
             want_in, want_out = built.fan_b[phase], built.fan_c[phase]
-        if second != want_in or penult != want_out:
-            raise PredictionMismatch(
-                f"step {step.index}: path enters {built.roles.get(second)} and "
-                f"leaves {built.roles.get(penult)}, predicted "
-                f"{built.roles.get(want_in)}/{built.roles.get(want_out)}"
-            )
-        if built.core_source not in nodes or built.core_sink not in nodes:
-            raise PredictionMismatch(
-                f"step {step.index}: path bypasses the core stage"
-            )
-        pos_src = nodes.index(built.core_source)
-        pos_snk = nodes.index(built.core_sink)
-        if parity == 0 and not pos_src < pos_snk:
-            raise PredictionMismatch(
-                f"step {step.index}: core traversed backwards in a forward phase"
-            )
-        if parity == 1 and not pos_snk < pos_src:
-            raise PredictionMismatch(
-                f"step {step.index}: core traversed forwards in a backward phase"
-            )
         lo, hi = _phase_window(k, i, parity)
-        if not lo <= step.length <= hi:
-            raise PredictionMismatch(
-                f"step {step.index}: length {step.length} outside "
-                f"[{lo}, {hi}] for phase {i} parity {parity}"
-            )
-        if not step.length > previous:
-            raise PredictionMismatch(
-                f"step {step.index}: length {step.length} does not exceed "
-                f"the previous step's {previous}"
-            )
-        previous = step.length
+        for step in trace.steps[start:start + n_k]:
+            if step.amount != 1.0:
+                raise PredictionMismatch(
+                    f"step {step.index}: amount {step.amount}, predicted 1.0"
+                )
+            nodes = [source, *map(head.__getitem__, step.path_arcs)]
+            second, penult = nodes[1], nodes[-2]
+            if second != want_in or penult != want_out:
+                raise PredictionMismatch(
+                    f"step {step.index}: path enters {roles.get(second)} and "
+                    f"leaves {roles.get(penult)}, predicted "
+                    f"{roles.get(want_in)}/{roles.get(want_out)}"
+                )
+            try:
+                forward = nodes.index(core_source) < nodes.index(core_sink)
+            except ValueError:
+                raise PredictionMismatch(
+                    f"step {step.index}: path bypasses the core stage"
+                ) from None
+            if forward != (parity == 0):
+                raise PredictionMismatch(
+                    f"step {step.index}: core traversed "
+                    + ("backwards in a forward phase" if parity == 0
+                       else "forwards in a backward phase")
+                )
+            length = step.length
+            if not lo <= length <= hi:
+                raise PredictionMismatch(
+                    f"step {step.index}: length {length} outside "
+                    f"[{lo}, {hi}] for phase {i} parity {parity}"
+                )
+            if not length > previous:
+                raise PredictionMismatch(
+                    f"step {step.index}: length {length} does not exceed "
+                    f"the previous step's {previous}"
+                )
+            previous = length
     return trace

@@ -62,11 +62,25 @@ network.push in its own arithmetic, from its own zero, c - c. _native
 compiles the file with gcc on first use and caches the library in
 __pycache__; when no build is possible it logs one warning and the
 Python loops run.
+
+A sink-stop solve runs in one kernel call when it can (_one_call): with
+the kernel, no distances or flows to record, no length to stop above,
+and a target z that float(z) holds, so that the kernel's double value
+reaches z exactly when the Python loop's would. The kernel's solve then
+runs run_ssp's loop, forward search, potential raise and push step,
+over the same lists, with no Python call per step, and returns each
+step's arcs and amount; _Engine.solve builds the records from them, the
+length by path_length's fsum and the value by _value_after, the rule
+augment keeps. Every other solve steps from Python: a recorded step
+needs its distances or flow copied out, a length stop reads each path's
+fsum, and a target such as Fraction(1, 3) keeps its own arithmetic.
+The per-step loops stay the oracle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
@@ -159,9 +173,10 @@ class _Engine:
     raises pi for the next step; the reverse search leaves pi alone.
 
     augment builds the AugmentationStep record of every step, for
-    run_ssp, for analysis.reference_solve, which runs this bookkeeping
-    around its own path search, and for analysis.exact_check, which
-    runs the whole engine over costs scaled to ints.
+    run_ssp's per-step loop, for analysis.reference_solve, which runs
+    this bookkeeping around its own path search, and for
+    analysis.exact_check, which runs the whole engine over costs scaled
+    to ints; solve builds them after a solve in one kernel call.
 
     native is the compiled kernel when arrays.floats holds (every cost
     and capacity is a float, network._floats, decided once per
@@ -346,29 +361,50 @@ class _Engine:
         headroom float(z) - value as its limit. That is a float whatever
         z is (int - float and Fraction - float round to one too), so a
         numpy float64 target keeps the kernel's numbers floats. The step
-        that binds reaches z itself. A z that equals its float and is no
-        Rational (a float subclass, a numpy float) is held as that float,
-        which would otherwise leak into flow_value_after and the trace
-        CSV; an int or a Fraction keeps its exact value and type.
+        that binds reaches z itself, as _value_after holds it.
         """
         step = _push_step if self.native is None else self.native.push_step
         arrays = self.arrays
-        headroom = float(z) - self.value
-        amount, _, _ = step(self.f, arrays.cap, arrays.original, arcs, headroom)
-        if headroom == amount:
-            v = float(z)
-            self.value = v if v == z and not isinstance(z, Rational) else z
-        else:
-            self.value += amount
-        self.steps.append(
-            AugmentationStep(
-                index=len(self.steps) + 1,
-                path_arcs=arcs,
-                length=length,
-                amount=amount,
-                flow_value_after=self.value,
-            )
+        amount, _, _ = step(
+            self.f, arrays.cap, arrays.original, arcs, float(z) - self.value
         )
+        self.value = _value_after(self.value, amount, z)
+        self.steps.append(
+            AugmentationStep(len(self.steps) + 1, arcs, length, amount, self.value)
+        )
+
+    def solve(self, z: float, iteration_cap: int | None) -> Outcome:
+        """run_ssp's sink-stop loop toward z, in one call to the kernel.
+
+        native.solve runs, per step, dijkstra_forward(True) and, unless
+        the sink is unreached or iteration_cap steps are taken, augment's
+        push step, in doubles; z must equal float(z), so that the
+        kernel's value reaches z exactly when augment's would. It returns
+        each step's arcs and amount. The records are built here, in the
+        list the arcs came in, with path_length's length and augment's
+        value. The engine must have taken no step yet.
+        """
+        arrays = self.arrays
+        max_steps = (
+            sys.maxsize if iteration_cap is None
+            else min(max(iteration_cap, 0), sys.maxsize)
+        )
+        steps, amounts, self.pi, capped = self.native.solve(
+            arrays.out_adj, self.f, arrays.cap, self.pi, arrays.s, arrays.t,
+            _check_reduced_cost, REDUCED_COST_SLACK, float(z), self.value, max_steps,
+        )
+        if capped:
+            raise _cap_exceeded(iteration_cap)
+        cost = arrays.signed_cost.__getitem__
+        value = self.value
+        for i, amount in enumerate(amounts):
+            arcs = steps[i]
+            value = _value_after(value, amount, z)
+            length = math.fsum(map(cost, arcs))
+            steps[i] = AugmentationStep(i + 1, arcs, length, amount, value)
+        self.value = value
+        self.steps = steps
+        return Outcome.REACHED_Z if value == z else Outcome.MAX_FLOW_BELOW_Z
 
     def snapshot(self) -> Flow:
         return Flow(tuple(self.f), self.value)
@@ -384,6 +420,23 @@ def _path_less(pred: list[int], parc: list[int], u: int, a: int, w: int, b: int)
         u = pred[u]
         w = pred[w]
     return a < b
+
+
+def _value_after(value, amount, z):
+    """The flow value after a push of amount under the headroom
+    float(z) - value: z when the headroom bound it, else value + amount.
+    A z that equals its float and is no Rational (a float subclass, a
+    numpy float) is held as that float, which would otherwise leak into
+    flow_value_after and the trace CSV; an int or a Fraction keeps its
+    exact value and type."""
+    if float(z) - value == amount:
+        v = float(z)
+        return v if v == z and not isinstance(z, Rational) else z
+    return value + amount
+
+
+def _cap_exceeded(iteration_cap: int) -> IterationCapExceeded:
+    return IterationCapExceeded(f"augmentation count exceeded cap {iteration_cap}")
 
 
 def _check_reduced_cost(rc: float, a: int, c: float, pu: float, pv: float) -> None:
@@ -421,6 +474,26 @@ def _push_step(f, cap, original, arcs, limit):
     return amount, len(push(f, cap, arcs, amount)), good
 
 
+def _one_call(eng, z, record_distances, retain_flows, stop_above_length,
+              iteration_cap) -> bool:
+    """Whether run_ssp's solve runs as _Engine.solve, one kernel call:
+    with the kernel, a sink-stop search that keeps no flows and stops
+    for no length, toward a target that its float holds. Every other
+    solve steps from Python, where the loop records distances or flows,
+    checks each length, or reaches z in z's own arithmetic (and compares
+    a cap that is no int as it is)."""
+    if eng.native is None or record_distances or retain_flows:
+        return False
+    if stop_above_length is not None:
+        return False
+    if iteration_cap is not None and not isinstance(iteration_cap, int):
+        return False
+    try:
+        return float(z) == z
+    except OverflowError:  # an int past the floats; augment raises it
+        return False
+
+
 def run_ssp(
     instance: TransformedNetwork,
     *,
@@ -451,6 +524,9 @@ def run_ssp(
     if stop_above_length is not None and math.isnan(stop_above_length):
         raise ValueError("stop_above_length must not be NaN")
     eng = _Engine(instance)
+    if _one_call(eng, z, record_distances, retain_flows, stop_above_length, iteration_cap):
+        outcome = eng.solve(z, iteration_cap)
+        return AugmentationTrace(instance, tuple(eng.steps), outcome, eng.snapshot())
     steps = eng.steps
     flows = [eng.snapshot()] if retain_flows else None
     initial_dist = initial_dist_to = None
@@ -484,9 +560,7 @@ def run_ssp(
             outcome = Outcome.STOPPED_ABOVE_LENGTH
             break
         if iteration_cap is not None and len(steps) >= iteration_cap:
-            raise IterationCapExceeded(
-                f"augmentation count exceeded cap {iteration_cap}"
-            )
+            raise _cap_exceeded(iteration_cap)
         eng.augment(arcs, length, z)
         if retain_flows:
             flows.append(eng.snapshot())

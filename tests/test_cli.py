@@ -242,6 +242,12 @@ def test_generate_accepted_options_write_the_same_file(argv, digest, tmp_path):
     ("lowerbound", ["--shape", "bipartite"], "--shape"),
     ("lowerbound", ["--cost-spec", "/nonexistent", "--preset", "adversarial",
                     "--shape", "layered"], "--cost-spec"),
+    # the spec file gives every interval and phi, so the smoothed model
+    # reads neither --preset nor --phi (every case passes --phi 64)
+    ("smoothed", ["--cost-spec", "{spec}"], "--phi"),
+    ("smoothed", ["--cost-spec", "{spec}", "--phi", "8"], "--phi"),
+    ("smoothed", ["--cost-spec", "{spec}", "--preset", "adversarial"], "--preset"),
+    ("smoothed", ["--cost-spec", "{spec}", "--preset", "uniform"], "--preset"),
 ])
 def test_generate_rejects_options_its_model_ignores(model, extra, flag, tmp_path, capsys):
     spec, out = tmp_path / "spec.txt", tmp_path / "out.dimacs"

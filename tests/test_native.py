@@ -4,6 +4,7 @@ import operator
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -155,9 +156,10 @@ def two_edges():
 
 def kernel_calls():
     """The kernel entry point and arguments of each call that the bad-input
-    cases change: the two searches, and the one push step as
-    _Engine.augment calls it, with the headroom as its limit, and as the
-    trace replay does, with a recorded amount."""
+    cases change: the two searches, the one push step as _Engine.augment
+    calls it, with the headroom as its limit, and as the trace replay
+    does, with a recorded amount, and a whole sink-stop solve as
+    _Engine.solve calls it."""
     out_adj, f, cap = two_edges()
     pi = [0.0] * 3
     return {
@@ -167,6 +169,10 @@ def kernel_calls():
         "reverse": ("reverse", (out_adj, f, cap, pi, 2, _check_reduced_cost, 1e-9)),
         "augment": ("push_step", (f, cap, b"\1\1", (1, 2), 5.0)),
         "replay": ("push_step", (f, cap, b"\1\1", (1, 2), 1.0)),
+        # from node 1 to node 2 toward z = 5.0 from value 0.0, uncapped:
+        # its first search reads every f and cap item, and pushes 3.0
+        "solve": ("solve", (out_adj, f, cap, pi, 1, 2, _check_reduced_cost, 1e-9, 5.0,
+                            0.0, sys.maxsize)),
     }
 
 
@@ -189,9 +195,33 @@ def call_rejects(error, name, changes):
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_the_kernel_has_one_push_step():
-    # the solve and the trace replay push through the same entry point
+    # a per-step solve and the trace replay push through the same entry
+    # point; a one-call solve runs the same search and push inside
     names = {name for name in vars(_native.load()) if not name.startswith("__")}
-    assert names == {"forward", "reverse", "push_step"}
+    assert names == {"forward", "reverse", "push_step", "solve"}
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_solve_entry_point_runs_the_per_step_calls():
+    # the call that the bad-input cases change, against forward and
+    # push_step: one push of 3.0 saturates edge 1, after which the sink
+    # is unreached; a cap of 0 stops it before that push
+    kernel = _native.load()
+    _, (out_adj, f, cap, pi, *_) = kernel_calls()["solve"]
+    paths, amounts = [], []
+    while True:
+        _, arcs, pi = kernel.forward(out_adj, f, cap, pi, 1, 2, True, _check_reduced_cost, 1e-9)
+        if arcs is None:
+            break
+        paths.append(arcs)
+        amounts.append(kernel.push_step(f, cap, b"\1\1", arcs, 5.0 - sum(amounts))[0])
+    assert paths == [(2,)] and amounts == [3.0]
+    _, args = kernel_calls()["solve"]
+    assert repr(kernel.solve(*args)) == repr((paths, amounts, pi, False))
+    assert repr(args[1]) == repr(f) and args[3] == [0.0] * 3  # the pi passed in stays
+    _, args = kernel_calls()["solve"]
+    paths, amounts, _, capped = kernel.solve(*args[:-1], 0)
+    assert (paths, amounts, capped) == ([], [], True) and args[1] == [2.0, 0.0]
 
 
 BAD_PUSH_CALLS = [
@@ -272,6 +302,45 @@ BAD_SEARCH_CALLS = [
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 @pytest.mark.parametrize("error, name, changes", BAD_SEARCH_CALLS)
 def test_search_entry_points_reject_bad_input(error, name, changes):
+    call_rejects(error, name, changes)
+
+
+BAD_SOLVE_CALLS = [
+    # f or cap not a list, the adjacency not a tuple
+    (TypeError, "solve", {1: (2.0, 0.0)}),
+    (TypeError, "solve", {2: None}),
+    (TypeError, "solve", {1: np.array([2.0, 0.0])}),
+    (TypeError, "solve", {0: list(two_edges()[0])}),
+    # an int or a float subclass item in f, cap or pi, or as a cost
+    (TypeError, "solve", {1: [2.0, 0]}),
+    (TypeError, "solve", {2: [2.0, 3]}),
+    (TypeError, "solve", {1: [2.0, np.float64(0.0)]}),
+    (TypeError, "solve", {2: [2.0, _Float(3.0)]}),
+    (TypeError, "solve", {3: [0.0, _Float(0.0), 0.0]}),
+    (TypeError, "solve", {0: (((0, 1, 0.0),), ((1, 0, -0.0), (2, 2, np.float64(0.0))),
+                              ((3, 1, -0.0),))}),
+    # a row that is a list, not a tuple
+    (TypeError, "solve", {0: (((0, 1, 0.0),), [(1, 0, -0.0), (2, 2, 0.0)],
+                              ((3, 1, -0.0),))}),
+    # an arc past the edges, f or cap too short, a node past the nodes,
+    # a source or a sink out of range
+    (IndexError, "solve", {0: (((0, 1, 0.0),), ((1, 0, -0.0), (4, 2, 0.0)),
+                               ((3, 1, -0.0),))}),
+    (IndexError, "solve", {1: [2.0]}),
+    (IndexError, "solve", {2: [2.0]}),
+    (IndexError, "solve", {3: [0.0]}),
+    (IndexError, "solve", {4: 3}),
+    (IndexError, "solve", {5: -1}),
+    # a target, a value or a cap of the wrong type
+    (TypeError, "solve", {8: "5"}),
+    (TypeError, "solve", {9: None}),
+    (TypeError, "solve", {10: 1.5}),
+]
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+@pytest.mark.parametrize("error, name, changes", BAD_SOLVE_CALLS)
+def test_solve_entry_point_rejects_bad_input(error, name, changes):
     call_rejects(error, name, changes)
 
 

@@ -309,6 +309,11 @@ class TestRecordDistancesModes:
         assert stopped > 25
 
     def test_no_search_after_reaching_z(self, monkeypatch):
+        # searches are counted on the Python loops: with the kernel, a
+        # sink-stop solve runs in one call, which must give the same trace
+        modes = ((False, 0), (True, 1))
+        kernel = [[run_ssp(inst, record_distances=record) for record, _ in modes]
+                  for inst in self.INSTANCES]
         calls = []
         search = _Engine.dijkstra_forward
 
@@ -316,12 +321,14 @@ class TestRecordDistancesModes:
             calls.append(None)
             return search(self, *args)
 
+        monkeypatch.setattr(_native, "load", lambda: None)
         monkeypatch.setattr(_Engine, "dijkstra_forward", counted)
         reached = 0
-        for inst in self.INSTANCES:
-            for record, extra in ((False, 0), (True, 1)):
+        for inst, traces in zip(self.INSTANCES, kernel):
+            for (record, extra), want in zip(modes, traces):
                 calls.clear()
                 trace = run_ssp(inst, record_distances=record)
+                assert trace == want
                 if trace.outcome is not Outcome.REACHED_Z:
                     continue
                 # with distances on, the last search records the last
@@ -796,7 +803,18 @@ def engine_trail(inst, stop_at_sink, native):
     return trail
 
 
+def rounding_target_instance():
+    """Two routes from node 0 to node 3 toward z, the cheaper one of
+    capacity v: v plus the headroom z - v, rounded, is not z, so only the
+    headroom rule makes the second push reach z."""
+    v, z = 18.200587475816974, 14643.173156205366
+    assert v + (z - v) != z
+    edges = [Edge(0, 1, v, 0.1), Edge(1, 3, v, 0.2), Edge(0, 2, 2e4, 0.3), Edge(2, 3, 2e4, 0.4)]
+    return as_transformed(FlowNetwork(edges, {0: z, 3: -z}), 0, 3)
+
+
 def lockstep_instances():
+    yield rounding_target_instance()
     yield from (
         random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
         for seed in range(40)
@@ -809,35 +827,134 @@ def lockstep_instances():
     yield transform(perturbed_integer(topo, 16, 0)[0])
 
 
+def engine_outcome(inst, **kwargs):
+    """full_trace of one run_ssp call, with repr of its engine's final f
+    and pi, or, when the reduced-cost check raised, the error alone."""
+    engines = []
+
+    class Recorded(_Engine):
+        def __init__(self, instance):
+            super().__init__(instance)
+            engines.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_Engine", Recorded)
+        got = full_trace(inst, **kwargs)
+    if got[0] is InternalInvariantError:
+        return got
+    (eng,) = engines
+    return got, repr(eng.f), repr(eng.pi)
+
+
+BACKENDS = ("solve", "steps", "python")
+
+
+def backend_context(patch, backend):
+    """Runs run_ssp as one kernel call where it takes one ("solve"), on
+    the kernel's per-step loop ("steps") or on the Python loops."""
+    if backend == "steps":
+        patch.setattr(solver, "_one_call", lambda *args: False)
+    elif backend == "python":
+        patch.setattr(_native, "load", lambda: None)
+
+
 @pytest.mark.skipif(_native.load() is None, reason="the compiled search kernel is unavailable")
 def test_backends_agree_in_lockstep(monkeypatch):
     # the kernel repeats the Python loops float operation for float, so
-    # every step, distance, flow and CSV row is bit-identical in every
-    # search mode, and a solve that raises raises the same error
-    modes = (
-        {"record_distances": True},
-        {"record_distances": False},
-        {"z": math.inf, "record_distances": False},
-        {"record_distances": False, "iteration_cap": 3},
-    )
+    # every step, distance, flow, potential and CSV row is bit-identical
+    # whether a solve runs in one kernel call, steps through the kernel or
+    # runs the Python loops, in every search mode and toward every kind
+    # of target, and a solve that raises raises the same error
+    kernel = _native.load()
+    solve = kernel.solve
     for inst in lockstep_instances():
         assert _Engine(inst).native is not None
-        pushes = []
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
-            native = [full_trace(inst, **mode) for mode in modes]
-        # the compiled push serves every step, in the solve and in its CSV
-        assert not pushes
-        with monkeypatch.context() as patch:
-            patch.setattr(_native, "load", lambda: None)
-            assert _Engine(inst).native is None
-            python = [full_trace(inst, **mode) for mode in modes]
-        assert native == python
+        sink_stop = {"record_distances": False}
+        modes = (
+            {"record_distances": True},
+            sink_stop,
+            {**sink_stop, "iteration_cap": 3},
+            {**sink_stop, "iteration_cap": 0},
+            {**sink_stop, "iteration_cap": 2.5},  # compared as it is
+            # int, float, numpy float, a Fraction that no float holds
+            # and a max flow
+            *({**sink_stop, "z": z} for z in (
+                max(1, math.floor(inst.z / 2)), 0.6 * inst.z, np.float64(0.6 * inst.z),
+                Fraction(1, 3), math.inf,
+            )),
+        )
+        runs = {}
+        for backend in BACKENDS:
+            pushes, calls = [], []
+            with monkeypatch.context() as patch:
+                backend_context(patch, backend)
+                patch.setattr(solver, "push", lambda *args: pushes.append(args) or push(*args))
+                patch.setattr(kernel, "solve", lambda *args: calls.append(args) or solve(*args))
+                runs[backend] = [engine_outcome(inst, **mode) for mode in modes]
+            # the compiled push serves every step of a kernel solve, in the
+            # solve and in its CSV; one call serves each sink-stop solve
+            # with an int cap or none toward a float-held target: all but
+            # the first mode, the float cap and the Fraction
+            assert bool(pushes) is (backend == "python")
+            assert len(calls) == (len(modes) - 3 if backend == "solve" else 0)
+        assert runs["solve"] == runs["steps"] == runs["python"]
         # pi after each search, f and the value after each push: bit
         # for bit, and a float stays a float (repr tells 1 from 1.0)
         for stop_at_sink in (True, False):
             want = engine_trail(inst, stop_at_sink, native=False)
             assert engine_trail(inst, stop_at_sink, native=True) == want
+
+
+def solve_from(inst, pi, backend, iteration_cap=60):
+    """repr of the steps, f and pi after a sink-stop solve toward inst.z
+    from the potentials pi, on the kernel's one call (_Engine.solve), its
+    per-step loop or the Python loops, or the error it raises and repr of
+    f then: every backend pushes in place, so f tells the step."""
+    eng = _Engine(inst)
+    if backend == "python":
+        eng.native = None
+    eng.pi = list(pi)
+    try:
+        if backend == "solve":
+            eng.solve(inst.z, iteration_cap)
+        else:  # run_ssp's per-step loop
+            while eng.value != inst.z:
+                _, arcs = eng.dijkstra_forward(True)
+                if arcs is None:
+                    break
+                if len(eng.steps) >= iteration_cap:
+                    raise solver._cap_exceeded(iteration_cap)
+                eng.augment(arcs, eng.path_length(arcs), inst.z)
+    except (InternalInvariantError, IterationCapExceeded) as exc:
+        return type(exc), str(exc), repr(eng.f)
+    return repr(eng.steps), repr(eng.f), repr(eng.pi)
+
+
+@pytest.mark.skipif(_native.load() is None, reason="the compiled search kernel is unavailable")
+def test_one_call_raises_as_the_step_loop():
+    # from arbitrary potentials, which no solve reaches: random ones on
+    # every node, or one node's raised, so that some solves push before
+    # the reduced-cost check raises. It raises inside the kernel's one
+    # call with the error and message that the per-step loops raise,
+    # after the same pushes
+    rng = random.Random(0)
+    raised = later = 0
+    for seed in range(30):
+        inst = random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
+        zero = repr([0.0] * inst.m)
+        for trial in range(20):
+            if trial % 2:
+                pi = [rng.randrange(-2, 3) * 0.25 for _ in inst._arrays.nodes]
+            else:
+                pi = [0.0] * len(inst._arrays.nodes)
+                pi[rng.randrange(len(pi))] = rng.choice([0.1, 1.0])
+            got = [solve_from(inst, pi, backend) for backend in BACKENDS]
+            assert got[0] == got[1] == got[2]
+            if got[0][0] is InternalInvariantError:
+                assert got[0][1].startswith("reduced cost -")
+                raised += 1
+                later += got[0][2] != zero
+    assert raised > 450 and later > 20
 
 
 def replay_oracle(trace):
