@@ -1,6 +1,6 @@
 /* Compiled inner loops of sspflow.solver._Engine: the two Dijkstra
  * searches, the push step with its exact-saturation push, and a whole
- * sink-stop solve over both.
+ * solve over them, in every run_ssp mode.
  *
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
@@ -22,11 +22,10 @@
  * smaller (dist, hops): hops grow by one, rc >= 0 and fl(d + rc) >= d.
  * So a node is settled after every relaxation that can set its label,
  * and a relaxation that ties in (dist, hops) compares arc sequences with
- * path_less. A last pass over the nodes
- * (node_lists) builds the raised potentials pi[v] + min(dist[v], bound),
- * bound being the distance of the last node settled, and for forward after
- * a full search the distances too; a sink-stop search returns None for
- * them, which no caller reads.
+ * path_less. A last pass over the nodes (raised_pi) builds the raised
+ * potentials pi[v] + min(dist[v], bound), bound being the distance of
+ * the last node settled. search_reverse, the reverse search, orders its
+ * heap by (dist, node) and keeps no labels.
  *
  * The searches read residual capacity from the flow and capacity lists,
  * as the Python loops do: arc a over edge e = a >> 1 is present when
@@ -34,16 +33,14 @@
  *
  * push_path is network.push operation for operation, which stays its
  * oracle. After bottleneck, the bottleneck under a limit and the good-arc
- * test under the flow before the push, it makes push_step, the one push
- * step of a per-step solve and of the trace replay. A push step reads
- * every f and cap item of the path, the mask and the limit before it
- * writes anything, and it writes nothing but f.
+ * test under the flow before the push, it makes push_step, the push step
+ * of a solve that steps from Python and of the trace replay. A push step
+ * reads every f and cap item of the path, the mask and the limit before
+ * it writes anything, and it writes nothing but f.
  *
- * solve runs a whole sink-stop solve in one call, run_ssp's loop with no
- * Python call per step: the same search, potential raise, bottleneck
- * under the headroom z - value and push_path, until the value reaches z,
- * the sink is unreached or the step cap is hit. Its search reads the same
- * lists as forward's, pi included, which it replaces after each step.
+ * solve runs run_ssp's loop in one call, in every mode, with no Python
+ * call per step but a length stop's. Its searches read the same lists,
+ * pi included, which it replaces after each step.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -52,7 +49,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* A heap entry; reverse leaves hops at 0, so its entries order by
+/* A heap entry; search_reverse leaves hops at 0, so its entries order by
  * (dist, node), as heapq orders its (dist, node) pairs. */
 typedef struct {
     double d;
@@ -284,50 +281,70 @@ reduced_cost(PyObject *check, double slack, Py_ssize_t a, double c, double pu,
     return 0;
 }
 
-/* Lists over the nodes, built in one pass: with dist, the distances;
- * with raised, [pi[i] + min(dist[i], bound)] over the first min(len(pi),
- * n) nodes, as zip pairs them in the Python loop. 0, or -1 with an
- * exception set and nothing built. */
-static int
-node_lists(const State *st, PyObject *pi, double bound, PyObject **dist,
-           PyObject **raised)
+/* The raised potentials [pi[i] + min(dist[i], bound)] over the first
+ * min(len(pi), n) nodes, as zip pairs them in the Python loop: a new
+ * list, or NULL with an exception set. */
+static PyObject *
+raised_pi(const State *st, PyObject *pi, double bound)
 {
-    Py_ssize_t np = raised ? Py_MIN(PyList_GET_SIZE(pi), st->n) : 0;
-    PyObject *out = dist ? PyList_New(st->n) : NULL, *up = raised ? PyList_New(np) : NULL;
-    if ((dist && !out) || (raised && !up))
-        goto fail;
-    for (Py_ssize_t i = 0; i < st->n; i++) {
+    Py_ssize_t np = Py_MIN(PyList_GET_SIZE(pi), st->n);
+    PyObject *up = PyList_New(np), *x;
+    if (!up)
+        return NULL;
+    for (Py_ssize_t i = 0; i < np; i++) {
         double d = st->dist[i], p;
-        PyObject *x;
-        if (out) {
-            if (!(x = PyFloat_FromDouble(d)))
-                goto fail;
-            PyList_SET_ITEM(out, i, x);
-        }
-        if (i >= np)
-            continue;
         if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
-            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound))))
-            goto fail;
+            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound)))) {
+            Py_DECREF(up);
+            return NULL;
+        }
         PyList_SET_ITEM(up, i, x);
     }
-    if (dist)
-        *dist = out;
-    if (raised)
-        *raised = up;
-    return 0;
+    return up;
+}
+
+/* math.inf, the recorded distance of every unreached node. */
+static PyObject *inf;
+
+/* One step's recorded distances, {nodes[i]: x} over the first
+ * min(len(pi), n) nodes, as solver._Engine builds them: after the full
+ * forward search, from the raised pi, x is pi[i] itself
+ * (actual_distances); after the reverse search, from pi before the
+ * raise, x is (dist[i] - pi[i]) + pi[t] (actual_distances_to_sink). An
+ * unreached node maps to inf. A new dict, or NULL with an exception set. */
+static PyObject *
+distances(const State *st, PyObject *nodes, PyObject *pi, Py_ssize_t t, int to_sink)
+{
+    double pt = 0.0, p;
+    if (to_sink && item_double(pi, t, &pt) < 0)
+        return NULL;
+    PyObject *out = PyDict_New(), *x;
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < Py_MIN(PyList_GET_SIZE(pi), st->n); i++) {
+        double d = st->dist[i];
+        if (!(d < Py_HUGE_VAL) || !to_sink)
+            x = Py_NewRef(d < Py_HUGE_VAL ? PyList_GET_ITEM(pi, i) : inf);
+        else if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
+                 || !(x = PyFloat_FromDouble(d - p + pt)))
+            goto fail;
+        int set = PyDict_SetItem(out, PyTuple_GET_ITEM(nodes, i), x);
+        Py_DECREF(x);
+        if (set < 0)
+            goto fail;
+    }
+    return out;
 fail:
-    Py_XDECREF(out);
-    Py_XDECREF(up);
-    return -1;
+    Py_DECREF(out);
+    return NULL;
 }
 
 /* -- the searches --------------------------------------------------------- */
 
 /* The forward search from s over a reset st, to t and no further when
- * stop_at_sink: labels in st, and *bound the distance of the last node
- * settled. s and t must index the adjacency. 0, or -1 with an exception
- * set. */
+ * stop_at_sink (solver._Engine.dijkstra_forward): labels in st, and
+ * *bound the distance of the last node settled. s and t must index the
+ * adjacency. 0, or -1 with an exception set. */
 static int
 search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
        Py_ssize_t s, Py_ssize_t t, int stop_at_sink, PyObject *check, double slack,
@@ -394,13 +411,11 @@ search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
     return 0;
 }
 
-/* The arcs of t's path, read back from its predecessors, as a new tuple;
- * None when t is unreached. NULL with an exception set. */
+/* The arcs of the path to a reached t, read back from its predecessors,
+ * as a new tuple, or NULL with an exception set. */
 static PyObject *
 path_to(const State *st, Py_ssize_t t)
 {
-    if (!(st->dist[t] < Py_HUGE_VAL))
-        Py_RETURN_NONE;
     PyObject *path = PyTuple_New(st->hops[t]);
     if (!path)
         return NULL;
@@ -415,100 +430,54 @@ path_to(const State *st, Py_ssize_t t)
     return path;
 }
 
-static PyObject *
-forward(PyObject *self, PyObject *args)
+/* The reverse search into t over a reset st (solver._Engine
+ * dijkstra_reverse): each node's reduced distance to t in st->dist. An
+ * entry (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c
+ * (exact). t must index the adjacency. 0, or -1 with an exception set. */
+static int
+search_reverse(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
+               Py_ssize_t t, PyObject *check, double slack)
 {
-    PyObject *out_adj, *f, *cap, *pi, *check;
-    Py_ssize_t s, t;
-    int stop_at_sink;
-    double slack, bound;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nnpOd:forward", &PyTuple_Type, &out_adj,
-                          &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
-                          &s, &t, &stop_at_sink, &check, &slack))
-        return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
-    if (s < 0 || s >= n || t < 0 || t >= n) {
-        PyErr_SetString(PyExc_IndexError, "source or sink out of range");
-        return NULL;
-    }
-    State st;
-    if (state_init(&st, n) < 0)
-        return NULL;
-    PyObject *result = NULL, *dist = NULL, *raised = NULL, *path = NULL;
-    if (search(&st, out_adj, f, cap, pi, s, t, stop_at_sink, check, slack, &bound) == 0
-        && (path = path_to(&st, t))
-        && node_lists(&st, pi, bound, stop_at_sink ? NULL : &dist, &raised) == 0)
-        result = PyTuple_Pack(3, dist ? dist : Py_None, path, raised);
-    Py_XDECREF(dist);
-    Py_XDECREF(raised);
-    Py_XDECREF(path);
-    state_free(&st);
-    return result;
-}
-
-static PyObject *
-reverse(PyObject *self, PyObject *args)
-{
-    PyObject *out_adj, *f, *cap, *pi, *check;
-    Py_ssize_t t;
-    double slack;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nOd:reverse", &PyTuple_Type, &out_adj,
-                          &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
-                          &t, &check, &slack))
-        return NULL;
-    Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
-    if (t < 0 || t >= n) {
-        PyErr_SetString(PyExc_IndexError, "sink out of range");
-        return NULL;
-    }
-    State st;
-    if (state_init(&st, n) < 0)
-        return NULL;
-    PyObject *adj = NULL, *result = NULL;
-    st.dist[t] = 0.0;
+    st->dist[t] = 0.0;
     Entry root = {0.0, 0, t};
-    if (push(&st, root) < 0)
-        goto done;
-    while (st.len) {
-        Entry top = pop(&st);
+    if (push(st, root) < 0)
+        return -1;
+    while (st->len) {
+        Entry top = pop(st);
         Py_ssize_t v = top.node;
-        if (st.done[v])
+        if (st->done[v])
             continue;
-        st.done[v] = 1;
+        st->done[v] = 1;
         double pv;
-        if (item_double(pi, v, &pv) < 0)
-            goto done;
-        if (!(adj = adj_row(out_adj, v)))
-            goto done;
+        PyObject *adj;
+        if (item_double(pi, v, &pv) < 0 || !(adj = adj_row(out_adj, v)))
+            return -1;
         for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
             PyObject *entry = PyTuple_GET_ITEM(adj, i);
             Py_ssize_t b, u;
-            if (adj_entry(entry, n, &b, &u) < 0)
-                goto done;
-            Py_ssize_t a = b ^ 1; /* from u into v, at cost -c (exact) */
+            if (adj_entry(entry, st->n, &b, &u) < 0)
+                return -1;
+            Py_ssize_t a = b ^ 1;
             int skip = no_residual(f, cap, a);
             if (skip < 0)
-                goto done;
-            if (skip || st.done[u])
+                return -1;
+            if (skip || st->done[u])
                 continue;
             double pu, c, rc;
             if (item_double(pi, u, &pu) < 0
                 || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
                 || reduced_cost(check, slack, a, -c, pu, pv, &rc) < 0)
-                goto done;
+                return -1;
             double cand = top.d + rc;
-            if (cand < st.dist[u]) {
-                st.dist[u] = cand;
+            if (cand < st->dist[u]) {
+                st->dist[u] = cand;
                 Entry e = {cand, 0, u};
-                if (push(&st, e) < 0)
-                    goto done;
+                if (push(st, e) < 0)
+                    return -1;
             }
         }
     }
-    node_lists(&st, NULL, 0.0, &result, NULL);
-done:
-    state_free(&st);
-    return result;
+    return 0;
 }
 
 /* -- the exact-saturation push ------------------------------------------ */
@@ -631,91 +600,141 @@ push_step(PyObject *self, PyObject *args)
 
 /* -- a whole solve --------------------------------------------------------- */
 
-/* run_ssp's sink-stop loop toward a float target z, from the flow value
- * value, in one call: while value != z, the forward search to the sink,
- * the potential raise, and unless the sink is unreached or max_steps paths
- * are taken, the bottleneck under the headroom z - value and push_path.
- * A push that the headroom binds reaches z itself, as in
- * solver._value_after. f is updated in place and pi is left alone.
- * Returns (paths, amounts, pi, capped): the arcs and amount of each step,
- * the raised potentials after the last search, and whether the loop
- * stopped at max_steps with a path still to take. */
+/* Append item, a new reference or NULL, to list, which then holds the
+ * only reference: 0, or -1 with an exception set. */
+static int
+append_new(PyObject *list, PyObject *item)
+{
+    if (!item)
+        return -1;
+    int appended = PyList_Append(list, item);
+    Py_DECREF(item);
+    return appended;
+}
+
+/* run_ssp's loop toward a float target z, from the flow value value, in
+ * one call and in its order. With node ids in nodes, each step runs
+ * search_reverse over pi before the raise and the full forward search,
+ * records both distance dicts and then ends at z; with None it ends at z
+ * first and searches to the sink. After the raise, unless the sink is
+ * unreached, stop(path) is true (stop is None or a callable) or max_steps
+ * paths are taken: the bottleneck under the headroom z - value and
+ * push_path; a push that the headroom binds reaches z, as in
+ * solver._value_after. With retain, flows holds f as a tuple before the
+ * first push and after each. f is updated in place, pi left alone.
+ * Returns (paths, amounts, pi, end, dists, flows): each step's arcs and
+ * amount, pi after the last raise, the end (0 at z or an unreached
+ * sink, 1 at a stop, 2 at max_steps with a path left), a (from_s, to_t)
+ * pair per forward search or None, and the flows or None. */
 static PyObject *
 solve(PyObject *self, PyObject *args)
 {
-    PyObject *out_adj, *f, *cap, *pi, *check;
+    PyObject *out_adj, *f, *cap, *pi, *check, *nodes, *stop;
     Py_ssize_t s, t, max_steps;
     double slack, z, value, bound;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nnOdddn:solve", &PyTuple_Type, &out_adj,
+    int retain;
+    if (!PyArg_ParseTuple(args, "O!O!O!O!nnOdddnOpO:solve", &PyTuple_Type, &out_adj,
                           &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
-                          &s, &t, &check, &slack, &z, &value, &max_steps))
+                          &s, &t, &check, &slack, &z, &value, &max_steps, &nodes,
+                          &retain, &stop))
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
+    int record = nodes != Py_None;
     if (s < 0 || s >= n || t < 0 || t >= n) {
         PyErr_SetString(PyExc_IndexError, "source or sink out of range");
+        return NULL;
+    }
+    if (record && (!PyTuple_Check(nodes) || PyTuple_GET_SIZE(nodes) < n)) {
+        PyErr_SetString(PyExc_TypeError, "nodes must be None or a tuple of n node ids");
         return NULL;
     }
     State st;
     if (state_init(&st, n) < 0)
         return NULL;
     PyObject *paths = PyList_New(0), *amounts = PyList_New(0), *result = NULL;
-    int capped = 0;
+    PyObject *dists = record ? PyList_New(0) : Py_NewRef(Py_None);
+    PyObject *flows = retain ? PyList_New(0) : Py_NewRef(Py_None);
+    int end = 0;
     Py_INCREF(pi);
-    if (!paths || !amounts)
+    if (!paths || !amounts || !dists || !flows
+        || (retain && append_new(flows, PyList_AsTuple(f)) < 0))
         goto done;
-    while (value != z) {
-        PyObject *raised, *path, *amount_obj;
-        if (PyErr_CheckSignals() < 0
-            || search(&st, out_adj, f, cap, pi, s, t, 1, check, slack, &bound) < 0
-            || node_lists(&st, pi, bound, NULL, &raised) < 0)
+    for (;;) {
+        PyObject *raised, *to_t = NULL, *path;
+        if (!record && value == z)
+            break;
+        if (PyErr_CheckSignals() < 0)
             goto done;
+        if (record) {
+            if (search_reverse(&st, out_adj, f, cap, pi, t, check, slack) < 0
+                || !(to_t = distances(&st, nodes, pi, t, 1)))
+                goto done;
+            state_reset(&st);
+        }
+        if (search(&st, out_adj, f, cap, pi, s, t, !record, check, slack, &bound) < 0
+            || !(raised = raised_pi(&st, pi, bound))) {
+            Py_XDECREF(to_t);
+            goto done;
+        }
         Py_SETREF(pi, raised);
+        if (record) {
+            PyObject *from_s = distances(&st, nodes, pi, t, 0);
+            PyObject *pair = from_s ? PyTuple_Pack(2, from_s, to_t) : NULL;
+            Py_XDECREF(from_s);
+            Py_DECREF(to_t);
+            if (append_new(dists, pair) < 0)
+                goto done;
+            if (value == z)
+                break;
+        }
         if (!(st.dist[t] < Py_HUGE_VAL))
             break;
-        if (PyList_GET_SIZE(paths) >= max_steps) {
-            capped = 1;
-            break;
-        }
         if (!(path = path_to(&st, t)))
             goto done;
-        int appended = PyList_Append(paths, path);
-        Py_DECREF(path); /* paths holds it, unless the append failed */
+        int stopped = 0; /* 1 when stop(path) is true, -1 when it raised */
+        if (stop != Py_None) {
+            PyObject *over = PyObject_CallOneArg(stop, path);
+            stopped = over ? PyObject_IsTrue(over) : -1;
+            Py_XDECREF(over);
+        }
+        if (stopped || PyList_GET_SIZE(paths) >= max_steps) {
+            Py_DECREF(path);
+            if (stopped < 0)
+                goto done;
+            end = stopped ? 1 : 2;
+            break;
+        }
+        if (append_new(paths, path) < 0) /* paths holds path from here on */
+            goto done;
         double headroom = z - value, amount = headroom;
         Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
-        if (appended < 0 || bottleneck(f, cap, NULL, m, path, &amount, NULL) < 0
+        if (bottleneck(f, cap, NULL, m, path, &amount, NULL) < 0
             || push_path(f, cap, path, amount) < 0
-            || !(amount_obj = PyFloat_FromDouble(amount)))
-            goto done;
-        appended = PyList_Append(amounts, amount_obj);
-        Py_DECREF(amount_obj);
-        if (appended < 0)
+            || append_new(amounts, PyFloat_FromDouble(amount)) < 0
+            || (retain && append_new(flows, PyList_AsTuple(f)) < 0))
             goto done;
         value = headroom == amount ? z : value + amount;
         state_reset(&st);
     }
-    result = Py_BuildValue("(OOON)", paths, amounts, pi, PyBool_FromLong(capped));
+    result = Py_BuildValue("(OOOiOO)", paths, amounts, pi, end, dists, flows);
 done:
     Py_XDECREF(paths);
     Py_XDECREF(amounts);
+    Py_XDECREF(dists);
+    Py_XDECREF(flows);
     Py_DECREF(pi);
     state_free(&st);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"forward", forward, METH_VARARGS,
-     "forward(out_adj, f, cap, pi, s, t, stop_at_sink, check, slack)"
-     " -> (dist | None, path_arcs | None, [p + min(d, bound)]); dist is None"
-     " after a sink stop; costs, f, cap and pi hold floats"},
-    {"reverse", reverse, METH_VARARGS,
-     "reverse(out_adj, f, cap, pi, t, check, slack) -> dist; costs, f, cap"
-     " and pi hold floats"},
     {"push_step", push_step, METH_VARARGS,
      "push_step(f, cap, original, path_arcs, limit) -> (amount, n_saturated,"
      " good); f, cap and limit hold floats"},
     {"solve", solve, METH_VARARGS,
-     "solve(out_adj, f, cap, pi, s, t, check, slack, z, value, max_steps)"
-     " -> (paths, amounts, pi, capped); costs, f, cap and pi hold floats"},
+     "solve(out_adj, f, cap, pi, s, t, check, slack, z, value, max_steps, nodes,"
+     " retain, stop) -> (paths, amounts, pi, end, dists, flows); costs, f, cap"
+     " and pi hold floats"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -727,5 +746,10 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__search(void)
 {
-    return PyModule_Create(&module);
+    PyObject *math = PyImport_ImportModule("math");
+    if (!math)
+        return NULL;
+    Py_XSETREF(inf, PyObject_GetAttrString(math, "inf"));
+    Py_DECREF(math);
+    return inf ? PyModule_Create(&module) : NULL;
 }

@@ -50,7 +50,7 @@ class SmoothedCostSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.phi) and self.phi >= 1.0):
-            raise InvalidInterval(f"phi must be >= 1, got {self.phi}")
+            raise InvalidInterval(f"phi must be finite and >= 1, got {self.phi}")
         if self.convention not in CONVENTIONS:
             raise InvalidInterval(f"unknown convention {self.convention!r}")
         if self.default_interval is not None:

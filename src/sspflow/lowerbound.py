@@ -65,7 +65,8 @@ class LowerBoundParams:
                 f"edge count must lie in [side, side^2], got {self.edges}"
             )
         if not (math.isfinite(self.phi) and self.phi >= 64.0):
-            raise BadParams(f"phi must be >= 64 for the full construction, got {self.phi}")
+            raise BadParams("phi must be finite and >= 64 for the full construction,"
+                            f" got {self.phi}")
 
     @property
     def doubling_depth(self) -> int:
@@ -267,9 +268,10 @@ def build_worstcase(side: int, edges: int, phi: float, seed: int):
 
     The fallback declares the seed gadget's cost bound as min(phi, 32)
     so the result stays inside the requested density class; gadget
-    costs reach 11, so phi below 12 leaves no room for it.
+    costs reach 11, so phi below 12 leaves no room for it. A phi that is
+    not finite goes to LowerBoundParams, which rejects it.
     """
-    if phi >= 64.0:
+    if phi >= 64.0 or not math.isfinite(phi):
         return build_hard_instance(LowerBoundParams(side, edges, phi), seed)
     if phi < 12.0:
         raise BadParams(

@@ -63,18 +63,17 @@ compiles the file with gcc on first use and caches the library in
 __pycache__; when no build is possible it logs one warning and the
 Python loops run.
 
-A sink-stop solve runs in one kernel call when it can (_one_call): with
-the kernel, no distances or flows to record, no length to stop above,
-and a target z that float(z) holds, so that the kernel's double value
-reaches z exactly when the Python loop's would. The kernel's solve then
-runs run_ssp's loop, forward search, potential raise and push step,
-over the same lists, with no Python call per step, and returns each
-step's arcs and amount; _Engine.solve builds the records from them, the
+With the kernel, a solve runs in one kernel call (_one_call) when
+float(z) holds its target z, so that the kernel's double value reaches
+z exactly when the Python loop's would, and its cap is an int or None.
+The kernel runs run_ssp's loop in every mode over the same lists, and
+builds the recorded distances and retained flows as the per-step loop
+does; a length stop calls back into Python for path_length's fsum.
+_Engine.solve builds the records from each step's arcs and amount, the
 length by path_length's fsum and the value by _value_after, the rule
-augment keeps. Every other solve steps from Python: a recorded step
-needs its distances or flow copied out, a length stop reads each path's
-fsum, and a target such as Fraction(1, 3) keeps its own arithmetic.
-The per-step loops stay the oracle.
+augment keeps. Only a target that no float holds, such as
+Fraction(1, 3), or a cap that is no int steps from Python, on the
+Python searches, which stay the oracle.
 """
 
 from __future__ import annotations
@@ -180,9 +179,10 @@ class _Engine:
 
     native is the compiled kernel when arrays.floats holds (every cost
     and capacity is a float, network._floats, decided once per
-    instance), else None. It then runs both searches and every push
-    step: f holds floats from the zero flow on, since a push writes a
-    float or a cap item, and augment computes the headroom as a float.
+    instance), else None. It then runs solve and augment's push step:
+    f holds floats from the zero flow on, since a push writes a float or
+    a cap item, and augment computes the headroom as a float. The two
+    searches here are the Python loops, which the kernel repeats.
     """
 
     def __init__(self, instance: TransformedNetwork):
@@ -232,18 +232,10 @@ class _Engine:
         tie in (dist, hops), _path_less compares the two arc sequences,
         and a better one updates pred/parc only: the entry
         (dist[v], hops[v], v) is already in the heap.
-
-        With the compiled kernel, native.forward runs the same search.
         """
         arrays = self.arrays
         f, cap, out_adj = self.f, arrays.cap, arrays.out_adj
         s, t = arrays.s, arrays.t
-        if self.native is not None:
-            dist, arcs, self.pi = self.native.forward(
-                out_adj, f, cap, self.pi, s, t, stop_at_sink,
-                _check_reduced_cost, REDUCED_COST_SLACK,
-            )
-            return dist, arcs
         n = len(arrays.nodes)
         pi = self.pi
         dist = [INF] * n
@@ -303,10 +295,6 @@ class _Engine:
         """Reduced distances to the sink (reverse graph, no tie-break)."""
         arrays = self.arrays
         f, cap, out_adj, t = self.f, arrays.cap, arrays.out_adj, arrays.t
-        if self.native is not None:
-            return self.native.reverse(
-                out_adj, f, cap, self.pi, t, _check_reduced_cost, REDUCED_COST_SLACK,
-            )
         pi = self.pi
         n = len(arrays.nodes)
         dist = [INF] * n
@@ -373,38 +361,98 @@ class _Engine:
             AugmentationStep(len(self.steps) + 1, arcs, length, amount, self.value)
         )
 
-    def solve(self, z: float, iteration_cap: int | None) -> Outcome:
-        """run_ssp's sink-stop loop toward z, in one call to the kernel.
-
-        native.solve runs, per step, dijkstra_forward(True) and, unless
-        the sink is unreached or iteration_cap steps are taken, augment's
-        push step, in doubles; z must equal float(z), so that the
-        kernel's value reaches z exactly when augment's would. It returns
-        each step's arcs and amount. The records are built here, in the
-        list the arcs came in, with path_length's length and augment's
-        value. The engine must have taken no step yet.
+    def solve(self, z, iteration_cap, record_distances, retain_flows,
+              stop_above_length):
+        """step_loop in one call to the kernel, which runs its searches,
+        distance dicts, push steps and flow copies in the same order, in
+        doubles; the length stop calls back into path_length. z must
+        equal float(z), so that the kernel's value reaches z exactly when
+        augment's would. The records are built here, in the list the arcs
+        came in, with path_length's length and augment's value. The
+        engine must have taken no step yet. Returns what step_loop does.
         """
         arrays = self.arrays
         max_steps = (
             sys.maxsize if iteration_cap is None
             else min(max(iteration_cap, 0), sys.maxsize)
         )
-        steps, amounts, self.pi, capped = self.native.solve(
+        stop = None if stop_above_length is None else (
+            lambda arcs: self.path_length(arcs) > stop_above_length
+        )
+        steps, amounts, self.pi, end, dists, fs = self.native.solve(
             arrays.out_adj, self.f, arrays.cap, self.pi, arrays.s, arrays.t,
             _check_reduced_cost, REDUCED_COST_SLACK, float(z), self.value, max_steps,
+            arrays.nodes if record_distances else None, retain_flows, stop,
         )
-        if capped:
+        if end == 2:  # at the cap, with a path still to take
             raise _cap_exceeded(iteration_cap)
+        initial, make = (None, None), AugmentationStep
+        if record_distances:  # a pair per search: the initial one, then one per step
+            dists = iter(dists)
+            initial = next(dists)
+            make = lambda *record: AugmentationStep(*record, *next(dists))
         cost = arrays.signed_cost.__getitem__
-        value = self.value
+        start = value = self.value
         for i, amount in enumerate(amounts):
             arcs = steps[i]
             value = _value_after(value, amount, z)
             length = math.fsum(map(cost, arcs))
-            steps[i] = AugmentationStep(i + 1, arcs, length, amount, value)
+            steps[i] = make(i + 1, arcs, length, amount, value)
         self.value = value
         self.steps = steps
-        return Outcome.REACHED_Z if value == z else Outcome.MAX_FLOW_BELOW_Z
+        flows = None if fs is None else tuple(
+            map(Flow, fs, [start, *(step.flow_value_after for step in steps)])
+        )
+        if end:  # 1: the length stop held
+            outcome = Outcome.STOPPED_ABOVE_LENGTH
+        else:
+            outcome = Outcome.REACHED_Z if value == z else Outcome.MAX_FLOW_BELOW_Z
+        return outcome, initial, flows
+
+    def step_loop(self, z, iteration_cap, record_distances, retain_flows,
+                  stop_above_length):
+        """run_ssp's loop toward z, one step per iteration: solve's oracle,
+        and the solve without the kernel, toward a target that no float
+        holds or under a cap that is no int. Returns (outcome, the
+        initial distances from s and to t, the flows or None)."""
+        steps = self.steps
+        flows = [self.snapshot()] if retain_flows else None
+        initial = (None, None)
+
+        while True:
+            # Without distances to record, nothing reads a search once z is
+            # reached, nor a node's label once the sink's is final.
+            if not record_distances and self.value == z:
+                outcome = Outcome.REACHED_Z
+                break
+            if record_distances:
+                # First: the forward search raises pi for the next step.
+                dp_act = self.actual_distances_to_sink(self.dijkstra_reverse())
+            dist, arcs = self.dijkstra_forward(not record_distances)
+            if record_distances:
+                d_act = self.actual_distances(dist)
+                if steps:
+                    steps[-1] = replace(
+                        steps[-1], distances_from_s=d_act, distances_to_t=dp_act
+                    )
+                else:
+                    initial = d_act, dp_act
+                if self.value == z:
+                    outcome = Outcome.REACHED_Z
+                    break
+            if arcs is None:
+                outcome = Outcome.MAX_FLOW_BELOW_Z
+                break
+            length = self.path_length(arcs)
+            if stop_above_length is not None and length > stop_above_length:
+                outcome = Outcome.STOPPED_ABOVE_LENGTH
+                break
+            if iteration_cap is not None and len(steps) >= iteration_cap:
+                raise _cap_exceeded(iteration_cap)
+            self.augment(arcs, length, z)
+            if retain_flows:
+                flows.append(self.snapshot())
+        return outcome, initial, None if flows is None else tuple(flows)
 
     def snapshot(self) -> Flow:
         return Flow(tuple(self.f), self.value)
@@ -474,17 +522,13 @@ def _push_step(f, cap, original, arcs, limit):
     return amount, len(push(f, cap, arcs, amount)), good
 
 
-def _one_call(eng, z, record_distances, retain_flows, stop_above_length,
-              iteration_cap) -> bool:
+def _one_call(eng, z, iteration_cap) -> bool:
     """Whether run_ssp's solve runs as _Engine.solve, one kernel call:
-    with the kernel, a sink-stop search that keeps no flows and stops
-    for no length, toward a target that its float holds. Every other
-    solve steps from Python, where the loop records distances or flows,
-    checks each length, or reaches z in z's own arithmetic (and compares
-    a cap that is no int as it is)."""
-    if eng.native is None or record_distances or retain_flows:
-        return False
-    if stop_above_length is not None:
+    with the kernel, toward a target that its float holds, under an int
+    cap or none. Every other solve steps from Python, where the loop
+    reaches z in z's own arithmetic and compares a cap that is no int as
+    it is."""
+    if eng.native is None:
         return False
     if iteration_cap is not None and not isinstance(iteration_cap, int):
         return False
@@ -515,7 +559,9 @@ def run_ssp(
     it, one forward search that stops once the sink is settled.
     retain_flows adds one m-tuple of flow values per step, kept as
     intermediate_flows (analysis.replay_flows rebuilds the same flows
-    from the steps).
+    from the steps). stop_above_length adds one path_length fsum per
+    step. With the kernel every mode runs in one call (_one_call), and
+    only the length stop calls back into Python per step.
     """
     if z is None:
         z = instance.z
@@ -524,55 +570,18 @@ def run_ssp(
     if stop_above_length is not None and math.isnan(stop_above_length):
         raise ValueError("stop_above_length must not be NaN")
     eng = _Engine(instance)
-    if _one_call(eng, z, record_distances, retain_flows, stop_above_length, iteration_cap):
-        outcome = eng.solve(z, iteration_cap)
-        return AugmentationTrace(instance, tuple(eng.steps), outcome, eng.snapshot())
-    steps = eng.steps
-    flows = [eng.snapshot()] if retain_flows else None
-    initial_dist = initial_dist_to = None
-
-    while True:
-        # Without distances to record, nothing reads a search once z is
-        # reached, nor a node's label once the sink's is final.
-        if not record_distances and eng.value == z:
-            outcome = Outcome.REACHED_Z
-            break
-        if record_distances:
-            # First: the forward search raises pi for the next step.
-            dp_act = eng.actual_distances_to_sink(eng.dijkstra_reverse())
-        dist, arcs = eng.dijkstra_forward(not record_distances)
-        if record_distances:
-            d_act = eng.actual_distances(dist)
-            if steps:
-                steps[-1] = replace(
-                    steps[-1], distances_from_s=d_act, distances_to_t=dp_act
-                )
-            else:
-                initial_dist, initial_dist_to = d_act, dp_act
-            if eng.value == z:
-                outcome = Outcome.REACHED_Z
-                break
-        if arcs is None:
-            outcome = Outcome.MAX_FLOW_BELOW_Z
-            break
-        length = eng.path_length(arcs)
-        if stop_above_length is not None and length > stop_above_length:
-            outcome = Outcome.STOPPED_ABOVE_LENGTH
-            break
-        if iteration_cap is not None and len(steps) >= iteration_cap:
-            raise _cap_exceeded(iteration_cap)
-        eng.augment(arcs, length, z)
-        if retain_flows:
-            flows.append(eng.snapshot())
-
+    run = eng.solve if _one_call(eng, z, iteration_cap) else eng.step_loop
+    outcome, initial, flows = run(
+        z, iteration_cap, record_distances, retain_flows, stop_above_length
+    )
     return AugmentationTrace(
         instance=instance,
-        steps=tuple(steps),
+        steps=tuple(eng.steps),
         outcome=outcome,
         final_flow=eng.snapshot(),
-        initial_distances_from_s=initial_dist,
-        initial_distances_to_t=initial_dist_to,
-        intermediate_flows=tuple(flows) if retain_flows else None,
+        initial_distances_from_s=initial[0],
+        initial_distances_to_t=initial[1],
+        intermediate_flows=flows,
     )
 
 

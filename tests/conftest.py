@@ -90,6 +90,12 @@ def random_instance(seed, n=6, m=12, phi=10.0, shape="erdos", capacities="int"):
     return transform(sample_costs(topo, spec, seed))
 
 
+def midway_length(inst):
+    """The length of the middle step of a full solve (math.inf if none)."""
+    steps = run_ssp(inst, record_distances=False).steps
+    return steps[len(steps) // 2].length if steps else math.inf
+
+
 def uniform_instance(seed, n=6, m=12, shape="erdos", capacities="int"):
     topo = random_topology(n, m, shape, seed, capacities=capacities)
     return transform(sample_costs(topo, SmoothedCostSpec(1.0), seed))

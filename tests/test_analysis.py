@@ -39,6 +39,7 @@ from sspflow.network import Flow, as_transformed
 from sspflow.solver import _Engine, trace_csv_rows
 
 from conftest import (
+    midway_length,
     profile_fixture_network,
     random_instance,
     tie_bad_step_network,
@@ -1057,12 +1058,6 @@ class TestExactCheck:
                         assert type(x) is number, (stop_at_sink, x)
                     eng.augment(arcs, eng.path_length(arcs), inst.z)
                 assert all(type(p) is number for p in eng.pi)
-
-
-def midway_length(inst):
-    """The length of the middle step of a full solve (math.inf if none)."""
-    steps = run_ssp(inst, record_distances=False).steps
-    return steps[len(steps) // 2].length if steps else math.inf
 
 
 class TestOutcomes:

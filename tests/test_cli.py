@@ -488,6 +488,24 @@ def test_bad_input_exit_1(argv, tmp_path, instance_file, capsys):
     assert not out.exists()  # rejected before any CSV row is written
 
 
+@pytest.mark.parametrize("phi", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--n", "3", "--m", "4", "--phi={phi}", "--out", "{out}"],
+     "phi must be finite and >= 1, got {phi}"),
+    (["lowerbound", "--n", "2", "--m", "3", "--phi={phi}", "--out", "{out}"],
+     "phi must be finite and >= 64 for the full construction, got {phi}"),
+    (["experiment", "--ns", "3", "--ms", "6", "--phis={phi}", "--trials", "1",
+      "--out", "{out}"],
+     "phi must be finite and >= 1, got {phi}"),
+])
+def test_phi_that_is_not_finite_exit_1(phi, argv, message, tmp_path, capsys):
+    # the message names the rule that the value breaks
+    out = tmp_path / "out"
+    assert main([a.format(phi=phi, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(phi=phi)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     EXPERIMENT + ["--phis", "0.5"],  # InvalidInterval in every trial
     EXPERIMENT + ["--models", "lowerbound"],  # BadParams in every trial

@@ -23,7 +23,13 @@ from sspflow import (
 )
 from sspflow import _native, solver
 from sspflow.network import empty_arcs, push, residual_arcs
-from sspflow.solver import _Engine, _check_reduced_cost, _path_less, trace_csv_rows
+from sspflow.solver import (
+    REDUCED_COST_SLACK,
+    _Engine,
+    _check_reduced_cost,
+    _path_less,
+    trace_csv_rows,
+)
 
 from conftest import random_instance, two_path_network
 
@@ -156,23 +162,26 @@ def two_edges():
 
 def kernel_calls():
     """The kernel entry point and arguments of each call that the bad-input
-    cases change: the two searches, the one push step as _Engine.augment
-    calls it, with the headroom as its limit, and as the trace replay
-    does, with a recorded amount, and a whole sink-stop solve as
-    _Engine.solve calls it."""
+    cases change: the one push step as _Engine.augment calls it, with the
+    headroom as its limit, and as the trace replay does, with a recorded
+    amount, and a whole solve as _Engine.solve calls it. "forward" and
+    "reverse", named for the search each case was written for, are one
+    record-mode solve capped at 0: exactly one reverse and one full
+    forward search, and no push."""
     out_adj, f, cap = two_edges()
     pi = [0.0] * 3
+    check = _check_reduced_cost
+    # from node 1 to node 2 toward z = 5.0 from value 0.0: its first
+    # searches read every f and cap item, and an uncapped solve pushes 3.0
+    record = ("solve", (out_adj, f, cap, pi, 1, 2, check, 1e-9, 5.0, 0.0, 0, (0, 1, 2),
+                        False, None))
     return {
-        # both searches read every f and cap item: forward from node 1,
-        # reverse into node 2
-        "forward": ("forward", (out_adj, f, cap, pi, 1, 2, False, _check_reduced_cost, 1e-9)),
-        "reverse": ("reverse", (out_adj, f, cap, pi, 2, _check_reduced_cost, 1e-9)),
+        "forward": record,
+        "reverse": record,
         "augment": ("push_step", (f, cap, b"\1\1", (1, 2), 5.0)),
         "replay": ("push_step", (f, cap, b"\1\1", (1, 2), 1.0)),
-        # from node 1 to node 2 toward z = 5.0 from value 0.0, uncapped:
-        # its first search reads every f and cap item, and pushes 3.0
-        "solve": ("solve", (out_adj, f, cap, pi, 1, 2, _check_reduced_cost, 1e-9, 5.0,
-                            0.0, sys.maxsize)),
+        "solve": ("solve", (out_adj, f, cap, pi, 1, 2, check, 1e-9, 5.0, 0.0, sys.maxsize,
+                            None, False, None)),
     }
 
 
@@ -195,33 +204,69 @@ def call_rejects(error, name, changes):
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_the_kernel_has_one_push_step():
-    # a per-step solve and the trace replay push through the same entry
-    # point; a one-call solve runs the same search and push inside
+    # a solve that steps from Python and the trace replay push through the
+    # same entry point; a one-call solve runs the searches and the push
+    # inside
     names = {name for name in vars(_native.load()) if not name.startswith("__")}
-    assert names == {"forward", "reverse", "push_step", "solve"}
+    assert names == {"push_step", "solve"}
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_solve_entry_point_runs_the_per_step_calls():
-    # the call that the bad-input cases change, against forward and
-    # push_step: one push of 3.0 saturates edge 1, after which the sink
-    # is unreached; a cap of 0 stops it before that push
+    # the call that the bad-input cases change: one push of 3.0 saturates
+    # edge 1, after which the sink is unreached; a cap of 0 stops it
+    # before that push. Recorded, each search's distances by node id,
+    # unreached nodes at math.inf itself, the reached ones from s at the
+    # raised potentials' own floats, and f before and after the push
     kernel = _native.load()
-    _, (out_adj, f, cap, pi, *_) = kernel_calls()["solve"]
-    paths, amounts = [], []
-    while True:
-        _, arcs, pi = kernel.forward(out_adj, f, cap, pi, 1, 2, True, _check_reduced_cost, 1e-9)
-        if arcs is None:
-            break
-        paths.append(arcs)
-        amounts.append(kernel.push_step(f, cap, b"\1\1", arcs, 5.0 - sum(amounts))[0])
-    assert paths == [(2,)] and amounts == [3.0]
     _, args = kernel_calls()["solve"]
-    assert repr(kernel.solve(*args)) == repr((paths, amounts, pi, False))
-    assert repr(args[1]) == repr(f) and args[3] == [0.0] * 3  # the pi passed in stays
+    pi = [0.0] * 3
+    assert repr(kernel.solve(*args)) == repr(([(2,)], [3.0], pi, 0, None, None))
+    assert args[1] == [2.0, 3.0] and args[3] == pi  # the pi passed in stays
     _, args = kernel_calls()["solve"]
-    paths, amounts, _, capped = kernel.solve(*args[:-1], 0)
-    assert (paths, amounts, capped) == ([], [], True) and args[1] == [2.0, 0.0]
+    paths, amounts, _, end, *_ = kernel.solve(*args[:10], 0, *args[11:])
+    assert (paths, amounts, end) == ([], [], 2) and args[1] == [2.0, 0.0]
+    _, args = kernel_calls()["solve"]
+    seen = []
+    paths, amounts, raised, end, dists, flows = kernel.solve(
+        *args[:11], (7, 8, 9), True, lambda arcs: seen.append(arcs)
+    )
+    assert (paths, amounts, end, seen) == ([(2,)], [3.0], 0, [(2,)])
+    inf = math.inf
+    assert dists == [({7: 0.0, 8: 0.0, 9: 0.0}, {7: inf, 8: 0.0, 9: 0.0}),
+                     ({7: 0.0, 8: 0.0, 9: inf}, {7: inf, 8: inf, 9: 0.0})]
+    assert flows == [(2.0, 0.0), (2.0, 3.0)]
+    assert dists[1][0][9] is inf and dists[1][1][8] is inf
+    assert all(dists[1][0][v] is raised[i] for i, v in enumerate((7, 8)))
+    # a true stop ends the solve before the push
+    _, args = kernel_calls()["solve"]
+    assert kernel.solve(*args[:13], lambda arcs: 1)[3:] == (1, None, None)
+    assert args[1] == [2.0, 0.0]
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_a_raising_stop_leaves_the_earlier_pushes():
+    # the length stop is called before each push; its error propagates,
+    # and f then holds the pushes of the steps before it
+    kernel = _native.load()
+    inst = random_instance(1, n=8, m=20, capacities="real")
+    want = run_ssp(inst, record_distances=False, retain_flows=True).intermediate_flows
+    assert len(want) == 5
+    for k, flow in enumerate(want[:-1]):
+        eng = _Engine(inst)
+        arrays = eng.arrays
+        calls = []
+
+        def stop(arcs):
+            calls.append(arcs)
+            if len(calls) > k:
+                raise KeyError(k)
+
+        with pytest.raises(KeyError):
+            kernel.solve(arrays.out_adj, eng.f, arrays.cap, eng.pi, arrays.s, arrays.t,
+                         _check_reduced_cost, 1e-9, inst.z, 0.0, sys.maxsize, None, False,
+                         stop)
+        assert repr(eng.f) == repr(list(flow.values)) and eng.pi == [0.0] * inst.n
 
 
 BAD_PUSH_CALLS = [
@@ -335,6 +380,12 @@ BAD_SOLVE_CALLS = [
     (TypeError, "solve", {8: "5"}),
     (TypeError, "solve", {9: None}),
     (TypeError, "solve", {10: 1.5}),
+    # fewer node ids than nodes, node ids in a list, a stop that cannot
+    # be called, and one that raises before the first push
+    (TypeError, "solve", {11: (0, 1)}),
+    (TypeError, "solve", {11: [0, 1, 2]}),
+    (TypeError, "solve", {13: 1}),
+    (ZeroDivisionError, "solve", {13: lambda arcs: 1 / 0}),
 ]
 
 
@@ -401,18 +452,34 @@ def test_replay_repeats_network_push():
     assert 1000 < cut < 1800  # the limit binds on the rest
 
 
-def _search_outcome(inst, f, pi, search):
-    """repr of what one search returns and of pi after it, or the text of
-    the InternalInvariantError it raises, on the kernel and on the
-    Python loops, each from its own copy of the state."""
+def _search_outcome(inst, f, pi, record):
+    """What one round of searches makes of the state (f, pi): repr of the
+    sink's path, of the distances a record-mode solve records and of pi
+    after it, or the text of the InternalInvariantError it raises. On the
+    kernel, a solve capped at 0 (record mode: one reverse and one full
+    forward search; else one search to the sink), whose stop callable
+    sees the path; on the Python searches, in run_ssp's order. Each runs
+    on its own copy of the state."""
     outcomes = []
     for native in (True, False):
         eng = _Engine(inst)
-        if not native:
-            eng.native = None
+        arrays = eng.arrays
         eng.f, eng.pi = list(f), list(pi)
         try:
-            outcomes.append((repr(search(eng)), repr(eng.pi)))
+            if native:
+                paths = []
+                _, _, eng.pi, end, dists, _ = eng.native.solve(
+                    arrays.out_adj, eng.f, arrays.cap, eng.pi, arrays.s, arrays.t,
+                    _check_reduced_cost, REDUCED_COST_SLACK, inst.z, 0.0, 0,
+                    arrays.nodes if record else None, False, paths.append,
+                )
+                assert end == (2 if paths else 0)
+                got = (paths or [None])[0], dists
+            else:
+                to_t = eng.actual_distances_to_sink(eng.dijkstra_reverse()) if record else None
+                dist, arcs = eng.dijkstra_forward(not record)
+                got = arcs, [(eng.actual_distances(dist), to_t)] if record else None
+            outcomes.append((repr(got), repr(eng.pi)))
         except InternalInvariantError as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -437,19 +504,14 @@ def _feasible_potentials(inst, f):
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_searches_agree_on_arbitrary_states(monkeypatch):
-    # both searches of both backends from states that no solve reaches:
-    # flows at 0, at the capacity or in between, and costs on a coarse
-    # grid, so that labels tie in (dist, hops). Feasible potentials give
-    # the same distances, paths and raised pi; random ones raise the
-    # same reduced-cost error
+    # both searches of both backends, through the kernel's solve capped
+    # at 0, from states that no solve reaches: flows at 0, at the
+    # capacity or in between, and costs on a coarse grid, so that labels
+    # tie in (dist, hops). Feasible potentials give the same distances,
+    # paths and raised pi; random ones raise the same reduced-cost error
     ties = []
     monkeypatch.setattr(
         solver, "_path_less", lambda *args: ties.append(args) or _path_less(*args)
-    )
-    searches = (
-        lambda eng: eng.dijkstra_forward(True),
-        lambda eng: eng.dijkstra_forward(False),
-        lambda eng: eng.dijkstra_reverse(),
     )
     rng = random.Random(0)
     feasible = raised = 0
@@ -465,14 +527,14 @@ def test_searches_agree_on_arbitrary_states(monkeypatch):
             f = [rng.choice([0.0, e.capacity, e.capacity / 2]) for e in net.edges]
             pi = _feasible_potentials(inst, f)
             if pi is not None:
-                for search in searches:
-                    native, python = _search_outcome(inst, f, pi, search)
+                for record in (False, True):
+                    native, python = _search_outcome(inst, f, pi, record)
                     assert native == python and not isinstance(native, str)
                     feasible += 1
             pi = [rng.randrange(-8, 9) * step for _ in inst._arrays.nodes]
-            for search in searches:
-                native, python = _search_outcome(inst, f, pi, search)
+            for record in (False, True):
+                native, python = _search_outcome(inst, f, pi, record)
                 assert native == python
                 raised += isinstance(native, str)
-    assert feasible > 600 and raised > 1500
+    assert feasible > 500 and raised > 1300
     assert len(ties) > 1000  # ties in (dist, hops), settled by arc sequence

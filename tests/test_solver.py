@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -55,6 +56,7 @@ from sspflow.network import (
 )
 
 from conftest import (
+    midway_length,
     random_instance,
     single_edge_network,
     tie_bad_step_network,
@@ -703,36 +705,47 @@ class TestReducedCostTolerance:
         eng = _Engine(transform(single_edge_network()))
         a, v, c = eng.arrays.out_adj[eng.arrays.s][0]
         eng.pi[v] = c + 5.0
-        dist, arcs = eng.dijkstra_forward(True)
+        assert first_round(eng, False)[0] is Outcome.STOPPED_ABOVE_LENGTH  # a path
         assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
-        # a sink stop returns no distances: pi[v] rose by min(dist[v],
-        # bound), which is the clamped 0.0 (-5.0 would lower it)
-        assert dist is None and eng.pi[v] == c + 5.0 and arcs is not None
+        # pi[v] rose by min(dist[v], bound), which is the clamped 0.0
+        # (-5.0 would lower it)
+        assert eng.pi[v] == c + 5.0
         calls.clear()
         eng = _Engine(transform(single_edge_network()))
         b, u, c = eng.arrays.out_adj[eng.arrays.t][0]  # the reverse search reads it backward
         a, c = b ^ 1, -c
         eng.pi[eng.arrays.t] = c + 5.0
-        assert eng.dijkstra_reverse()[u] == 0.0
-        assert calls == [(-5.0, a, c, 0.0, c + 5.0)]
+        _, (_, to_t), _ = first_round(eng, True)
+        assert calls[0] == (-5.0, a, c, 0.0, c + 5.0)
+        # u's reduced distance is the clamped 0.0: (0.0 - pi[u]) + pi[t]
+        assert to_t[eng.arrays.nodes[u]] == c + 5.0
 
     def test_engine_raises_past_tolerance(self):
         eng = _Engine(transform(single_edge_network()))
         a, v, c = eng.arrays.out_adj[eng.arrays.s][0]
         eng.pi[v] = c + 5.0
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
-            eng.dijkstra_forward(False)
+            first_round(eng, False)
         eng = _Engine(transform(single_edge_network()))
         b, u, c = eng.arrays.out_adj[eng.arrays.t][0]
         a, c = b ^ 1, -c
         eng.pi[eng.arrays.t] = c + 5.0
         with pytest.raises(InternalInvariantError, match=f"-5.0 on arc {a} below"):
-            eng.dijkstra_reverse()
+            first_round(eng, True)
 
 
-# The classes above run on the compiled kernel when it loads. Their
-# copies below run on the Python loops, so the goldens, the tie chains
-# and the tolerance rule hold for both backends.
+def first_round(eng, record_distances):
+    """The first round of searches of a solve from eng's state, which
+    stops before its first push: in one kernel call when eng has the
+    kernel, else on the Python loops. Returns what the solve returns."""
+    run = eng.solve if eng.native is not None else eng.step_loop
+    return run(math.inf, None, record_distances, False, -math.inf)
+
+
+# The classes above solve on the compiled kernel when it loads (a direct
+# call of an engine search runs the Python loop). Their copies below run
+# on the Python loops, so the goldens, the tie chains and the tolerance
+# rule hold for both backends.
 
 
 @pytest.mark.usefixtures("python_loops")
@@ -778,29 +791,47 @@ def full_trace(inst, **kwargs):
         dists(trace.initial_distances_to_t),
         trace.outcome,
         repr(trace.final_flow),
+        repr(trace.intermediate_flows),
         trace_csv_rows(trace),
     )
 
 
-def engine_trail(inst, stop_at_sink, native):
-    """repr of pi after each forward search of a solve toward inst.z, and
-    of f and the flow value after each augmentation, on the compiled
-    kernel or the Python loops, then any error raised."""
+def engine_trail(inst, record_distances):
+    """repr of pi and f where a solve toward inst.z capped at k = 0, 1,
+    2, ... stops: after search k + 1 and push k, on the Python loops in
+    run_ssp's order; then pi, f and the value where the solve ends, or
+    the error raised and f then."""
     eng = _Engine(inst)
-    if not native:
-        eng.native = None
+    eng.native = None
     trail = []
     try:
-        while eng.value < inst.z:
-            _, arcs = eng.dijkstra_forward(stop_at_sink)
-            trail.append(repr(eng.pi))
-            if arcs is None:
+        while record_distances or eng.value != inst.z:
+            if record_distances:
+                eng.dijkstra_reverse()
+            _, arcs = eng.dijkstra_forward(not record_distances)
+            if arcs is None or (record_distances and eng.value == inst.z):
                 break
+            trail.append((repr(eng.pi), repr(eng.f)))
             eng.augment(arcs, eng.path_length(arcs), inst.z)
-            trail.append((repr(eng.f), repr(eng.value)))
-    except Exception as exc:
-        trail.append((type(exc), str(exc)))
-    return trail
+    except InternalInvariantError as exc:
+        return [*trail, (str(exc), repr(eng.f))]
+    return [*trail, (repr(eng.pi), repr(eng.f), repr(eng.value))]
+
+
+def kernel_trail(inst, record_distances):
+    """engine_trail from one-call solves capped at k = 0, 1, 2, ..., up
+    to the first that ends below its cap."""
+    trail = []
+    for k in itertools.count():
+        eng = _Engine(inst)
+        try:
+            eng.solve(inst.z, k, record_distances, False, None)
+        except IterationCapExceeded:
+            trail.append((repr(eng.pi), repr(eng.f)))
+            continue
+        except InternalInvariantError as exc:
+            return [*trail, (str(exc), repr(eng.f))]
+        return [*trail, (repr(eng.pi), repr(eng.f), repr(eng.value))]
 
 
 def rounding_target_instance():
@@ -846,15 +877,13 @@ def engine_outcome(inst, **kwargs):
     return got, repr(eng.f), repr(eng.pi)
 
 
-BACKENDS = ("solve", "steps", "python")
+BACKENDS = ("solve", "python")
 
 
 def backend_context(patch, backend):
-    """Runs run_ssp as one kernel call where it takes one ("solve"), on
-    the kernel's per-step loop ("steps") or on the Python loops."""
-    if backend == "steps":
-        patch.setattr(solver, "_one_call", lambda *args: False)
-    elif backend == "python":
+    """Runs run_ssp as one kernel call where it takes one ("solve") or on
+    the Python loops."""
+    if backend == "python":
         patch.setattr(_native, "load", lambda: None)
 
 
@@ -862,17 +891,22 @@ def backend_context(patch, backend):
 def test_backends_agree_in_lockstep(monkeypatch):
     # the kernel repeats the Python loops float operation for float, so
     # every step, distance, flow, potential and CSV row is bit-identical
-    # whether a solve runs in one kernel call, steps through the kernel or
-    # runs the Python loops, in every search mode and toward every kind
-    # of target, and a solve that raises raises the same error
+    # whether a solve runs in one kernel call or on the Python loops, in
+    # every mode and toward every kind of target, and a solve that raises
+    # raises the same error
     kernel = _native.load()
     solve = kernel.solve
     for inst in lockstep_instances():
         assert _Engine(inst).native is not None
         sink_stop = {"record_distances": False}
+        mid = midway_length(inst)
         modes = (
             {"record_distances": True},
+            {"record_distances": True, "retain_flows": True},
+            {"stop_above_length": mid},
+            {**sink_stop, "stop_above_length": mid},
             sink_stop,
+            {**sink_stop, "retain_flows": True},
             {**sink_stop, "iteration_cap": 3},
             {**sink_stop, "iteration_cap": 0},
             {**sink_stop, "iteration_cap": 2.5},  # compared as it is
@@ -892,69 +926,108 @@ def test_backends_agree_in_lockstep(monkeypatch):
                 patch.setattr(kernel, "solve", lambda *args: calls.append(args) or solve(*args))
                 runs[backend] = [engine_outcome(inst, **mode) for mode in modes]
             # the compiled push serves every step of a kernel solve, in the
-            # solve and in its CSV; one call serves each sink-stop solve
-            # with an int cap or none toward a float-held target: all but
-            # the first mode, the float cap and the Fraction
+            # solve and in its CSV; one call serves each solve under an int
+            # cap or none toward a float-held target: all but the float
+            # cap and the Fraction
             assert bool(pushes) is (backend == "python")
-            assert len(calls) == (len(modes) - 3 if backend == "solve" else 0)
-        assert runs["solve"] == runs["steps"] == runs["python"]
-        # pi after each search, f and the value after each push: bit
-        # for bit, and a float stays a float (repr tells 1 from 1.0)
-        for stop_at_sink in (True, False):
-            want = engine_trail(inst, stop_at_sink, native=False)
-            assert engine_trail(inst, stop_at_sink, native=True) == want
+            assert len(calls) == (len(modes) - 2 if backend == "solve" else 0)
+        assert runs["solve"] == runs["python"]
+        # pi and f where each capped solve stops, bit for bit, and a float
+        # stays a float (repr tells 1 from 1.0)
+        for record_distances in (False, True):
+            want = engine_trail(inst, record_distances)
+            assert kernel_trail(inst, record_distances) == want
 
 
-def solve_from(inst, pi, backend, iteration_cap=60):
-    """repr of the steps, f and pi after a sink-stop solve toward inst.z
-    from the potentials pi, on the kernel's one call (_Engine.solve), its
-    per-step loop or the Python loops, or the error it raises and repr of
-    f then: every backend pushes in place, so f tells the step."""
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unreached_distances_are_math_inf(monkeypatch, backend):
+    # every unreached node's recorded distance is the one math.inf
+    # object, not a fresh float per node, on either backend
+    if backend == "solve" and _native.load() is None:
+        pytest.skip("the compiled search kernel is unavailable")
+    backend_context(monkeypatch, backend)
+    unreached = 0
+    for inst in lockstep_instances():
+        trace = run_ssp(inst)
+        recorded = [(trace.initial_distances_from_s, trace.initial_distances_to_t)]
+        recorded += [(s.distances_from_s, s.distances_to_t) for s in trace.steps]
+        for dists in recorded:
+            for d in (*dists[0].values(), *dists[1].values()):
+                if d == math.inf:
+                    assert d is math.inf
+                    unreached += 1
+    assert unreached > 1000
+
+
+def solve_from(inst, pi, backend, mode, iteration_cap=60):
+    """repr of what a solve toward inst.z from the potentials pi returns,
+    of its steps, f and pi, on the kernel's one call (_Engine.solve) or
+    on the Python loops (_Engine.step_loop); or the error it raises and
+    repr of f then: both backends push in place, so f tells the step.
+    mode gives record_distances, retain_flows and stop_above_length."""
     eng = _Engine(inst)
     if backend == "python":
         eng.native = None
     eng.pi = list(pi)
+    run = eng.solve if backend == "solve" else eng.step_loop
     try:
-        if backend == "solve":
-            eng.solve(inst.z, iteration_cap)
-        else:  # run_ssp's per-step loop
-            while eng.value != inst.z:
-                _, arcs = eng.dijkstra_forward(True)
-                if arcs is None:
-                    break
-                if len(eng.steps) >= iteration_cap:
-                    raise solver._cap_exceeded(iteration_cap)
-                eng.augment(arcs, eng.path_length(arcs), inst.z)
+        got = run(inst.z, iteration_cap, *mode)
     except (InternalInvariantError, IterationCapExceeded) as exc:
         return type(exc), str(exc), repr(eng.f)
-    return repr(eng.steps), repr(eng.f), repr(eng.pi)
+    return repr(got), repr(eng.steps), repr(eng.f), repr(eng.pi)
 
 
 @pytest.mark.skipif(_native.load() is None, reason="the compiled search kernel is unavailable")
-def test_one_call_raises_as_the_step_loop():
+def test_one_call_raises_as_the_step_loop(monkeypatch):
     # from arbitrary potentials, which no solve reaches: random ones on
     # every node, or one node's raised, so that some solves push before
     # the reduced-cost check raises. It raises inside the kernel's one
-    # call with the error and message that the per-step loops raise,
-    # after the same pushes
+    # call with the error and message that the per-step loop raises,
+    # after the same pushes, in every mode: the reverse search of a
+    # record-mode step names arc b ^ 1 at cost -c, as dijkstra_reverse
+    # does, and the checks see the same terms in the same order
+    checks = []
+    monkeypatch.setattr(
+        solver, "_check_reduced_cost",
+        lambda *terms: checks.append(terms) or _check_reduced_cost(*terms),
+    )
+    reverse, in_reverse = _Engine.dijkstra_reverse, []
+
+    def reverse_raises(self):
+        try:
+            return reverse(self)
+        except InternalInvariantError:
+            in_reverse.append(None)
+            raise
+
+    monkeypatch.setattr(_Engine, "dijkstra_reverse", reverse_raises)
     rng = random.Random(0)
     raised = later = 0
     for seed in range(30):
         inst = random_instance(seed, n=8, m=20, capacities="real" if seed % 2 else "int")
         zero = repr([0.0] * inst.m)
+        mid = midway_length(inst)
+        modes = ((False, False, None), (True, True, None), (False, False, mid),
+                 (True, False, mid))
         for trial in range(20):
             if trial % 2:
                 pi = [rng.randrange(-2, 3) * 0.25 for _ in inst._arrays.nodes]
             else:
                 pi = [0.0] * len(inst._arrays.nodes)
                 pi[rng.randrange(len(pi))] = rng.choice([0.1, 1.0])
-            got = [solve_from(inst, pi, backend) for backend in BACKENDS]
-            assert got[0] == got[1] == got[2]
-            if got[0][0] is InternalInvariantError:
-                assert got[0][1].startswith("reduced cost -")
-                raised += 1
-                later += got[0][2] != zero
-    assert raised > 450 and later > 20
+            for mode in modes:
+                got = []
+                for backend in BACKENDS:
+                    checks.clear()
+                    got.append((solve_from(inst, pi, backend, mode), checks[:]))
+                assert got[0] == got[1]
+                (outcome, _), _ = got
+                if outcome[0] is InternalInvariantError:
+                    assert outcome[1].startswith("reduced cost -")
+                    raised += 1
+                    later += outcome[2] != zero
+    assert raised > 2000 and later > 50
+    assert len(in_reverse) > 600  # of them in a record-mode reverse search
 
 
 def replay_oracle(trace):
