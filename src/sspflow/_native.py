@@ -13,9 +13,10 @@ Python loops instead; both give identical traces.
 The kernel computes in C doubles, so it takes exact floats only. The
 solver decides that by network._floats, once per instance for a solve
 (_Arrays.floats) and once per trace replay, and calls load() only then.
-The kernel exports solve, a whole run_ssp solve in one call, and
-push_step, one push step of a trace replay or of a solve that steps
-from Python.
+The kernel exports solve, a whole run_ssp solve in one call over double
+copies of the flow, potentials, capacities and signed costs, which also
+sums each path's length as math.fsum does, and push_step, one push step
+of a trace replay or of a solve that steps from Python.
 """
 
 from __future__ import annotations

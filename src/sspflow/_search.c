@@ -5,16 +5,21 @@
  * Each function repeats its Python counterpart float operation for float:
  * the same reduced costs (c + pi[u]) - pi[v], the same slack test and
  * clamp, the same comparisons, so the settle order, the distances and the
- * chosen paths are bit-identical. The instance's arrays (the adjacency, a
- * tuple of per-node tuples, and the capacity list, which stays read-only)
- * and the engine's f and pi are read in place through the C API; nothing
- * is converted. Every number a function reads must be an exact float,
- * which a double holds exactly; anything else (an int, a float subclass
- * such as numpy's float64) raises TypeError before the step that meets
- * it writes anything, so nothing is ever rounded. sspflow.network._floats
+ * chosen paths are bit-identical. Every number a function reads must be
+ * an exact float, which a double holds exactly; anything else (an int, a
+ * float subclass such as numpy's float64) raises TypeError before the
+ * call writes anything, so nothing is ever rounded. sspflow.network._floats
  * picks the kernel: _Engine's once per instance, for all-float costs and
  * capacities, the trace replay's for all-float capacities and amounts.
  * So the check is memory safety, not a decision.
+ *
+ * solve runs run_ssp's loop in one call, in every mode. It copies the
+ * engine's f and pi and the instance's capacities and signed costs into
+ * C doubles once, checking every item first, and its searches and the
+ * potential raise work on those copies; pi goes back as one new list at
+ * the end. The adjacency, a tuple of per-node tuples of (arc, node,
+ * signed cost), is read in place through the C API, for its arcs and
+ * nodes only: an arc's cost is the signed cost list's.
  *
  * search, the forward search, keeps per node the dist, hops, pred and
  * parc (predecessor arc) of its label and orders its heap by (dist, hops,
@@ -22,25 +27,24 @@
  * smaller (dist, hops): hops grow by one, rc >= 0 and fl(d + rc) >= d.
  * So a node is settled after every relaxation that can set its label,
  * and a relaxation that ties in (dist, hops) compares arc sequences with
- * path_less. A last pass over the nodes (raised_pi) builds the raised
- * potentials pi[v] + min(dist[v], bound), bound being the distance of
- * the last node settled. search_reverse, the reverse search, orders its
- * heap by (dist, node) and keeps no labels.
+ * path_less. search_reverse, the reverse search, orders its heap by
+ * (dist, node) and keeps no labels.
  *
- * The searches read residual capacity from the flow and capacity lists,
- * as the Python loops do: arc a over edge e = a >> 1 is present when
- * cap[e] - f[e] > 0.0 (forward) or f[e] > 0.0 (backward).
+ * The searches read residual capacity as the Python loops do: arc a over
+ * edge e = a >> 1 is present when cap[e] - f[e] > 0.0 (forward) or
+ * f[e] > 0.0 (backward).
  *
  * push_path is network.push operation for operation, which stays its
  * oracle. After bottleneck, the bottleneck under a limit and the good-arc
  * test under the flow before the push, it makes push_step, the push step
- * of a solve that steps from Python and of the trace replay. A push step
- * reads every f and cap item of the path, the mask and the limit before
- * it writes anything, and it writes nothing but f.
+ * of a solve that steps from Python and of the trace replay. Both work on
+ * the Python lists: a push step reads every f and cap item of the path,
+ * the mask and the limit before it writes anything, and it writes nothing
+ * but f. solve pushes the same way and reads the path's edges back into
+ * its copy of f.
  *
- * solve runs run_ssp's loop in one call, in every mode, with no Python
- * call per step but a length stop's. Its searches read the same lists,
- * pi included, which it replaces after each step.
+ * path_fsum is CPython 3.11's math.fsum, so a path's length is the one
+ * _Engine.path_length computes, bit for bit.
  *
  * sspflow._native builds this file with gcc -O2 -ffp-contract=off: no
  * fused multiply-add or fast-math, so every double operation rounds as
@@ -198,32 +202,34 @@ as_double(PyObject *o, double *out)
     return 0;
 }
 
-/* Whether arc a has no residual capacity, as Python decides f[e] <= 0.0
- * (backward) or cap[e] - f[e] <= 0.0 (forward) for e = a >> 1: 1, 0, or
- * -1 with an exception set. */
+/* The first k items of list, every one an exact float, into out: 0, or -1
+ * with TypeError set. */
 static int
-no_residual(PyObject *f, PyObject *cap, Py_ssize_t a)
+copy_doubles(PyObject *list, Py_ssize_t k, double *out)
 {
-    Py_ssize_t e = a >> 1;
-    if (e < 0 || e >= PyList_GET_SIZE(f) || (!(a & 1) && e >= PyList_GET_SIZE(cap))) {
-        PyErr_SetString(PyExc_IndexError, "arc index out of range");
-        return -1;
-    }
-    double fe, ce = 0.0;
-    if (as_double(PyList_GET_ITEM(f, e), &fe) < 0
-        || (!(a & 1) && as_double(PyList_GET_ITEM(cap, e), &ce) < 0))
-        return -1;
-    return (a & 1 ? fe : ce - fe) <= 0.0;
+    for (Py_ssize_t i = 0; i < k; i++)
+        if (as_double(PyList_GET_ITEM(list, i), &out[i]) < 0)
+            return -1;
+    return 0;
 }
 
+/* What solve's searches read: the adjacency, read in place, and the
+ * doubles of f and cap by edge, of pi by node and of the signed costs by
+ * arc. Every arc a of the adjacency must satisfy 0 <= a < arcs, an even
+ * number, so that a ^ 1 does too. */
+typedef struct {
+    PyObject *out_adj;
+    Py_ssize_t arcs;
+    double *f, *cap, *pi, *cost;
+} Net;
+
+/* Whether arc a has no residual capacity, as Python decides f[e] <= 0.0
+ * (backward) or cap[e] - f[e] <= 0.0 (forward) for e = a >> 1. */
 static int
-item_double(PyObject *list, Py_ssize_t i, double *out)
+no_residual(const Net *g, Py_ssize_t a)
 {
-    if (i < 0 || i >= PyList_GET_SIZE(list)) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
-        return -1;
-    }
-    return as_double(PyList_GET_ITEM(list, i), out);
+    Py_ssize_t e = a >> 1;
+    return (a & 1 ? g->f[e] : g->cap[e] - g->f[e]) <= 0.0;
 }
 
 /* Row v of the adjacency tuple, borrowed: a tuple's rows cannot be
@@ -239,10 +245,10 @@ adj_row(PyObject *adj, Py_ssize_t v)
     return row;
 }
 
-/* One adjacency entry (arc, node, signed cost); the cost is read later,
- * only for arcs that pass the residual and settled tests. */
+/* One adjacency entry (arc, node, signed cost), its arc checked against
+ * g->arcs and its node against n; the cost is g->cost's. */
 static int
-adj_entry(PyObject *entry, Py_ssize_t n, Py_ssize_t *a, Py_ssize_t *v)
+adj_entry(const Net *g, PyObject *entry, Py_ssize_t n, Py_ssize_t *a, Py_ssize_t *v)
 {
     if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 3) {
         PyErr_SetString(PyExc_TypeError, "adjacency entries must be 3-tuples");
@@ -251,6 +257,10 @@ adj_entry(PyObject *entry, Py_ssize_t n, Py_ssize_t *a, Py_ssize_t *v)
     *a = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 0));
     if (*a == -1 && PyErr_Occurred())
         return -1;
+    if (*a < 0 || *a >= g->arcs) {
+        PyErr_SetString(PyExc_IndexError, "arc index out of range");
+        return -1;
+    }
     *v = PyLong_AsSsize_t(PyTuple_GET_ITEM(entry, 1));
     if (*v == -1 && PyErr_Occurred())
         return -1;
@@ -281,53 +291,34 @@ reduced_cost(PyObject *check, double slack, Py_ssize_t a, double c, double pu,
     return 0;
 }
 
-/* The raised potentials [pi[i] + min(dist[i], bound)] over the first
- * min(len(pi), n) nodes, as zip pairs them in the Python loop: a new
- * list, or NULL with an exception set. */
-static PyObject *
-raised_pi(const State *st, PyObject *pi, double bound)
-{
-    Py_ssize_t np = Py_MIN(PyList_GET_SIZE(pi), st->n);
-    PyObject *up = PyList_New(np), *x;
-    if (!up)
-        return NULL;
-    for (Py_ssize_t i = 0; i < np; i++) {
-        double d = st->dist[i], p;
-        if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
-            || !(x = PyFloat_FromDouble(p + (d < bound ? d : bound)))) {
-            Py_DECREF(up);
-            return NULL;
-        }
-        PyList_SET_ITEM(up, i, x);
-    }
-    return up;
-}
-
 /* math.inf, the recorded distance of every unreached node. */
 static PyObject *inf;
 
-/* One step's recorded distances, {nodes[i]: x} over the first
- * min(len(pi), n) nodes, as solver._Engine builds them: after the full
- * forward search, from the raised pi, x is pi[i] itself
- * (actual_distances); after the reverse search, from pi before the
- * raise, x is (dist[i] - pi[i]) + pi[t] (actual_distances_to_sink). An
- * unreached node maps to inf. A new dict, or NULL with an exception set. */
+/* One step's recorded distances, {nodes[i]: x} over the n nodes, as
+ * solver._Engine builds them: after the full forward search, from the
+ * raised pi, x is a new float of pi[i] (actual_distances), which
+ * held[i] keeps too, so that the pi solve returns holds the same objects;
+ * after the reverse search, from pi before the raise, x is
+ * (dist[i] - pi[i]) + pi[t] (actual_distances_to_sink), and held is NULL.
+ * An unreached node maps to inf. A new dict, or NULL with an exception
+ * set. */
 static PyObject *
-distances(const State *st, PyObject *nodes, PyObject *pi, Py_ssize_t t, int to_sink)
+distances(const State *st, PyObject *nodes, const double *pi, Py_ssize_t t,
+          PyObject **held)
 {
-    double pt = 0.0, p;
-    if (to_sink && item_double(pi, t, &pt) < 0)
-        return NULL;
     PyObject *out = PyDict_New(), *x;
     if (!out)
         return NULL;
-    for (Py_ssize_t i = 0; i < Py_MIN(PyList_GET_SIZE(pi), st->n); i++) {
+    for (Py_ssize_t i = 0; i < st->n; i++) {
         double d = st->dist[i];
-        if (!(d < Py_HUGE_VAL) || !to_sink)
-            x = Py_NewRef(d < Py_HUGE_VAL ? PyList_GET_ITEM(pi, i) : inf);
-        else if (as_double(PyList_GET_ITEM(pi, i), &p) < 0
-                 || !(x = PyFloat_FromDouble(d - p + pt)))
+        if (held)
+            Py_CLEAR(held[i]);
+        if (!(d < Py_HUGE_VAL))
+            x = Py_NewRef(inf);
+        else if (!(x = PyFloat_FromDouble(held ? pi[i] : d - pi[i] + pi[t])))
             goto fail;
+        else if (held)
+            held[i] = Py_NewRef(x);
         int set = PyDict_SetItem(out, PyTuple_GET_ITEM(nodes, i), x);
         Py_DECREF(x);
         if (set < 0)
@@ -342,16 +333,15 @@ fail:
 /* -- the searches --------------------------------------------------------- */
 
 /* The forward search from s over a reset st, to t and no further when
- * stop_at_sink (solver._Engine.dijkstra_forward): labels in st, and
- * *bound the distance of the last node settled. s and t must index the
- * adjacency. 0, or -1 with an exception set. */
+ * stop_at_sink (solver._Engine.dijkstra_forward), then the raise of every
+ * g->pi[v] by min(dist[v], bound), bound being the distance of the last
+ * node settled. Labels stay in st. 0, or -1 with an exception set. */
 static int
-search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
-       Py_ssize_t s, Py_ssize_t t, int stop_at_sink, PyObject *check, double slack,
-       double *bound)
+search(State *st, const Net *g, Py_ssize_t s, Py_ssize_t t, int stop_at_sink,
+       PyObject *check, double slack)
 {
     Py_ssize_t n = st->n, stop = stop_at_sink ? t : -1;
-    *bound = 0.0;
+    double bound = 0.0, *pi = g->pi;
     st->dist[s] = 0.0;
     st->pred[s] = st->parc[s] = -1;
     Entry root = {0.0, 0, s};
@@ -364,29 +354,23 @@ search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
         Py_ssize_t u = top.node;
         if (st->done[u])
             continue;
-        *bound = top.d;
+        bound = top.d;
         if (u == stop)
             break;
         st->done[u] = 1;
         Py_ssize_t hv = top.hops + 1;
-        double pu;
-        PyObject *adj;
-        if (item_double(pi, u, &pu) < 0 || !(adj = adj_row(out_adj, u)))
+        double pu = pi[u];
+        PyObject *adj = adj_row(g->out_adj, u);
+        if (!adj)
             return -1;
         for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
-            PyObject *entry = PyTuple_GET_ITEM(adj, i);
             Py_ssize_t a, v;
-            if (adj_entry(entry, n, &a, &v) < 0)
+            if (adj_entry(g, PyTuple_GET_ITEM(adj, i), n, &a, &v) < 0)
                 return -1;
-            int skip = no_residual(f, cap, a);
-            if (skip < 0)
-                return -1;
-            if (skip || st->done[v])
+            if (no_residual(g, a) || st->done[v])
                 continue;
-            double pv, c, rc;
-            if (item_double(pi, v, &pv) < 0
-                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
-                || reduced_cost(check, slack, a, c, pu, pv, &rc) < 0)
+            double rc;
+            if (reduced_cost(check, slack, a, g->cost[a], pu, pi[v], &rc) < 0)
                 return -1;
             double cand = top.d + rc, dv = st->dist[v];
             if (cand > dv)
@@ -408,36 +392,21 @@ search(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
                 return -1;
         }
     }
-    return 0;
-}
-
-/* The arcs of the path to a reached t, read back from its predecessors,
- * as a new tuple, or NULL with an exception set. */
-static PyObject *
-path_to(const State *st, Py_ssize_t t)
-{
-    PyObject *path = PyTuple_New(st->hops[t]);
-    if (!path)
-        return NULL;
-    for (Py_ssize_t v = t, k = st->hops[t]; k > 0; v = st->pred[v]) {
-        PyObject *a = PyLong_FromSsize_t(st->parc[v]);
-        if (!a) {
-            Py_DECREF(path);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(path, --k, a);
+    for (Py_ssize_t v = 0; v < n; v++) {
+        double d = st->dist[v];
+        pi[v] = pi[v] + (d < bound ? d : bound);
     }
-    return path;
+    return 0;
 }
 
 /* The reverse search into t over a reset st (solver._Engine
  * dijkstra_reverse): each node's reduced distance to t in st->dist. An
- * entry (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c
- * (exact). t must index the adjacency. 0, or -1 with an exception set. */
+ * entry (b, u, c) of out_adj[v] is arc b ^ 1 from u into v, at cost -c,
+ * which is g->cost[b ^ 1]. 0, or -1 with an exception set. */
 static int
-search_reverse(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObject *pi,
-               Py_ssize_t t, PyObject *check, double slack)
+search_reverse(State *st, const Net *g, Py_ssize_t t, PyObject *check, double slack)
 {
+    const double *pi = g->pi;
     st->dist[t] = 0.0;
     Entry root = {0.0, 0, t};
     if (push(st, root) < 0)
@@ -448,25 +417,19 @@ search_reverse(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObjec
         if (st->done[v])
             continue;
         st->done[v] = 1;
-        double pv;
-        PyObject *adj;
-        if (item_double(pi, v, &pv) < 0 || !(adj = adj_row(out_adj, v)))
+        double pv = pi[v];
+        PyObject *adj = adj_row(g->out_adj, v);
+        if (!adj)
             return -1;
         for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(adj); i++) {
-            PyObject *entry = PyTuple_GET_ITEM(adj, i);
             Py_ssize_t b, u;
-            if (adj_entry(entry, st->n, &b, &u) < 0)
+            if (adj_entry(g, PyTuple_GET_ITEM(adj, i), st->n, &b, &u) < 0)
                 return -1;
             Py_ssize_t a = b ^ 1;
-            int skip = no_residual(f, cap, a);
-            if (skip < 0)
-                return -1;
-            if (skip || st->done[u])
+            if (no_residual(g, a) || st->done[u])
                 continue;
-            double pu, c, rc;
-            if (item_double(pi, u, &pu) < 0
-                || as_double(PyTuple_GET_ITEM(entry, 2), &c) < 0
-                || reduced_cost(check, slack, a, -c, pu, pv, &rc) < 0)
+            double rc;
+            if (reduced_cost(check, slack, a, g->cost[a], pi[u], pv, &rc) < 0)
                 return -1;
             double cand = top.d + rc;
             if (cand < st->dist[u]) {
@@ -477,6 +440,115 @@ search_reverse(State *st, PyObject *out_adj, PyObject *f, PyObject *cap, PyObjec
             }
         }
     }
+    return 0;
+}
+
+/* The arcs of the path to a reached t, read back from its predecessors
+ * into arcs, in order from s: their number. */
+static Py_ssize_t
+path_to(const State *st, Py_ssize_t t, Py_ssize_t *arcs)
+{
+    Py_ssize_t k = st->hops[t];
+    for (Py_ssize_t v = t, i = k; i > 0; v = st->pred[v])
+        arcs[--i] = st->parc[v];
+    return k;
+}
+
+/* The k arcs as a new tuple of ints, or NULL with an exception set. */
+static PyObject *
+arc_tuple(const Py_ssize_t *arcs, Py_ssize_t k)
+{
+    PyObject *path = PyTuple_New(k);
+    if (!path)
+        return NULL;
+    for (Py_ssize_t i = 0; i < k; i++) {
+        PyObject *a = PyLong_FromSsize_t(arcs[i]);
+        if (!a) {
+            Py_DECREF(path);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(path, i, a);
+    }
+    return path;
+}
+
+/* math.fsum(cost[a] for a in arcs[:k]) into *sum, as CPython 3.11 sums:
+ * exact partials, then the sum of the partials from the top with the
+ * half-even correction across them. p holds the partials: one per arc at
+ * most. An inf or nan cost gives their plain sum; 0, or -1 with
+ * OverflowError or ValueError set as math.fsum raises them. */
+static int
+path_fsum(const double *cost, const Py_ssize_t *arcs, Py_ssize_t k, double *p, double *sum)
+{
+    Py_ssize_t n = 0;
+    double special_sum = 0.0, inf_sum = 0.0, x, y, t, hi, yr, lo = 0.0;
+    for (Py_ssize_t a = 0; a < k; a++) {
+        double xsave = x = cost[arcs[a]];
+        Py_ssize_t i = 0;
+        for (Py_ssize_t j = 0; j < n; j++) { /* for y in partials */
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i; /* partials[i:] = [x] */
+        if (x != 0.0) {
+            if (!Py_IS_FINITE(x)) {
+                /* an intermediate overflow, or an inf or nan cost */
+                if (Py_IS_FINITE(xsave)) {
+                    PyErr_SetString(PyExc_OverflowError, "intermediate overflow in fsum");
+                    return -1;
+                }
+                if (Py_IS_INFINITY(xsave))
+                    inf_sum += xsave;
+                special_sum += xsave;
+                n = 0;
+            } else {
+                p[n++] = x;
+            }
+        }
+    }
+    if (special_sum != 0.0) {
+        if (Py_IS_NAN(inf_sum)) {
+            PyErr_SetString(PyExc_ValueError, "-inf + inf in fsum");
+            return -1;
+        }
+        *sum = special_sum;
+        return 0;
+    }
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        /* sum the partials from the top, stopping when the sum becomes
+         * inexact */
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the partials: the ones left below
+         * break a tie that lo leaves */
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *sum = hi;
     return 0;
 }
 
@@ -578,7 +650,7 @@ bottleneck(PyObject *f, PyObject *cap, const char *original, Py_ssize_t m,
  * the flow before the push. Then the amount is pushed. Returns (amount,
  * n_saturated, good). */
 static PyObject *
-push_step(PyObject *self, PyObject *args)
+push_step(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *f, *cap, *arcs, *limit;
     const char *original;
@@ -612,73 +684,119 @@ append_new(PyObject *list, PyObject *item)
     return appended;
 }
 
+/* The n potentials as a new list: held[i] where held holds one (the
+ * objects of the last distances from s), else a new float. */
+static PyObject *
+pi_list(const double *pi, Py_ssize_t n, PyObject *const *held)
+{
+    PyObject *out = PyList_New(n), *x;
+    if (!out)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (!(x = held && held[i] ? Py_NewRef(held[i]) : PyFloat_FromDouble(pi[i]))) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, i, x);
+    }
+    return out;
+}
+
 /* run_ssp's loop toward a float target z, from the flow value value, in
- * one call and in its order. With node ids in nodes, each step runs
- * search_reverse over pi before the raise and the full forward search,
- * records both distance dicts and then ends at z; with None it ends at z
- * first and searches to the sink. After the raise, unless the sink is
- * unreached, stop(path) is true (stop is None or a callable) or max_steps
- * paths are taken: the bottleneck under the headroom z - value and
- * push_path; a push that the headroom binds reaches z, as in
+ * one call and in its order, over doubles copied from f, cap, pi and the
+ * signed costs. With node ids in nodes, each step runs search_reverse
+ * over pi before the raise and the full forward search, records both
+ * distance dicts and then ends at z; with None it ends at z first and
+ * searches to the sink. After the raise, unless the sink is unreached,
+ * the path's length (path_fsum) is above the threshold above (strictly;
+ * inf for none) or max_steps paths are taken: the bottleneck under the
+ * headroom z - value and push_path on the f list, whose pushed items go
+ * back into the copy; a push that the headroom binds reaches z, as in
  * solver._value_after. With retain, flows holds f as a tuple before the
  * first push and after each. f is updated in place, pi left alone.
- * Returns (paths, amounts, pi, end, dists, flows): each step's arcs and
- * amount, pi after the last raise, the end (0 at z or an unreached
- * sink, 1 at a stop, 2 at max_steps with a path left), a (from_s, to_t)
- * pair per forward search or None, and the flows or None. */
+ * Returns (paths, amounts, lengths, pi, end, dists, flows): each step's
+ * arcs, amount and length, pi after the last raise as a new list, the
+ * end (0 at z or an unreached sink, 1 above the threshold, 2 at
+ * max_steps with a path left), a (from_s, to_t) pair per forward search
+ * or None, and the flows or None. */
 static PyObject *
-solve(PyObject *self, PyObject *args)
+solve(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *out_adj, *f, *cap, *pi, *check, *nodes, *stop;
+    PyObject *out_adj, *f, *cap, *pi, *cost, *check, *nodes;
     Py_ssize_t s, t, max_steps;
-    double slack, z, value, bound;
+    double slack, z, value, above;
     int retain;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!nnOdddnOpO:solve", &PyTuple_Type, &out_adj,
+    if (!PyArg_ParseTuple(args, "O!O!O!O!O!nnOdddnOpd:solve", &PyTuple_Type, &out_adj,
                           &PyList_Type, &f, &PyList_Type, &cap, &PyList_Type, &pi,
-                          &s, &t, &check, &slack, &z, &value, &max_steps, &nodes,
-                          &retain, &stop))
+                          &PyList_Type, &cost, &s, &t, &check, &slack, &z, &value,
+                          &max_steps, &nodes, &retain, &above))
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(out_adj);
     int record = nodes != Py_None;
+    if (Py_IS_NAN(above)) {
+        PyErr_SetString(PyExc_ValueError, "the length threshold must not be NaN");
+        return NULL;
+    }
     if (s < 0 || s >= n || t < 0 || t >= n) {
         PyErr_SetString(PyExc_IndexError, "source or sink out of range");
+        return NULL;
+    }
+    if (PyList_GET_SIZE(pi) < n) {
+        PyErr_SetString(PyExc_IndexError, "pi must hold a potential per node");
         return NULL;
     }
     if (record && (!PyTuple_Check(nodes) || PyTuple_GET_SIZE(nodes) < n)) {
         PyErr_SetString(PyExc_TypeError, "nodes must be None or a tuple of n node ids");
         return NULL;
     }
+    Py_ssize_t m = Py_MIN(Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)),
+                          PyList_GET_SIZE(cost) / 2);
     State st;
     if (state_init(&st, n) < 0)
         return NULL;
-    PyObject *paths = PyList_New(0), *amounts = PyList_New(0), *result = NULL;
-    PyObject *dists = record ? PyList_New(0) : Py_NewRef(Py_None);
-    PyObject *flows = retain ? PyList_New(0) : Py_NewRef(Py_None);
+    /* f, cap, cost and pi; then a path's arcs and its partials, at most
+     * n - 1 of each; then the last distances from s */
+    double *buf = PyMem_New(double, 4 * m + 2 * n);
+    Py_ssize_t *arcs = PyMem_New(Py_ssize_t, n);
+    PyObject **held = record ? PyMem_Calloc(n, sizeof(PyObject *)) : NULL;
+    PyObject *paths = NULL, *amounts = NULL, *lengths = NULL, *dists = NULL;
+    PyObject *flows = NULL, *result = NULL;
     int end = 0;
-    Py_INCREF(pi);
-    if (!paths || !amounts || !dists || !flows
+    if (!buf || !arcs || (record && !held)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Net g = {out_adj, 2 * m, buf, buf + m, buf + 4 * m, buf + 2 * m};
+    double *partials = buf + 4 * m + n;
+    if (copy_doubles(f, m, g.f) < 0 || copy_doubles(cap, m, g.cap) < 0
+        || copy_doubles(cost, 2 * m, g.cost) < 0 || copy_doubles(pi, n, g.pi) < 0)
+        goto done;
+    paths = PyList_New(0);
+    amounts = PyList_New(0);
+    lengths = PyList_New(0);
+    dists = record ? PyList_New(0) : Py_NewRef(Py_None);
+    flows = retain ? PyList_New(0) : Py_NewRef(Py_None);
+    if (!paths || !amounts || !lengths || !dists || !flows
         || (retain && append_new(flows, PyList_AsTuple(f)) < 0))
         goto done;
     for (;;) {
-        PyObject *raised, *to_t = NULL, *path;
+        PyObject *to_t = NULL, *path;
         if (!record && value == z)
             break;
         if (PyErr_CheckSignals() < 0)
             goto done;
         if (record) {
-            if (search_reverse(&st, out_adj, f, cap, pi, t, check, slack) < 0
-                || !(to_t = distances(&st, nodes, pi, t, 1)))
+            if (search_reverse(&st, &g, t, check, slack) < 0
+                || !(to_t = distances(&st, nodes, g.pi, t, NULL)))
                 goto done;
             state_reset(&st);
         }
-        if (search(&st, out_adj, f, cap, pi, s, t, !record, check, slack, &bound) < 0
-            || !(raised = raised_pi(&st, pi, bound))) {
+        if (search(&st, &g, s, t, !record, check, slack) < 0) {
             Py_XDECREF(to_t);
             goto done;
         }
-        Py_SETREF(pi, raised);
         if (record) {
-            PyObject *from_s = distances(&st, nodes, pi, t, 0);
+            PyObject *from_s = distances(&st, nodes, g.pi, t, held);
             PyObject *pair = from_s ? PyTuple_Pack(2, from_s, to_t) : NULL;
             Py_XDECREF(from_s);
             Py_DECREF(to_t);
@@ -689,40 +807,46 @@ solve(PyObject *self, PyObject *args)
         }
         if (!(st.dist[t] < Py_HUGE_VAL))
             break;
-        if (!(path = path_to(&st, t)))
+        Py_ssize_t k = path_to(&st, t, arcs);
+        double length;
+        if (path_fsum(g.cost, arcs, k, partials, &length) < 0)
             goto done;
-        int stopped = 0; /* 1 when stop(path) is true, -1 when it raised */
-        if (stop != Py_None) {
-            PyObject *over = PyObject_CallOneArg(stop, path);
-            stopped = over ? PyObject_IsTrue(over) : -1;
-            Py_XDECREF(over);
-        }
-        if (stopped || PyList_GET_SIZE(paths) >= max_steps) {
-            Py_DECREF(path);
-            if (stopped < 0)
-                goto done;
-            end = stopped ? 1 : 2;
+        if (length > above || PyList_GET_SIZE(paths) >= max_steps) {
+            end = length > above ? 1 : 2;
             break;
         }
-        if (append_new(paths, path) < 0) /* paths holds path from here on */
+        if (append_new(paths, path = arc_tuple(arcs, k)) < 0) /* paths holds path */
             goto done;
+        /* the lists' sizes now, whatever the check callback did */
+        Py_ssize_t edges = Py_MIN(m, Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap)));
         double headroom = z - value, amount = headroom;
-        Py_ssize_t m = Py_MIN(PyList_GET_SIZE(f), PyList_GET_SIZE(cap));
-        if (bottleneck(f, cap, NULL, m, path, &amount, NULL) < 0
+        if (bottleneck(f, cap, NULL, edges, path, &amount, NULL) < 0
             || push_path(f, cap, path, amount) < 0
             || append_new(amounts, PyFloat_FromDouble(amount)) < 0
+            || append_new(lengths, PyFloat_FromDouble(length)) < 0
             || (retain && append_new(flows, PyList_AsTuple(f)) < 0))
             goto done;
+        for (Py_ssize_t i = 0; i < k; i++) /* push_path wrote floats only */
+            g.f[arcs[i] >> 1] = PyFloat_AS_DOUBLE(PyList_GET_ITEM(f, arcs[i] >> 1));
         value = headroom == amount ? z : value + amount;
         state_reset(&st);
     }
-    result = Py_BuildValue("(OOOiOO)", paths, amounts, pi, end, dists, flows);
+    PyObject *raised = pi_list(g.pi, n, held);
+    if (raised)
+        result = Py_BuildValue("(OOONiOO)", paths, amounts, lengths, raised, end, dists,
+                               flows);
 done:
     Py_XDECREF(paths);
     Py_XDECREF(amounts);
+    Py_XDECREF(lengths);
     Py_XDECREF(dists);
     Py_XDECREF(flows);
-    Py_DECREF(pi);
+    if (held)
+        for (Py_ssize_t i = 0; i < n; i++)
+            Py_XDECREF(held[i]);
+    PyMem_Free(held);
+    PyMem_Free(arcs);
+    PyMem_Free(buf);
     state_free(&st);
     return result;
 }
@@ -732,15 +856,16 @@ static PyMethodDef methods[] = {
      "push_step(f, cap, original, path_arcs, limit) -> (amount, n_saturated,"
      " good); f, cap and limit hold floats"},
     {"solve", solve, METH_VARARGS,
-     "solve(out_adj, f, cap, pi, s, t, check, slack, z, value, max_steps, nodes,"
-     " retain, stop) -> (paths, amounts, pi, end, dists, flows); costs, f, cap"
-     " and pi hold floats"},
+     "solve(out_adj, f, cap, pi, signed_cost, s, t, check, slack, z, value,"
+     " max_steps, nodes, retain, above) -> (paths, amounts, lengths, pi, end,"
+     " dists, flows); f, cap, pi and signed_cost hold floats"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_search",
     "Compiled inner loops of sspflow.solver._Engine.", -1, methods,
+    NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

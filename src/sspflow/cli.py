@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 import time
 
@@ -85,7 +86,7 @@ def _flow_cost(instance: TransformedNetwork, values) -> float:
     """The flow's cost; inf past float64, as costfn's profile prints it
     (every term is nonnegative)."""
     try:
-        return math.fsum(f * e.cost for f, e in zip(values, instance.base.edges))
+        return math.fsum(map(operator.mul, values, instance._arrays.cost))
     except OverflowError:
         return math.inf
 

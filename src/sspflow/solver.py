@@ -15,10 +15,12 @@ where b is the distance of the last node settled: the sink's after a
 stop, the largest finite one after a full search. That keeps every
 residual arc's reduced cost nonnegative (see _Engine.dijkstra_forward;
 asserted with a 1e-9 slack, or 1e-12 of the largest term, for float
-rounding, then clamped); the worst-case family at phi = 2^20 misses the
-relative slack (1.00014e-12 of the largest term) after 131,072 steps of
-potential drift and exits 3. Path length is reported as the
-exact-rounded sum of raw arc costs.
+rounding, then clamped). After enough steps of potential drift, the
+worst-case family misses the relative slack and exits 3 on four valid
+(n, m, phi) sets at seed 0: (2, 2, 2^20), by 1.00014e-12 of the largest
+term after up to 131,072 steps; (4, 4, 2^18), with reduced cost
+-1.089e-06 on arc 182; (4, 4, 2^19) and (4, 4, 2^20). Path length is
+reported as the exact-rounded sum of raw arc costs (math.fsum).
 
 Ties are broken deterministically: labels are (length, arc count,
 arc-index sequence), compared lexicographically, with arcs ordered by
@@ -65,15 +67,17 @@ Python loops run.
 
 With the kernel, a solve runs in one kernel call (_one_call) when
 float(z) holds its target z, so that the kernel's double value reaches
-z exactly when the Python loop's would, and its cap is an int or None.
-The kernel runs run_ssp's loop in every mode over the same lists, and
-builds the recorded distances and retained flows as the per-step loop
-does; a length stop calls back into Python for path_length's fsum.
-_Engine.solve builds the records from each step's arcs and amount, the
-length by path_length's fsum and the value by _value_after, the rule
-augment keeps. Only a target that no float holds, such as
-Fraction(1, 3), or a cap that is no int steps from Python, on the
-Python searches, which stay the oracle.
+z exactly when the Python loop's would, float(x) holds its length stop
+x, which the kernel compares, and its cap is an int or None. The kernel
+runs run_ssp's loop in every mode, its searches over double copies of
+f, pi, the capacities and the signed costs, its pushes on the f list,
+and builds the recorded distances and retained flows as the per-step
+loop does. It sums each path's length as math.fsum does, in C, and
+_Engine.solve builds the records from each step's arcs, length and
+amount, the value by _value_after, the rule augment keeps. Only a
+target or a length stop that no float holds, such as Fraction(1, 3),
+or a cap that is no int steps from Python, on the Python searches,
+which stay the oracle.
 """
 
 from __future__ import annotations
@@ -364,25 +368,25 @@ class _Engine:
     def solve(self, z, iteration_cap, record_distances, retain_flows,
               stop_above_length):
         """step_loop in one call to the kernel, which runs its searches,
-        distance dicts, push steps and flow copies in the same order, in
-        doubles; the length stop calls back into path_length. z must
-        equal float(z), so that the kernel's value reaches z exactly when
-        augment's would. The records are built here, in the list the arcs
-        came in, with path_length's length and augment's value. The
-        engine must have taken no step yet. Returns what step_loop does.
+        distance dicts, path lengths, length stop, push steps and flow
+        copies in the same order, in doubles. z must equal float(z), so
+        that the kernel's value reaches z exactly when augment's would,
+        and so must stop_above_length, which the kernel compares (inf for
+        none). The records are built here, in the list the arcs came in,
+        with the kernel's lengths, which are path_length's, and augment's
+        value. The engine must have taken no step yet. Returns what
+        step_loop does.
         """
         arrays = self.arrays
         max_steps = (
             sys.maxsize if iteration_cap is None
             else min(max(iteration_cap, 0), sys.maxsize)
         )
-        stop = None if stop_above_length is None else (
-            lambda arcs: self.path_length(arcs) > stop_above_length
-        )
-        steps, amounts, self.pi, end, dists, fs = self.native.solve(
-            arrays.out_adj, self.f, arrays.cap, self.pi, arrays.s, arrays.t,
-            _check_reduced_cost, REDUCED_COST_SLACK, float(z), self.value, max_steps,
-            arrays.nodes if record_distances else None, retain_flows, stop,
+        above = INF if stop_above_length is None else float(stop_above_length)
+        steps, amounts, lengths, self.pi, end, dists, fs = self.native.solve(
+            arrays.out_adj, self.f, arrays.cap, self.pi, arrays.signed_cost, arrays.s,
+            arrays.t, _check_reduced_cost, REDUCED_COST_SLACK, float(z), self.value,
+            max_steps, arrays.nodes if record_distances else None, retain_flows, above,
         )
         if end == 2:  # at the cap, with a path still to take
             raise _cap_exceeded(iteration_cap)
@@ -391,13 +395,10 @@ class _Engine:
             dists = iter(dists)
             initial = next(dists)
             make = lambda *record: AugmentationStep(*record, *next(dists))
-        cost = arrays.signed_cost.__getitem__
         start = value = self.value
-        for i, amount in enumerate(amounts):
-            arcs = steps[i]
+        for i, (length, amount) in enumerate(zip(lengths, amounts)):
             value = _value_after(value, amount, z)
-            length = math.fsum(map(cost, arcs))
-            steps[i] = make(i + 1, arcs, length, amount, value)
+            steps[i] = make(i + 1, steps[i], length, amount, value)
         self.value = value
         self.steps = steps
         flows = None if fs is None else tuple(
@@ -522,19 +523,21 @@ def _push_step(f, cap, original, arcs, limit):
     return amount, len(push(f, cap, arcs, amount)), good
 
 
-def _one_call(eng, z, iteration_cap) -> bool:
+def _one_call(eng, z, iteration_cap, stop_above_length) -> bool:
     """Whether run_ssp's solve runs as _Engine.solve, one kernel call:
-    with the kernel, toward a target that its float holds, under an int
-    cap or none. Every other solve steps from Python, where the loop
-    reaches z in z's own arithmetic and compares a cap that is no int as
-    it is."""
+    with the kernel, toward a target and under a length stop that their
+    floats hold, under an int cap or none. Every other solve steps from
+    Python, where the loop reaches z in z's own arithmetic, compares the
+    length stop and a cap that is no int as they are."""
     if eng.native is None:
         return False
     if iteration_cap is not None and not isinstance(iteration_cap, int):
         return False
     try:
-        return float(z) == z
-    except OverflowError:  # an int past the floats; augment raises it
+        return float(z) == z and (
+            stop_above_length is None or float(stop_above_length) == stop_above_length
+        )
+    except OverflowError:  # an int past the floats; augment raises it for z
         return False
 
 
@@ -559,18 +562,22 @@ def run_ssp(
     it, one forward search that stops once the sink is settled.
     retain_flows adds one m-tuple of flow values per step, kept as
     intermediate_flows (analysis.replay_flows rebuilds the same flows
-    from the steps). stop_above_length adds one path_length fsum per
-    step. With the kernel every mode runs in one call (_one_call), and
-    only the length stop calls back into Python per step.
+    from the steps). Every step sums its path's length once, by
+    math.fsum's rule, which stop_above_length compares. With the kernel
+    every mode runs in one call (_one_call), which calls back into
+    Python only for a reduced cost below REDUCED_COST_SLACK.
     """
     if z is None:
         z = instance.z
     if not z >= 0:  # NaN too: its residuals would never reach 0
         raise ValueError("target value must be nonnegative")
-    if stop_above_length is not None and math.isnan(stop_above_length):
+    # NaN is unequal to itself in every number type; math.isnan would
+    # raise on an int past the floats
+    if stop_above_length is not None and stop_above_length != stop_above_length:
         raise ValueError("stop_above_length must not be NaN")
     eng = _Engine(instance)
-    run = eng.solve if _one_call(eng, z, iteration_cap) else eng.step_loop
+    one_call = _one_call(eng, z, iteration_cap, stop_above_length)
+    run = eng.solve if one_call else eng.step_loop
     outcome, initial, flows = run(
         z, iteration_cap, record_distances, retain_flows, stop_above_length
     )

@@ -10,7 +10,11 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
+import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -140,10 +144,9 @@ def test_check_reconstruction_calls_reconstruct_per_case(tracing, monkeypatch):
     assert calls == ["reconstruct", "run_ssp"] * len(cases)
 
 
-def test_experiment_grid_records_its_layers(tracing, monkeypatch, tmp_path):
-    # The experiment-grid op must record these spans: generation or
-    # transform work moved into cli itself would lose them, and would
-    # count against run.py's cli self-time gate.
+@pytest.fixture
+def bench_run(monkeypatch):
+    """perfbench/run.py as a module."""
     # run.py imports its neighbours calibrate and tracing by plain name
     monkeypatch.syspath_prepend(str(TRACING.parent))
     saved = {name: sys.modules.pop(name, None) for name in ("calibrate", "tracing")}
@@ -158,8 +161,14 @@ def test_experiment_grid_records_its_layers(tracing, monkeypatch, tmp_path):
             sys.modules.pop(name, None)
             if module is not None:
                 sys.modules[name] = module
+    return run
 
-    (op,) = run.experiment_grid(0, tmp_path).ops
+
+def test_experiment_grid_records_its_layers(tracing, bench_run, tmp_path):
+    # The experiment-grid op must record these spans: generation or
+    # transform work moved into cli itself would lose them, and would
+    # count against run.py's cli self-time gate.
+    (op,) = bench_run.experiment_grid(0, tmp_path).ops
     wanted = {"generators.random_topology", "generators.sample_costs",
               "generators.perturbed_integer", "network.transform",
               "solver.run_ssp"}
@@ -176,3 +185,43 @@ def test_experiment_grid_records_its_layers(tracing, monkeypatch, tmp_path):
     # one span of each per instance: 2 models x 2 ns x 2 phis x 3 trials
     for name in wanted - {"generators.sample_costs", "generators.perturbed_integer"}:
         assert sum(span.name == name for span in spans) == 24, name
+
+
+def test_traced_ops_match_the_reference(bench_run, tmp_path):
+    # Every set-up and timed op of every workload, at its pool's first
+    # seed, called once under run.py's tracer as a traced run calls it:
+    # exit 0, every span its Op names, and stdout, output-file and steps
+    # digests equal to reference.json's, checked by run.py's own Checker
+    # and check_spans. The cli self-time share is left to the benchmark's
+    # traced runs, since it depends on timing.
+    reference = json.loads(TRACING.with_name("reference.json").read_text())
+    tracer = bench_run.Tracer()
+    calls = 0
+    for name, (build, _) in bench_run.WORKLOADS.items():
+        seed = reference["pools"][name][0]
+        work = tmp_path / name
+        work.mkdir()
+        load = build(seed, work)
+        want = reference["digests"][name][str(seed)]
+        checker = bench_run.Checker(reference["digests"][name])
+        for op in (*load.setup, *load.ops):
+            out, err = io.StringIO(), io.StringIO()
+            tracer.install()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code, spans = tracer.call(sspflow.cli.main, list(op.argv))
+            finally:
+                tracer.uninstall()
+            call = bench_run.Call(op, code, 0.0, out.getvalue(), err.getvalue(), 1.0,
+                                  spans=spans)
+            call.digest["stdout"] = bench_run._sha(call.stdout.encode())
+            for path in op.files:
+                call.digest[os.path.basename(path)] = bench_run._sha(Path(path).read_bytes())
+            call.digest["steps"] = bench_run.steps_digest(spans)
+            assert code == 0, (name, op.label, call.stderr)
+            assert call.digest.keys() == want[op.label].keys(), (name, op.label)
+            checker.check(call, seed)
+            bench_run.check_spans(call, checker, timed=False)
+            calls += 1
+        assert checker.failures == [] and checker.problems == [], name
+    assert calls == 8

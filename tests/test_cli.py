@@ -94,6 +94,45 @@ def test_huge_magnitudes_never_traceback(text, code, tmp_path, capsys):
         assert out.startswith("reached_z steps=1 value=8e+307 cost=inf")
 
 
+def _flow_cost_by_edges(instance, values):
+    """cli._flow_cost as it read the edges: the same products, in the
+    same order."""
+    try:
+        return math.fsum(f * e.cost for f, e in zip(values, instance.base.edges))
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ["lowerbound", "--n", "8", "--m", "16", "--phi", "4096", "--seed", "0"],
+        ["generate", "--model", "smoothed", "--shape", "bipartite", "--n", "40",
+         "--m", "800", "--phi", "10", "--preset", "adversarial", "--seed", "0"],
+        # products past float64: 8e307 * 4.0 is inf, and fsum keeps it
+        "c costbound 4\np min 4 3\nn 0 8e307\nn 3 -8e307\n"
+        "a 0 1 1e308 4\na 1 2 1e308 1\na 2 3 1e308 0.5\n",
+    ],
+    ids=["hard-4096", "smoothed-bipartite", "overflowing_products"],
+)
+def test_flow_cost_reads_the_cost_list(make, tmp_path, capsys):
+    # the cost= field of solve, from the instance's cost list, equals the
+    # sum over its edges bit for bit
+    path = tmp_path / "inst.dimacs"
+    if isinstance(make, str):
+        path.write_text(make)
+    else:
+        assert main([*make, "--out", str(path)]) == 0
+    instance = cli.load_instance(str(path))
+    values = run_ssp(instance, record_distances=False).final_flow.values
+    cost = cli._flow_cost(instance, values)
+    assert repr(cost) == repr(_flow_cost_by_edges(instance, values))
+    assert (cost == math.inf) is isinstance(make, str)
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(f" cost={cost!r}\n")
+
+
 def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/x.dimacs"]) == 1
 

@@ -18,6 +18,7 @@ from sspflow import (
     FlowNetwork,
     InternalInvariantError,
     TransformedNetwork,
+    random_topology,
     run_ssp,
     transform,
 )
@@ -25,13 +26,14 @@ from sspflow import _native, solver
 from sspflow.network import empty_arcs, push, residual_arcs
 from sspflow.solver import (
     REDUCED_COST_SLACK,
+    Outcome,
     _Engine,
     _check_reduced_cost,
     _path_less,
     trace_csv_rows,
 )
 
-from conftest import random_instance, two_path_network
+from conftest import midway_length, random_instance, two_path_network
 
 TOOLCHAIN = (
     shutil.which(_native._CC) is not None
@@ -145,7 +147,7 @@ def test_a_new_build_deletes_older_ones(monkeypatch, tmp_path):
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_kernel_compiles_without_warnings(tmp_path):
     done = subprocess.run(
-        [_native._CC, *_native._FLAGS, "-Wall", "-Werror",
+        [_native._CC, *_native._FLAGS, "-Wall", "-Wextra", "-Werror",
          f"-I{sysconfig.get_paths()['include']}",
          str(_native._SOURCE), "-o", str(tmp_path / "_search.so")],
         capture_output=True, text=True,
@@ -154,10 +156,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 
 def two_edges():
-    """out_adj, f and cap of a full edge 0 from node 0 to 1 and an idle
-    edge 1 from node 1 to 2, both of cost 0."""
+    """out_adj, f, cap and signed costs of a full edge 0 from node 0 to 1
+    and an idle edge 1 from node 1 to 2, both of cost 0."""
     out_adj = (((0, 1, 0.0),), ((1, 0, -0.0), (2, 2, 0.0)), ((3, 1, -0.0),))
-    return out_adj, [2.0, 0.0], [2.0, 3.0]
+    return out_adj, [2.0, 0.0], [2.0, 3.0], [0.0, -0.0, 0.0, -0.0]
 
 
 def kernel_calls():
@@ -168,20 +170,20 @@ def kernel_calls():
     "reverse", named for the search each case was written for, are one
     record-mode solve capped at 0: exactly one reverse and one full
     forward search, and no push."""
-    out_adj, f, cap = two_edges()
+    out_adj, f, cap, cost = two_edges()
     pi = [0.0] * 3
     check = _check_reduced_cost
     # from node 1 to node 2 toward z = 5.0 from value 0.0: its first
     # searches read every f and cap item, and an uncapped solve pushes 3.0
-    record = ("solve", (out_adj, f, cap, pi, 1, 2, check, 1e-9, 5.0, 0.0, 0, (0, 1, 2),
-                        False, None))
+    record = ("solve", (out_adj, f, cap, pi, cost, 1, 2, check, 1e-9, 5.0, 0.0, 0,
+                        (0, 1, 2), False, math.inf))
     return {
         "forward": record,
         "reverse": record,
         "augment": ("push_step", (f, cap, b"\1\1", (1, 2), 5.0)),
         "replay": ("push_step", (f, cap, b"\1\1", (1, 2), 1.0)),
-        "solve": ("solve", (out_adj, f, cap, pi, 1, 2, check, 1e-9, 5.0, 0.0, sys.maxsize,
-                            None, False, None)),
+        "solve": ("solve", (out_adj, f, cap, pi, cost, 1, 2, check, 1e-9, 5.0, 0.0,
+                            sys.maxsize, None, False, math.inf)),
     }
 
 
@@ -221,52 +223,64 @@ def test_solve_entry_point_runs_the_per_step_calls():
     kernel = _native.load()
     _, args = kernel_calls()["solve"]
     pi = [0.0] * 3
-    assert repr(kernel.solve(*args)) == repr(([(2,)], [3.0], pi, 0, None, None))
+    assert repr(kernel.solve(*args)) == repr(([(2,)], [3.0], [0.0], pi, 0, None, None))
     assert args[1] == [2.0, 3.0] and args[3] == pi  # the pi passed in stays
     _, args = kernel_calls()["solve"]
-    paths, amounts, _, end, *_ = kernel.solve(*args[:10], 0, *args[11:])
-    assert (paths, amounts, end) == ([], [], 2) and args[1] == [2.0, 0.0]
+    paths, amounts, lengths, _, end, *_ = kernel.solve(*args[:11], 0, *args[12:])
+    assert (paths, amounts, lengths, end) == ([], [], [], 2) and args[1] == [2.0, 0.0]
     _, args = kernel_calls()["solve"]
-    seen = []
-    paths, amounts, raised, end, dists, flows = kernel.solve(
-        *args[:11], (7, 8, 9), True, lambda arcs: seen.append(arcs)
+    # a threshold equal to the path's length 0.0 is not below it
+    paths, amounts, lengths, raised, end, dists, flows = kernel.solve(
+        *args[:12], (7, 8, 9), True, 0.0
     )
-    assert (paths, amounts, end, seen) == ([(2,)], [3.0], 0, [(2,)])
+    assert (paths, amounts, lengths, end) == ([(2,)], [3.0], [0.0], 0)
     inf = math.inf
     assert dists == [({7: 0.0, 8: 0.0, 9: 0.0}, {7: inf, 8: 0.0, 9: 0.0}),
                      ({7: 0.0, 8: 0.0, 9: inf}, {7: inf, 8: inf, 9: 0.0})]
     assert flows == [(2.0, 0.0), (2.0, 3.0)]
     assert dists[1][0][9] is inf and dists[1][1][8] is inf
     assert all(dists[1][0][v] is raised[i] for i, v in enumerate((7, 8)))
-    # a true stop ends the solve before the push
+    # a length above the threshold ends the solve before the push
     _, args = kernel_calls()["solve"]
-    assert kernel.solve(*args[:13], lambda arcs: 1)[3:] == (1, None, None)
+    assert kernel.solve(*args[:14], -math.inf)[4:] == (1, None, None)
     assert args[1] == [2.0, 0.0]
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
 def test_a_raising_stop_leaves_the_earlier_pushes():
-    # the length stop is called before each push; its error propagates,
-    # and f then holds the pushes of the steps before it
+    # the length stop is compared before each push, and an error raised
+    # while a step records its distances propagates: either way f then
+    # holds the pushes of the steps before it, and the pi passed in stays
     kernel = _native.load()
     inst = random_instance(1, n=8, m=20, capacities="real")
-    want = run_ssp(inst, record_distances=False, retain_flows=True).intermediate_flows
-    assert len(want) == 5
+    trace = run_ssp(inst, record_distances=False, retain_flows=True)
+    want = trace.intermediate_flows
+    lengths = [s.length for s in trace.steps]
+    assert len(want) == 5 and lengths == sorted(set(lengths))
     for k, flow in enumerate(want[:-1]):
-        eng = _Engine(inst)
-        arrays = eng.arrays
-        calls = []
+        for record in (False, True):
+            eng = _Engine(inst)
+            arrays = eng.arrays
+            hashes = []
 
-        def stop(arcs):
-            calls.append(arcs)
-            if len(calls) > k:
-                raise KeyError(k)
+            class Node(int):
+                # a node id whose hash raises once step k records its
+                # distances: two dicts of n ids per step
+                def __hash__(self):
+                    hashes.append(self)
+                    if len(hashes) > 2 * inst.n * k:
+                        raise KeyError(k)
+                    return int.__hash__(self)
 
-        with pytest.raises(KeyError):
-            kernel.solve(arrays.out_adj, eng.f, arrays.cap, eng.pi, arrays.s, arrays.t,
-                         _check_reduced_cost, 1e-9, inst.z, 0.0, sys.maxsize, None, False,
-                         stop)
-        assert repr(eng.f) == repr(list(flow.values)) and eng.pi == [0.0] * inst.n
+            args = (arrays.out_adj, eng.f, arrays.cap, eng.pi, arrays.signed_cost, arrays.s,
+                    arrays.t, _check_reduced_cost, 1e-9, inst.z, 0.0, sys.maxsize)
+            if record:
+                with pytest.raises(KeyError):
+                    kernel.solve(*args, tuple(map(Node, arrays.nodes)), False, math.inf)
+            else:  # a threshold just below step k's length stops before its push
+                got = kernel.solve(*args, None, False, math.nextafter(lengths[k], -math.inf))
+                assert got[2] == lengths[:k] and got[4] == 1
+            assert repr(eng.f) == repr(list(flow.values)) and eng.pi == [0.0] * inst.n
 
 
 BAD_PUSH_CALLS = [
@@ -330,13 +344,12 @@ BAD_SEARCH_CALLS = [
     (TypeError, "reverse", {2: [2.0, 3]}),
     (TypeError, "forward", {3: [0.0, 0, 0.0]}),
     # a float subclass item, numpy's float64 included, in f, cap, pi or
-    # a cost
+    # the signed costs
     (TypeError, "forward", {1: [2.0, np.float64(0.0)]}),
     (TypeError, "reverse", {2: [_Float(2.0), 3.0]}),
     (TypeError, "forward", {3: [0.0, np.float64(0.0), 0.0]}),
     (TypeError, "reverse", {3: [0.0, _Float(0.0), 0.0]}),
-    (TypeError, "forward", {0: (((0, 1, 0.0),), ((1, 0, np.float64(-0.0)), (2, 2, 0.0)),
-                                ((3, 1, -0.0),))}),
+    (TypeError, "forward", {4: [0.0, np.float64(-0.0), 0.0, -0.0]}),
     # an adjacency or a row that is a list, not a tuple
     (TypeError, "forward", {0: list(two_edges()[0])}),
     (TypeError, "reverse", {0: (((0, 1, 0.0),), [(1, 0, -0.0), (2, 2, 0.0)],
@@ -356,14 +369,13 @@ BAD_SOLVE_CALLS = [
     (TypeError, "solve", {2: None}),
     (TypeError, "solve", {1: np.array([2.0, 0.0])}),
     (TypeError, "solve", {0: list(two_edges()[0])}),
-    # an int or a float subclass item in f, cap or pi, or as a cost
+    # an int or a float subclass item in f, cap or pi, or as a signed cost
     (TypeError, "solve", {1: [2.0, 0]}),
     (TypeError, "solve", {2: [2.0, 3]}),
     (TypeError, "solve", {1: [2.0, np.float64(0.0)]}),
     (TypeError, "solve", {2: [2.0, _Float(3.0)]}),
     (TypeError, "solve", {3: [0.0, _Float(0.0), 0.0]}),
-    (TypeError, "solve", {0: (((0, 1, 0.0),), ((1, 0, -0.0), (2, 2, np.float64(0.0))),
-                              ((3, 1, -0.0),))}),
+    (TypeError, "solve", {4: [0.0, -0.0, np.float64(0.0), -0.0]}),
     # a row that is a list, not a tuple
     (TypeError, "solve", {0: (((0, 1, 0.0),), [(1, 0, -0.0), (2, 2, 0.0)],
                               ((3, 1, -0.0),))}),
@@ -374,18 +386,22 @@ BAD_SOLVE_CALLS = [
     (IndexError, "solve", {1: [2.0]}),
     (IndexError, "solve", {2: [2.0]}),
     (IndexError, "solve", {3: [0.0]}),
-    (IndexError, "solve", {4: 3}),
-    (IndexError, "solve", {5: -1}),
+    (IndexError, "solve", {5: 3}),
+    (IndexError, "solve", {6: -1}),
     # a target, a value or a cap of the wrong type
-    (TypeError, "solve", {8: "5"}),
-    (TypeError, "solve", {9: None}),
-    (TypeError, "solve", {10: 1.5}),
-    # fewer node ids than nodes, node ids in a list, a stop that cannot
-    # be called, and one that raises before the first push
-    (TypeError, "solve", {11: (0, 1)}),
-    (TypeError, "solve", {11: [0, 1, 2]}),
-    (TypeError, "solve", {13: 1}),
-    (ZeroDivisionError, "solve", {13: lambda arcs: 1 / 0}),
+    (TypeError, "solve", {9: "5"}),
+    (TypeError, "solve", {10: None}),
+    (TypeError, "solve", {11: 1.5}),
+    # fewer node ids than nodes, node ids in a list, a length threshold
+    # that is no number (a stop callable) or NaN
+    (TypeError, "solve", {12: (0, 1)}),
+    (TypeError, "solve", {12: [0, 1, 2]}),
+    (TypeError, "solve", {14: lambda arcs: 1}),
+    (ValueError, "solve", {14: math.nan}),
+    # signed costs too few for edge 1, not a list, or with an int item
+    (IndexError, "solve", {4: [0.0, -0.0]}),
+    (TypeError, "solve", {4: (0.0, -0.0, 0.0, -0.0)}),
+    (TypeError, "solve", {4: [0.0, -0.0, 0, -0.0]}),
 ]
 
 
@@ -393,6 +409,20 @@ BAD_SOLVE_CALLS = [
 @pytest.mark.parametrize("error, name, changes", BAD_SOLVE_CALLS)
 def test_solve_entry_point_rejects_bad_input(error, name, changes):
     call_rejects(error, name, changes)
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_a_check_that_empties_f_fails_the_push():
+    # the reduced-cost check is Python code, called here on arc 2 of
+    # reduced cost -5.0; the push reads the lists' sizes after it
+    _, args = kernel_calls()["solve"]
+    args = list(args)
+    f = args[1]
+    args[3] = [0.0, 0.0, 5.0]
+    args[7] = lambda *terms: f.clear()
+    with pytest.raises(IndexError, match="arc index out of range"):
+        _native.load().solve(*args)
+    assert f == []
 
 
 @pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
@@ -457,9 +487,12 @@ def _search_outcome(inst, f, pi, record):
     sink's path, of the distances a record-mode solve records and of pi
     after it, or the text of the InternalInvariantError it raises. On the
     kernel, a solve capped at 0 (record mode: one reverse and one full
-    forward search; else one search to the sink), whose stop callable
-    sees the path; on the Python searches, in run_ssp's order. Each runs
-    on its own copy of the state."""
+    forward search; else one search to the sink), and for the path a
+    sink-stop solve capped at 1 toward the least float, which its one
+    push reaches, so that no search follows it; the sink's label is final
+    once it is settled, so a full search finds the same path. On the
+    Python searches, in run_ssp's order. Each runs on its own copy of the
+    state."""
     outcomes = []
     for native in (True, False):
         eng = _Engine(inst)
@@ -467,12 +500,17 @@ def _search_outcome(inst, f, pi, record):
         eng.f, eng.pi = list(f), list(pi)
         try:
             if native:
-                paths = []
-                _, _, eng.pi, end, dists, _ = eng.native.solve(
-                    arrays.out_adj, eng.f, arrays.cap, eng.pi, arrays.s, arrays.t,
-                    _check_reduced_cost, REDUCED_COST_SLACK, inst.z, 0.0, 0,
-                    arrays.nodes if record else None, False, paths.append,
+                def solve(f, pi, *args):
+                    return eng.native.solve(
+                        arrays.out_adj, f, arrays.cap, pi, arrays.signed_cost, arrays.s,
+                        arrays.t, _check_reduced_cost, REDUCED_COST_SLACK, *args, False,
+                        math.inf,
+                    )
+
+                _, _, _, eng.pi, end, dists, _ = solve(
+                    eng.f, eng.pi, inst.z, 0.0, 0, arrays.nodes if record else None
                 )
+                paths, *_ = solve(list(f), list(pi), math.ulp(0.0), 0.0, 1, None)
                 assert end == (2 if paths else 0)
                 got = (paths or [None])[0], dists
             else:
@@ -538,3 +576,98 @@ def test_searches_agree_on_arbitrary_states(monkeypatch):
                 raised += isinstance(native, str)
     assert feasible > 500 and raised > 1300
     assert len(ties) > 1000  # ties in (dist, hops), settled by arc sequence
+
+
+def mixed_magnitude_instance(seed, n=12, m=40):
+    """Real capacities and costs of three magnitudes, 2^40, 1 and 1e-12
+    times a uniform draw, so that the lengths of paths with backward arcs
+    cancel their large costs and keep the small ones."""
+    topo = random_topology(n, m, "erdos", seed, capacities="real")
+    rng = random.Random(seed)
+    scales = (2.0**40, 1.0, 1e-12)
+    edges = [Edge(u, v, cap, rng.choice(scales) * rng.random()) for u, v, cap in topo.edges]
+    return transform(FlowNetwork(edges, dict(topo.balance), topo.nodes, 2.0**40))
+
+
+def half_even_instance():
+    """One path of costs 2^53, 1 and 2^-30: 2^53 + 1 is a tie that the
+    2^-30 breaks upward, so math.fsum gives 2^53 + 2 where a sum from the
+    left gives 2^53."""
+    edges = [Edge(0, 1, 1.0, 2.0**53), Edge(1, 2, 1.0, 1.0), Edge(2, 3, 1.0, 2.0**-30)]
+    return transform(FlowNetwork(edges, {0: 1.0, 3: -1.0}, cost_bound=2.0**53))
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_kernel_lengths_are_math_fsum(monkeypatch):
+    # each step's length is math.fsum over the path's signed costs, bit for
+    # bit, whether the kernel sums it or step_loop's path_length does
+    kernel = _native.load()
+    solve, calls = kernel.solve, []
+    monkeypatch.setattr(kernel, "solve", lambda *args: calls.append(args) or solve(*args))
+    instances = [half_even_instance(), *map(mixed_magnitude_instance, range(20))]
+    steps = backward = rounded = 0
+    for inst in instances:
+        cost = inst._arrays.signed_cost
+        for native in (True, False):
+            with monkeypatch.context() as patch:
+                if not native:
+                    patch.setattr(_native, "load", lambda: None)
+                calls.clear()
+                for record in (False, True):
+                    for s in run_ssp(inst, record_distances=record).steps:
+                        want = math.fsum(cost[a] for a in s.path_arcs)
+                        assert repr(s.length) == repr(want)
+                        steps += 1
+                        backward += any(a & 1 for a in s.path_arcs)
+                        rounded += sum(cost[a] for a in s.path_arcs) != want
+                assert len(calls) == (2 if native else 0)
+    assert run_ssp(instances[0]).steps[0].length == 2.0**53 + 2
+    assert steps > 700 and backward > 100 and rounded > 60
+
+
+@pytest.mark.skipif(not TOOLCHAIN, reason="no gcc or no Python.h")
+def test_kernel_length_stop_is_strict(monkeypatch):
+    # a stop at threshold x takes exactly the steps of the full solve whose
+    # length is not above x: at a step's own length, at +-inf and at
+    # midway_length, on the kernel as on the Python loops. A threshold
+    # that no float holds steps from Python and compares exactly
+    kernel = _native.load()
+    solve, calls = kernel.solve, []
+    monkeypatch.setattr(kernel, "solve", lambda *args: calls.append(args) or solve(*args))
+
+    def outcome(inst, **kwargs):
+        trace = run_ssp(inst, **kwargs)
+        return (trace.outcome, [(s.path_arcs, repr(s.length), repr(s.amount))
+                                for s in trace.steps], repr(trace.final_flow))
+
+    stopped = 0
+    for inst in [*(random_instance(seed, capacities="real") for seed in range(10)),
+                 *map(mixed_magnitude_instance, range(5))]:
+        full = run_ssp(inst, record_distances=False)
+        lengths = [s.length for s in full.steps]
+        for above in (*sorted(set(lengths)), math.inf, -math.inf, midway_length(inst)):
+            taken = sum(length <= above for length in lengths)
+            for record in (False, True):
+                got = []
+                for native in (True, False):
+                    with monkeypatch.context() as patch:
+                        if not native:
+                            patch.setattr(_native, "load", lambda: None)
+                        calls.clear()
+                        got.append(outcome(inst, stop_above_length=above,
+                                           record_distances=record))
+                        assert len(calls) == native
+                assert got[0] == got[1]
+                cut = taken < len(lengths)
+                want = Outcome.STOPPED_ABOVE_LENGTH if cut else full.outcome
+                assert got[0][0] is want and len(got[0][1]) == taken
+                stopped += cut
+        # just above the middle length, and past the floats either way
+        mid = Fraction(lengths[len(lengths) // 2]) + Fraction(1, 10**40)
+        for above, want in ((mid, lengths[len(lengths) // 2]), (10**400, math.inf),
+                            (-10**400, -math.inf)):
+            calls.clear()
+            assert outcome(inst, stop_above_length=above) == outcome(
+                inst, stop_above_length=want)
+            assert len(calls) == 1
+    assert stopped > 150
